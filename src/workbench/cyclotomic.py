@@ -114,9 +114,6 @@ class Cyclotomic:
                     acc[i] += c * vec[i]
         return cls(e, acc)
 
-    def zero_like(self) -> "Cyclotomic":
-        return Cyclotomic(self.e, [0] * _phi_degree(self.e))
-
     # -- conductor handling -------------------------------------------------
 
     def lift(self, E: int) -> "Cyclotomic":

@@ -67,3 +67,7 @@ class NoSolution(WorkbenchError):
 
 class NegativeMultiplicity(WorkbenchError):
     """A predicted composition multiplicity came out negative."""
+
+
+class InvariantViolation(WorkbenchError):
+    """An internal invariant of a computation failed (signals a bug or bad input data)."""

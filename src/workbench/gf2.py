@@ -244,16 +244,6 @@ class GF2Field:
     def generator(self) -> int:
         return 0b10 if self.f > 1 else 1
 
-    def element_order(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError
-        n = 1
-        cur = a
-        while cur != 1:
-            cur = self.mul(cur, a)
-            n += 1
-        return n
-
     def root_of_unity(self, e: int) -> int:
         """The pinned primitive e-th root: generator^((2^f-1)/e); e must divide 2^f - 1."""
         if (self.order - 1) % e != 0:
@@ -485,10 +475,6 @@ class BitMatrix:
             else:
                 out.append(tag)
         return out
-
-    def right_kernel(self) -> list:
-        """Basis of {w : M * w^T = 0}, i.e. kernel of the transpose."""
-        return self.transpose().kernel()
 
     def export_text(self) -> str:
         """Documented interchange format: 'nrows ncols' header, then hex rows."""

@@ -1,22 +1,42 @@
 """GF(2) permutation modules on involutions, block cuts, and summands.
 
 Row-vector modules over GF(2); coordinates of a permutation module are
-labelled by element indices of the underlying G-set.  The endomorphism
-algebra of a permutation module is spanned by its orbital matrices, which
-is what makes the Fitting decomposition affordable: block cuts inherit the
-spanning set e*O*e.
+labelled by element indices of the underlying G-set, and each generator's
+action is kept as a list of positions.  The endomorphism algebra of a
+permutation module is spanned by its orbital matrices (the G-orbits on
+pairs of points, computed once per module), and the whole module layer
+works from them:
+
+* Block projectors.  A class sum commutes with G, so it is constant on
+  each orbital, and e_B acts as sum_O c_O A_O.  The coefficient c_O is the
+  (i0, j0) entry for one representative pair of O: the e_B-weighted count
+  of g with lab_i0^g = lab_j0, computed for one row i0 per G-orbit of
+  points (in GF(2), or in GF(2^F) off the rational path).
+  `class_sum_matrix` stays as the independent oracle for the tests.
+* Block cuts inherit the spanning set e*O*e of their endomorphisms.
+* Summands.  The corner e*End*e of each idempotent is spanned once, and
+  random corner elements are split through the idempotents of GF(2)[a].
+  A one-dimensional corner is k, hence local, which certifies the summand
+  indecomposable without random draws.
+* Homs between summands of one split come from End(M): every hom
+  eM -> fM extends to M through e, so Hom(eM, fM) = {v -> v*a*f}.
+  `hom_space` (a linear solve in n1*n2 unknowns) remains the general path
+  for any other pair of modules.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 from .blocks import BlockData, block_idempotent_support, block_partition
 from .chartab import CharacterTable
-from .errors import CapExceeded, FieldTooSmall, NotIdempotent, NotInO2
-from .gf2 import BitMatrix, CoordSolver, Echelon, GF2Field, GFMatrix
+from .errors import (CapExceeded, FieldTooSmall, InvariantViolation,
+                     NotIdempotent, NotInO2)
+from .gf2 import (BitMatrix, CoordSolver, Echelon, GF2Field, GFMatrix,
+                  poly_mulmod)
 from .meataxe import chop, group_constituents
-from .perm import PermGroup, conj, identity, inverse, mul, nu
+from .perm import PermGroup, conj, identity, mul, nu
 
 OMEGA_CAP = 2048
 MEATAXE_DIM_CAP = 512
@@ -27,20 +47,28 @@ COMMUTANT_DIM_CAP = 48
 class GF2Module:
     """A GF(2)-module given by generator action matrices (row convention).
 
-    Permutation modules keep their point labels and a reference to the
-    group so orbital endomorphisms stay available through block cuts.
+    Permutation modules keep their point labels, the generators' actions as
+    position lists (`perms`) and a reference to the group, so orbital
+    endomorphisms stay available through block cuts.  Summands made by
+    `summand_split` carry their `origin` in the parent module.
     """
 
     def __init__(self, mats, dim, group: PermGroup | None = None,
-                 labels=None, endo_spanning=None):
+                 labels=None, endo_spanning=None, perms=None):
         self.mats = mats if mats else [BitMatrix.identity(dim)]
         self.dim = dim
         self.group = group
         self.labels = labels
+        self.perms = perms
+        self.origin = None
         self._endo_spanning = endo_spanning  # callable yielding BitMatrix spans
+        self._orbitals = None
         for m in self.mats:
-            assert m.nrows == m.ncols == dim
-            assert m.rank() == dim, "action matrix not invertible"
+            if not m.nrows == m.ncols == dim:
+                raise InvariantViolation(
+                    f"action matrix is {m.nrows}x{m.ncols}, module dim {dim}")
+            if m.rank() != dim:
+                raise InvariantViolation("action matrix not invertible")
 
     def verify_action(self, rng=None) -> bool:
         """Spot-check rho(g)rho(h) = rho(gh) on random generator products."""
@@ -66,21 +94,26 @@ class GF2Module:
         return "\n".join(parts)
 
 
-def _perm_action_matrix(G: PermGroup, labels, g) -> BitMatrix:
+def _action_positions(G: PermGroup, labels, g) -> list:
+    """Position of lab^g for each label: g's action on the points as an index table."""
     pos = {lab: n for n, lab in enumerate(labels)}
-    rows = [0] * len(labels)
-    for n, lab in enumerate(labels):
-        img = G.idx(conj(G.elements[lab], g))
-        rows[n] = 1 << pos[img]
-    return BitMatrix(rows, len(labels))
+    return [pos[G.idx(conj(G.elements[lab], g))] for lab in labels]
+
+
+def _perm_matrix(images) -> BitMatrix:
+    return BitMatrix([1 << t for t in images], len(images))
+
+
+def _perm_action_matrix(G: PermGroup, labels, g) -> BitMatrix:
+    return _perm_matrix(_action_positions(G, labels, g))
 
 
 def conjugation_module(G: PermGroup, labels) -> GF2Module:
     """Permutation module on a conjugation-stable set of element indices."""
     labels = sorted(labels)
-    mats = [_perm_action_matrix(G, labels, g) for g in G.generators]
-    module = GF2Module(mats or None, len(labels), group=G, labels=labels)
-    return module
+    perms = [_action_positions(G, labels, g) for g in G.generators]
+    return GF2Module([_perm_matrix(p) for p in perms], len(labels), group=G,
+                     labels=labels, perms=perms)
 
 
 def involution_perm_module(G: PermGroup) -> GF2Module:
@@ -102,37 +135,127 @@ def class_sum_matrix(G: PermGroup, labels, members) -> BitMatrix:
     return BitMatrix(rows, len(labels))
 
 
-def block_projector(table: CharacterTable, block: BlockData, module: GF2Module):
-    """The matrix of e_B on a permutation module.
+def _orbitals(module: GF2Module) -> list:
+    """G-orbits on pairs of points of a permutation module.
 
-    Returns a BitMatrix when the idempotent is GF(2)-rational (the fast
-    path), otherwise a GFMatrix over the block's GF(2^F) (the lifted
-    module k^F (x) M)."""
-    coeffs = block_idempotent_support(table, block)
-    n = module.dim
-    if all(c in (0, 1) for c in coeffs):
-        acc = BitMatrix.zero(n, n)
-        for j, c in enumerate(coeffs):
+    [(i0, j0, adjacency BitMatrix)] with (i0, j0) the first pair of the
+    orbital in row-major order, so i0 is the least point of its G-orbit.
+    Computed once per module by a search on the position lists."""
+    if module._orbitals is None:
+        n = module.dim
+        full = (1 << n) - 1
+        seen = [0] * n
+        out = []
+        for i0 in range(n):
+            while seen[i0] != full:
+                free = ~seen[i0] & full
+                j0 = (free & -free).bit_length() - 1
+                rows = [0] * n
+                seen[i0] |= 1 << j0
+                rows[i0] = 1 << j0
+                frontier = [(i0, j0)]
+                while frontier:
+                    nxt = []
+                    for i, j in frontier:
+                        for p in module.perms:
+                            i2, bit = p[i], 1 << p[j]
+                            if not seen[i2] & bit:
+                                seen[i2] |= bit
+                                rows[i2] |= bit
+                                nxt.append((i2, p[j]))
+                    frontier = nxt
+                out.append((i0, j0, BitMatrix(rows, n)))
+        module._orbitals = out
+    return module._orbitals
+
+
+def _orbital_matrices(module: GF2Module) -> list:
+    """Adjacency matrices of the G-orbits on labels x labels."""
+    return [O for _i0, _j0, O in _orbitals(module)]
+
+
+def _orbital_coefficients(table: CharacterTable, coeffs, module: GF2Module):
+    """[(c_O, A_O)] with sum_O c_O A_O = sum_j coeffs[j] C_j+ on the module.
+
+    A class sum commutes with G, so it is constant on each orbital and c_O
+    is its (i0, j0) entry: sum_j coeffs[j] #{g in C_j : lab_i0^g = lab_j0},
+    in GF(2^F) (GF(2) when every coefficient is 0 or 1).  Only the rows i0
+    that represent an orbital are computed, one per G-orbit of points."""
+    G = table.group
+    pos = {lab: n for n, lab in enumerate(module.labels)}
+    orbitals = _orbitals(module)
+    rows = {}
+    for i0, _j0, _O in orbitals:
+        if i0 in rows:
+            continue
+        p = G.elements[module.labels[i0]]
+        row = rows[i0] = {}
+        for c, cls in zip(coeffs, table.classes):
             if c:
-                acc = acc + class_sum_matrix(table.group, module.labels,
-                                             table.classes[j].members)
-        if acc * acc != acc:
-            raise NotIdempotent("block projector is not idempotent")
-        return acc
-    if n > 64:
-        return None  # caller falls back to the Frobenius-orbit route
-    F = GF2Field(block.field_f)
-    acc = GFMatrix.zero(F, n, n)
-    for j, c in enumerate(coeffs):
+                for m in cls.members:
+                    t = pos[G.idx(conj(p, G.elements[m]))]
+                    row[t] = row.get(t, 0) ^ c
+    return [(rows[i0].get(j0, 0), O) for i0, j0, O in orbitals]
+
+
+def _rational_projector(table: CharacterTable, coeffs, module: GF2Module) -> BitMatrix:
+    """sum_j coeffs[j] C_j+ for GF(2) coefficients, as a sum of orbital matrices."""
+    acc = BitMatrix.zero(module.dim, module.dim)
+    for c, O in _orbital_coefficients(table, coeffs, module):
         if c:
-            s = class_sum_matrix(table.group, module.labels,
-                                 table.classes[j].members)
-            add = GFMatrix(F, [[c if s.get(i, jj) else 0 for jj in range(n)]
-                               for i in range(n)])
-            acc = acc + add
+            acc = acc + O
     if acc * acc != acc:
         raise NotIdempotent("block projector is not idempotent")
     return acc
+
+
+def block_projector(table: CharacterTable, block: BlockData, module: GF2Module):
+    """The matrix of e_B on a permutation module, from its orbital coefficients.
+
+    Returns a BitMatrix when the idempotent is GF(2)-rational (the fast
+    path), otherwise a GFMatrix over the block's GF(2^F) (the lifted
+    module k^F (x) M), or None when that matrix would exceed 64 x 64."""
+    coeffs = block_idempotent_support(table, block)
+    n = module.dim
+    if all(c in (0, 1) for c in coeffs):
+        return _rational_projector(table, coeffs, module)
+    if n > 64:
+        return None  # caller falls back to the Frobenius-orbit route
+    F = GF2Field(block.field_f)
+    rows = [[0] * n for _ in range(n)]
+    for c, O in _orbital_coefficients(table, coeffs, module):
+        if c:
+            for i, r in enumerate(O.rows):
+                while r:
+                    low = r & -r
+                    rows[i][low.bit_length() - 1] = c
+                    r ^= low
+    acc = GFMatrix(F, rows)
+    if acc * acc != acc:
+        raise NotIdempotent("block projector is not idempotent")
+    return acc
+
+
+def _coords(ech: Echelon, v: int, what: str) -> int:
+    """Coordinates of v in an echelon basis whose tags are 0..d-1, as bits."""
+    tags = ech.solve(v)
+    if tags is None:
+        raise InvariantViolation(f"{what} not G-stable")
+    r = 0
+    for t in tags:
+        r |= 1 << t
+    return r
+
+
+def _restrict(mats, rows, what: str):
+    """(echelon, basis, action matrices) of the subspace spanned by rows."""
+    ech = Echelon()
+    for r in rows:
+        ech.add(r, tag=len(ech))
+    basis = _ordered_basis(ech)
+    out = [BitMatrix([_coords(ech, m.mul_vec(v), what) for v in basis], len(basis))
+           for m in mats]
+    return ech, basis, out
 
 
 def block_cut(table: CharacterTable, block: BlockData, module: GF2Module):
@@ -145,43 +268,16 @@ def block_cut(table: CharacterTable, block: BlockData, module: GF2Module):
         return _frobenius_orbit_cut(table, block, module)
     if isinstance(proj, GFMatrix):
         return _gf_cut(table, module, proj)
-    ech = Echelon()
-    for r in proj.rows:
-        ech.add(r, tag=len(ech))
-    basis = _ordered_basis(ech)
-    cut_mats = []
-    for m in module.mats:
-        rows = []
-        for vec in basis:
-            tags = ech.solve(m.mul_vec(vec))
-            assert tags is not None, "cut not G-stable"
-            r = 0
-            for t in tags:
-                r |= 1 << t
-            rows.append(r)
-        cut_mats.append(BitMatrix(rows, len(basis)))
+    ech, basis, cut_mats = _restrict(module.mats, proj.rows, "cut")
 
     def endo_spanning():
+        # v*e*O*e = (v*O)*e for v in the image of e
         for O in _orbital_matrices(module):
-            eoe = proj * O * proj
-            rows = []
-            ok = True
-            for vec in basis:
-                tags = ech.solve(eoe.mul_vec(vec))
-                if tags is None:
-                    ok = False
-                    break
-                r = 0
-                for t in tags:
-                    r |= 1 << t
-                rows.append(r)
-            if ok:
-                yield BitMatrix(rows, len(basis))
+            yield BitMatrix([_coords(ech, proj.mul_vec(O.mul_vec(v)), "cut")
+                             for v in basis], len(basis))
 
-    cut = GF2Module(cut_mats or None, len(basis), group=module.group,
-                    labels=None, endo_spanning=endo_spanning)
-    cut._ambient_basis = basis
-    return cut
+    return GF2Module(cut_mats, len(basis), group=module.group,
+                     labels=None, endo_spanning=endo_spanning)
 
 
 def _ordered_basis(ech: Echelon):
@@ -218,17 +314,12 @@ def _frobenius_orbit_cut(table: CharacterTable, block: BlockData,
     total = [0] * table.k
     for vec in orbit:
         total = [a ^ b for a, b in zip(total, vec)]
-    assert all(c in (0, 1) for c in total), "orbit sum must be rational"
-    n = module.dim
-    acc = BitMatrix.zero(n, n)
-    for j, c in enumerate(total):
-        if c:
-            acc = acc + class_sum_matrix(table.group, module.labels,
-                                         table.classes[j].members)
-    if acc * acc != acc:
-        raise NotIdempotent("orbit projector is not idempotent")
-    orbit_dim = acc.rank()
-    assert orbit_dim % len(orbit) == 0
+    if not all(c in (0, 1) for c in total):
+        raise InvariantViolation("Frobenius orbit sum of e_B is not rational")
+    orbit_dim = _rational_projector(table, total, module).rank()
+    if orbit_dim % len(orbit):
+        raise InvariantViolation(
+            f"orbit cut dim {orbit_dim} not divisible by orbit length {len(orbit)}")
     return GFModule(F, None, orbit_dim // len(orbit))
 
 
@@ -247,39 +338,11 @@ def _gf_cut(table: CharacterTable, module: GF2Module, proj: GFMatrix) -> GFModul
                         if (r >> t) & 1:
                             img[t] ^= a
             coords = proj.solve_coords(img, basis, pivots)
-            assert coords is not None, "GF(2^f) cut not G-stable"
+            if coords is None:
+                raise InvariantViolation("GF(2^f) cut not G-stable")
             rows.append(coords)
         mats.append(GFMatrix(F, rows) if basis else GFMatrix(F, []))
     return GFModule(F, mats, len(basis))
-
-
-def _orbital_matrices(module: GF2Module):
-    """Adjacency matrices of the G-orbits on labels x labels."""
-    G = module.group
-    labels = module.labels
-    pos = {lab: n for n, lab in enumerate(labels)}
-    n = len(labels)
-    seen = [[False] * n for _ in range(n)]
-    for i0 in range(n):
-        for j0 in range(n):
-            if seen[i0][j0]:
-                continue
-            rows = [0] * n
-            frontier = [(i0, j0)]
-            seen[i0][j0] = True
-            rows[i0] |= 1 << j0
-            while frontier:
-                nxt = []
-                for (i, j) in frontier:
-                    for g in G.generators:
-                        i2 = pos[G.idx(conj(G.elements[labels[i]], g))]
-                        j2 = pos[G.idx(conj(G.elements[labels[j]], g))]
-                        if not seen[i2][j2]:
-                            seen[i2][j2] = True
-                            rows[i2] |= 1 << j2
-                            nxt.append((i2, j2))
-                frontier = nxt
-            yield BitMatrix(rows, n)
 
 
 # ---------------------------------------------------------------------------
@@ -303,32 +366,29 @@ def dual_module(module: GF2Module) -> GF2Module:
     return GF2Module(mats, module.dim, group=module.group)
 
 
+def _flatten(mat: BitMatrix) -> int:
+    v = 0
+    for i, r in enumerate(mat.rows):
+        v |= r << (i * mat.ncols)
+    return v
+
+
+def _independent(mats) -> list:
+    """The matrices that enlarge the span of those before them."""
+    flat = Echelon()
+    return [m for m in mats if flat.add(_flatten(m))]
+
+
 def endomorphism_basis(module: GF2Module):
     """Basis of End_kG(M) as BitMatrices."""
-    flat = Echelon()
-    out = []
-
-    def consider(mat):
-        v = 0
-        for i, r in enumerate(mat.rows):
-            v |= r << (i * module.dim)
-        if flat.add(v, tag=len(out)):
-            out.append(mat)
-
     if module._endo_spanning is not None:
-        for mat in module._endo_spanning():
-            consider(mat)
-    elif module.group is not None and module.labels is not None:
-        for mat in _orbital_matrices(module):
-            consider(mat)
-    else:
-        if module.dim > COMMUTANT_DIM_CAP:
-            raise CapExceeded(
-                f"generic commutant solve capped at dim {COMMUTANT_DIM_CAP}")
-        for mat in _commutant_basis(module.mats, module.dim):
-            consider(mat)
-    # closure sanity: End is closed under multiplication
-    return out
+        return _independent(module._endo_spanning())
+    if module.perms is not None:
+        return _independent(_orbital_matrices(module))
+    if module.dim > COMMUTANT_DIM_CAP:
+        raise CapExceeded(
+            f"generic commutant solve capped at dim {COMMUTANT_DIM_CAP}")
+    return _independent(_commutant_basis(module.mats, module.dim))
 
 
 def _commutant_basis(mats, n):
@@ -357,13 +417,24 @@ def _commutant_basis(mats, n):
     return out
 
 
+@dataclass
+class SummandOrigin:
+    """Where a summand eM sits in the module M that `summand_split` split."""
+    endo: list          # basis of End(M), shared by all summands of the split
+    idempotent: BitMatrix
+    echelon: Echelon    # echelon basis of eM, tags = summand coordinates
+    basis: list         # the summand's basis vectors, in M's coordinates
+
+
 def summand_split(module: GF2Module, seed=0, max_tries=60):
     """Indecomposable direct summands via idempotents of End(M).
 
-    Random elements of the endomorphism algebra are split through the
-    idempotents of GF(2)[a] (found linearly: x -> x^2 + x); components where
-    no proper idempotent appears within the retry budget are reported
-    indecomposable, with a local-endomorphism-ring certificate attempt.
+    For each idempotent eps the corner eps*End*eps is spanned once.  A
+    one-dimensional corner is k, so eps is primitive and its summand is
+    recorded at once.  Otherwise uniform random corner elements are split
+    through the idempotents of GF(2)[a] (found linearly: x -> x^2 + x);
+    components where no proper idempotent appears within the retry budget
+    are reported indecomposable.
     """
     if module.dim > SUMMAND_DIM_CAP:
         raise CapExceeded(f"dim {module.dim} exceeds {SUMMAND_DIM_CAP}")
@@ -371,18 +442,18 @@ def summand_split(module: GF2Module, seed=0, max_tries=60):
         return []
     rng = random.Random(seed)
     endo = endomorphism_basis(module)
-    ident = BitMatrix.identity(module.dim)
-    work = [ident]
+    work = [BitMatrix.identity(module.dim)]
     final = []
     while work:
         eps = work.pop()
+        corner = _independent(eps * b * eps for b in endo)
         found = None
-        for _ in range(max_tries):
-            a = _corner_random(endo, eps, rng)
-            k = _proper_corner_idempotent(a, eps)
-            if k is not None:
-                found = k
-                break
+        if len(corner) > 1:
+            for _ in range(max_tries):
+                k = _proper_corner_idempotent(_corner_draw(corner, rng), eps)
+                if k is not None:
+                    found = k
+                    break
         if found is None:
             final.append(eps)
         else:
@@ -390,58 +461,40 @@ def summand_split(module: GF2Module, seed=0, max_tries=60):
             work.append(eps + found)
     summands = []
     for eps in final:
-        ech = Echelon()
-        for r in eps.rows:
-            ech.add(r, tag=len(ech))
-        basis = _ordered_basis(ech)
-        mats = []
-        for m in module.mats:
-            rows = []
-            for vec in basis:
-                tags = ech.solve(m.mul_vec(vec))
-                assert tags is not None, "summand not G-stable"
-                r = 0
-                for t in tags:
-                    r |= 1 << t
-                rows.append(r)
-            mats.append(BitMatrix(rows, len(basis)))
-        summands.append(GF2Module(mats or None, len(basis), group=module.group))
-    assert sum(s.dim for s in summands) == module.dim
+        ech, basis, mats = _restrict(module.mats, eps.rows, "summand")
+        s = GF2Module(mats, len(basis), group=module.group)
+        s.origin = SummandOrigin(endo, eps, ech, basis)
+        summands.append(s)
+    if sum(s.dim for s in summands) != module.dim:
+        raise InvariantViolation("summand dimensions do not add up to the module's")
     summands.sort(key=lambda s: s.dim)
     return summands
 
 
-def _corner_random(endo, eps, rng):
-    acc = None
-    for b in endo:
-        if rng.randrange(2):
-            acc = b if acc is None else acc + b
-    if acc is None:
-        acc = endo[rng.randrange(len(endo))]
-    return eps * acc * eps
+def _corner_draw(corner, rng) -> BitMatrix:
+    """A uniform element of the corner algebra: a random subset sum of its basis."""
+    mask = rng.getrandbits(len(corner))
+    acc = BitMatrix.zero(corner[0].nrows, corner[0].ncols)
+    for t, b in enumerate(corner):
+        if (mask >> t) & 1:
+            acc = acc + b
+    return acc
 
 
 def _corner_minpoly(a, eps):
     """Minimal polynomial of a inside the corner algebra eps*End*eps."""
     n = a.nrows
     solver = CoordSolver()
-
-    def flatten(m):
-        v = 0
-        for i, r in enumerate(m.rows):
-            v |= r << (i * n)
-        return v
-
-    solver.add(flatten(eps))
+    solver.add(_flatten(eps))
     cur = eps
     k = 0
     while True:
         k += 1
         cur = cur * a
-        mask = solver.solve(flatten(cur))
+        mask = solver.solve(_flatten(cur))
         if mask is not None:
             return (1 << k) | mask
-        solver.add(flatten(cur))
+        solver.add(_flatten(cur))
         if k > 2 * n:
             raise ArithmeticError("corner minpoly runaway")
 
@@ -452,7 +505,6 @@ def _proper_corner_idempotent(a, eps):
     In char 2 the idempotents of the commutative ring GF(2)[x]/(m) form the
     kernel of the linear map q -> q^2 + q, so they are found by linear
     algebra over GF(2)."""
-    from .gf2 import poly_mulmod
     m = _corner_minpoly(a, eps)
     deg = m.bit_length() - 1
     if deg < 2:
@@ -469,7 +521,8 @@ def _proper_corner_idempotent(a, eps):
         cand = _eval_in(a, eps, q)
         if cand.is_zero() or cand == eps:
             continue
-        assert cand * cand == cand
+        if cand * cand != cand:
+            raise InvariantViolation("candidate corner idempotent is not idempotent")
         return cand
     return None
 
@@ -487,7 +540,9 @@ def _eval_in(a, eps, qpoly):
 
 
 def hom_space(m1: GF2Module, m2: GF2Module):
-    """Basis of Hom_kG(M1, M2) (X with A_g X = X B_g), as BitMatrices."""
+    """Basis of Hom_kG(M1, M2) (X with A_g X = X B_g), as BitMatrices.
+
+    The general path: one linear solve in n1*n2 unknowns."""
     n1, n2 = m1.dim, m2.dim
     if n1 * n2 > COMMUTANT_DIM_CAP ** 2 * 4:
         raise CapExceeded("hom space solve too large")
@@ -512,11 +567,28 @@ def hom_space(m1: GF2Module, m2: GF2Module):
     return out
 
 
+def summand_homs(m1: GF2Module, m2: GF2Module):
+    """Basis of Hom_kG(eM, fM) for two summands of one `summand_split`.
+
+    A hom phi: eM -> fM extends to the endomorphism v -> phi(v*e) of M, so
+    the homs are exactly the maps v -> v*a*f with a in End(M)."""
+    o1, o2 = m1.origin, m2.origin
+    f = o2.idempotent
+    return _independent(
+        BitMatrix([_coords(o2.echelon, f.mul_vec(a.mul_vec(v)), "summand")
+                   for v in o1.basis], m2.dim)
+        for a in o1.endo)
+
+
 def modules_isomorphic(m1: GF2Module, m2: GF2Module) -> bool:
     """Explicit isomorphism search through the hom space."""
     if m1.dim != m2.dim:
         return False
-    homs = hom_space(m1, m2)
+    if m1.origin is not None and m2.origin is not None \
+            and m1.origin.endo is m2.origin.endo:
+        homs = summand_homs(m1, m2)
+    else:
+        homs = hom_space(m1, m2)
     if not homs:
         return m1.dim == 0
     if len(homs) > 16:

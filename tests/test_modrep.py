@@ -2,8 +2,8 @@ import pytest
 
 from workbench import blocks, modrep
 from workbench.chartab import dixon_table
-from workbench.errors import FieldTooSmall, NotInO2
-from workbench.gf2 import BitMatrix
+from workbench.errors import FieldTooSmall, InvariantViolation, NotInO2
+from workbench.gf2 import BitMatrix, GF2Field, GFMatrix
 from workbench.groups import builtin_group
 from workbench.perm import mul, identity
 
@@ -178,3 +178,109 @@ def test_export_format_roundtrip():
     m = modrep.involution_perm_module(builtin_group("s3"))
     text = m.mats[0].export_text()
     assert BitMatrix.from_text(text) == m.mats[0]
+
+
+def _class_sum_projector(T, coeffs, m, field_f):
+    """Oracle: sum_j coeffs[j] C_j+ from full class-sum matrices."""
+    n = m.dim
+    if all(c in (0, 1) for c in coeffs):
+        acc = BitMatrix.zero(n, n)
+        for j, c in enumerate(coeffs):
+            if c:
+                acc = acc + modrep.class_sum_matrix(T.group, m.labels,
+                                                    T.classes[j].members)
+        return acc
+    F = GF2Field(field_f)
+    acc = GFMatrix.zero(F, n, n)
+    for j, c in enumerate(coeffs):
+        if c:
+            s = modrep.class_sum_matrix(T.group, m.labels, T.classes[j].members)
+            acc = acc + GFMatrix(F, [[c if s.get(i, jj) else 0 for jj in range(n)]
+                                     for i in range(n)])
+    return acc
+
+
+@pytest.mark.parametrize("name,non_rational", [
+    ("s4", False), ("c2xs3", False), ("psl27", False), ("s5", False),
+    ("a7", False), ("psl2_9", True), ("c3xs4", True), ("c3xpsl27", True)])
+def test_orbital_projector_matches_class_sums(name, non_rational):
+    T = table(name)
+    m = modrep.involution_perm_module(T.group)
+    routes = set()
+    for b in blocks.block_partition(T):
+        coeffs = blocks.block_idempotent_support(T, b)
+        proj = modrep.block_projector(T, b, m)
+        routes.add(type(proj))
+        assert proj == _class_sum_projector(T, coeffs, m, b.field_f), (name, b.rows)
+    assert (GFMatrix in routes) == non_rational
+
+
+def test_orbit_route_dims_match_class_sums():
+    # |Omega| = 122 > 64: non-rational blocks take the Frobenius-orbit route
+    T = table("pgl2_11")
+    m = modrep.involution_perm_module(T.group)
+    orbit_blocks = 0
+    for b in blocks.block_partition(T):
+        if modrep.block_projector(T, b, m) is not None:
+            continue
+        orbit_blocks += 1
+        F = GF2Field(b.field_f)
+        coeffs = blocks.block_idempotent_support(T, b)
+        orbit = [coeffs]
+        while True:
+            nxt = [F.mul(c, c) for c in orbit[-1]]
+            if nxt == coeffs:
+                break
+            orbit.append(nxt)
+        total = [0] * T.k
+        for vec in orbit:
+            total = [a ^ c for a, c in zip(total, vec)]
+        oracle = _class_sum_projector(T, total, m, 1)
+        assert modrep.block_cut(T, b, m).dim * len(orbit) == oracle.rank()
+    assert orbit_blocks == 2
+
+
+@pytest.mark.parametrize("name", ["psl27", "a7", "pgl2_11"])
+def test_summand_homs_match_hom_space(name):
+    T = table(name)
+    m = modrep.involution_perm_module(T.group)
+    pairs = 0
+    for b in blocks.block_partition(T):
+        cut = modrep.block_cut(T, b, m)
+        if isinstance(cut, modrep.GFModule) or cut.dim == 0:
+            continue
+        summands = modrep.summand_split(cut)
+        for i, s1 in enumerate(summands):
+            for s2 in summands[i + 1:]:
+                if s1.dim != s2.dim:
+                    continue
+                pairs += 1
+                got = len(modrep.summand_homs(s1, s2))
+                assert got == len(modrep.hom_space(s1, s2)), (name, s1.dim)
+                if name == "pgl2_11" and s1.dim == 20:
+                    assert got == 2
+        mults = [(s.dim, k) for s, k in modrep.group_summands(summands)]
+        for s in summands:
+            s.origin = None  # forces the general hom_space route
+        assert mults == [(s.dim, k) for s, k in modrep.group_summands(summands)]
+    assert pairs > 0
+
+
+def test_one_dimensional_corner_needs_no_draws(monkeypatch):
+    # the defect-0 cut of PSL(2,7) is simple, so End = k
+    T = table("psl27")
+    m = modrep.involution_perm_module(T.group)
+    defect0 = next(b for b in blocks.block_partition(T) if len(b.rows) == 1)
+    cut = modrep.block_cut(T, defect0, m)
+
+    def no_draws(*_args):
+        raise AssertionError("random corner draw on a one-dimensional corner")
+
+    monkeypatch.setattr(modrep, "_corner_draw", no_draws)
+    assert [s.dim for s in modrep.summand_split(cut)] == [8]
+
+
+def test_singular_action_matrix_raises():
+    singular = BitMatrix.from_lists([[1, 1], [1, 1]])
+    with pytest.raises(InvariantViolation):
+        modrep.GF2Module([singular], 2)

@@ -1,3 +1,8 @@
+import hashlib
+import json
+
+import pytest
+
 from workbench.pipeline import analyze_group, fit_morita_rows
 from workbench import blocks
 from workbench.chartab import dixon_table
@@ -52,3 +57,20 @@ def test_hint_free_inference():
     principal = next(b for b in rep["blocks"] if b["is_principal"])
     assert principal["morita"] == "vi"
     assert rep["mismatches"] == []
+
+
+# sha256 of the canonical JSON report (sorted keys, no spaces) at seed 0;
+# the same digests pin these groups in the benchmark's reference data
+GOLDEN_SHA256 = {
+    "psl27": "e6e1224e53bccf22b85961f9514b6753407b1244acb64cf80424d19323bf20dc",
+    "s5": "171dda5ae3c1b2896ecba1a42e8e8896b5979caf9ca8b039680875cbdc094e5d",
+    "a7": "f4f328b3eb653336accdf6d2943637881cccdada85a322d873218e3cf1eedb2f",
+    "pgl2_11": "4730772ff018dbfceef49067dad2b3e890ab9898c133c93479dd7f3084e339a5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+def test_golden_report_digest(name):
+    rep = analyze_group(builtin_group(name), name=name, seed=0)
+    canonical = json.dumps(rep, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == GOLDEN_SHA256[name]
