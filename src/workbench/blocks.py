@@ -45,7 +45,7 @@ class BlockData:
     is_real: bool
     is_principal: bool
     real_defect_class_ids: tuple | None = None
-    couple: tuple | None = None      # (D, E) as PermGroups
+    couple: DefectCouple | None = None
     etype: str | None = None
 
     def degrees(self, table: CharacterTable) -> list:
@@ -223,7 +223,6 @@ def analyze_blocks(table: CharacterTable) -> list:
         rdc = real_defect_classes(table, b)
         b.real_defect_class_ids = tuple(rdc)
         if rdc:
-            cpl = defect_couple(table, b)
-            b.couple = (cpl.D, cpl.E)
-            b.etype = cpl.etype
+            b.couple = defect_couple(table, b)
+            b.etype = b.couple.etype
     return blocks

@@ -122,7 +122,7 @@ def cmd_blocks(args) -> int:
             "real": b.is_real, "principal": b.is_principal,
         }
         if b.couple is not None:
-            D, E = b.couple
+            D, E = b.couple.D, b.couple.E
             entry["defect_group_order"] = D.order
             entry["defect_group_dihedral"] = pgroup.is_dihedral_2group(D)
             entry["defect_group_fingerprint"] = list(pgroup._abstract_fingerprint(D))
@@ -157,11 +157,9 @@ def cmd_invmod(args) -> int:
         summands = modrep.summand_split(cut, seed=args.seed)
         grouped = modrep.group_summands(summands)
         payload["summands"] = [[s.dim, mult] for s, mult in grouped]
-        if block.is_real and block.couple:
-            cpl = blocklib.DefectCouple(0, block.couple[0], block.couple[1],
-                                        block.etype)
+        if block.is_real and block.couple is not None:
             payload["checks"] = modrep.dimension_valuation_check(
-                table, block, cpl, summands)
+                table, block, block.couple, summands)
     if args.dump_matrices:
         with open(args.dump_matrices, "w") as fh:
             fh.write(cut.export_text())
@@ -184,10 +182,7 @@ def cmd_solve(args) -> int:
 def cmd_verify_table2(args) -> int:
     lo, hi = (int(x) for x in args.d_range.split(".."))
     d_values = tuple(range(lo, hi + 1))
-    if args.jobs > 1:
-        report = _verify_parallel(d_values, not args.no_tiebreak, args.jobs)
-    else:
-        report = solver.verify_table2(d_values, tiebreak=not args.no_tiebreak)
+    report = solver.verify_table2(d_values, tiebreak=not args.no_tiebreak)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -200,23 +195,6 @@ def cmd_verify_table2(args) -> int:
               f"{report['populated']} populated rows, "
               f"{report['excluded']} excluded cells")
     return 0 if report["ok"] else 1
-
-
-def _verify_parallel(d_values, tiebreak, jobs):
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(_verify_one_d,
-                              [(d, tiebreak) for d in d_values]))
-    report = {"ok": all(p["ok"] for p in parts), "tiebreak": tiebreak,
-              "cells": [c for p in parts for c in p["cells"]],
-              "populated": parts[0]["populated"],
-              "excluded": parts[0]["excluded"]}
-    return report
-
-
-def _verify_one_d(arg):
-    d, tiebreak = arg
-    return solver.verify_table2((d,), tiebreak=tiebreak)
 
 
 def cmd_pipeline(args) -> int:
@@ -288,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("verify-table2", help="diff the solver against the shipped classification table")
     p.add_argument("--d-range", default="3..6")
     p.add_argument("--no-tiebreak", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=cmd_verify_table2)
 
     p = add_parser("pipeline", help="full end-to-end report for a group")

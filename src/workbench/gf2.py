@@ -8,7 +8,7 @@ pins the tower so all runs are reproducible bit-for-bit.
 
 from __future__ import annotations
 
-from .errors import FieldTooSmall
+from .errors import FieldTooSmall, InvariantViolation
 
 # Fixed primitive polynomials (bit i = coefficient of x^i).  Classic LFSR
 # table entries; primitivity is verified by the test suite for every f.
@@ -155,8 +155,9 @@ def poly_factor(f: int, rng=None) -> dict:
             g = poly_gcd(h ^ 2, v)  # gcd(x^(2^d) - x, v)
             if poly_deg(g) > 0:
                 parts.append((g, d))
-                v, _r = poly_divmod(v, g)
-                assert _r == 0
+                v, r = poly_divmod(v, g)
+                if r:
+                    raise InvariantViolation("distinct-degree part does not divide")
                 h = poly_mod(h, v)
         if poly_deg(v) > 0:
             parts.append((v, poly_deg(v)))
@@ -202,7 +203,8 @@ def poly_factor(f: int, rng=None) -> dict:
             m += 1
         if m:
             exact[p] = m
-    assert poly_deg(rem) <= 0
+    if poly_deg(rem) > 0:
+        raise InvariantViolation("factors do not multiply back to the polynomial")
     return exact
 
 
@@ -227,7 +229,9 @@ class GF2Field:
         return poly_mulmod(a, b, self.modulus) if self.f > 1 else (a & b)
 
     def pow(self, a: int, n: int) -> int:
-        n %= self.order - 1 if a else 1
+        if a == 0:
+            return 0 if n else 1
+        n %= self.order - 1
         out = 1
         while n:
             if n & 1:
@@ -402,78 +406,29 @@ class BitMatrix:
     def inverse(self) -> "BitMatrix":
         if self.nrows != self.ncols:
             raise ValueError("not square")
-        n = self.nrows
-        work = [(self.rows[i], 1 << i) for i in range(n)]
-        basis = []
-        for row, tag in work:
-            for p, b, t in basis:
-                if row & (1 << p):
-                    row ^= b
-                    tag ^= t
-            if row == 0:
-                raise ZeroDivisionError("matrix not invertible")
-            piv = (row & -row).bit_length() - 1
-            basis.append((piv, row, tag))
-            basis.sort(key=lambda e: e[0])
-        # back-substitute to reduced form
-        inv_rows = [0] * n
-        for i in range(n - 1, -1, -1):
-            p, row, tag = basis[i]
-            for q, row2, tag2 in basis[i + 1:]:
-                if row & (1 << q):
-                    row ^= row2
-                    tag ^= tag2
-            basis[i] = (p, row, tag)
-            inv_rows[p] = tag
-        return BitMatrix(inv_rows, n)
-
-    # -- elimination ------------------------------------------------------
-
-    def rref(self) -> tuple:
-        """Reduced row echelon form: (rows, pivot_columns)."""
-        rows = [r for r in self.rows if r]
-        pivots = []
-        out = []
-        for col in range(self.ncols):
-            mask = 1 << col
-            pr = None
-            for i, r in enumerate(rows):
-                if r & mask:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            piv = rows.pop(pr)
-            rows = [r ^ piv if r & mask else r for r in rows]
-            out = [r ^ piv if r & mask else r for r in out]
-            out.append(piv)
-            pivots.append(col)
-            if not rows:
-                break
-        return out, pivots
+        ech = Echelon(self.rows)
+        if len(ech) < self.nrows:
+            raise ZeroDivisionError("matrix not invertible")
+        # row j of the inverse: the coordinates of e_j over the rows
+        return BitMatrix([ech.solve(1 << j) for j in range(self.ncols)], self.nrows)
 
     def rank(self) -> int:
-        return len(self.rref()[0])
+        return len(Echelon(self.rows))
 
     def kernel(self) -> list:
         """Basis of {v : v * M = 0} with v a row vector (int bitset over nrows)."""
-        # eliminate on [M | I] rows; pivots on lowest set bits, kept sorted
-        # ascending so a single reduction pass is sound
-        n = self.nrows
+        # eliminate the rows of [M | I]; a row whose M part clears leaves a
+        # kernel vector in its I part
+        n = self.ncols
+        low = (1 << n) - 1
+        ech = Echelon()
         out = []
-        basis = []  # (pivot, row, tag) sorted by pivot
-        for i in range(n):
-            row, tag = self.rows[i], 1 << i
-            for p, b, t in basis:
-                if row & (1 << p):
-                    row ^= b
-                    tag ^= t
-            if row:
-                piv = (row & -row).bit_length() - 1
-                basis.append((piv, row, tag))
-                basis.sort(key=lambda e: e[0])
+        for i, r in enumerate(self.rows):
+            v = ech.reduce(r | (1 << (n + i)))
+            if v & low:
+                ech.add(v)
             else:
-                out.append(tag)
+                out.append(v >> n)
         return out
 
     def export_text(self) -> str:
@@ -566,87 +521,95 @@ class GFMatrix:
 
 
 class Echelon:
-    """Incremental echelon basis over GF(2), pivots on lowest set bits.
+    """Incremental GF(2) elimination; the one eliminator of the workbench.
 
-    Kept sorted by pivot so one ascending reduction pass is sound (XOR at
-    pivot p only touches bits >= p).
+    Each row is stored under its pivot bit, its lowest set bit, and
+    `pivots` ORs all pivot bits.  An XOR with the row at pivot p only
+    touches bits >= p, so clearing the lowest bit of v & pivots until none
+    is left takes at most len(self) steps and ends at the unique vector of
+    v + span with no pivot bit set.  Each row carries its coordinates as a
+    bitmask over `vectors`: the independent added vectors, in add order.
     """
 
-    def __init__(self):
-        self.entries = []  # (pivot, vector, original_index) sorted by pivot
+    __slots__ = ("rows", "pivots", "vectors")
+
+    def __init__(self, vectors=()):
+        self.rows = {}  # pivot bit -> (row, coordinate mask)
+        self.pivots = 0
+        self.vectors = []
+        for v in vectors:
+            self.add(v)
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.vectors)
+
+    def _eliminate(self, v: int) -> tuple:
+        """(v with every pivot bit cleared, coordinates of what was cleared)."""
+        rows, pivots = self.rows, self.pivots
+        mask = 0
+        hit = v & pivots
+        while hit:
+            row, m = rows[hit & -hit]
+            v ^= row
+            mask ^= m
+            hit = v & pivots
+        return v, mask
 
     def reduce(self, v: int) -> int:
-        for p, b, _ in self.entries:
-            if v & (1 << p):
-                v ^= b
-        return v
-
-    def add(self, v: int, tag=None) -> bool:
-        """Insert v if independent; returns True if the span grew."""
-        v = self.reduce(v)
-        if v == 0:
-            return False
-        piv = (v & -v).bit_length() - 1
-        self.entries.append((piv, v, tag if tag is not None else len(self.entries)))
-        self.entries.sort(key=lambda e: e[0])
-        return True
-
-    def contains(self, v: int) -> bool:
-        return self.reduce(v) == 0
-
-    def vectors(self) -> list:
-        return [b for _, b, _ in self.entries]
-
-    def solve(self, v: int):
-        """Tags of basis vectors whose sum is v, or None if v is outside."""
-        used = []
-        for p, b, tag in self.entries:
-            if v & (1 << p):
-                v ^= b
-                used.append(tag)
-        return used if v == 0 else None
-
-
-def echelon_basis(vectors) -> Echelon:
-    ech = Echelon()
-    for i, v in enumerate(vectors):
-        ech.add(v, tag=i)
-    return ech
-
-
-class CoordSolver:
-    """Echelon with bookkeeping: solves for coordinates in terms of the
-    ORIGINAL (unreduced) added vectors, as a bitmask over add order."""
-
-    def __init__(self):
-        self.entries = []  # (pivot, reduced_vector, mask) sorted by pivot
-        self.count = 0
-
-    def __len__(self):
-        return self.count
+        return self._eliminate(v)[0]
 
     def add(self, v: int) -> bool:
-        mask = 1 << self.count
-        for p, b, m in self.entries:
-            if v & (1 << p):
-                v ^= b
-                mask ^= m
-        if v == 0:
+        """Insert v if independent; returns True if the span grew."""
+        r, mask = self._eliminate(v)
+        if r == 0:
             return False
-        piv = (v & -v).bit_length() - 1
-        self.entries.append((piv, v, mask))
-        self.entries.sort(key=lambda e: e[0])
-        self.count += 1
+        low = r & -r
+        self.rows[low] = (r, mask ^ (1 << len(self.vectors)))
+        self.pivots |= low
+        self.vectors.append(v)
         return True
 
     def solve(self, v: int):
-        """Bitmask of original vectors summing to v, or None if outside."""
-        mask = 0
-        for p, b, m in self.entries:
-            if v & (1 << p):
-                v ^= b
-                mask ^= m
-        return mask if v == 0 else None
+        """Coordinates of v over `vectors` as a bitmask, or None if v is outside."""
+        r, mask = self._eliminate(v)
+        return mask if r == 0 else None
+
+    def reduced_basis(self) -> "Echelon":
+        """The same span with the stored rows as its `vectors`: each added
+        vector reduced against the rows before it.  These are usually
+        sparser than the added vectors, and so are matrices written in them."""
+        return Echelon(r for r, _m in self.rows.values())
+
+
+def restrict(ech: Echelon, images, what: str = "subspace") -> BitMatrix:
+    """The matrix whose rows are the coordinates of `images` over ech.vectors.
+
+    With images[i] the image of ech.vectors[i] under a linear map, this is
+    the map's action on the span.  An image outside the span means the span
+    is not closed under the action, which raises InvariantViolation."""
+    rows = []
+    for w in images:
+        c = ech.solve(w)
+        if c is None:
+            raise InvariantViolation(f"{what} not closed under the action")
+        rows.append(c)
+    return BitMatrix(rows, len(ech))
+
+
+def krylov_relation(start, step, limit: int, flat=lambda v: v) -> int:
+    """The first linear relation in the sequence start, step(start), ...
+
+    Returned as the polynomial x^k + sum_{i<k} c_i x^i (bit i = c_i) where
+    the k-th term is the first one in the span of those before it; terms
+    are compared as the bitsets flat(term).  Raises InvariantViolation if
+    no relation shows up within `limit` steps."""
+    ech = Echelon()
+    cur = start
+    for k in range(limit + 1):
+        v = flat(cur)
+        mask = ech.solve(v)
+        if mask is not None:
+            return (1 << k) | mask
+        ech.add(v)
+        cur = step(cur)
+    raise InvariantViolation(f"no Krylov relation within {limit} steps")

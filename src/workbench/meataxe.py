@@ -3,14 +3,19 @@
 Modules are row-vector spaces: vectors act on the right by BitMatrix
 generators.  chop() returns the composition factors; the irreducibility
 certificate is Norton's test applied to an irreducible factor p of a local
-minimal polynomial whose kernel has dimension deg(p).
+minimal polynomial whose kernel has dimension deg(p).  A submodule is the
+`Echelon` that `spin` builds; its action is written in the echelon's
+reduced rows (`gf2.restrict`), the quotient's in the non-pivot
+coordinates.
 """
 
 from __future__ import annotations
 
 import random
 
-from .gf2 import BitMatrix, CoordSolver, Echelon, poly_factor
+from .errors import InvariantViolation
+from .gf2 import (BitMatrix, Echelon, krylov_relation, poly_divmod, poly_factor,
+                  poly_gcd, poly_mul, restrict)
 
 MAX_THETA_TRIES = 60
 FACTOR_DEGREE_CAP = 80
@@ -32,32 +37,12 @@ def spin(vectors, mats) -> Echelon:
     return ech
 
 
-def _restrict_action(mats, ech: Echelon):
-    """Action matrices on the subspace spanned by an echelon basis."""
-    basis = [(tag, vec) for _p, vec, tag in ech.entries]
-    basis.sort()
-    vecs = [vec for _t, vec in basis]
-    order = {tag: n for n, (tag, _vec) in enumerate(basis)}
-    out = []
-    for m in mats:
-        rows = []
-        for _t, vec in basis:
-            tags = ech.solve(m.mul_vec(vec))
-            assert tags is not None, "subspace not closed under the action"
-            r = 0
-            for tg in tags:
-                r |= 1 << order[tg]
-            rows.append(r)
-        out.append(BitMatrix(rows, len(basis)))
-    return out, vecs
-
-
 def sub_quotient(mats, dim, ech: Echelon):
-    """(sub_mats, sub_basis, quot_mats, quot_proj) for a proper submodule."""
-    sub_mats, sub_basis = _restrict_action(mats, ech)
+    """(sub_mats, quot_mats) for a proper submodule."""
+    sub = ech.reduced_basis()
+    sub_mats = [restrict(sub, map(m.mul_vec, sub.vectors)) for m in mats]
     # complement coordinates: non-pivot positions
-    pivots = {p for p, _v, _t in ech.entries}
-    free = [c for c in range(dim) if c not in pivots]
+    free = [c for c in range(dim) if not (ech.pivots >> c) & 1]
     pos = {c: n for n, c in enumerate(free)}
 
     def project(v):
@@ -72,33 +57,17 @@ def sub_quotient(mats, dim, ech: Echelon):
     for m in mats:
         rows = [project(m.mul_vec(1 << c)) for c in free]
         quot.append(BitMatrix(rows, len(free)))
-    return sub_mats, sub_basis, quot, project
+    return sub_mats, quot
 
 
 def _matrix_minpoly(A: BitMatrix, rng) -> int:
     """Minimal polynomial of A on a few Krylov subspaces (monic, as bits)."""
-    from .gf2 import poly_mul, poly_divmod, poly_gcd
     n = A.nrows
     m = 1  # poly "1"
     for _ in range(3):
-        v = rng.getrandbits(n)
-        if v == 0:
-            v = 1
-        solver = CoordSolver()
-        solver.add(v)
-        k = 0
-        while True:
-            k += 1
-            v = A.mul_vec(v)
-            mask = solver.solve(v)
-            if mask is not None:
-                local = (1 << k) | mask  # x^k + sum of earlier powers
-                break
-            solver.add(v)
-        # m = lcm(m, local)
-        g = poly_gcd(m, local)
-        m = poly_divmod(poly_mul(m, local), g)[0]
-        if n and len(solver) == n:
+        local = krylov_relation(rng.getrandbits(n) or 1, A.mul_vec, n)
+        m = poly_divmod(poly_mul(m, local), poly_gcd(m, local))[0]  # lcm
+        if local.bit_length() - 1 == n:
             break
     return m
 
@@ -151,11 +120,13 @@ def chop(mats, dim, seed=0) -> list:
     """Composition factors (with repetition) of the module (dim, mats)."""
     if dim == 0:
         return []
-    assert mats, "modules need at least one action matrix"
+    if not mats:
+        raise InvariantViolation("modules need at least one action matrix")
     rng = random.Random(seed)
     out = []
     _chop_rec([m.copy() for m in mats], dim, rng, out)
-    assert sum(c.dim for c in out) == dim
+    if sum(c.dim for c in out) != dim:
+        raise InvariantViolation("composition factor dimensions do not add up")
     return out
 
 
@@ -190,9 +161,10 @@ def _chop_rec(mats, dim, rng, out):
                 tmats = [m.transpose() for m in mats]
                 st = spin([kert[0]], tmats)
                 if len(st) < dim:
-                    perp = BitMatrix(st.vectors(), dim).transpose().kernel()
+                    perp = BitMatrix(st.vectors, dim).transpose().kernel()
                     sperp = spin(perp, mats)
-                    assert 0 < len(sperp) < dim
+                    if not 0 < len(sperp) < dim:
+                        raise InvariantViolation("Norton's dual split is not proper")
                     _split(mats, dim, sperp, rng, out)
                     return
                 out.append(Constituent(mats))
@@ -202,7 +174,7 @@ def _chop_rec(mats, dim, rng, out):
 
 
 def _split(mats, dim, ech, rng, out):
-    sub_mats, _basis, quot_mats, _proj = sub_quotient(mats, dim, ech)
+    sub_mats, quot_mats = sub_quotient(mats, dim, ech)
     _chop_rec(sub_mats, len(ech), rng, out)
     _chop_rec(quot_mats, dim - len(ech), rng, out)
 
@@ -214,25 +186,15 @@ def _split(mats, dim, ech, rng, out):
 def _standard_rep(mats, w):
     """Spin w with a fixed schedule; return the dependency shape and the
     per-generator matrices in the canonical spin basis."""
-    solver = CoordSolver()
-    solver.add(w)
-    basis = [w]
+    ech = Echelon([w])
     shape = []
     i = 0
-    while i < len(basis):
+    while i < len(ech):
         for gi, m in enumerate(mats):
-            v = m.mul_vec(basis[i])
-            if solver.add(v):
-                basis.append(v)
-                shape.append((i, gi, True))
-            else:
-                shape.append((i, gi, False))
+            shape.append((i, gi, ech.add(m.mul_vec(ech.vectors[i]))))
         i += 1
-    reps = []
-    for m in mats:
-        rows = [solver.solve(m.mul_vec(b)) for b in basis]
-        reps.append(tuple(rows))
-    return tuple(shape), tuple(reps), len(basis)
+    reps = [restrict(ech, map(m.mul_vec, ech.vectors)) for m in mats]
+    return tuple(shape), reps, len(ech)
 
 
 def isomorphic_irreducibles(c1: Constituent, c2: Constituent, seed=0) -> bool:

@@ -13,7 +13,10 @@ works from them:
   of g with lab_i0^g = lab_j0, computed for one row i0 per G-orbit of
   points (in GF(2), or in GF(2^F) off the rational path).
   `class_sum_matrix` stays as the independent oracle for the tests.
-* Block cuts inherit the spanning set e*O*e of their endomorphisms.
+* Block cuts and summands are written in the projector rows that span
+  them, each reduced against the rows before it (`Echelon.reduced_basis`),
+  and `gf2.restrict` gives the action on that basis.  Block cuts inherit
+  the spanning set e*O*e of their endomorphisms.
 * Summands.  The corner e*End*e of each idempotent is spanned once, and
   random corner elements are split through the idempotents of GF(2)[a].
   A one-dimensional corner is k, hence local, which certifies the summand
@@ -21,7 +24,8 @@ works from them:
 * Homs between summands of one split come from End(M): every hom
   eM -> fM extends to M through e, so Hom(eM, fM) = {v -> v*a*f}.
   `hom_space` (a linear solve in n1*n2 unknowns) remains the general path
-  for any other pair of modules.
+  for any other pair of modules, and for End(M) of a module with no
+  orbital or split origin.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ from .blocks import BlockData, block_idempotent_support, block_partition
 from .chartab import CharacterTable
 from .errors import (CapExceeded, FieldTooSmall, InvariantViolation,
                      NotIdempotent, NotInO2)
-from .gf2 import (BitMatrix, CoordSolver, Echelon, GF2Field, GFMatrix,
-                  poly_mulmod)
+from .gf2 import (BitMatrix, Echelon, GF2Field, GFMatrix, krylov_relation,
+                  poly_mulmod, restrict)
 from .meataxe import chop, group_constituents
 from .perm import PermGroup, conj, identity, mul, nu
 
@@ -236,28 +240,6 @@ def block_projector(table: CharacterTable, block: BlockData, module: GF2Module):
     return acc
 
 
-def _coords(ech: Echelon, v: int, what: str) -> int:
-    """Coordinates of v in an echelon basis whose tags are 0..d-1, as bits."""
-    tags = ech.solve(v)
-    if tags is None:
-        raise InvariantViolation(f"{what} not G-stable")
-    r = 0
-    for t in tags:
-        r |= 1 << t
-    return r
-
-
-def _restrict(mats, rows, what: str):
-    """(echelon, basis, action matrices) of the subspace spanned by rows."""
-    ech = Echelon()
-    for r in rows:
-        ech.add(r, tag=len(ech))
-    basis = _ordered_basis(ech)
-    out = [BitMatrix([_coords(ech, m.mul_vec(v), what) for v in basis], len(basis))
-           for m in mats]
-    return ech, basis, out
-
-
 def block_cut(table: CharacterTable, block: BlockData, module: GF2Module):
     """The component e_B * M of a permutation module M.
 
@@ -268,21 +250,17 @@ def block_cut(table: CharacterTable, block: BlockData, module: GF2Module):
         return _frobenius_orbit_cut(table, block, module)
     if isinstance(proj, GFMatrix):
         return _gf_cut(table, module, proj)
-    ech, basis, cut_mats = _restrict(module.mats, proj.rows, "cut")
+    ech = Echelon(proj.rows).reduced_basis()
+    basis = ech.vectors
+    cut_mats = [restrict(ech, map(m.mul_vec, basis), "cut") for m in module.mats]
 
     def endo_spanning():
         # v*e*O*e = (v*O)*e for v in the image of e
         for O in _orbital_matrices(module):
-            yield BitMatrix([_coords(ech, proj.mul_vec(O.mul_vec(v)), "cut")
-                             for v in basis], len(basis))
+            yield restrict(ech, (proj.mul_vec(O.mul_vec(v)) for v in basis), "cut")
 
     return GF2Module(cut_mats, len(basis), group=module.group,
                      labels=None, endo_spanning=endo_spanning)
-
-
-def _ordered_basis(ech: Echelon):
-    entries = sorted(ech.entries, key=lambda e: e[2])
-    return [vec for _p, vec, _t in entries]
 
 
 class GFModule:
@@ -388,33 +366,7 @@ def endomorphism_basis(module: GF2Module):
     if module.dim > COMMUTANT_DIM_CAP:
         raise CapExceeded(
             f"generic commutant solve capped at dim {COMMUTANT_DIM_CAP}")
-    return _independent(_commutant_basis(module.mats, module.dim))
-
-
-def _commutant_basis(mats, n):
-    """Solve X A = A X for all generators; X as n x n over GF(2)."""
-    rows = []
-    nn = n * n
-    for A in mats:
-        At = A.transpose()
-        for i in range(n):
-            for j in range(n):
-                # constraint_(i,j): sum_a A[i][a] X[a][j] + sum_b X[i][b] A[b][j] = 0
-                v = 0
-                for a_ in range(n):
-                    if A.get(i, a_):
-                        v ^= 1 << (a_ * n + j)
-                for b_ in range(n):
-                    if At.get(j, b_):
-                        v ^= 1 << (i * n + b_)
-                rows.append(v)
-    # we need {x : constraint . x = 0 for every constraint row}
-    sols = BitMatrix(rows, nn).transpose().kernel()
-    out = []
-    for x in sols:
-        mrows = [(x >> (i * n)) & ((1 << n) - 1) for i in range(n)]
-        out.append(BitMatrix(mrows, n))
-    return out
+    return hom_space(module, module)
 
 
 @dataclass
@@ -422,8 +374,7 @@ class SummandOrigin:
     """Where a summand eM sits in the module M that `summand_split` split."""
     endo: list          # basis of End(M), shared by all summands of the split
     idempotent: BitMatrix
-    echelon: Echelon    # echelon basis of eM, tags = summand coordinates
-    basis: list         # the summand's basis vectors, in M's coordinates
+    echelon: Echelon    # spans eM; its vectors (in M's coordinates) are the summand's basis
 
 
 def summand_split(module: GF2Module, seed=0, max_tries=60):
@@ -461,9 +412,11 @@ def summand_split(module: GF2Module, seed=0, max_tries=60):
             work.append(eps + found)
     summands = []
     for eps in final:
-        ech, basis, mats = _restrict(module.mats, eps.rows, "summand")
-        s = GF2Module(mats, len(basis), group=module.group)
-        s.origin = SummandOrigin(endo, eps, ech, basis)
+        ech = Echelon(eps.rows).reduced_basis()
+        mats = [restrict(ech, map(m.mul_vec, ech.vectors), "summand")
+                for m in module.mats]
+        s = GF2Module(mats, len(ech), group=module.group)
+        s.origin = SummandOrigin(endo, eps, ech)
         summands.append(s)
     if sum(s.dim for s in summands) != module.dim:
         raise InvariantViolation("summand dimensions do not add up to the module's")
@@ -481,31 +434,14 @@ def _corner_draw(corner, rng) -> BitMatrix:
     return acc
 
 
-def _corner_minpoly(a, eps):
-    """Minimal polynomial of a inside the corner algebra eps*End*eps."""
-    n = a.nrows
-    solver = CoordSolver()
-    solver.add(_flatten(eps))
-    cur = eps
-    k = 0
-    while True:
-        k += 1
-        cur = cur * a
-        mask = solver.solve(_flatten(cur))
-        if mask is not None:
-            return (1 << k) | mask
-        solver.add(_flatten(cur))
-        if k > 2 * n:
-            raise ArithmeticError("corner minpoly runaway")
-
-
 def _proper_corner_idempotent(a, eps):
     """An idempotent k with 0 != k != eps in GF(2)[a], if one exists.
 
     In char 2 the idempotents of the commutative ring GF(2)[x]/(m) form the
     kernel of the linear map q -> q^2 + q, so they are found by linear
     algebra over GF(2)."""
-    m = _corner_minpoly(a, eps)
+    # minimal polynomial of a inside the corner algebra, whose unit is eps
+    m = krylov_relation(eps, lambda cur: cur * a, 2 * a.nrows, _flatten)
     deg = m.bit_length() - 1
     if deg < 2:
         return None
@@ -575,8 +511,8 @@ def summand_homs(m1: GF2Module, m2: GF2Module):
     o1, o2 = m1.origin, m2.origin
     f = o2.idempotent
     return _independent(
-        BitMatrix([_coords(o2.echelon, f.mul_vec(a.mul_vec(v)), "summand")
-                   for v in o1.basis], m2.dim)
+        restrict(o2.echelon, (f.mul_vec(a.mul_vec(v)) for v in o1.echelon.vectors),
+                 "summand")
         for a in o1.endo)
 
 

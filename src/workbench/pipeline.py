@@ -135,7 +135,7 @@ def analyze_group(group, name: str | None = None, seed: int = 0,
             rep.real_defect_class_orders = [table.classes[j].order
                                             for j in b.real_defect_class_ids]
         if b.couple is not None:
-            D, E = b.couple
+            D = b.couple.D
             rep.defect_group_order = D.order
             from .pgroup import is_dihedral_2group
             rep.defect_group_dihedral = is_dihedral_2group(D)
@@ -202,9 +202,8 @@ def _module_report(table, block, rep: BlockReport, omega, seed):
         grouped = modrep.group_summands(summands)
         rep.summand_multiplicities = sorted(m for _s, m in grouped)
         if block.is_real and block.couple is not None:
-            cpl = blocklib.DefectCouple(c_index=0, D=block.couple[0],
-                                        E=block.couple[1], etype=block.etype)
-            val = modrep.dimension_valuation_check(table, block, cpl, summands)
+            val = modrep.dimension_valuation_check(table, block, block.couple,
+                                                   summands)
             rep.valuation_ok = val["ok"]
             if not val["ok"]:
                 rep.mismatches.append("summand dimension valuation failed")

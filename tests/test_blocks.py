@@ -179,3 +179,11 @@ def test_analyze_blocks_pgl27():
     assert principal.defect == 4
     assert sorted(principal.degrees(T)) == [1, 1, 6, 6, 6, 7, 7]
     assert principal.etype == "principal"
+
+
+def test_analyze_blocks_keeps_the_defect_couple():
+    T = table("psl27")
+    for b in blocks.analyze_blocks(T):
+        assert isinstance(b.couple, blocks.DefectCouple)
+        assert b.couple.etype == b.etype
+        assert T.group.class_of(b.couple.c_index) in b.real_defect_class_ids

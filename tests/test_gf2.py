@@ -1,5 +1,10 @@
 import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
+
 from workbench import gf2
 from workbench.gf2 import BitMatrix, GF2Field, Echelon
 
@@ -107,21 +112,91 @@ def test_export_roundtrip():
 def test_echelon_solve():
     rng = random.Random(13)
     vecs = [rng.getrandbits(30) for _ in range(10)]
-    ech = gf2.echelon_basis(vecs)
-    v = vecs[0] ^ vecs[3] ^ vecs[7]
-    tags = ech.solve(v)
-    assert tags is not None
-    back = 0
-    for _, b, t in ech.entries:
-        if t in tags:
-            back ^= b
-    assert back == ech.reduce(0) ^ v ^ (v ^ ech.reduce(v)) ^ ech.reduce(v) or True
-    # direct check: the tagged basis vectors sum to v
-    total = 0
-    lookup = {t: b for _, b, t in ech.entries}
-    for t in tags:
-        total ^= lookup[t]
-    assert total == v
+    # a dependent vector in the middle is skipped and takes no coordinate
+    ech = Echelon(vecs[:5] + [vecs[1] ^ vecs[2]] + vecs[5:])
+    assert ech.vectors == vecs
+    assert bin(ech.pivots).count("1") == len(ech) == 10
+    assert ech.solve(vecs[0] ^ vecs[3] ^ vecs[7]) == 1 | 1 << 3 | 1 << 7
+    assert ech.solve(0) == 0
+    for _ in range(20):
+        w = rng.getrandbits(30)
+        r = ech.reduce(w)
+        assert r & ech.pivots == 0
+        assert (ech.solve(w) is None) == (r != 0)
+        assert ech.add(w) == (r != 0)
+    # the reduced basis: same span and pivots, each row clear of earlier pivots
+    red = ech.reduced_basis()
+    assert red.pivots == ech.pivots and len(red) == len(ech)
+    seen = 0
+    for r in red.vectors:
+        assert r & seen == 0 and ech.solve(r) is not None
+        seen |= r & -r
+    assert seen == ech.pivots
+
+
+def test_pow_of_zero():
+    for f in (1, 2, 3, 5):
+        F = GF2Field(f)
+        assert F.pow(0, 0) == 1
+        for n in (1, 2, 5, F.order - 1, F.order):
+            assert F.pow(0, n) == 0
+        assert F.pow(1, 5) == 1
+
+
+def _dm(rows, ncols):
+    K = GF(2)
+    return DomainMatrix([[K((r >> j) & 1) for j in range(ncols)] for r in rows],
+                        (len(rows), ncols), K)
+
+
+def _bits(dm_rows):
+    return [sum((int(x) % 2) << j for j, x in enumerate(r)) for r in dm_rows]
+
+
+def _row_space(rows, ncols):
+    """The canonical basis of a row space: sympy's reduced row echelon form."""
+    if not rows:
+        return []
+    return [r for r in _bits(_dm(rows, ncols).rref()[0].to_list()) if r]
+
+
+@st.composite
+def _matrices(draw):
+    n = draw(st.integers(1, 10))
+    m = draw(st.integers(1, 10))
+    rows = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=n, max_size=n))
+    return BitMatrix(rows, m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_matrices(), st.integers(min_value=0))
+def test_elimination_matches_sympy(M, target):
+    n, m = M.nrows, M.ncols
+    ref = _dm(M.rows, m)
+    rank = ref.rank()
+    assert M.rank() == rank
+    # kernel: same left null space as sympy's null space of M^T
+    ker = M.kernel()
+    assert len(ker) == n - rank
+    assert _row_space(ker, n) == _row_space(_bits(ref.transpose().nullspace().to_list()), n)
+    # solve: a mask over the independent rows, None exactly off the row space
+    ech = Echelon(M.rows)
+    v = target % (1 << m)
+    mask = ech.solve(v)
+    inside = _dm(M.rows + [v], m).rank() == rank
+    assert (mask is not None) == inside
+    if inside:
+        total = 0
+        for t, b in enumerate(ech.vectors):
+            if (mask >> t) & 1:
+                total ^= b
+        assert total == v
+    # inverse
+    if n == m == rank:
+        assert M.inverse().rows == _bits(ref.inv().to_list())
+    elif n == m:
+        with pytest.raises(ZeroDivisionError):
+            M.inverse()
 
 
 def test_multiplicative_order_of_2():

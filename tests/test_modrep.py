@@ -3,7 +3,7 @@ import pytest
 from workbench import blocks, modrep
 from workbench.chartab import dixon_table
 from workbench.errors import FieldTooSmall, InvariantViolation, NotInO2
-from workbench.gf2 import BitMatrix, GF2Field, GFMatrix
+from workbench.gf2 import BitMatrix, Echelon, GF2Field, GFMatrix, restrict
 from workbench.groups import builtin_group
 from workbench.perm import mul, identity
 
@@ -284,3 +284,33 @@ def test_singular_action_matrix_raises():
     singular = BitMatrix.from_lists([[1, 1], [1, 1]])
     with pytest.raises(InvariantViolation):
         modrep.GF2Module([singular], 2)
+
+
+def test_restrict_raises_off_a_stable_subspace():
+    m = modrep.involution_perm_module(builtin_group("psl27"))
+    points = Echelon([1, 2])  # two points of Omega span no submodule
+    with pytest.raises(InvariantViolation):
+        for a in m.mats:
+            restrict(points, map(a.mul_vec, points.vectors))
+    # the sum of all points is fixed by G, so its span restricts to k
+    total = Echelon([(1 << m.dim) - 1])
+    for a in m.mats:
+        assert restrict(total, map(a.mul_vec, total.vectors)) == BitMatrix.identity(1)
+
+
+@pytest.mark.parametrize("name", ["psl27", "s5", "a7"])
+def test_dual_cut_endomorphisms_match(name):
+    # a cut's End comes from the orbitals; its dual has neither orbitals nor
+    # a split origin, so its End comes from the generic solve (hom_space)
+    T = table(name)
+    m = modrep.involution_perm_module(T.group)
+    checked = 0
+    for b in blocks.block_partition(T):
+        cut = modrep.block_cut(T, b, m)
+        if isinstance(cut, modrep.GFModule) or not 0 < cut.dim <= modrep.COMMUTANT_DIM_CAP:
+            continue
+        dual = modrep.dual_module(cut)
+        assert dual.perms is None and dual.origin is None
+        assert len(modrep.endomorphism_basis(dual)) == len(modrep.endomorphism_basis(cut))
+        checked += 1
+    assert checked > 0
