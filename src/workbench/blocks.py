@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 
 from .chartab import CharacterTable
-from .errors import NotRealBlock
+from .errors import InvariantViolation, NotRealBlock
 from .gf2 import multiplicative_order_of_2
 from .perm import PermGroup, conj, inverse, nu
 from .pgroup import classify_extension, is_dihedral_2group
@@ -74,7 +74,8 @@ def block_partition(table: CharacterTable) -> list:
             is_real=is_real, is_principal=principal))
     blocks.sort(key=lambda b: (not b.is_principal, -len(b.rows),
                                [table.degrees[i] for i in b.rows]))
-    assert sum(len(b.rows) for b in blocks) == table.k
+    if sum(len(b.rows) for b in blocks) != table.k:
+        raise InvariantViolation("blocks do not partition the characters")
     return blocks
 
 
@@ -97,7 +98,7 @@ def block_idempotent_support(table: CharacterTable, block: BlockData) -> list:
         coeffs.append(val)
     for j, a in enumerate(coeffs):
         if a and not table.classes[j].is_2regular:
-            raise AssertionError("idempotent supported on a 2-singular class")
+            raise InvariantViolation("idempotent supported on a 2-singular class")
     return coeffs
 
 
@@ -142,7 +143,8 @@ def real_defect_classes(table: CharacterTable, block: BlockData) -> list:
         if supp[j] == 0 or block.omega[j] == 0:
             continue
         # such a class is automatically a defect class
-        assert nu(len(c.members)) == nuG - block.defect
+        if nu(len(c.members)) != nuG - block.defect:
+            raise InvariantViolation("real defect class has the wrong 2-part")
         out.append(j)
     return out
 
@@ -170,12 +172,15 @@ def _couple_from_element(table: CharacterTable, block: BlockData, c_idx: int) ->
     c = G.elements[c_idx]
     cent = G.centralizer(c)
     ext = G.extended_centralizer(c)
-    assert ext.order % cent.order == 0 and ext.order // cent.order in (1, 2)
+    if ext.order % cent.order or ext.order // cent.order not in (1, 2):
+        raise InvariantViolation("[C*(c):C(c)] is not 1 or 2")
     E = ext.sylow2()
     D = E.intersection(cent)
     # D is automatically Sylow in C(c) since [C*(c):C(c)] <= 2
-    assert D.order == 1 << nu(cent.order)
-    assert D.order == 1 << block.defect
+    if D.order != 1 << nu(cent.order):
+        raise InvariantViolation("D is not a Sylow 2-subgroup of C(c)")
+    if D.order != 1 << block.defect:
+        raise InvariantViolation("|D| does not match the block's defect")
     etype = None
     if is_dihedral_2group(D):
         etype = classify_extension(D, E)

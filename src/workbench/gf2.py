@@ -80,6 +80,10 @@ def poly_gcd(a: int, b: int) -> int:
     return a
 
 
+def poly_lcm(a: int, b: int) -> int:
+    return poly_divmod(poly_mul(a, b), poly_gcd(a, b))[0]
+
+
 def poly_powmod(a: int, n: int, m: int) -> int:
     out = 1
     a = poly_mod(a, m)
@@ -596,20 +600,31 @@ def restrict(ech: Echelon, images, what: str = "subspace") -> BitMatrix:
     return BitMatrix(rows, len(ech))
 
 
-def krylov_relation(start, step, limit: int, flat=lambda v: v) -> int:
+def eval_poly(A: BitMatrix, poly: int) -> BitMatrix:
+    """poly(A) by Horner."""
+    n = A.nrows
+    ident = BitMatrix.identity(n)
+    out = BitMatrix.zero(n, n)
+    for i in range(poly.bit_length() - 1, -1, -1):
+        out = out * A
+        if (poly >> i) & 1:
+            out = out + ident
+    return out
+
+
+def krylov_relation(start: int, step, limit: int) -> int:
     """The first linear relation in the sequence start, step(start), ...
 
     Returned as the polynomial x^k + sum_{i<k} c_i x^i (bit i = c_i) where
-    the k-th term is the first one in the span of those before it; terms
-    are compared as the bitsets flat(term).  Raises InvariantViolation if
-    no relation shows up within `limit` steps."""
+    the k-th term (a bitset) is the first one in the span of those before
+    it: the local minimal polynomial of start when step is v -> v*A.
+    Raises InvariantViolation if no relation shows up within `limit` steps."""
     ech = Echelon()
     cur = start
     for k in range(limit + 1):
-        v = flat(cur)
-        mask = ech.solve(v)
+        mask = ech.solve(cur)
         if mask is not None:
             return (1 << k) | mask
-        ech.add(v)
+        ech.add(cur)
         cur = step(cur)
     raise InvariantViolation(f"no Krylov relation within {limit} steps")

@@ -3,7 +3,11 @@
 Modules are row-vector spaces: vectors act on the right by BitMatrix
 generators.  chop() returns the composition factors; the irreducibility
 certificate is Norton's test applied to an irreducible factor p of a local
-minimal polynomial whose kernel has dimension deg(p).  A submodule is the
+minimal polynomial whose kernel has dimension deg(p).  For each factor p
+one kernel vector is spun (Holt-Rees): when dim ker p(theta) = deg p the
+kernel is a simple k[theta]-module, so any proper submodule meeting it
+contains it and one vector decides; a larger kernel gets one
+opportunistic spin before the next factor or theta.  A submodule is the
 `Echelon` that `spin` builds; its action is written in the echelon's
 reduced rows (`gf2.restrict`), the quotient's in the non-pivot
 coordinates.
@@ -14,8 +18,8 @@ from __future__ import annotations
 import random
 
 from .errors import InvariantViolation
-from .gf2 import (BitMatrix, Echelon, krylov_relation, poly_divmod, poly_factor,
-                  poly_gcd, poly_mul, restrict)
+from .gf2 import (BitMatrix, Echelon, eval_poly, krylov_relation, poly_factor,
+                  poly_lcm, restrict)
 
 MAX_THETA_TRIES = 60
 FACTOR_DEGREE_CAP = 80
@@ -66,22 +70,10 @@ def _matrix_minpoly(A: BitMatrix, rng) -> int:
     m = 1  # poly "1"
     for _ in range(3):
         local = krylov_relation(rng.getrandbits(n) or 1, A.mul_vec, n)
-        m = poly_divmod(poly_mul(m, local), poly_gcd(m, local))[0]  # lcm
+        m = poly_lcm(m, local)
         if local.bit_length() - 1 == n:
             break
     return m
-
-
-def _eval_poly_at(A: BitMatrix, poly: int) -> BitMatrix:
-    """poly(A) by Horner."""
-    n = A.nrows
-    out = BitMatrix.zero(n, n)
-    bit = poly.bit_length() - 1
-    for i in range(bit, -1, -1):
-        out = out * A
-        if (poly >> i) & 1:
-            out = out + BitMatrix.identity(n)
-    return out
 
 
 def _random_algebra_element(mats, rng) -> BitMatrix:
@@ -144,18 +136,17 @@ def _chop_rec(mats, dim, rng, out):
             degp = p.bit_length() - 1
             if degp > FACTOR_DEGREE_CAP:
                 continue
-            P = _eval_poly_at(theta, p)
+            P = eval_poly(theta, p)
             ker = P.kernel()
             if not ker:
                 continue
-            # try to split with kernel vectors
-            for w in ker:
-                s = spin([w], mats)
-                if len(s) < dim:
-                    _split(mats, dim, s, rng, out)
-                    return
+            s = spin([ker[0]], mats)
+            if len(s) < dim:
+                _split(mats, dim, s, rng, out)
+                return
             if len(ker) == degp:
-                # Norton: dual side with the same p
+                # ker is a simple k[theta]-module, so the spin of ker[0]
+                # was conclusive; Norton: dual side with the same p
                 Pt = P.transpose()
                 kert = Pt.kernel()
                 tmats = [m.transpose() for m in mats]
@@ -169,8 +160,9 @@ def _chop_rec(mats, dim, rng, out):
                     return
                 out.append(Constituent(mats))
                 return
-        # inconclusive theta; retry
-    raise ArithmeticError("meataxe failed to certify after retries")
+            # a larger kernel leaves ker[0]'s spin inconclusive; go on
+    raise InvariantViolation(
+        f"meataxe found no split or certificate in {MAX_THETA_TRIES} tries")
 
 
 def _split(mats, dim, ech, rng, out):
@@ -231,7 +223,8 @@ def isomorphic_irreducibles(c1: Constituent, c2: Constituent, seed=0) -> bool:
             if n2 == c2.dim and shape1 == shape2 and reps1 == reps2:
                 return True
         return False
-    raise ArithmeticError("isomorphism test inconclusive")
+    raise InvariantViolation(
+        f"isomorphism test inconclusive after {MAX_THETA_TRIES} tries")
 
 
 def group_constituents(constituents, seed=0):

@@ -17,12 +17,18 @@ works from them:
   them, each reduced against the rows before it (`Echelon.reduced_basis`),
   and `gf2.restrict` gives the action on that basis.  Block cuts inherit
   the spanning set e*O*e of their endomorphisms.
-* Summands.  The corner e*End*e of each idempotent is spanned once, and
-  random corner elements are split through the idempotents of GF(2)[a].
-  A one-dimensional corner is k, hence local, which certifies the summand
-  indecomposable without random draws.
+* Summands.  Each piece P of a split lives in its own coordinates: its
+  basis in M, its action and a basis of its corner algebra End(P), both
+  d x d for d = dim P.  An idempotent k of End(P) gives the pieces kP and
+  (1+k)P, whose actions and corners are restricted from P's, so no n x n
+  product is formed below M itself.  A corner element a commutes with G,
+  so its minimal polynomial is the lcm of the local minimal polynomials
+  of a few kG-generators of P: a few vector Krylov sequences per random
+  draw.  A one-dimensional corner is k, hence local, which certifies the
+  summand indecomposable without random draws.
 * Homs between summands of one split come from End(M): every hom
-  eM -> fM extends to M through e, so Hom(eM, fM) = {v -> v*a*f}.
+  eM -> fM extends to M through e, so Hom(eM, fM) = {v -> v*a*f}, and
+  v*a*f is read off the coordinates of v*a over the summand bases.
   `hom_space` (a linear solve in n1*n2 unknowns) remains the general path
   for any other pair of modules, and for End(M) of a module with no
   orbital or split origin.
@@ -37,9 +43,9 @@ from .blocks import BlockData, block_idempotent_support, block_partition
 from .chartab import CharacterTable
 from .errors import (CapExceeded, FieldTooSmall, InvariantViolation,
                      NotIdempotent, NotInO2)
-from .gf2 import (BitMatrix, Echelon, GF2Field, GFMatrix, krylov_relation,
-                  poly_mulmod, restrict)
-from .meataxe import chop, group_constituents
+from .gf2 import (BitMatrix, Echelon, GF2Field, GFMatrix, eval_poly,
+                  krylov_relation, poly_lcm, poly_mulmod, restrict)
+from .meataxe import chop, group_constituents, spin
 from .perm import PermGroup, conj, identity, mul, nu
 
 OMEGA_CAP = 2048
@@ -371,21 +377,81 @@ def endomorphism_basis(module: GF2Module):
 
 @dataclass
 class SummandOrigin:
-    """Where a summand eM sits in the module M that `summand_split` split."""
-    endo: list          # basis of End(M), shared by all summands of the split
-    idempotent: BitMatrix
-    echelon: Echelon    # spans eM; its vectors (in M's coordinates) are the summand's basis
+    """Where a summand sits in the module M that `summand_split` split."""
+    endo: list       # basis of End(M), shared by all summands of the split
+    split: Echelon   # the bases of all summands (M's coordinates), concatenated
+    offset: int      # this summand's basis is split.vectors[offset:offset + dim]
+
+
+class _Piece:
+    """A direct summand P of M in its own coordinates, as `summand_split` holds it.
+
+    `basis` holds P's basis as the rows of a d x n matrix in M's coordinates,
+    `mats` the action on P (d x d), and `corner` a basis of End_kG(P) (d x d)."""
+
+    def __init__(self, basis: BitMatrix, mats, corner):
+        self.basis = basis
+        self.mats = mats
+        self.corner = corner
+        self._gens = None
+
+    @property
+    def dim(self) -> int:
+        return self.basis.nrows
+
+    def generators(self) -> list:
+        """Unit vectors that generate P as a kG-module, chosen greedily."""
+        if self._gens is None:
+            gens, span = [], Echelon()
+            for i in range(self.dim):
+                if len(span) == self.dim:
+                    break
+                if span.reduce(1 << i):
+                    gens.append(1 << i)
+                    span = spin(gens, self.mats)
+            self._gens = gens
+        return self._gens
+
+    def minpoly(self, a: BitMatrix) -> int:
+        """The minimal polynomial of a corner element a on P.
+
+        a commutes with G, so the kernel of a polynomial in a is a
+        submodule, and the minimal polynomial is the lcm of the local
+        minimal polynomials of a set of kG-generators."""
+        m = 1
+        for w in self.generators():
+            m = poly_lcm(m, krylov_relation(w, a.mul_vec, self.dim))
+        return m
+
+    def split(self, k: BitMatrix) -> list:
+        """[kP, (1 + k)P] for an idempotent k of the corner, each in its own
+        coordinates: the reduced rows of the idempotent."""
+        out = []
+        for e in (k, k + BitMatrix.identity(self.dim)):
+            sub = Echelon(e.rows).reduced_basis()
+            vecs = sub.vectors
+            # End(eP) = e End(P) e, and v*b*e lies in eP for v in eP
+            corner = _independent(
+                restrict(sub, (e.mul_vec(b.mul_vec(v)) for v in vecs), "summand")
+                for b in self.corner)
+            mats = [restrict(sub, map(m.mul_vec, vecs), "summand") for m in self.mats]
+            out.append(_Piece(BitMatrix(vecs, self.dim) * self.basis, mats, corner))
+        return out
 
 
 def summand_split(module: GF2Module, seed=0, max_tries=60):
     """Indecomposable direct summands via idempotents of End(M).
 
-    For each idempotent eps the corner eps*End*eps is spanned once.  A
-    one-dimensional corner is k, so eps is primitive and its summand is
-    recorded at once.  Otherwise uniform random corner elements are split
-    through the idempotents of GF(2)[a] (found linearly: x -> x^2 + x);
-    components where no proper idempotent appears within the retry budget
-    are reported indecomposable.
+    Each piece P of the split lives in its own coordinates (`_Piece`); the
+    first is M itself with End(M) as its corner.  A one-dimensional corner
+    is k, so P is indecomposable and is recorded at once.  Otherwise
+    uniform random corner elements a are split through the idempotents of
+    GF(2)[a] (found linearly: x -> x^2 + x), with the minimal polynomial of
+    a taken from the Krylov sequences of a few kG-generators of P.  An
+    idempotent k splits P into kP and (1 + k)P; pieces where no proper
+    idempotent appears within the retry budget are reported
+    indecomposable.  Each summand's `origin` records its place in the
+    decomposition of M.
     """
     if module.dim > SUMMAND_DIM_CAP:
         raise CapExceeded(f"dim {module.dim} exceeds {SUMMAND_DIM_CAP}")
@@ -393,33 +459,32 @@ def summand_split(module: GF2Module, seed=0, max_tries=60):
         return []
     rng = random.Random(seed)
     endo = endomorphism_basis(module)
-    work = [BitMatrix.identity(module.dim)]
+    work = [_Piece(BitMatrix.identity(module.dim), module.mats, endo)]
     final = []
     while work:
-        eps = work.pop()
-        corner = _independent(eps * b * eps for b in endo)
+        piece = work.pop()
         found = None
-        if len(corner) > 1:
+        if len(piece.corner) > 1:
             for _ in range(max_tries):
-                k = _proper_corner_idempotent(_corner_draw(corner, rng), eps)
-                if k is not None:
-                    found = k
+                found = _proper_corner_idempotent(_corner_draw(piece.corner, rng),
+                                                  piece)
+                if found is not None:
                     break
         if found is None:
-            final.append(eps)
+            final.append(piece)
         else:
-            work.append(found)
-            work.append(eps + found)
+            work.extend(piece.split(found))
+    total = sum(p.dim for p in final)
+    split = Echelon(v for p in final for v in p.basis.rows)
+    if not len(split) == total == module.dim:
+        raise InvariantViolation("summands do not decompose the module")
     summands = []
-    for eps in final:
-        ech = Echelon(eps.rows).reduced_basis()
-        mats = [restrict(ech, map(m.mul_vec, ech.vectors), "summand")
-                for m in module.mats]
-        s = GF2Module(mats, len(ech), group=module.group)
-        s.origin = SummandOrigin(endo, eps, ech)
+    offset = 0
+    for p in final:
+        s = GF2Module(p.mats, p.dim, group=module.group)
+        s.origin = SummandOrigin(endo, split, offset)
+        offset += p.dim
         summands.append(s)
-    if sum(s.dim for s in summands) != module.dim:
-        raise InvariantViolation("summand dimensions do not add up to the module's")
     summands.sort(key=lambda s: s.dim)
     return summands
 
@@ -434,14 +499,13 @@ def _corner_draw(corner, rng) -> BitMatrix:
     return acc
 
 
-def _proper_corner_idempotent(a, eps):
-    """An idempotent k with 0 != k != eps in GF(2)[a], if one exists.
+def _proper_corner_idempotent(a, piece: _Piece):
+    """An idempotent k with 0 != k != 1 in GF(2)[a], if one exists.
 
     In char 2 the idempotents of the commutative ring GF(2)[x]/(m) form the
     kernel of the linear map q -> q^2 + q, so they are found by linear
     algebra over GF(2)."""
-    # minimal polynomial of a inside the corner algebra, whose unit is eps
-    m = krylov_relation(eps, lambda cur: cur * a, 2 * a.nrows, _flatten)
+    m = piece.minpoly(a)
     deg = m.bit_length() - 1
     if deg < 2:
         return None
@@ -451,28 +515,17 @@ def _proper_corner_idempotent(a, eps):
         sq = poly_mulmod(1 << i, 1 << i, m)
         rows.append(sq ^ (1 << i))  # (x^i)^2 + x^i
     ker = BitMatrix(rows, deg).kernel()
+    one = BitMatrix.identity(piece.dim)
     for q in ker:
         if q == 0 or q == 1:
             continue
-        cand = _eval_in(a, eps, q)
-        if cand.is_zero() or cand == eps:
+        cand = eval_poly(a, q)
+        if cand.is_zero() or cand == one:
             continue
         if cand * cand != cand:
             raise InvariantViolation("candidate corner idempotent is not idempotent")
         return cand
     return None
-
-
-def _eval_in(a, eps, qpoly):
-    out = None
-    cur = eps
-    q = qpoly
-    while q:
-        if q & 1:
-            out = cur if out is None else out + cur
-        cur = cur * a
-        q >>= 1
-    return out if out is not None else BitMatrix.zero(a.nrows, a.nrows)
 
 
 def hom_space(m1: GF2Module, m2: GF2Module):
@@ -507,12 +560,16 @@ def summand_homs(m1: GF2Module, m2: GF2Module):
     """Basis of Hom_kG(eM, fM) for two summands of one `summand_split`.
 
     A hom phi: eM -> fM extends to the endomorphism v -> phi(v*e) of M, so
-    the homs are exactly the maps v -> v*a*f with a in End(M)."""
+    the homs are exactly the maps v -> v*a*f with a in End(M).  The image
+    v*a*f is the fM part of v*a: its coordinates over the concatenated
+    summand bases, sliced at fM's offset."""
     o1, o2 = m1.origin, m2.origin
-    f = o2.idempotent
+    split = o1.split
+    basis = split.vectors[o1.offset:o1.offset + m1.dim]
+    low = (1 << m2.dim) - 1
     return _independent(
-        restrict(o2.echelon, (f.mul_vec(a.mul_vec(v)) for v in o1.echelon.vectors),
-                 "summand")
+        BitMatrix([(split.solve(a.mul_vec(v)) >> o2.offset) & low for v in basis],
+                  m2.dim)
         for a in o1.endo)
 
 
@@ -521,7 +578,7 @@ def modules_isomorphic(m1: GF2Module, m2: GF2Module) -> bool:
     if m1.dim != m2.dim:
         return False
     if m1.origin is not None and m2.origin is not None \
-            and m1.origin.endo is m2.origin.endo:
+            and m1.origin.split is m2.origin.split:
         homs = summand_homs(m1, m2)
     else:
         homs = hom_space(m1, m2)

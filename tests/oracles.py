@@ -55,3 +55,34 @@ def signed_sum_solutions(m: int, d: int) -> list:
         if total == m:
             out.append(tuple(1 if (mask >> j) & 1 else -1 for j in range(d)))
     return out
+
+
+def matrix_minpoly(rows, n: int) -> int:
+    """Minimal polynomial (bit i = coefficient of x^i) of the n x n GF(2)
+    matrix with int rows `rows`, from the first linear relation among its
+    powers I, A, A^2, ... written out as n*n-bit vectors."""
+    def times_a(cur):
+        out = []
+        for r in cur:
+            acc = 0
+            for j in range(n):
+                if (r >> j) & 1:
+                    acc ^= rows[j]
+            out.append(acc)
+        return out
+
+    basis = []  # (vector, combination of powers), by descending top bit
+    cur = [1 << i for i in range(n)]
+    for k in range(n * n + 1):
+        v = sum(r << (i * n) for i, r in enumerate(cur))
+        combo = 1 << k
+        for b, c in basis:
+            if v ^ b < v:
+                v ^= b
+                combo ^= c
+        if v == 0:
+            return combo
+        basis.append((v, combo))
+        basis.sort(reverse=True)
+        cur = times_a(cur)
+    raise ValueError("no relation among the powers")

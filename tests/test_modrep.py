@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
-from workbench import blocks, modrep
+from oracles import matrix_minpoly
+from workbench import blocks, meataxe, modrep
 from workbench.chartab import dixon_table
 from workbench.errors import FieldTooSmall, InvariantViolation, NotInO2
 from workbench.gf2 import BitMatrix, Echelon, GF2Field, GFMatrix, restrict
@@ -314,3 +317,65 @@ def test_dual_cut_endomorphisms_match(name):
         assert len(modrep.endomorphism_basis(dual)) == len(modrep.endomorphism_basis(cut))
         checked += 1
     assert checked > 0
+
+
+def _gf2_cuts(name):
+    T = table(name)
+    m = modrep.involution_perm_module(T.group)
+    for b in blocks.block_partition(T):
+        cut = modrep.block_cut(T, b, m)
+        if not isinstance(cut, modrep.GFModule) and cut.dim:
+            yield cut
+
+
+@pytest.mark.parametrize("name", ["psl27", "a7", "pgl2_11"])
+def test_corner_minpoly_matches_matrix_powers(name):
+    # the lcm over kG-generators of local minimal polynomials equals the
+    # minimal polynomial of the whole corner element, on each cut and on
+    # the pieces of one split of it
+    rng = random.Random(1)
+    sub_pieces = 0
+    for cut in _gf2_cuts(name):
+        top = modrep._Piece(BitMatrix.identity(cut.dim), cut.mats,
+                            modrep.endomorphism_basis(cut))
+        if len(top.corner) < 2:
+            continue
+        pieces = [top]
+        for _ in range(60):
+            k = modrep._proper_corner_idempotent(
+                modrep._corner_draw(top.corner, rng), top)
+            if k is not None:
+                pieces += top.split(k)
+                break
+        for piece in pieces:
+            if len(piece.corner) < 2:
+                continue
+            sub_pieces += piece is not top
+            for _ in range(3):
+                a = modrep._corner_draw(piece.corner, rng)
+                assert piece.minpoly(a) == matrix_minpoly(a.rows, piece.dim), name
+    assert sub_pieces > 0
+
+
+@pytest.mark.parametrize("name", ["a7", "pgl2_11"])
+def test_module_layer_is_seed_invariant(name):
+    for cut in _gf2_cuts(name):
+        seen = set()
+        for seed in range(6):
+            factors = sorted((d, k) for _c, d, k in modrep.meataxe_factors(cut, seed=seed))
+            summands = modrep.summand_split(cut, seed=seed)
+            mults = sorted(k for _s, k in modrep.group_summands(summands))
+            seen.add((tuple(factors), tuple(sorted(s.dim for s in summands)),
+                      tuple(mults)))
+        assert len(seen) == 1, (name, cut.dim, seen)
+
+
+def test_meataxe_retry_exhaustion_is_typed(monkeypatch):
+    T = table("psl27")
+    cut = modrep.block_cut(T, principal_block(T), modrep.involution_perm_module(T.group))
+    threes = [c for c, d, _k in modrep.meataxe_factors(cut) if d == 3]
+    monkeypatch.setattr(meataxe, "MAX_THETA_TRIES", 0)
+    with pytest.raises(InvariantViolation):
+        meataxe.chop(cut.mats, cut.dim)
+    with pytest.raises(InvariantViolation):
+        meataxe.isomorphic_irreducibles(threes[0], threes[0])
