@@ -180,9 +180,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify_table2(args) -> int:
-    lo, hi = (int(x) for x in args.d_range.split(".."))
-    d_values = tuple(range(lo, hi + 1))
-    report = solver.verify_table2(d_values, tiebreak=not args.no_tiebreak)
+    report = solver.verify_table2(args.d_range, tiebreak=not args.no_tiebreak)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -208,6 +206,28 @@ def cmd_scan(args) -> int:
     results = scan_groups(args.files, cap=args.cap_order)
     _emit({"scanned": len(results), "results": results}, args.json)
     return 0
+
+
+def _solver_d(text: str) -> int:
+    """A dihedral parameter d the sign solver accepts (3..MAX_D)."""
+    try:
+        d = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not 3 <= d <= solver.MAX_D:
+        raise argparse.ArgumentTypeError(f"d must be in 3..{solver.MAX_D}, got {d}")
+    return d
+
+
+def _solver_d_range(text: str) -> tuple:
+    """'LO..HI' with 3 <= LO <= HI <= MAX_D, as the tuple of d values."""
+    lo, sep, hi = text.partition("..")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"expected LO..HI, got {text!r}")
+    lo, hi = _solver_d(lo), _solver_d(hi)
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    return tuple(range(lo, hi + 1))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,12 +279,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--morita", required=True, choices=solver.MORITA_TYPES)
     p.add_argument("--etype", required=True,
                    choices=solver.EXT_TYPES + ("principal",))
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_solver_d, required=True)
     p.add_argument("--no-tiebreak", action="store_true")
     p.set_defaults(fn=cmd_solve)
 
     p = add_parser("verify-table2", help="diff the solver against the shipped classification table")
-    p.add_argument("--d-range", default="3..6")
+    p.add_argument("--d-range", type=_solver_d_range, default="3..6",
+                   help=f"LO..HI with 3 <= LO <= HI <= {solver.MAX_D} (default 3..6)")
     p.add_argument("--no-tiebreak", action="store_true")
     p.set_defaults(fn=cmd_verify_table2)
 

@@ -2,22 +2,30 @@
 
 The six generalized decomposition matrix shapes are encoded symbolically;
 for a chosen extension type the local column sums pin linear constraints
-on the indicator vector (eps_1..eps_4, eps^(0)..eps^(d-3)), and the
-solver enumerates every admissible assignment.  Height-0 indicators live
-in {0, +1} (real height-0 characters have indicator +1) with the zeros
-forming a conjugate pair compatible with a duality symmetry of the
-decomposition matrix.
+on the indicator vector (eps_1..eps_4, eps^(0)..eps^(d-3)).  Height-0
+indicators live in {0, +1} (real height-0 characters have indicator +1)
+with the zeros forming a conjugate pair compatible with a duality
+symmetry of the decomposition matrix.
+
+The family signs are solved in closed form: for each duality, one column
+sum fixes a signed power sum of eps^(0)..eps^(d-3), and the signed-sum
+lemma (`signed_sum_decompose`) leaves at most one family vector per
+column scale.  Each such candidate is then checked against the full
+`local_constraints` list, which stays the one statement of the rules, so
+the cost is linear in d.  The exhaustive enumeration over {+-1}^(d-2)
+survives only as a test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import permutations
 
-from .errors import NegativeMultiplicity, NoSolution
+from .errors import InvariantViolation, NegativeMultiplicity, NoSolution
 
 MORITA_TYPES = ("i", "ii", "iii", "iv", "v", "vi")
 EXT_TYPES = ("a", "b", "c", "d", "e")
+MAX_D = 64
 
 # the six possible generalized decomposition matrix shapes: ordinary rows for
 # chi_1..chi_4 and the common family row; sign patterns of the s_1 / s_j
@@ -138,8 +146,9 @@ def signed_sum_decompose(m: int, d: int) -> tuple:
         s = 1 if m > 0 else -1
         signs.append(s)
         m -= s * (1 << j)
-    signs.append(m)  # remaining is +-1
-    assert signs[-1] in (1, -1)
+    if m not in (1, -1):
+        raise InvariantViolation(f"signed decomposition left remainder {m}")
+    signs.append(m)
     return tuple(reversed(signs))
 
 
@@ -208,6 +217,13 @@ class Constraint:
         return f"<constraint {self.tag}>"
 
 
+def _s1_target(etype: str, d: int):
+    """The s_1 column sum that E-types (a), (b), (c), (e) prescribe; None
+    for (d), whose s_1 sum need only be nonzero."""
+    return {"a": 2, "b": (1 << (d - 1)) + 2, "c": 0,
+            "e": (1 << (d - 2)) + 2}.get(etype)
+
+
 def local_constraints(etype: str, profile: MoritaProfile, tiebreak: bool = True) -> list:
     """The constraint set for one (Morita type, E-type, d) cell.
 
@@ -229,9 +245,10 @@ def local_constraints(etype: str, profile: MoritaProfile, tiebreak: bool = True)
             fampart += (coef if j < d - 3 else -coef) * e
         return ctx["epsilon"] * (a + fampart)
 
+    target = _s1_target(etype, d)
     if etype == "a":
         cons.append(Constraint("s1 column sum = 2 (split central coset)",
-                               lambda ctx: s1_sum(ctx) == 2))
+                               lambda ctx: s1_sum(ctx) == target))
         if d >= 4:
             def s2_sum(ctx):
                 a = sum(sh["s1"][i] * ctx["eps"][i] for i in range(4))
@@ -242,16 +259,16 @@ def local_constraints(etype: str, profile: MoritaProfile, tiebreak: bool = True)
                                    lambda ctx: s2_sum(ctx) == 2))
     elif etype == "b":
         cons.append(Constraint("s1 column sum = 2^(d-1)+2 (e^2 = s_1)",
-                               lambda ctx: s1_sum(ctx) == (1 << (d - 1)) + 2))
+                               lambda ctx: s1_sum(ctx) == target))
     elif etype == "c":
         cons.append(Constraint("s1 column sum = 0 (s_1 not a square in E-D)",
-                               lambda ctx: s1_sum(ctx) == 0))
+                               lambda ctx: s1_sum(ctx) == target))
     elif etype == "d":
         cons.append(Constraint("s1 column sum nonzero (e^2 = s_1)",
                                lambda ctx: s1_sum(ctx) != 0))
     elif etype == "e":
         cons.append(Constraint("s1 column sum = 2^(d-2)+2 (type e)",
-                               lambda ctx: s1_sum(ctx) == (1 << (d - 2)) + 2))
+                               lambda ctx: s1_sum(ctx) == target))
 
     def mults(ctx):
         famtotal = sum((1 << j) * e for j, e in enumerate(ctx["fam"]))
@@ -284,34 +301,30 @@ def local_constraints(etype: str, profile: MoritaProfile, tiebreak: bool = True)
 
 def solve(type_id: str, etype: str, d: int, tiebreak: bool = True) -> list:
     """All admissible sign assignments for the cell; [] when infeasible."""
-    if not 3 <= d <= 12:
-        raise ValueError("d in 3..12 required")
+    if not 3 <= d <= MAX_D:
+        raise ValueError(f"d in 3..{MAX_D} required")
     profile = build_profile(type_id, d)
     if etype == "principal":
         etype = "a"
     if etype not in EXT_TYPES:
         raise ValueError(f"unknown extension type {etype!r}")
-    sh = profile.shape
     if etype == "e" and d < 4:
         return []
     # dihedral/semidihedral E force l(B) != 2
     if etype in ("c", "d") and profile.l == 2:
         return []
 
-    fam_zero = {d - 3} if etype == "e" else set()
-    nonreal_subsection = (1 << (d - 3)) if etype == "e" else (
-        2 if etype in ("c", "d") and profile.l == 1 else 0)
+    fam_zero = (1 << (d - 3)) if etype == "e" else 0
     cons = local_constraints(etype, profile, tiebreak=tiebreak)
 
     solutions = {}
     for tau, sigma in _admissible_dualities(type_id):
         # character reality count must match column reality count
-        if _moved(tau) + sum((1 << j) for j in fam_zero) != \
-                nonreal_subsection + _moved(sigma):
+        if _moved(tau) + fam_zero != \
+                _nonreal_subsection(etype, profile.l, d) + _moved(sigma):
             continue
         eps = tuple(0 if tau[i] != i else 1 for i in range(4))
-        fam_domains = [(0,) if j in fam_zero else (1, -1) for j in range(d - 2)]
-        for fam in product(*fam_domains):
+        for fam in _family_candidates(profile, etype, eps):
             # the auxiliary column scales are existential
             if any(all(c.fn({"eps": eps, "fam": fam,
                              "epsilon": e1, "eps_top": e2}) for c in cons)
@@ -320,17 +333,63 @@ def solve(type_id: str, etype: str, d: int, tiebreak: bool = True) -> list:
     return [solutions[k] for k in sorted(solutions)]
 
 
+def _family_candidates(profile: MoritaProfile, etype: str, eps) -> list:
+    """The family vectors (eps^(0)..eps^(d-3)) that can meet the cell's
+    pinning column sum with height-0 signs `eps`.
+
+    Types (a), (b), (c), (e): the s_1 column sum epsilon * (a + 2F) equals
+    its target, with a = sum s1_i eps_i and
+    F = sum_{j<d-3} 2^j eps^(j) - 2^(d-3) eps^(d-3) (eps^(d-3) = 0 for (e)).
+    Type (d): decomposition column m sums to (dec . eps)_m + fam_m * T with
+    T = sum_j 2^j eps^(j), and it must vanish.  Either way the signed-sum
+    lemma leaves one family vector per column scale; the caller checks
+    each against the full constraint list."""
+    sh, d = profile.shape, profile.d
+    if etype == "d":
+        m = next(m for m in range(profile.l) if sh["fam"][m])
+        col = sum(sh["dec"][i][m] * eps[i] for i in range(4))
+        total, rem = divmod(-col, sh["fam"][m])
+        return [] if rem else _signed_sums([total], d - 2)
+    target = _s1_target(etype, d)
+    a = sum(sh["s1"][i] * eps[i] for i in range(4))
+    if (target - a) % 2:
+        return []
+    halves = {(target * e - a) // 2 for e in (1, -1)}
+    if etype == "e":
+        return [fam + (0,) for fam in _signed_sums(halves, d - 3)]
+    return [fam[:-1] + (-fam[-1],) for fam in _signed_sums(halves, d - 2)]
+
+
+def _signed_sums(values, terms: int) -> list:
+    """`signed_sum_decompose(v, terms)` for each v that has one."""
+    out = []
+    for v in values:
+        try:
+            out.append(signed_sum_decompose(v, terms))
+        except NoSolution:
+            pass
+    return out
+
+
+def _nonreal_subsection(etype: str, l: int, d: int) -> int:
+    """Nonreal columns outside the Brauer characters that the E-type
+    forces: 2^(d-3) for type (e), 2 for types (c)/(d) with l(B) = 1."""
+    if etype == "e":
+        return 1 << (d - 3)
+    return 2 if etype in ("c", "d") and l == 1 else 0
+
+
 def _record(solutions, profile: MoritaProfile, eps, fam):
     mults = predicted_multiplicities_raw(profile, eps, fam)
     canonical = tuple(sorted(eps, reverse=True))
     key = (canonical, fam)
     sol = SignAssignment(eps_height0=canonical, eps_family=tuple(fam),
                          multiplicities=tuple(mults), eps_rows=tuple(eps))
-    if key in solutions:
-        assert solutions[key].multiplicities == sol.multiplicities, \
-            "conflicting multiplicities for one canonical assignment"
-    else:
+    if key not in solutions:
         solutions[key] = sol
+    elif solutions[key].multiplicities != sol.multiplicities:
+        raise InvariantViolation(
+            f"conflicting multiplicities for one canonical assignment {key}")
 
 
 def predicted_multiplicities_raw(profile: MoritaProfile, eps, fam) -> list:
@@ -436,6 +495,4 @@ def nonreal_brauer_count(type_id: str, etype: str, d: int, tiebreak: bool = True
         raise NoSolution("cell not unique")
     zeros = sum(1 for e in sols[0].eps_height0 if e == 0)
     fam_zero = sum((1 << j) for j, e in enumerate(sols[0].eps_family) if e == 0)
-    subsec = (1 << (d - 3)) if etype == "e" else (
-        2 if etype in ("c", "d") and build_profile(type_id, d).l == 1 else 0)
-    return zeros + fam_zero - subsec
+    return zeros + fam_zero - _nonreal_subsection(etype, build_profile(type_id, d).l, d)

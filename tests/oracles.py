@@ -86,3 +86,37 @@ def matrix_minpoly(rows, n: int) -> int:
         basis.sort(reverse=True)
         cur = times_a(cur)
     raise ValueError("no relation among the powers")
+
+
+def enumerate_sign_assignments(type_id: str, etype: str, d: int,
+                               tiebreak: bool = True) -> list:
+    """`solver.solve` by exhaustion: every family vector in {+-1}^(d-2)
+    (eps^(d-3) = 0 for type (e)) for every admissible duality, checked
+    against the full constraint list with both column scales free."""
+    from itertools import product
+
+    from workbench import solver
+
+    profile = solver.build_profile(type_id, d)
+    if etype == "principal":
+        etype = "a"
+    if etype == "e" and d < 4:
+        return []
+    if etype in ("c", "d") and profile.l == 2:
+        return []
+    fam_zero = {d - 3} if etype == "e" else set()
+    nonreal_subsection = solver._nonreal_subsection(etype, profile.l, d)
+    cons = solver.local_constraints(etype, profile, tiebreak=tiebreak)
+    solutions = {}
+    for tau, sigma in solver._admissible_dualities(type_id):
+        if solver._moved(tau) + sum((1 << j) for j in fam_zero) != \
+                nonreal_subsection + solver._moved(sigma):
+            continue
+        eps = tuple(0 if tau[i] != i else 1 for i in range(4))
+        fam_domains = [(0,) if j in fam_zero else (1, -1) for j in range(d - 2)]
+        for fam in product(*fam_domains):
+            if any(all(c.fn({"eps": eps, "fam": fam,
+                             "epsilon": e1, "eps_top": e2}) for c in cons)
+                   for e1 in (1, -1) for e2 in (1, -1)):
+                solver._record(solutions, profile, eps, fam)
+    return [solutions[k] for k in sorted(solutions)]

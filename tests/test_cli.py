@@ -106,6 +106,35 @@ def test_verify_table2_mutation_exit_code(capsys, monkeypatch):
     monkeypatch.undo()
 
 
+def test_solver_commands_beyond_d12(capsys):
+    code, out = run(capsys, ["verify-table2", "--d-range", "3..13", "--json"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["ok"] is True
+    assert max(c["d"] for c in data["cells"]) == 13
+    code, out = run(capsys, ["solve", "--morita", "i", "--etype", "a",
+                             "--d", "13", "--json"])
+    assert code == 0
+    assert json.loads(out)["status"] == "unique"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-table2", "--d-range", "3-6"],
+    ["verify-table2", "--d-range", f"3..{solver.MAX_D + 1}"],
+    ["verify-table2", "--d-range", "2..4"],
+    ["verify-table2", "--d-range", "6..3"],
+    ["solve", "--morita", "i", "--etype", "a", "--d", str(solver.MAX_D + 1)],
+    ["solve", "--morita", "i", "--etype", "a", "--d", "2"],
+])
+def test_bad_solver_d_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --d" in err
+    assert "Traceback" not in err
+
+
 def test_pipeline_command(capsys):
     code, out = run(capsys, ["pipeline", "--group", "s5", "--json"])
     assert code == 0

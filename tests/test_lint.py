@@ -1,4 +1,4 @@
-"""Source checks that keep invariants typed in the module layer.
+"""Source checks that keep invariants typed in the library modules.
 
 `python -O` strips `assert` statements, so the modules below raise a
 `WorkbenchError` (usually `InvariantViolation`) instead."""
@@ -13,7 +13,7 @@ import workbench
 PACKAGE = Path(workbench.__file__).parent
 
 
-@pytest.mark.parametrize("module", ["modrep", "meataxe", "gf2", "blocks"])
+@pytest.mark.parametrize("module", ["modrep", "meataxe", "gf2", "blocks", "solver"])
 def test_no_bare_asserts(module):
     path = PACKAGE / f"{module}.py"
     tree = ast.parse(path.read_text(), filename=str(path))

@@ -1,9 +1,9 @@
 import pytest
 
 from workbench import pgroup, solver
-from workbench.errors import NoSolution
+from workbench.errors import InvariantViolation, NoSolution
 
-from oracles import signed_sum_solutions
+from oracles import enumerate_sign_assignments, signed_sum_solutions
 
 
 def test_signed_sum_examples():
@@ -178,9 +178,29 @@ def test_galois_pairing_invariant():
 
 
 def test_solver_reaches_d12():
-    sols = solver.solve("v", "b", 12)
-    assert len(sols) == 1
-    assert sols[0].multiplicities == (2, 1, 1)
+    for d in (12, solver.MAX_D):
+        sols = solver.solve("v", "b", d)
+        assert len(sols) == 1
+        assert sols[0].multiplicities == (2, 1, 1)
+        assert sols[0].eps_family == (1,) * (d - 3) + (-1,)
+
+
+@pytest.mark.parametrize("tiebreak", [True, False])
+def test_closed_form_matches_enumeration(tiebreak):
+    for ty in solver.MORITA_TYPES:
+        for et in solver.EXT_TYPES + ("principal",):
+            for d in range(3, 11):
+                got = solver.solve(ty, et, d, tiebreak=tiebreak)
+                want = enumerate_sign_assignments(ty, et, d, tiebreak=tiebreak)
+                assert got == want, (ty, et, d)
+                assert [s.eps_rows for s in got] == [s.eps_rows for s in want]
+
+
+@pytest.mark.parametrize("tiebreak", [True, False])
+def test_verify_table2_to_d64(tiebreak):
+    report = solver.verify_table2(range(3, solver.MAX_D + 1), tiebreak=tiebreak)
+    assert report["ok"]
+    assert {c["d"] for c in report["cells"]} == set(range(3, solver.MAX_D + 1))
 
 
 def test_constraint_sets_are_tagged():
@@ -209,9 +229,16 @@ def test_multiplicities_nonnegative_across_feasible_grid():
                         assert all(v == 0 for v in s.multiplicities), (ty, d)
 
 
+def test_conflicting_multiplicities_are_typed():
+    solutions = {}
+    eps, fam = (1, 1, 1, 1), (1,)
+    solver._record(solutions, solver.build_profile("iv", 3), eps, fam)
+    with pytest.raises(InvariantViolation):
+        solver._record(solutions, solver.build_profile("v", 3), eps, fam)
+
+
 def test_solve_rejects_out_of_range_d():
-    import pytest
     with pytest.raises(ValueError):
-        solver.solve("i", "a", 13)
+        solver.solve("i", "a", solver.MAX_D + 1)
     with pytest.raises(ValueError):
         solver.solve("i", "a", 2)
