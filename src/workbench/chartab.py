@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .cyclotomic import Cyclotomic
-from .errors import CapExceeded, NonIndicatorValue
+from .errors import CapExceeded, InvariantViolation, NonIndicatorValue
 from .perm import PermGroup, perm_power, nu
 
 CLASS_CAP = 60
@@ -216,7 +216,8 @@ def _poly_divide_exact(f, g, p):
         if c:
             for j in range(len(g)):
                 rem[i + j] = (rem[i + j] - c * g[j]) % p
-    assert all(r == 0 for r in rem[:len(g) - 1])
+    if any(rem[:len(g) - 1]):
+        raise InvariantViolation("polynomial division mod p leaves a remainder")
     return _poly_trim(q)
 
 
@@ -454,9 +455,11 @@ def dixon_table(G: PermGroup) -> CharacterTable:
                     new_spaces.append(vecs)
                     split_dim += len(vecs)
             # the class algebra is semisimple mod p, so eigenspaces fill up
-            assert split_dim == len(basis)
+            if split_dim != len(basis):
+                raise InvariantViolation("eigenspaces of a class matrix do not fill up")
         spaces = new_spaces
-    assert len(spaces) == k and all(len(b) == 1 for b in spaces)
+    if len(spaces) != k or any(len(b) != 1 for b in spaces):
+        raise InvariantViolation("class matrices do not split into k lines")
 
     omegas = []
     for (w,) in spaces:
@@ -477,9 +480,11 @@ def dixon_table(G: PermGroup) -> CharacterTable:
         d2 = order * pow(f, p - 2, p) % p
         r = _sqrt_modp(d2, p)
         d = min(r, p - r)
-        assert 1 <= d <= isqrt(order), "degree out of range"
+        if not 1 <= d <= isqrt(order):
+            raise InvariantViolation(f"degree {d} out of range")
         degrees.append(d)
-    assert sum(d * d for d in degrees) == order
+    if sum(d * d for d in degrees) != order:
+        raise InvariantViolation("squared degrees do not sum to |G|")
 
     # exact value lift per class from eigenvalue multiplicities
     z = _primitive_root(p)
@@ -512,10 +517,12 @@ def dixon_table(G: PermGroup) -> CharacterTable:
                     s = (s + chi_p[power_classes[j][r]] * t) % p
                     t = t * lm % p
                 c_m = s * inv_n % p
-                assert c_m <= d, "eigenvalue multiplicity out of range"
+                if c_m > d:
+                    raise InvariantViolation("eigenvalue multiplicity out of range")
                 if c_m:
                     counts[m] = c_m
-            assert sum(counts.values()) == d
+            if sum(counts.values()) != d:
+                raise InvariantViolation("eigenvalue multiplicities do not sum to the degree")
             row.append(Cyclotomic.from_exponent_counts(n, counts))
         chars.append(tuple(row))
 
@@ -527,7 +534,8 @@ def dixon_table(G: PermGroup) -> CharacterTable:
 
     table = CharacterTable(G, classes, chars, degrees, p)
     for i in range(k):
-        assert table.chars[i][id_class].rational_value() == degrees[i]
+        if table.chars[i][id_class].rational_value() != degrees[i]:
+            raise InvariantViolation("a character's value at 1 is not its degree")
     return table
 
 
@@ -570,7 +578,8 @@ def _coords_in(basis, vec, p):
         piv.append(c)
         r += 1
     for i in range(r, k):
-        assert aug[i][n] % p == 0, "vector outside span"
+        if aug[i][n] % p:
+            raise InvariantViolation("vector outside span")
     for row_i, c in enumerate(piv):
         coords[c] = aug[row_i][n]
     return coords

@@ -1,8 +1,10 @@
 """Command-line front end: `workbench <subcommand>`.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage error.  All
-randomized internals take --seed (default 0); WORKBENCH_CAP_ORDER
-overrides the group-order cap.
+Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 cannot
+compute: a `WorkbenchError` (a cap exceeded, a field out of range, a failed
+internal check) ends the run with one line `workbench: <Type>: <message>`
+on stderr.  All randomized internals take --seed (default 0);
+WORKBENCH_CAP_ORDER overrides the group-order cap.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import sys
 from . import blocks as blocklib
 from . import modrep, pgroup, solver
 from .chartab import dixon_table
+from .errors import WorkbenchError
 from .groups import builtin_group
 from .perm import generate, read_generator_file
 from .pipeline import analyze_group, scan_groups
@@ -306,6 +309,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except BrokenPipeError:
         return 0
+    except WorkbenchError as exc:
+        print(f"workbench: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

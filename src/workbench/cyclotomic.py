@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .errors import ConductorOverflow, NotTwoIntegral
+from .errors import ConductorOverflow, InvariantViolation, NotTwoIntegral
 from .gf2 import GF2Field, GF2m, multiplicative_order_of_2
 
 CONDUCTOR_CAP = 1000
@@ -37,7 +37,8 @@ def cyclotomic_poly(e: int) -> tuple:
             if c:
                 for j, pc in enumerate(phi_d):
                     rem[i + j] -= c * pc
-        assert all(r == 0 for r in rem[:len(phi_d) - 1])
+        if any(rem[:len(phi_d) - 1]):
+            raise InvariantViolation(f"Phi_{d} leaves a remainder in x^{e} - 1")
         poly = out
     return tuple(poly)
 

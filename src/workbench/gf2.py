@@ -1,9 +1,10 @@
 """GF(2^f) scalar arithmetic and bit-packed GF(2) linear algebra.
 
 Rows of GF(2) matrices are python ints used as bitsets (bit j = column j),
-so row operations are single int XORs.  GF(2^f) elements are ints holding
-polynomial bits modulo a fixed primitive polynomial per f; the table below
-pins the tower so all runs are reproducible bit-for-bit.
+so row operations are single int XORs.  Every matrix is over GF(2): GF(2^f)
+occurs only as scalars (central characters, block idempotent coefficients),
+held as ints of polynomial bits modulo a fixed primitive polynomial per f;
+the table below pins the tower so all runs are reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -448,80 +449,6 @@ class BitMatrix:
         nrows, ncols = map(int, lines[0].split())
         rows = [int(ln, 16) for ln in lines[1:1 + nrows]]
         return cls(rows, ncols)
-
-
-class GFMatrix:
-    """Small dense matrix over GF(2^f); used only off the bit-packed fast path."""
-
-    def __init__(self, field: GF2Field, rows):
-        self.field = field
-        self.rows = [list(r) for r in rows]
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-
-    @classmethod
-    def zero(cls, field, nrows, ncols):
-        return cls(field, [[0] * ncols for _ in range(nrows)])
-
-    def __eq__(self, other):
-        return isinstance(other, GFMatrix) and self.rows == other.rows
-
-    def __add__(self, other):
-        return GFMatrix(self.field, [[a ^ b for a, b in zip(r1, r2)]
-                                     for r1, r2 in zip(self.rows, other.rows)])
-
-    def __mul__(self, other):
-        F = self.field
-        out = [[0] * other.ncols for _ in range(self.nrows)]
-        for i, row in enumerate(self.rows):
-            for t, a in enumerate(row):
-                if a:
-                    orow = other.rows[t]
-                    oi = out[i]
-                    for j, b in enumerate(orow):
-                        if b:
-                            oi[j] ^= F.mul(a, b)
-        return GFMatrix(F, out)
-
-    def mul_vec(self, v):
-        F = self.field
-        out = [0] * self.ncols
-        for a, row in zip(v, self.rows):
-            if a:
-                for j, b in enumerate(row):
-                    if b:
-                        out[j] ^= F.mul(a, b)
-        return out
-
-    def row_space(self):
-        """(echelon basis rows, pivot columns)."""
-        F = self.field
-        basis, pivots = [], []
-        for r in self.rows:
-            r = list(r)
-            for b, p in zip(basis, pivots):
-                if r[p]:
-                    c = r[p]
-                    r = [x ^ F.mul(c, y) for x, y in zip(r, b)]
-            piv = next((j for j, x in enumerate(r) if x), None)
-            if piv is not None:
-                inv = F.inv(r[piv])
-                r = [F.mul(inv, x) for x in r]
-                basis.append(r)
-                pivots.append(piv)
-        return basis, pivots
-
-    def solve_coords(self, v, basis, pivots):
-        """Coordinates of v in an echelonized basis, or None."""
-        F = self.field
-        v = list(v)
-        coords = [0] * len(basis)
-        for t, (b, p) in enumerate(zip(basis, pivots)):
-            if v[p]:
-                c = v[p]
-                coords[t] = c
-                v = [x ^ F.mul(c, y) for x, y in zip(v, b)]
-        return coords if not any(v) else None
 
 
 class Echelon:

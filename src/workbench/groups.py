@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 
+from .errors import InvariantViolation
 from .perm import PermGroup, generate, parse_cycles
 
 _Q_ALLOWED = (3, 5, 7, 9, 11)
@@ -51,7 +52,8 @@ def _mobius_perm(mat, q: int) -> tuple:
         images.append(q if den == 0 else mul[num][inv[den]])
     # image of infinity: a/c
     images.append(q if c == 0 else mul[a][inv[c]])
-    assert sorted(images) == list(range(q + 1))
+    if sorted(images) != list(range(q + 1)):
+        raise InvariantViolation("Mobius map does not permute the projective line")
     return tuple(images)
 
 

@@ -8,10 +8,12 @@ pairs of points, computed once per module), and the whole module layer
 works from them:
 
 * Block projectors.  A class sum commutes with G, so it is constant on
-  each orbital, and e_B acts as sum_O c_O A_O.  The coefficient c_O is the
-  (i0, j0) entry for one representative pair of O: the e_B-weighted count
-  of g with lab_i0^g = lab_j0, computed for one row i0 per G-orbit of
-  points (in GF(2), or in GF(2^F) off the rational path).
+  each orbital, and a central element acts as sum_O c_O A_O.  The
+  coefficient c_O is the (i0, j0) entry for one representative pair of O:
+  the weighted count of g with lab_i0^g = lab_j0, computed for one row i0
+  per G-orbit of points.  The projector is always the GF(2) matrix of the
+  Frobenius-orbit sum of e_B, which is e_B itself when e_B is rational; a
+  non-rational e_B gives only the dimension of its cut (`GFModule`).
   `class_sum_matrix` stays as the independent oracle for the tests.
 * Block cuts and summands are written in the projector rows that span
   them, each reduced against the rows before it (`Echelon.reduced_basis`),
@@ -43,8 +45,8 @@ from .blocks import BlockData, block_idempotent_support, block_partition
 from .chartab import CharacterTable
 from .errors import (CapExceeded, FieldTooSmall, InvariantViolation,
                      NotIdempotent, NotInO2)
-from .gf2 import (BitMatrix, Echelon, GF2Field, GFMatrix, eval_poly,
-                  krylov_relation, poly_lcm, poly_mulmod, restrict)
+from .gf2 import (BitMatrix, Echelon, GF2Field, eval_poly, krylov_relation,
+                  poly_lcm, poly_mulmod, restrict)
 from .meataxe import chop, group_constituents, spin
 from .perm import PermGroup, conj, identity, mul, nu
 
@@ -188,9 +190,9 @@ def _orbital_coefficients(table: CharacterTable, coeffs, module: GF2Module):
     """[(c_O, A_O)] with sum_O c_O A_O = sum_j coeffs[j] C_j+ on the module.
 
     A class sum commutes with G, so it is constant on each orbital and c_O
-    is its (i0, j0) entry: sum_j coeffs[j] #{g in C_j : lab_i0^g = lab_j0},
-    in GF(2^F) (GF(2) when every coefficient is 0 or 1).  Only the rows i0
-    that represent an orbital are computed, one per G-orbit of points."""
+    is its (i0, j0) entry: sum_j coeffs[j] #{g in C_j : lab_i0^g = lab_j0}
+    mod 2, for coefficients in GF(2).  Only the rows i0 that represent an
+    orbital are computed, one per G-orbit of points."""
     G = table.group
     pos = {lab: n for n, lab in enumerate(module.labels)}
     orbitals = _orbitals(module)
@@ -208,54 +210,46 @@ def _orbital_coefficients(table: CharacterTable, coeffs, module: GF2Module):
     return [(rows[i0].get(j0, 0), O) for i0, j0, O in orbitals]
 
 
-def _rational_projector(table: CharacterTable, coeffs, module: GF2Module) -> BitMatrix:
-    """sum_j coeffs[j] C_j+ for GF(2) coefficients, as a sum of orbital matrices."""
+def block_projector(table: CharacterTable, block: BlockData, module: GF2Module):
+    """(P, length): the GF(2) matrix P of the Frobenius-orbit sum of e_B on a
+    permutation module, from its orbital coefficients, and the orbit length.
+
+    Squaring the GF(2^F) coefficients of e_B permutes the blocks conjugate
+    to B; the sum over that orbit is GF(2)-rational, and it is an idempotent
+    because distinct block idempotents are orthogonal.  When e_B is itself
+    rational the orbit is {e_B} and the length is 1."""
+    F = GF2Field(block.field_f)
+    coeffs = block_idempotent_support(table, block)
+    total, cur, length = list(coeffs), [F.mul(c, c) for c in coeffs], 1
+    while cur != coeffs:
+        total = [a ^ b for a, b in zip(total, cur)]
+        cur = [F.mul(c, c) for c in cur]
+        length += 1
+    if not all(c in (0, 1) for c in total):
+        raise InvariantViolation("Frobenius orbit sum of e_B is not rational")
     acc = BitMatrix.zero(module.dim, module.dim)
-    for c, O in _orbital_coefficients(table, coeffs, module):
+    for c, O in _orbital_coefficients(table, total, module):
         if c:
             acc = acc + O
     if acc * acc != acc:
         raise NotIdempotent("block projector is not idempotent")
-    return acc
-
-
-def block_projector(table: CharacterTable, block: BlockData, module: GF2Module):
-    """The matrix of e_B on a permutation module, from its orbital coefficients.
-
-    Returns a BitMatrix when the idempotent is GF(2)-rational (the fast
-    path), otherwise a GFMatrix over the block's GF(2^F) (the lifted
-    module k^F (x) M), or None when that matrix would exceed 64 x 64."""
-    coeffs = block_idempotent_support(table, block)
-    n = module.dim
-    if all(c in (0, 1) for c in coeffs):
-        return _rational_projector(table, coeffs, module)
-    if n > 64:
-        return None  # caller falls back to the Frobenius-orbit route
-    F = GF2Field(block.field_f)
-    rows = [[0] * n for _ in range(n)]
-    for c, O in _orbital_coefficients(table, coeffs, module):
-        if c:
-            for i, r in enumerate(O.rows):
-                while r:
-                    low = r & -r
-                    rows[i][low.bit_length() - 1] = c
-                    r ^= low
-    acc = GFMatrix(F, rows)
-    if acc * acc != acc:
-        raise NotIdempotent("block projector is not idempotent")
-    return acc
+    return acc, length
 
 
 def block_cut(table: CharacterTable, block: BlockData, module: GF2Module):
     """The component e_B * M of a permutation module M.
 
-    For non-GF(2)-rational idempotents the result is a GFModule over
-    GF(2^F) carrying only dimensions and action matrices."""
-    proj = block_projector(table, block, module)
-    if proj is None:
-        return _frobenius_orbit_cut(table, block, module)
-    if isinstance(proj, GFMatrix):
-        return _gf_cut(table, module, proj)
+    When e_B is GF(2)-rational this is a GF2Module written in the projector
+    rows.  Otherwise the blocks in the Frobenius orbit of e_B cut out
+    summands of equal dimension, so the result is a GFModule of dimension
+    rank(orbit sum) / (orbit length)."""
+    proj, length = block_projector(table, block, module)
+    if length > 1:
+        orbit_dim = proj.rank()
+        if orbit_dim % length:
+            raise InvariantViolation(
+                f"orbit cut dim {orbit_dim} not divisible by orbit length {length}")
+        return GFModule(GF2Field(block.field_f), orbit_dim // length)
     ech = Echelon(proj.rows).reduced_basis()
     basis = ech.vectors
     cut_mats = [restrict(ech, map(m.mul_vec, basis), "cut") for m in module.mats]
@@ -270,63 +264,14 @@ def block_cut(table: CharacterTable, block: BlockData, module: GF2Module):
 
 
 class GFModule:
-    """Minimal module data over GF(2^f) (dim + action matrices).
+    """A block cut over GF(2^f) for a non-GF(2)-rational e_B: its dimension.
 
-    mats is None when only the dimension was derived (Frobenius-orbit
-    route for large permutation modules)."""
+    No action matrices are built: `mats` is always None."""
 
-    def __init__(self, field: GF2Field, mats, dim):
+    def __init__(self, field: GF2Field, dim):
         self.field = field
-        self.mats = mats
+        self.mats = None
         self.dim = dim
-
-
-def _frobenius_orbit_cut(table: CharacterTable, block: BlockData,
-                         module: GF2Module) -> GFModule:
-    """Dimension of e_B * M for a non-GF(2)-rational idempotent.
-
-    The Frobenius orbit sum of e_B is GF(2)-rational, so its cut is a fast
-    bit-matrix computation; the conjugate blocks cut out summands of equal
-    dimension, so dim(e_B M) = (orbit cut dim) / (orbit length)."""
-    F = GF2Field(block.field_f)
-    coeffs = block_idempotent_support(table, block)
-    orbit = [list(coeffs)]
-    cur = [F.mul(c, c) for c in coeffs]
-    while cur != orbit[0]:
-        orbit.append(cur)
-        cur = [F.mul(c, c) for c in cur]
-    total = [0] * table.k
-    for vec in orbit:
-        total = [a ^ b for a, b in zip(total, vec)]
-    if not all(c in (0, 1) for c in total):
-        raise InvariantViolation("Frobenius orbit sum of e_B is not rational")
-    orbit_dim = _rational_projector(table, total, module).rank()
-    if orbit_dim % len(orbit):
-        raise InvariantViolation(
-            f"orbit cut dim {orbit_dim} not divisible by orbit length {len(orbit)}")
-    return GFModule(F, None, orbit_dim // len(orbit))
-
-
-def _gf_cut(table: CharacterTable, module: GF2Module, proj: GFMatrix) -> GFModule:
-    F = proj.field
-    basis, pivots = proj.row_space()
-    mats = []
-    for m in module.mats:
-        rows = []
-        for vec in basis:
-            img = [0] * module.dim
-            for j, a in enumerate(vec):
-                if a:
-                    r = m.rows[j]
-                    for t in range(module.dim):
-                        if (r >> t) & 1:
-                            img[t] ^= a
-            coords = proj.solve_coords(img, basis, pivots)
-            if coords is None:
-                raise InvariantViolation("GF(2^f) cut not G-stable")
-            rows.append(coords)
-        mats.append(GFMatrix(F, rows) if basis else GFMatrix(F, []))
-    return GFModule(F, mats, len(basis))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import BadIndex, CapExceeded, NotMember
+from .errors import BadIndex, CapExceeded, InvariantViolation, NotMember
 
 DEFAULT_ORDER_CAP = 10080
 
@@ -376,7 +376,8 @@ class PermGroup:
             if grown is None:  # unreachable for finite groups
                 raise RuntimeError("normalizer ascent stalled")
             current = grown
-        assert current.order == target
+        if current.order != target:
+            raise InvariantViolation("Sylow 2-subgroup search ended below the 2-part of |G|")
         return current
 
     def involution_indices(self) -> list:

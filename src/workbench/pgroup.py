@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadDegree, BadIndex, NotDihedral, TypeUnavailable, Unclassifiable
+from .errors import (BadDegree, BadIndex, InvariantViolation, NotDihedral,
+                     TypeUnavailable, Unclassifiable)
 from .perm import PermGroup, identity, inverse, mul, nu, perm_order
 
 EXT_TYPES = ("a", "b", "c", "d", "e")
@@ -55,7 +56,8 @@ def build_dihedral(d: int, cap: int | None = None) -> DihedralFrame:
     s = tuple((x + 1) % m for x in range(m))
     t = tuple((-x) % m for x in range(m))
     G = PermGroup([s, t], cap=cap)
-    assert G.order == 2 * m
+    if G.order != 2 * m:
+        raise InvariantViolation(f"<s, t> has order {G.order}, not {2 * m}")
     words = {}
     cur = identity(m)
     for k in range(m):
@@ -64,12 +66,12 @@ def build_dihedral(d: int, cap: int | None = None) -> DihedralFrame:
         cur = mul(cur, s)
     frame = DihedralFrame(d=d, group=G, s=s, t=t, words=words)
     # presentation invariants
-    assert perm_order(s) == m
-    assert mul(t, t) == identity(m)
     st = mul(s, t)
-    assert mul(st, st) == identity(m)
     z = frame.s_i(1)
-    assert all(mul(z, g) == mul(g, z) for g in (s, t))
+    if (perm_order(s) != m or mul(t, t) != identity(m)
+            or mul(st, st) != identity(m)
+            or any(mul(z, g) != mul(g, z) for g in (s, t))):
+        raise InvariantViolation(f"D_{2 * m} presentation fails")
     return frame
 
 
@@ -90,7 +92,8 @@ def _automorphism(frame: DihedralFrame, a: int, b: int) -> dict:
         if eps:
             img = mul(img, img_t)
         out[elem] = img
-    assert sorted(out.values()) == sorted(frame.words)  # bijective
+    if sorted(out.values()) != sorted(frame.words):
+        raise InvariantViolation("automorphism of D is not bijective")
     return out
 
 
@@ -143,13 +146,14 @@ class ExtensionFrame:
         self._regular = regular
         gens = [regular((g, 0)) for g in frame.group.generators] + [regular((identity(frame.group.degree), 1))]
         self.E = PermGroup(gens, degree=len(pairs))
-        assert self.E.order == 2 * frame.group.order
+        if self.E.order != 2 * frame.group.order:
+            raise InvariantViolation("the crossed product D<e> is not of order 2|D|")
         ident = identity(frame.group.degree)
         self.e = regular((ident, 1))
         self.s = regular((frame.s, 0))
         self.t = regular((frame.t, 0))
-        self.D_set = frozenset(regular((x, 0)) for x in delems)
         self._embed = {x: regular((x, 0)) for x in delems}
+        self.D_set = frozenset(self._embed.values())
 
     # -- named elements/subgroups inside E --------------------------------
 
@@ -227,7 +231,8 @@ def build_extension(frame: DihedralFrame, etype: str) -> ExtensionFrame:
     else:
         raise ValueError(f"unknown extension type {etype!r}")
     sq = _consistent_squares(frame, alpha)
-    assert u in sq
+    if u not in sq:
+        raise InvariantViolation(f"e^2 = u is not consistent for type ({etype})")
     ext = ExtensionFrame(frame, alpha, u, etype)
     _check_type_relations(ext, etype)
     return ext
@@ -240,23 +245,23 @@ def _check_type_relations(ext: ExtensionFrame, etype: str):
     s1 = ext.s_i(1)
     e2 = mul(e, e)
     if etype == "a":
-        assert e2 == ident and all(mul(e, g) == mul(g, e) for g in (s, t))
+        ok = e2 == ident and all(mul(e, g) == mul(g, e) for g in (s, t))
     elif etype == "b":
-        assert e2 == s1 and all(mul(e, g) == mul(g, e) for g in (s, t))
+        ok = e2 == s1 and all(mul(e, g) == mul(g, e) for g in (s, t))
     elif etype in ("c", "d"):
         conj_s = mul(mul(inverse(e), s), e)
-        assert conj_s == inverse(s)
-        assert e2 == (ident if etype == "c" else s1)
+        ok = conj_s == inverse(s) and e2 == (ident if etype == "c" else s1)
         order = ext.E.order
         invol = len(ext.E.involution_indices())
         if etype == "c":
-            assert ext.E.exponent() == order // 2 and invol == order // 2 + 2
+            ok = ok and ext.E.exponent() == order // 2 and invol == order // 2 + 2
         else:
-            assert invol == order // 4 + 2
-    elif etype == "e":
-        assert e2 == ident
-        assert mul(mul(inverse(e), s), e) == mul(s1, s)
-        assert mul(mul(inverse(e), t), e) == t
+            ok = ok and invol == order // 4 + 2
+    else:  # "e": build_extension admits no other type
+        ok = (e2 == ident and mul(mul(inverse(e), s), e) == mul(s1, s)
+              and mul(mul(inverse(e), t), e) == t)
+    if not ok:
+        raise InvariantViolation(f"type ({etype}) relations fail for d={d}")
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +410,8 @@ def eclass_table(ext: ExtensionFrame) -> list:
         if teps:
             x = mul(x, ext.embed(ext.frame.t))
         x = mul(x, ext.e)
-        assert x not in ext.D_set
+        if x in ext.D_set:
+            raise InvariantViolation(f"row {label}: representative lies in D")
         cls = _e_class(E, x)
         if covered & cls:
             raise Unclassifiable(f"row {label}: representative already covered")
@@ -539,7 +545,8 @@ def count_real_columns(d: int, etype: str, fusion_case: str) -> dict:
     for x in unfused:
         cols.append((x, 0, etype in ("a", "b", "e", "principal")))
     total = len(cols)
-    assert total == (1 << (d - 2)) + 3
+    if total != (1 << (d - 2)) + 3:
+        raise InvariantViolation(f"{total} columns, expected 2^(d-2) + 3")
     real_count = sum(1 for _x, _t, r in cols if r)
     return {"d": d, "etype": etype, "fusion": fusion_case,
             "total": total, "real": real_count,

@@ -16,6 +16,7 @@ from itertools import permutations
 from . import blocks as blocklib
 from . import modrep, solver
 from .chartab import CharacterTable, dixon_table
+from .errors import InvariantViolation
 from .groups import builtin_group, morita_hint
 from .perm import nu
 
@@ -256,7 +257,11 @@ def _match_table2(table, block, rep: BlockReport, hint, seed):
 
 
 def scan_groups(paths, cap=None) -> list:
-    """Hunt generator files for dihedral real blocks with E-type != (a)."""
+    """Hunt generator files for dihedral real blocks with E-type != (a).
+
+    A file that cannot be read or computed gets an "error" entry and the
+    scan goes on; an InvariantViolation is a bug, not a property of the
+    file, so it propagates."""
     from .perm import generate, read_generator_file
     out = []
     for path in paths:
@@ -274,6 +279,8 @@ def scan_groups(paths, cap=None) -> list:
             entry["order"] = G.order
             entry["blocks"] = len(parts)
             entry["nontrivial_etype_blocks"] = hits
+        except InvariantViolation:
+            raise
         except Exception as exc:  # scan keeps going past bad files
             entry["error"] = f"{type(exc).__name__}: {exc}"
         out.append(entry)

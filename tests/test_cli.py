@@ -164,8 +164,12 @@ def test_usage_error_exit_code():
 
 
 def test_cap_order_env(monkeypatch, capsys):
+    # a cap is "cannot compute": exit 3 and one line on stderr, no traceback
     monkeypatch.setenv("WORKBENCH_CAP_ORDER", "100")
-    from workbench.errors import CapExceeded
-    with pytest.raises(CapExceeded):
-        run(capsys, ["group", "--group", "psl27"])
+    code = cli.main(["group", "--group", "psl27"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("workbench: CapExceeded: ")
     monkeypatch.delenv("WORKBENCH_CAP_ORDER")

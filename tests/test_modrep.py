@@ -6,7 +6,7 @@ from oracles import matrix_minpoly
 from workbench import blocks, meataxe, modrep
 from workbench.chartab import dixon_table
 from workbench.errors import FieldTooSmall, InvariantViolation, NotInO2
-from workbench.gf2 import BitMatrix, Echelon, GF2Field, GFMatrix, restrict
+from workbench.gf2 import BitMatrix, Echelon, GF2Field, restrict
 from workbench.groups import builtin_group
 from workbench.perm import mul, identity
 
@@ -55,19 +55,31 @@ def test_block_cuts_partition_komega():
         assert total == m.dim, name
 
 
-def test_gf_cut_path_odd_group():
+def test_orbit_route_odd_group():
     # C3 blocks have GF(4) idempotents; dims must still partition k-Omega
     T = table("c3")
     m = modrep.involution_perm_module(T.group)
     assert m.dim == 1
     dims = [modrep.block_cut(T, b, m).dim for b in blocks.block_partition(T)]
     assert sorted(dims) == [0, 0, 1]
-    # the non-principal blocks have genuine GF(4) idempotents
+    # the non-principal blocks have genuine GF(4) idempotents, so their cut
+    # is a dimension only, with no action matrices
     nonprincipal = next(b for b in blocks.block_partition(T) if not b.is_principal)
     cut = modrep.block_cut(T, nonprincipal, m)
     assert isinstance(cut, modrep.GFModule)
+    assert cut.mats is None
     with pytest.raises(FieldTooSmall):
         modrep.meataxe_factors(cut)
+
+
+@pytest.mark.parametrize("name,dims", [("psl2_9", [8, 8]), ("psl2_11", [12, 12])],
+                         ids=["psl2_9", "psl2_11"])
+def test_non_rational_cut_dims(name, dims):
+    # the dimensions the GF(2^F) matrix route gave; the orbit route repeats them
+    T = table(name)
+    m = modrep.involution_perm_module(T.group)
+    cuts = [modrep.block_cut(T, b, m) for b in blocks.block_partition(T)]
+    assert [cut.dim for cut in cuts if isinstance(cut, modrep.GFModule)] == dims
 
 
 def test_meataxe_psl27_principal_cut():
@@ -183,64 +195,49 @@ def test_export_format_roundtrip():
     assert BitMatrix.from_text(text) == m.mats[0]
 
 
-def _class_sum_projector(T, coeffs, m, field_f):
-    """Oracle: sum_j coeffs[j] C_j+ from full class-sum matrices."""
+def _frobenius_orbit_sum(T, b):
+    """Oracle: the Frobenius-orbit sum of e_B's coefficients and the orbit length."""
+    F = GF2Field(b.field_f)
+    coeffs = blocks.block_idempotent_support(T, b)
+    orbit = [coeffs]
+    while True:
+        nxt = [F.mul(c, c) for c in orbit[-1]]
+        if nxt == coeffs:
+            break
+        orbit.append(nxt)
+    total = [0] * T.k
+    for vec in orbit:
+        total = [a ^ c for a, c in zip(total, vec)]
+    return total, len(orbit)
+
+
+def _class_sum_projector(T, coeffs, m):
+    """Oracle: sum_j coeffs[j] C_j+ over GF(2) from full class-sum matrices."""
     n = m.dim
-    if all(c in (0, 1) for c in coeffs):
-        acc = BitMatrix.zero(n, n)
-        for j, c in enumerate(coeffs):
-            if c:
-                acc = acc + modrep.class_sum_matrix(T.group, m.labels,
-                                                    T.classes[j].members)
-        return acc
-    F = GF2Field(field_f)
-    acc = GFMatrix.zero(F, n, n)
+    acc = BitMatrix.zero(n, n)
     for j, c in enumerate(coeffs):
         if c:
-            s = modrep.class_sum_matrix(T.group, m.labels, T.classes[j].members)
-            acc = acc + GFMatrix(F, [[c if s.get(i, jj) else 0 for jj in range(n)]
-                                     for i in range(n)])
+            acc = acc + modrep.class_sum_matrix(T.group, m.labels, T.classes[j].members)
     return acc
 
 
 @pytest.mark.parametrize("name,non_rational", [
     ("s4", False), ("c2xs3", False), ("psl27", False), ("s5", False),
-    ("a7", False), ("psl2_9", True), ("c3xs4", True), ("c3xpsl27", True)])
+    ("a7", False), ("psl2_9", True), ("c3xs4", True), ("c3xpsl27", True),
+    ("pgl2_11", True)])
 def test_orbital_projector_matches_class_sums(name, non_rational):
     T = table(name)
     m = modrep.involution_perm_module(T.group)
-    routes = set()
+    lengths = set()
     for b in blocks.block_partition(T):
-        coeffs = blocks.block_idempotent_support(T, b)
-        proj = modrep.block_projector(T, b, m)
-        routes.add(type(proj))
-        assert proj == _class_sum_projector(T, coeffs, m, b.field_f), (name, b.rows)
-    assert (GFMatrix in routes) == non_rational
-
-
-def test_orbit_route_dims_match_class_sums():
-    # |Omega| = 122 > 64: non-rational blocks take the Frobenius-orbit route
-    T = table("pgl2_11")
-    m = modrep.involution_perm_module(T.group)
-    orbit_blocks = 0
-    for b in blocks.block_partition(T):
-        if modrep.block_projector(T, b, m) is not None:
-            continue
-        orbit_blocks += 1
-        F = GF2Field(b.field_f)
-        coeffs = blocks.block_idempotent_support(T, b)
-        orbit = [coeffs]
-        while True:
-            nxt = [F.mul(c, c) for c in orbit[-1]]
-            if nxt == coeffs:
-                break
-            orbit.append(nxt)
-        total = [0] * T.k
-        for vec in orbit:
-            total = [a ^ c for a, c in zip(total, vec)]
-        oracle = _class_sum_projector(T, total, m, 1)
-        assert modrep.block_cut(T, b, m).dim * len(orbit) == oracle.rank()
-    assert orbit_blocks == 2
+        total, length = _frobenius_orbit_sum(T, b)
+        assert all(c in (0, 1) for c in total), (name, b.rows)
+        oracle = _class_sum_projector(T, total, m)
+        proj, got_length = modrep.block_projector(T, b, m)
+        assert (proj, got_length) == (oracle, length), (name, b.rows)
+        assert modrep.block_cut(T, b, m).dim * length == oracle.rank(), (name, b.rows)
+        lengths.add(length)
+    assert (max(lengths) > 1) == non_rational
 
 
 @pytest.mark.parametrize("name", ["psl27", "a7", "pgl2_11"])

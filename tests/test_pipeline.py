@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from workbench.pipeline import analyze_group, fit_morita_rows
-from workbench import blocks
+from workbench.pipeline import analyze_group, fit_morita_rows, scan_groups
+from workbench import blocks, pipeline
+from workbench.errors import FieldTooSmall, InvariantViolation
 from workbench.chartab import dixon_table
 from workbench.groups import builtin_group
 
@@ -74,3 +75,22 @@ def test_golden_report_digest(name):
     rep = analyze_group(builtin_group(name), name=name, seed=0)
     canonical = json.dumps(rep, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(canonical.encode()).hexdigest() == GOLDEN_SHA256[name]
+
+
+def _raising(exc):
+    def dixon_table(_G):
+        raise exc("raised by the test")
+    return dixon_table
+
+
+def test_scan_propagates_invariant_violations(monkeypatch, tmp_path):
+    # an InvariantViolation is a bug, not a bad file: the scan must not hide it
+    f = tmp_path / "d8.txt"
+    f.write_text("(1 2 3 4)\n(1 3)\n")
+    monkeypatch.setattr(pipeline, "dixon_table", _raising(InvariantViolation))
+    with pytest.raises(InvariantViolation):
+        scan_groups([f])
+    # any other error still becomes the file's own entry
+    monkeypatch.setattr(pipeline, "dixon_table", _raising(FieldTooSmall))
+    [entry] = scan_groups([f])
+    assert entry["error"] == "FieldTooSmall: raised by the test"
