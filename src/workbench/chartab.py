@@ -1,9 +1,13 @@
 """Exact ordinary character tables via Dixon's method.
 
 Class-algebra structure constants are diagonalized over GF(p) for a prime
-p = 1 mod exp(G) (least such prime above 4*sqrt|G|), degrees are recovered
-from orthogonality mod p, and values are lifted exactly to Q(zeta_n) from
-eigenvalue multiplicities.  Everything downstream of the lift is exact.
+p = 1 mod exp(G) (least such prime above 4*sqrt|G|): eigenvalues are the
+roots of characteristic polynomials (Cantor–Zassenhaus), eigenspaces and
+coordinates come from `linalg`.  Orthogonality gives d^2 mod p for each
+degree d, and since p > 4*sqrt|G| + 1 exactly one d <= sqrt|G| fits.
+Values are lifted exactly to Q(zeta_n) from eigenvalue multiplicities, and
+everything downstream of the lift is exact; FS indicators are computed once
+per table, on first use.
 """
 
 from __future__ import annotations
@@ -11,7 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .cyclotomic import Cyclotomic
+from . import linalg
+from .cyclotomic import Cyclotomic, prime_divisors
 from .errors import CapExceeded, InvariantViolation, NonIndicatorValue
 from .perm import PermGroup, perm_power, nu
 
@@ -23,26 +28,7 @@ CLASS_CAP = 60
 # ---------------------------------------------------------------------------
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    return n >= 2 and all(n % q for q in range(2, isqrt(n) + 1))
 
 
 def _dixon_prime(exponent: int, order: int) -> int:
@@ -54,47 +40,11 @@ def _dixon_prime(exponent: int, order: int) -> int:
 
 
 def _primitive_root(p: int) -> int:
-    factors = []
-    n = p - 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            factors.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        factors.append(n)
+    factors = prime_divisors(p - 1)
     for z in range(2, p):
         if all(pow(z, (p - 1) // q, p) != 1 for q in factors):
             return z
-    raise ArithmeticError("no primitive root")
-
-
-def _sqrt_modp(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        raise ArithmeticError("not a quadratic residue")
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # Tonelli-Shanks
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = next(x for x in range(2, p) if pow(x, (p - 1) // 2, p) == p - 1)
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, tt = 0, t
-        while tt != 1:
-            tt = tt * tt % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
+    raise InvariantViolation(f"no primitive root mod {p}")
 
 
 def _poly_trim(f):
@@ -139,10 +89,10 @@ def _poly_gcd_modp(f, g, p):
     return f
 
 
-def _poly_powmod_x(e: int, m, p):
-    """x^e mod m over GF(p)."""
+def _poly_powmod(base, e: int, m, p):
+    """base^e mod m over GF(p)."""
     result = [1]
-    base = _poly_mod([0, 1], m, p)
+    base = _poly_mod(base, m, p)
     while e:
         if e & 1:
             result = _poly_mod(_poly_mul_modp(result, base, p), m, p)
@@ -155,14 +105,14 @@ def _roots_modp(f, p):
     """All roots in GF(p) of f (multiplicities collapsed)."""
     f = _poly_trim(f[:])
     if f == [0]:
-        raise ArithmeticError("zero polynomial")
+        raise InvariantViolation("root search on the zero polynomial")
     roots = set()
     while len(f) > 1 and f[0] == 0:
         roots.add(0)
         f = _poly_trim(f[1:])
     if len(f) <= 1:
         return sorted(roots)
-    xp = _poly_powmod_x(p, f, p)          # x^p mod f
+    xp = _poly_powmod([0, 1], p, f, p)    # x^p mod f
     g = xp + [0] * max(0, 2 - len(xp))
     g[1] = (g[1] - 1) % p                 # x^p - x mod f
     g = _poly_trim(g)
@@ -182,15 +132,7 @@ def _roots_modp(f, p):
         c = c0
         while True:
             # gcd((x+c)^((p-1)/2) - 1, h) separates roots by quadratic character
-            acc = [1]
-            e = (p - 1) // 2
-            b = _poly_mod([c, 1], h, p)
-            while e:
-                if e & 1:
-                    acc = _poly_mod(_poly_mul_modp(acc, b, p), h, p)
-                b = _poly_mod(_poly_mul_modp(b, b, p), h, p)
-                e >>= 1
-            acc = acc + [0] * max(0, 1 - len(acc))
+            acc = _poly_powmod([c, 1], (p - 1) // 2, h, p)
             acc[0] = (acc[0] - 1) % p
             acc = _poly_trim(acc)
             if acc != [0]:
@@ -274,6 +216,7 @@ class CharacterTable:
         self.k = len(classes)
         self.prime = prime
         self._power_maps = {}
+        self._fs_vector = None
         self.inverse_map = tuple(self._power_map(-1))
         self.powermap2 = tuple(self._power_map(2))
 
@@ -290,15 +233,22 @@ class CharacterTable:
         self._power_maps[r_key] = out
         return out
 
-    def class_order(self, j: int) -> int:
-        return self.classes[j].order
-
     def value(self, i: int, j: int) -> Cyclotomic:
         return self.chars[i][j]
 
     # -- derived data -------------------------------------------------------
 
     def fs_indicator(self, i: int) -> int:
+        """Frobenius–Schur indicator of chi_i, in {-1, 0, +1}."""
+        return self.fs_vector()[i]
+
+    def fs_vector(self):
+        """FS indicators of all rows, computed once per table."""
+        if self._fs_vector is None:
+            self._fs_vector = tuple(self._fs_value(i) for i in range(self.k))
+        return self._fs_vector
+
+    def _fs_value(self, i: int) -> int:
         """Average of chi(g^2) over G, computed exactly; in {-1, 0, +1}."""
         total = Cyclotomic.rational(0)
         for j, c in enumerate(self.classes):
@@ -310,9 +260,6 @@ class CharacterTable:
         if v not in (-1, 0, 1):
             raise NonIndicatorValue(f"chi_{i}: {v}")
         return int(v)
-
-    def fs_vector(self):
-        return tuple(self.fs_indicator(i) for i in range(self.k))
 
     def is_real_char(self, i: int) -> bool:
         return all(v.is_real() for v in self.chars[i])
@@ -326,7 +273,7 @@ class CharacterTable:
                 continue
             if all(self.chars[l][j] == target[j] for j in range(self.k)):
                 return l
-        raise ArithmeticError("conjugate character not found")
+        raise InvariantViolation(f"conjugate of chi_{i} not found")
 
     def _two_galois_exponents(self):
         """Exponents r = 1 mod (odd part) generating Galois fixing odd roots."""
@@ -363,19 +310,6 @@ class CharacterTable:
                     if l not in orbit and self.degrees[l] == self.degrees[i] and \
                             all(self.chars[l][j] == img[j] for j in range(self.k)):
                         orbit.add(l)
-            # orbit closure
-            changed = True
-            while changed:
-                changed = False
-                for m in list(orbit):
-                    for r in exps:
-                        pm = self._power_map(r)
-                        img = [self.chars[m][pm[j]] for j in range(self.k)]
-                        for l in remaining:
-                            if l not in orbit and self.degrees[l] == self.degrees[m] and \
-                                    all(self.chars[l][j] == img[j] for j in range(self.k)):
-                                orbit.add(l)
-                                changed = True
             fams.append(tuple(sorted(orbit)))
             remaining -= orbit
         return fams
@@ -444,7 +378,7 @@ def dixon_table(G: PermGroup) -> CharacterTable:
                 B = [[(A[r][c] - (lam if r == c else 0)) % p for c in range(len(A))]
                      for r in range(len(A))]
                 vecs = []
-                for coord in _nullspace_modp(B, p):
+                for coord in linalg.nullspace(B, p):
                     vec = [0] * k
                     for t, cv in enumerate(coord):
                         if cv:
@@ -478,10 +412,10 @@ def dixon_table(G: PermGroup) -> CharacterTable:
         for j in range(k):
             f = (f + w[j] * w[inv_class[j]] % p * inv_sizes[j]) % p
         d2 = order * pow(f, p - 2, p) % p
-        r = _sqrt_modp(d2, p)
-        d = min(r, p - r)
-        if not 1 <= d <= isqrt(order):
-            raise InvariantViolation(f"degree {d} out of range")
+        # p > 4 isqrt|G| + 1, so at most one d <= isqrt|G| has d^2 = d2 mod p
+        d = next((d for d in range(1, isqrt(order) + 1) if d * d % p == d2), None)
+        if d is None:
+            raise InvariantViolation(f"no degree d <= sqrt|G| with d^2 = {d2} mod {p}")
         degrees.append(d)
     if sum(d * d for d in degrees) != order:
         raise InvariantViolation("squared degrees do not sum to |G|")
@@ -548,68 +482,8 @@ def _unit(k, j):
 def _restrict(M, basis, p):
     """Matrix of w -> M w on span(basis), in basis coordinates."""
     k = len(M)
-    cols = []
-    for b in basis:
-        img = [sum(M[r][c] * b[c] for c in range(k)) % p for r in range(k)]
-        cols.append(_coords_in(basis, img, p))
-    n = len(basis)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
-def _coords_in(basis, vec, p):
-    """Solve vec = sum c_t basis[t] over GF(p)."""
-    k = len(vec)
-    n = len(basis)
-    aug = [[basis[t][r] for t in range(n)] + [vec[r]] for r in range(k)]
-    coords = [0] * n
-    r = 0
-    piv = []
-    for c in range(n):
-        pr = next((i for i in range(r, k) if aug[i][c] % p), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = pow(aug[r][c], p - 2, p)
-        aug[r] = [x * inv % p for x in aug[r]]
-        for i in range(k):
-            if i != r and aug[i][c] % p:
-                f = aug[i][c]
-                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[r])]
-        piv.append(c)
-        r += 1
-    for i in range(r, k):
-        if aug[i][n] % p:
-            raise InvariantViolation("vector outside span")
-    for row_i, c in enumerate(piv):
-        coords[c] = aug[row_i][n]
-    return coords
-
-
-def _nullspace_modp(B, p):
-    """Basis of {v : B v = 0} over GF(p) (column vectors as lists)."""
-    n = len(B)
-    rows = [row[:] for row in B]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, n) if rows[i][c] % p), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
-    free = [c for c in range(n) if c not in piv_cols]
-    basis = []
-    for fc in free:
-        v = [0] * n
-        v[fc] = 1
-        for row_i, pc in enumerate(piv_cols):
-            v[pc] = (-rows[row_i][fc]) % p
-        basis.append(v)
-    return basis
+    imgs = [[sum(M[r][c] * b[c] for c in range(k)) % p for r in range(k)] for b in basis]
+    sol = linalg.solve(basis, imgs, p)
+    if sol is None:
+        raise InvariantViolation("vector outside span")
+    return [list(row) for row in zip(*sol[0])]

@@ -2,7 +2,9 @@
 
 Values are represented in Q[x]/(Phi_e(x)) with dense Fraction coefficient
 tuples; equality is coefficient equality after lifting to a common
-conductor.  Reduction mod 2 sends 2-power-order roots to 1 and an odd-order
+conductor.  Serialization first minimizes the conductor: a value fixed by
+the Galois group of Q(zeta_e) over Q(zeta_{e/q}) is rewritten in the
+smaller power basis by one rational solve (`linalg.solve`).  Reduction mod 2 sends 2-power-order roots to 1 and an odd-order
 root zeta_{e'} to the pinned primitive e'-th root of GF(2^f)*, so all runs
 agree bit-for-bit.
 """
@@ -13,6 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from . import linalg
 from .errors import ConductorOverflow, InvariantViolation, NotTwoIntegral
 from .gf2 import GF2Field, GF2m, multiplicative_order_of_2
 
@@ -90,7 +93,7 @@ class Cyclotomic:
 
     @classmethod
     def rational(cls, value) -> "Cyclotomic":
-        return cls(1, [Fraction(value)]) if _phi_degree(1) == 1 else cls(1, [])
+        return cls(1, [Fraction(value)])
 
     @classmethod
     def root(cls, e: int, k: int = 1) -> "Cyclotomic":
@@ -227,7 +230,7 @@ class Cyclotomic:
         while changed:
             changed = False
             e = cur.e
-            for q in _prime_divisors(e):
+            for q in prime_divisors(e):
                 low = e // q
                 if cur._descends_to(low):
                     cur = cur._rewrite(low)
@@ -249,11 +252,10 @@ class Cyclotomic:
         degL = _phi_degree(low)
         tab = _power_table(e)
         cols = [tab[(step * j) % e] for j in range(degL)]
-        target = list(self.coeffs)
-        sol = _solve_rational([list(c) for c in cols], target)
+        sol = linalg.solve(cols, [self.coeffs])
         if sol is None:  # descent test passed, so this is unreachable
-            raise ArithmeticError("conductor rewrite failed")
-        return Cyclotomic(low, sol)
+            raise InvariantViolation(f"{self!r} does not descend to conductor {low}")
+        return Cyclotomic(low, sol[0][0])
 
     # -- serialization -----------------------------------------------------------
 
@@ -321,7 +323,8 @@ def one() -> Cyclotomic:
 
 
 @lru_cache(maxsize=None)
-def _prime_divisors(n: int) -> tuple:
+def prime_divisors(n: int) -> tuple:
+    """The distinct primes dividing n, ascending."""
     out = []
     d = 2
     while d * d <= n:
@@ -333,33 +336,3 @@ def _prime_divisors(n: int) -> tuple:
     if n > 1:
         out.append(n)
     return tuple(out)
-
-
-def _solve_rational(cols, target):
-    """Solve sum_j y_j cols[j] = target over Q; returns y or None."""
-    m = len(target)
-    n = len(cols)
-    A = [[Fraction(cols[j][i]) for j in range(n)] + [Fraction(target[i])]
-         for i in range(m)]
-    piv_of_col = {}
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if A[i][c] != 0), None)
-        if pr is None:
-            continue
-        A[r], A[pr] = A[pr], A[r]
-        inv = 1 / A[r][c]
-        A[r] = [x * inv for x in A[r]]
-        for i in range(m):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-        piv_of_col[c] = r
-        r += 1
-    for i in range(r, m):
-        if A[i][n] != 0:
-            return None
-    sol = [Fraction(0)] * n
-    for c, row in piv_of_col.items():
-        sol[c] = A[row][n]
-    return sol

@@ -374,7 +374,7 @@ class PermGroup:
                         grown = cand
                         break
             if grown is None:  # unreachable for finite groups
-                raise RuntimeError("normalizer ascent stalled")
+                raise InvariantViolation("normalizer ascent stalled")
             current = grown
         if current.order != target:
             raise InvariantViolation("Sylow 2-subgroup search ended below the 2-part of |G|")

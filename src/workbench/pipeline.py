@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import permutations
 
 from . import blocks as blocklib
-from . import modrep, solver
+from . import linalg, modrep, solver
 from .chartab import CharacterTable, dixon_table
 from .errors import InvariantViolation
 from .groups import builtin_group, morita_hint
@@ -55,32 +55,10 @@ def fit_morita_rows(table: CharacterTable, block, type_id: str):
 
 def _solve_dims(sh, degs, fam_degree, l):
     """Positive integer dims with dec * dims = degs and fam * dims = fam_degree."""
-    rows = [list(r) for r in sh["dec"]] + [list(sh["fam"])]
-    rhs = list(degs) + [fam_degree]
-    # Gaussian elimination over Q
-    from fractions import Fraction
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    piv = {}
-    r = 0
-    for c in range(l):
-        pr = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv[c] = r
-        r += 1
-    if len(piv) != l:
+    sol = linalg.solve(list(zip(*sh["dec"], sh["fam"])), [[*degs, fam_degree]])
+    if sol is None or len(sol[1]) != l:
         return None
-    for i in range(r, len(aug)):
-        if aug[i][l] != 0:
-            return None
-    dims = [aug[piv[c]][l] for c in range(l)]
+    dims = sol[0][0]
     if any(x.denominator != 1 or x <= 0 for x in dims):
         return None
     return [int(x) for x in dims]
