@@ -15,7 +15,7 @@ from math import gcd
 from .chartab import CharacterTable
 from .errors import InvariantViolation, NotRealBlock
 from .gf2 import multiplicative_order_of_2
-from .perm import PermGroup, conj, inverse, nu
+from .perm import PermGroup, conj, nu
 from .pgroup import classify_extension, is_dihedral_2group
 
 
@@ -105,28 +105,16 @@ def block_idempotent_support(table: CharacterTable, block: BlockData) -> list:
 def idempotent_square_check(table: CharacterTable, coeffs) -> bool:
     """Verify (sum a_C C+)^2 = itself in Z(kG), via structure constants mod 2."""
     from .gf2 import GF2Field
-    G = table.group
     k = table.k
     F = GF2Field(omega_field(table))
-    from .perm import mul
-    reps = [G.elements[c.rep] for c in table.classes]
     sq = [0] * k
-    for i, ci in enumerate(table.classes):
-        if coeffs[i] == 0:
-            continue
-        for jj, cj in enumerate(table.classes):
-            if coeffs[jj] == 0:
-                continue
+    for i in range(k):
+        for jj in range(k):
             prod = F.mul(coeffs[i], coeffs[jj])
-            if prod == 0:
-                continue
-            # a_{i jj}^l mod 2
-            inv_members = [inverse(G.elements[m]) for m in ci.members]
-            for l, gl in enumerate(reps):
-                cnt = sum(1 for u_inv in inv_members
-                          if G.class_of(G.idx(mul(u_inv, gl))) == jj)
-                if cnt % 2:
-                    sq[l] = F.add(sq[l], prod)
+            if prod:
+                for l in range(k):
+                    if table.constants[i][jj][l] % 2:
+                        sq[l] = F.add(sq[l], prod)
     return sq == list(coeffs)
 
 
@@ -202,21 +190,10 @@ def couple_conjugacy_check(table: CharacterTable, block: BlockData) -> bool:
     for other in couples[1:]:
         oD = other.D.element_set()
         oE = other.E.element_set()
-        found = False
-        for g in G.elements:
-            gi = inverse(g)
-            if all(_cnj(gi, x, g) in base_D for x in oD) and \
-                    all(_cnj(gi, x, g) in base_E for x in oE):
-                found = True
-                break
-        if not found:
+        if not any(all(conj(x, g) in base_D for x in oD) and
+                   all(conj(x, g) in base_E for x in oE) for g in G.elements):
             return False
     return True
-
-
-def _cnj(gi, x, g):
-    from .perm import mul
-    return mul(mul(gi, x), g)
 
 
 def analyze_blocks(table: CharacterTable) -> list:

@@ -8,6 +8,10 @@ degree d, and since p > 4*sqrt|G| + 1 exactly one d <= sqrt|G| fits.
 Values are lifted exactly to Q(zeta_n) from eigenvalue multiplicities, and
 everything downstream of the lift is exact; FS indicators are computed once
 per table, on first use.
+
+The class data (the class of every power of every representative, and the
+structure constants) is worked out once, in `dixon_table`, and kept on the
+table: power maps and the block idempotent check read it from there.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from math import isqrt
 from . import linalg
 from .cyclotomic import Cyclotomic, prime_divisors
 from .errors import CapExceeded, InvariantViolation, NonIndicatorValue
-from .perm import PermGroup, perm_power, nu
+from .perm import PermGroup, mul
 
 CLASS_CAP = 60
 
@@ -208,14 +212,16 @@ def _charpoly_modp(A, p):
 class CharacterTable:
     """Irreducible characters x conjugacy classes, exactly over Q(zeta)."""
 
-    def __init__(self, group: PermGroup, classes, chars, degrees, prime):
+    def __init__(self, group: PermGroup, classes, chars, degrees, prime,
+                 power_classes, constants):
         self.group = group
         self.classes = classes
         self.chars = chars              # list of tuples of Cyclotomic
         self.degrees = degrees
         self.k = len(classes)
         self.prime = prime
-        self._power_maps = {}
+        self.power_classes = power_classes  # [j][r]: class of rep_j^r, 0 <= r < order
+        self.constants = constants      # [i][j][l]: #{u in C_i : u^-1 g_l in C_j}
         self._fs_vector = None
         self.inverse_map = tuple(self._power_map(-1))
         self.powermap2 = tuple(self._power_map(2))
@@ -223,18 +229,7 @@ class CharacterTable:
     # -- class/power bookkeeping -----------------------------------------
 
     def _power_map(self, r: int):
-        r_key = r
-        if r_key in self._power_maps:
-            return self._power_maps[r_key]
-        out = []
-        for c in self.classes:
-            rep = self.group.elements[c.rep]
-            out.append(self.group.class_of(self.group.idx(perm_power(rep, r))))
-        self._power_maps[r_key] = out
-        return out
-
-    def value(self, i: int, j: int) -> Cyclotomic:
-        return self.chars[i][j]
+        return [pcs[r % len(pcs)] for pcs in self.power_classes]
 
     # -- derived data -------------------------------------------------------
 
@@ -345,16 +340,27 @@ def dixon_table(G: PermGroup) -> CharacterTable:
     sizes = [c.size() for c in classes]
     id_class = G.class_of(G.identity_idx())
 
-    # structure constants: a[i][j][l] = #{u in C_i : u^-1 g_l in C_j}
+    # class data: power_classes[j][r] is the class of rep_j^r for
+    # 0 <= r < order, so power_classes[j][-1] is the class of rep_j^-1
+    power_classes = []
+    for c, rep in zip(classes, reps):
+        pcs = []
+        cur = G.identity_idx()
+        for _ in range(c.order):
+            pcs.append(G.class_of(cur))
+            cur = G.idx(mul(G.elements[cur], rep))
+        power_classes.append(pcs)
+    inv_class = [pcs[-1] for pcs in power_classes]
+
+    # structure constants: a[i][j][l] = #{u in C_i : u^-1 g_l in C_j},
+    # with u^-1 running over the inverse class C_{i^-1}
     a = [[[0] * k for _ in range(k)] for _ in range(k)]
-    from .perm import inverse, mul
-    for i, ci in enumerate(classes):
-        inv_members = [inverse(G.elements[m]) for m in ci.members]
+    for i in range(k):
+        row = a[i]
+        inv_members = [G.elements[m] for m in classes[inv_class[i]].members]
         for l, gl in enumerate(reps):
-            row = a[i]
             for u_inv in inv_members:
-                j = G.class_of(G.idx(mul(u_inv, gl)))
-                row[j][l] += 1
+                row[G.class_of(G.idx(mul(u_inv, gl)))][l] += 1
 
     exponent = G.exponent()
     p = _dixon_prime(exponent, order)
@@ -400,11 +406,6 @@ def dixon_table(G: PermGroup) -> CharacterTable:
         scale = pow(w[id_class], p - 2, p)
         omegas.append([x * scale % p for x in w])
 
-    inv_class = []
-    for c in classes:
-        rep = G.elements[c.rep]
-        inv_class.append(G.class_of(G.idx(inverse(rep))))
-
     degrees = []
     inv_sizes = [pow(s, p - 2, p) for s in sizes]
     for w in omegas:
@@ -422,17 +423,6 @@ def dixon_table(G: PermGroup) -> CharacterTable:
 
     # exact value lift per class from eigenvalue multiplicities
     z = _primitive_root(p)
-    power_classes = []
-    for j, c in enumerate(classes):
-        n = c.order
-        rep = reps[j]
-        pcs = []
-        cur = G.identity_idx()
-        for r in range(n):
-            pcs.append(G.class_of(cur))
-            cur = G.idx(mul(G.elements[cur], rep))
-        power_classes.append(pcs)
-
     chars = []
     for w, d in zip(omegas, degrees):
         row = []
@@ -466,7 +456,7 @@ def dixon_table(G: PermGroup) -> CharacterTable:
     chars = [chars[i] for i in key]
     degrees = [degrees[i] for i in key]
 
-    table = CharacterTable(G, classes, chars, degrees, p)
+    table = CharacterTable(G, classes, chars, degrees, p, power_classes, a)
     for i in range(k):
         if table.chars[i][id_class].rational_value() != degrees[i]:
             raise InvariantViolation("a character's value at 1 is not its degree")

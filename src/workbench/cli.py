@@ -3,8 +3,11 @@
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 cannot
 compute: a `WorkbenchError` (a cap exceeded, a field out of range, a failed
 internal check) ends the run with one line `workbench: <Type>: <message>`
-on stderr.  All randomized internals take --seed (default 0);
-WORKBENCH_CAP_ORDER overrides the group-order cap.
+on stderr.  Bad input names exit 2 with one line `workbench: <message>`:
+an unknown builtin group, a generator file that cannot be read or parsed,
+or an `invmod --block` that is neither 'principal' nor a block index.
+All randomized internals take --seed (default 0); WORKBENCH_CAP_ORDER
+overrides the group-order cap.
 """
 
 from __future__ import annotations
@@ -22,11 +25,23 @@ from .perm import generate, read_generator_file
 from .pipeline import analyze_group, scan_groups
 
 
+class _UsageError(Exception):
+    """Bad input named on the command line; `main` exits 2."""
+
+
 def _load_group(spec: str, cap=None):
     if spec.endswith(".txt") or "/" in spec:
-        gens = read_generator_file(spec)
+        try:
+            gens = read_generator_file(spec)
+        except OSError as exc:
+            raise _UsageError(f"cannot read {spec}: {exc.strerror}") from None
+        except ValueError as exc:
+            raise _UsageError(f"{spec}: {exc}") from None
         return generate(gens, cap=cap), spec
-    return builtin_group(spec), spec
+    try:
+        return builtin_group(spec), spec
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _emit(payload, as_json: bool):
@@ -145,8 +160,11 @@ def cmd_invmod(args) -> int:
     parts = blocklib.analyze_blocks(table)
     if args.block == "principal":
         block = next(b for b in parts if b.is_principal)
-    else:
+    elif args.block.isdecimal() and int(args.block) < len(parts):
         block = parts[int(args.block)]
+    else:
+        raise _UsageError(f"--block {args.block}: expected 'principal' or a "
+                          f"block index in 0..{len(parts) - 1}")
     omega = modrep.involution_perm_module(G)
     cut = modrep.block_cut(table, block, omega)
     payload = {"group": name, "omega_dim": omega.dim, "dim": cut.dim}
@@ -309,6 +327,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except BrokenPipeError:
         return 0
+    except _UsageError as exc:
+        print(f"workbench: {exc}", file=sys.stderr)
+        return 2
     except WorkbenchError as exc:
         print(f"workbench: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -588,15 +588,13 @@ def dimension_valuation_check(table: CharacterTable, block: BlockData,
     D, E = couple.D, couple.E
     nuG = nu(G.order)
     bound1 = nuG - nu(D.order)
-    cents = []
     ident = identity(G.degree)
     if E.order == D.order:
         pool = [x for x in D.elements if mul(x, x) == ident]
     else:
         pool = [x for x in E.elements if x not in D.index and mul(x, x) == ident]
-    for t in pool:
-        cd = sum(1 for g in D.elements if mul(g, t) == mul(t, g))
-        cents.append(cd)
+    # |C_D(t)|: the part of C_E(t) that lies in D
+    cents = [sum(1 for g in E.centralizer(t).elements if g in D.index) for t in pool]
     bound2 = nuG - nu(max(cents)) if cents else None
     rows = []
     ok = True

@@ -58,19 +58,6 @@ def perm_order(p: Perm) -> int:
     return n
 
 
-def perm_power(p: Perm, n: int) -> Perm:
-    if n < 0:
-        return perm_power(inverse(p), -n)
-    result = identity(len(p))
-    base = p
-    while n:
-        if n & 1:
-            result = mul(result, base)
-        base = mul(base, base)
-        n >>= 1
-    return result
-
-
 def is_perm(images) -> bool:
     return sorted(images) == list(range(len(images)))
 
@@ -187,7 +174,11 @@ class PermGroup:
         self.degree = degree
         self.generators = gens
         self._cap = cap if cap is not None else order_cap()
-        self.elements = self._close()
+        self._adopt(self._close())
+
+    def _adopt(self, elements: list):
+        """Install a sorted element list as the table; reset the class memo."""
+        self.elements = elements
         self.index = {p: i for i, p in enumerate(self.elements)}
         self.order = len(self.elements)
         self._classes = None
@@ -224,9 +215,6 @@ class PermGroup:
 
     def identity_idx(self) -> int:
         return self.index[identity(self.degree)]
-
-    def mul_idx(self, i: int, j: int) -> int:
-        return self.index[mul(self.elements[i], self.elements[j])]
 
     def inv_idx(self, i: int) -> int:
         return self.index[inverse(self.elements[i])]
@@ -292,11 +280,14 @@ class PermGroup:
     def subgroup(self, gen_perms) -> "PermGroup":
         return PermGroup(list(gen_perms), degree=self.degree, cap=self._cap)
 
-    def centralizer(self, p: Perm) -> "PermGroup":
-        p = tuple(p)
-        if p not in self.index:
-            raise NotMember(f"{p} not in group")
-        elems = [x for x in self.elements if mul(x, p) == mul(p, x)]
+    def centralizer(self, *members: Perm) -> "PermGroup":
+        """The elements that commute with every one of `members`."""
+        elems = self.elements
+        for p in members:
+            p = tuple(p)
+            if p not in self.index:
+                raise NotMember(f"{p} not in group")
+            elems = [x for x in elems if mul(x, p) == mul(p, x)]
         return self._from_elements(elems)
 
     def extended_centralizer(self, p: Perm) -> "PermGroup":
@@ -323,11 +314,7 @@ class PermGroup:
         g.degree = self.degree
         g.generators = list(elems)
         g._cap = self._cap
-        g.elements = sorted(elems)
-        g.index = {p: i for i, p in enumerate(g.elements)}
-        g.order = len(g.elements)
-        g._classes = None
-        g._class_of = None
+        g._adopt(sorted(elems))
         return g
 
     def element_set(self) -> frozenset:

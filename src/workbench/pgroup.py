@@ -17,7 +17,6 @@ from .errors import (BadDegree, BadIndex, InvariantViolation, NotDihedral,
 from .perm import PermGroup, identity, inverse, mul, nu, perm_order
 
 EXT_TYPES = ("a", "b", "c", "d", "e")
-SUBGROUP_CAP = 128
 
 
 @dataclass(frozen=True)
@@ -204,10 +203,6 @@ class ExtensionFrame:
         names.append("D")
         return names
 
-    def centralizer_in_E(self, subset) -> frozenset:
-        return frozenset(x for x in self.E.elements
-                         if all(mul(x, q) == mul(q, x) for q in subset))
-
     def centralizer_in_D(self, x: tuple) -> frozenset:
         return frozenset(g for g in self.D_set if mul(g, x) == mul(x, g))
 
@@ -273,20 +268,11 @@ def _abstract_fingerprint(G: PermGroup) -> tuple:
             G.center_order(), G.derived_subgroup().order)
 
 
-def _relative_fingerprint(ext_or_pair) -> tuple:
+def _relative_fingerprint(E: PermGroup, D_set, D_gens) -> tuple:
     """Abstract fingerprint of E plus: does some involution in E - D centralize D?"""
-    if isinstance(ext_or_pair, ExtensionFrame):
-        E, D_set = ext_or_pair.E, ext_or_pair.D_set
-    else:
-        E, D_set = ext_or_pair
-    central = False
     ident = identity(E.degree)
-    for x in E.elements:
-        if x in D_set or mul(x, x) != ident:
-            continue
-        if all(mul(x, g) == mul(g, x) for g in D_set):
-            central = True
-            break
+    central = any(x not in D_set and mul(x, x) == ident
+                  for x in E.centralizer(*D_gens).elements)
     return _abstract_fingerprint(E) + (central,)
 
 
@@ -296,8 +282,11 @@ from functools import lru_cache
 @lru_cache(maxsize=None)
 def _reference_fingerprints(d: int) -> dict:
     frame = build_dihedral(d)
-    return {etype: _relative_fingerprint(build_extension(frame, etype))
-            for etype in _available_types(d)}
+    out = {}
+    for etype in _available_types(d):
+        ext = build_extension(frame, etype)
+        out[etype] = _relative_fingerprint(ext.E, ext.D_set, [ext.s, ext.t])
+    return out
 
 
 def census_degree2_extensions(frame: DihedralFrame) -> list:
@@ -320,7 +309,7 @@ def census_degree2_extensions(frame: DihedralFrame) -> list:
         alpha = _automorphism(frame, a, b)
         for u in _consistent_squares(frame, alpha):
             ext = ExtensionFrame(frame, alpha, u, None)
-            fp = _relative_fingerprint(ext)
+            fp = _relative_fingerprint(ext.E, ext.D_set, [ext.s, ext.t])
             matches = [ty for ty, rfp in ref.items() if rfp == fp]
             if len(matches) != 1:
                 raise Unclassifiable(f"census fingerprint collision: {fp}")
@@ -351,7 +340,7 @@ def classify_extension(D: PermGroup, E: PermGroup) -> str:
         raise BadIndex(f"[E:D] = {E.order / D.order} not in (1, 2)")
     d = nu(D.order)
     ref = _reference_fingerprints(d)
-    fp = _relative_fingerprint((E, D.element_set()))
+    fp = _relative_fingerprint(E, D.element_set(), D.generators)
     matches = [ty for ty, rfp in ref.items() if rfp == fp]
     if len(matches) != 1:
         raise Unclassifiable(f"fingerprint {fp} matched {matches}")
@@ -401,7 +390,8 @@ def eclass_table(ext: ExtensionFrame) -> list:
     d = ext.frame.d
     E = ext.E
     ident = identity(E.degree)
-    outside = [p for p in E.elements if p not in ext.D_set]
+    classes = E.conjugacy_classes()
+    outside = {i for i, p in enumerate(E.elements) if p not in ext.D_set}
     named = {name: ext.named_subgroup(name) for name in ext.named_subgroup_names()}
     rows = []
     covered = set()
@@ -412,7 +402,7 @@ def eclass_table(ext: ExtensionFrame) -> list:
         x = mul(x, ext.e)
         if x in ext.D_set:
             raise InvariantViolation(f"row {label}: representative lies in D")
-        cls = _e_class(E, x)
+        cls = set(classes[E.class_of(E.idx(x))].members)
         if covered & cls:
             raise Unclassifiable(f"row {label}: representative already covered")
         covered |= cls
@@ -422,65 +412,35 @@ def eclass_table(ext: ExtensionFrame) -> list:
         if cname is None:
             raise Unclassifiable(f"row {label}: C_D(x) is not a named subgroup")
         rows.append((label, is_inv, cname, len(cls)))
-    if covered != set(outside):
+    if covered != outside:
         raise Unclassifiable("expected representatives do not cover E - D")
     return rows
-
-
-def _e_class(E: PermGroup, x: tuple) -> set:
-    orbit = {x}
-    frontier = [x]
-    geninv = [(g, inverse(g)) for g in E.generators]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g, gi in geninv:
-                q = mul(mul(gi, p), g)
-                if q not in orbit:
-                    orbit.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return orbit
 
 
 # ---------------------------------------------------------------------------
 # reality of subpairs at the 2-group level
 # ---------------------------------------------------------------------------
 
-def real_condition(ext: ExtensionFrame, Q) -> bool:
-    """E = D * C_E(Q) as sets (the subpair-reality criterion)."""
-    c = ext.centralizer_in_E(_as_gens(ext, Q))
-    inter = sum(1 for x in c if x in ext.D_set)
-    return len(ext.D_set) * len(c) // inter == ext.E.order
+def subpair_reality(ext: ExtensionFrame, Q) -> tuple:
+    """(real?, strongly real?) of the subpair at Q, a subgroup name or generators.
 
-
-def strongly_real_condition(ext: ExtensionFrame, Q) -> bool:
-    """Some involution t in C_E(Q) has E = D<t> (t may be 1 when E = D)."""
+    Real: E = D * C_E(Q) as sets (the subpair-reality criterion).  Strongly
+    real: some involution t in C_E(Q) has E = D<t> (t may be 1 when E = D).
+    """
+    gens = ext.named_subgroup_gens(Q) if isinstance(Q, str) else Q
+    C = ext.E.centralizer(*gens)
+    inter = sum(1 for x in C.elements if x in ext.D_set)
+    real = len(ext.D_set) * C.order // inter == ext.E.order
     ident = identity(ext.E.degree)
     index2 = ext.E.order == 2 * len(ext.D_set)
-    for x in ext.centralizer_in_E(_as_gens(ext, Q)):
-        if mul(x, x) != ident:
-            continue
-        if not index2 or x not in ext.D_set:
-            return True
-    return False
-
-
-def _as_gens(ext: ExtensionFrame, Q) -> list:
-    """Generators are enough for centralizer computations."""
-    if isinstance(Q, str):
-        return ext.named_subgroup_gens(Q)
-    if isinstance(Q, PermGroup):
-        return list(Q.generators)
-    return list(Q)
+    strong = any(mul(x, x) == ident and not (index2 and x in ext.D_set)
+                 for x in C.elements)
+    return real, strong
 
 
 def reality_pattern(ext: ExtensionFrame) -> dict:
     """(real?, strongly real?) for every named subgroup class of D."""
-    out = {}
-    for name in ext.named_subgroup_names():
-        out[name] = (real_condition(ext, name), strongly_real_condition(ext, name))
-    return out
+    return {name: subpair_reality(ext, name) for name in ext.named_subgroup_names()}
 
 
 def expected_reality(d: int, etype: str) -> dict:

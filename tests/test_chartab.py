@@ -1,9 +1,11 @@
 import pytest
+from sympy.combinatorics import Permutation
 
 from workbench.chartab import dixon_table
 from workbench.cyclotomic import Cyclotomic
 from workbench.errors import CapExceeded
 from workbench.groups import builtin_group
+from workbench.perm import mul
 
 from oracles import psl2_degree_multiset
 
@@ -128,3 +130,29 @@ def test_fs_constant_on_galois_families():
 def test_class_cap():
     with pytest.raises(CapExceeded):
         dixon_table(builtin_group("c64"))
+
+
+@pytest.mark.parametrize("name", ["s4", "c2xs3", "psl27"])
+def test_structure_constants_brute_force(name):
+    # constants[i][j][l] = #{(x, y) in C_i x C_j : xy = g_l}, over all pairs
+    T = table(name)
+    G = T.group
+    rep_class = {c.rep: l for l, c in enumerate(T.classes)}
+    cls = [G.class_of(i) for i in range(G.order)]
+    want = [[[0] * T.k for _ in range(T.k)] for _ in range(T.k)]
+    for x, px in enumerate(G.elements):
+        for y, py in enumerate(G.elements):
+            l = rep_class.get(G.idx(mul(px, py)))
+            if l is not None:
+                want[cls[x]][cls[y]][l] += 1
+    assert T.constants == want
+
+
+@pytest.mark.parametrize("name", ["s4", "psl27", "a7"])
+def test_power_maps_against_sympy(name):
+    T = table(name)
+    G = T.group
+    for r in (-1, 2, 3, 5):
+        want = [G.class_of(G.idx(tuple((Permutation(list(G.elements[c.rep])) ** r).array_form)))
+                for c in T.classes]
+        assert T._power_map(r) == want, r

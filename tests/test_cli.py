@@ -173,3 +173,22 @@ def test_cap_order_env(monkeypatch, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("workbench: CapExceeded: ")
     monkeypatch.delenv("WORKBENCH_CAP_ORDER")
+
+
+@pytest.mark.parametrize("argv", [
+    ["group", "--group", "nosuch"],
+    ["group", "--group", "{tmp}/missing.txt"],
+    ["group", "--group", "{tmp}/open_cycle.txt"],
+    ["invmod", "--group", "s3", "--block", "7"],
+    ["invmod", "--group", "s3", "--block", "x"],
+], ids=["unknown-builtin", "missing-file", "bad-cycle", "block-out-of-range",
+        "block-not-an-index"])
+def test_bad_group_input_is_usage_error(argv, capsys, tmp_path):
+    # a bad name on the command line is exit 2 with one line, no traceback
+    (tmp_path / "open_cycle.txt").write_text("(1 2\n")
+    code = cli.main([a.format(tmp=tmp_path) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("workbench: ")

@@ -3,7 +3,9 @@
 `python -O` strips `assert` statements, and the CLI maps only a
 `WorkbenchError` to exit 3, so every module of the package raises a
 `WorkbenchError` (usually `InvariantViolation`) for a failed internal check:
-no `assert` and no `ArithmeticError`, `RuntimeError` or `AssertionError`."""
+no `assert` and no `ArithmeticError`, `RuntimeError` or `AssertionError`.
+A module-level UPPER_CASE constant that no module of the package reads is
+dead code and fails the lint too."""
 
 import ast
 from pathlib import Path
@@ -36,3 +38,31 @@ def test_no_untyped_internal_raises(path):
             if isinstance(exc, ast.Name) and exc.id in UNTYPED:
                 lines.append(node.lineno)
     assert lines == [], f"{path.name} raises untyped errors at lines {lines}"
+
+
+def _module_constants(tree):
+    """Names of the UPPER_CASE constants a module assigns at top level."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        names += [t.id for t in targets if isinstance(t, ast.Name)
+                  and t.id.upper() == t.id and any(ch.isalpha() for ch in t.id)]
+    return names
+
+
+def test_module_constants_are_read():
+    # a module-level constant that no module of the package reads is dead
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                read.add(node.id if isinstance(node, ast.Name) else node.attr)
+    unread = [f"{stem}.{name}" for stem, tree in trees.items()
+              for name in _module_constants(tree) if name not in read]
+    assert unread == [], f"module constants nobody reads: {unread}"

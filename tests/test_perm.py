@@ -1,4 +1,5 @@
 import pytest
+from sympy.combinatorics import Permutation, PermutationGroup
 
 from workbench import perm
 from workbench.errors import CapExceeded, NotMember
@@ -183,3 +184,20 @@ def test_generator_file_roundtrip(tmp_path):
     gens = perm.read_generator_file(str(path))
     G = perm.generate(gens)
     assert G.order == 8
+
+
+@pytest.mark.parametrize("name", ["s4", "c2xs3", "psl27", "a7", "pgl2_11"])
+def test_engine_against_sympy(name):
+    # orders, class element orders, centralizers and Sylow-2 order against
+    # sympy.combinatorics, which works from a base and strong generating set
+    G = builtin_group(name)
+    S = PermutationGroup([Permutation(list(g)) for g in G.generators])
+    assert G.order == S.order()
+    for c in G.conjugacy_classes():
+        rep = Permutation(list(G.elements[c.rep]))
+        assert c.order == rep.order()
+        assert G.centralizer(G.elements[c.rep]).order == S.centralizer(rep).order()
+    a, b = G.generators[0], G.elements[G.conjugacy_classes()[1].rep]
+    pair = S.centralizer(PermutationGroup([Permutation(list(a)), Permutation(list(b))]))
+    assert set(G.centralizer(a, b).elements) == {tuple(p.array_form) for p in pair.elements}
+    assert G.sylow2().order == S.sylow_subgroup(2).order()

@@ -84,8 +84,8 @@ def test_census_counts():
 
 def test_fingerprints_pairwise_distinct():
     for d in (3, 4, 5, 6, 7):
-        fps = [pgroup._relative_fingerprint(ext(d, ty))
-               for ty in pgroup._available_types(d)]
+        fps = [pgroup._relative_fingerprint(e.E, e.D_set, [e.s, e.t])
+               for e in (ext(d, ty) for ty in pgroup._available_types(d))]
         assert len(set(fps)) == len(fps)
 
 
@@ -148,19 +148,20 @@ def test_strongly_real_implies_real():
 
 
 def test_real_condition_examples():
-    assert pgroup.real_condition(ext(4, "c"), "S_1") is True
-    assert pgroup.real_condition(ext(4, "c"), "D") is False
-    assert pgroup.real_condition(ext(4, "e"), "S") is False
-    assert pgroup.strongly_real_condition(ext(4, "a"), "Y_2") is True
-    assert pgroup.strongly_real_condition(ext(4, "d"), "S_1") is False
-    assert pgroup.strongly_real_condition(ext(4, "b"), "S_2") is True
+    assert pgroup.subpair_reality(ext(4, "c"), "S_1")[0] is True
+    assert pgroup.subpair_reality(ext(4, "c"), "D")[0] is False
+    assert pgroup.subpair_reality(ext(4, "e"), "S")[0] is False
+    assert pgroup.subpair_reality(ext(4, "a"), "Y_2")[1] is True
+    assert pgroup.subpair_reality(ext(4, "d"), "S_1")[1] is False
+    assert pgroup.subpair_reality(ext(4, "b"), "S_2")[1] is True
 
 
 def test_real_condition_constant_on_conjugates():
     # conjugating Q inside D does not change the predicate
     e = ext(4, "c")
     t_conj = mul(mul(pgroup.inverse(e.s), e.embed(e.frame.t)), e.s)
-    assert pgroup.real_condition(e, [e.embed(e.frame.t)]) == pgroup.real_condition(e, [t_conj])
+    assert pgroup.subpair_reality(e, [e.embed(e.frame.t)])[0] == \
+        pgroup.subpair_reality(e, [t_conj])[0]
 
 
 def test_named_subgroups_cover_all_subgroups_up_to_conjugacy():
