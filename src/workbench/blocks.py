@@ -8,7 +8,7 @@ defect class element c: E a Sylow 2-subgroup of C*(c), D = E n C(c).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 

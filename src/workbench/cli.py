@@ -39,7 +39,7 @@ def _load_group(spec: str, cap=None):
             raise _UsageError(f"{spec}: {exc}") from None
         return generate(gens, cap=cap), spec
     try:
-        return builtin_group(spec), spec
+        return builtin_group(spec, cap=cap), spec
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 
@@ -92,9 +92,8 @@ def cmd_group(args) -> int:
 
 
 def cmd_extensions(args) -> int:
-    frame = pgroup.build_dihedral(args.d)
     if args.census:
-        census = pgroup.census_degree2_extensions(frame)
+        census = pgroup.census_degree2_extensions(pgroup.build_dihedral(args.d))
         payload = {"d": args.d, "classes": len(census),
                    "types": [t for t, _ in census]}
         expected = 4 if args.d == 3 else 5
@@ -229,15 +228,21 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def _solver_d(text: str) -> int:
-    """A dihedral parameter d the sign solver accepts (3..MAX_D)."""
+def _dihedral_d(text: str, hi: int | None = None) -> int:
+    """A dihedral parameter d >= 3, and d <= hi when hi is given."""
     try:
         d = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if not 3 <= d <= solver.MAX_D:
-        raise argparse.ArgumentTypeError(f"d must be in 3..{solver.MAX_D}, got {d}")
+    if d < 3 or (hi is not None and d > hi):
+        bound = ">= 3" if hi is None else f"in 3..{hi}"
+        raise argparse.ArgumentTypeError(f"d must be {bound}, got {d}")
     return d
+
+
+def _solver_d(text: str) -> int:
+    """A dihedral parameter d the sign solver accepts (3..MAX_D)."""
+    return _dihedral_d(text, solver.MAX_D)
 
 
 def _solver_d_range(text: str) -> tuple:
@@ -271,12 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_group)
 
     p = add_parser("extensions", help="degree-2 extension census of D_{2^d}")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_dihedral_d, required=True)
     p.add_argument("--census", action="store_true")
     p.set_defaults(fn=cmd_extensions)
 
     p = add_parser("table1", help="E-classes in E minus D for one type")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_dihedral_d, required=True)
     p.add_argument("--type", required=True, choices=pgroup.EXT_TYPES)
     p.set_defaults(fn=cmd_table1)
 

@@ -72,7 +72,7 @@ def _primitive_element(q: int) -> int:
     raise ValueError(f"no primitive element for q={q}")
 
 
-def _psl2(q: int) -> PermGroup:
+def _psl2(q: int) -> list:
     if q not in _Q_ALLOWED:
         raise ValueError(f"builtin PSL(2,q) supports odd q <= 11, got {q}")
     add, mul = _gf(q)
@@ -82,10 +82,10 @@ def _psl2(q: int) -> PermGroup:
     nu = _primitive_element(q)
     nu2 = mul[nu][nu]
     dd = _mobius_perm((nu2, 0, 0, 1), q)     # z -> nu^2 z
-    return generate([t, w, dd])
+    return [t, w, dd]
 
 
-def _pgl2(q: int) -> PermGroup:
+def _pgl2(q: int) -> list:
     if q not in _Q_ALLOWED:
         raise ValueError(f"builtin PGL(2,q) supports odd q <= 11, got {q}")
     add, mul = _gf(q)
@@ -94,50 +94,58 @@ def _pgl2(q: int) -> PermGroup:
     w = _mobius_perm((0, neg1, 1, 0), q)
     nu = _primitive_element(q)
     d = _mobius_perm((nu, 0, 0, 1), q)       # z -> nu z  (non-square det)
-    return generate([t, w, d])
+    return [t, w, d]
 
 
-def _dihedral(n: int) -> PermGroup:
+def _dihedral(n: int) -> list:
     """Dihedral group of order n acting on Z_{n/2}."""
     m = n // 2
     rot = tuple((i + 1) % m for i in range(m))
     ref = tuple((-i) % m for i in range(m))
-    return generate([rot, ref])
+    return [rot, ref]
 
 
-def _semidihedral16() -> PermGroup:
+def _semidihedral16() -> list:
     # <r, x | r^8 = x^2 = 1, r^x = r^3> acting on Z_8
     r = tuple((i + 1) % 8 for i in range(8))
     x = tuple((3 * i) % 8 for i in range(8))
-    return generate([r, x])
+    return [r, x]
 
 
-def _cyclic(n: int) -> PermGroup:
-    return generate([tuple((i + 1) % n for i in range(n))])
+def _cyclic(n: int) -> list:
+    if n < 1:
+        raise ValueError(f"cyclic group order must be >= 1, got {n}")
+    return [tuple((i + 1) % n for i in range(n))]
 
 
-def _direct_product(parts) -> PermGroup:
+def _direct_product(parts) -> list:
     """Direct product acting on the disjoint union of the factors' points."""
-    degree = sum(p.degree for p in parts)
-    gens = []
+    degrees = [max(len(g) for g in gens) for gens in parts]
+    degree = sum(degrees)
+    out = []
     offset = 0
-    for p in parts:
-        for g in p.generators:
+    for gens, n in zip(parts, degrees):
+        for g in gens:
             images = list(range(degree))
             for i, im in enumerate(g):
                 images[offset + i] = offset + im
-            gens.append(tuple(images))
-        offset += p.degree
-    return generate(gens, degree=degree)
+            out.append(tuple(images))
+        offset += n
+    return out
 
 
-def builtin_group(name: str) -> PermGroup:
-    """Look up a builtin group by its catalog name; 'AxB' builds products."""
-    name = name.lower()
+def builtin_group(name: str, cap: int | None = None) -> PermGroup:
+    """Look up a builtin group by its catalog name; 'AxB' builds products.
+
+    Every builtin is closed by one `generate` call, so `cap` bounds it."""
+    return generate(_builtin_gens(name.lower()), cap=cap)
+
+
+def _builtin_gens(name: str) -> list:
     if "x" in name and name != "c2xs3" and not name.startswith("x"):
         parts = name.split("x")
         if all(parts):
-            return _direct_product([builtin_group(p) for p in parts])
+            return _direct_product([_builtin_gens(p) for p in parts])
     if name == "d8":
         return _dihedral(8)
     if name == "d16":
@@ -145,20 +153,20 @@ def builtin_group(name: str) -> PermGroup:
     if name == "sd16":
         return _semidihedral16()
     if name == "s3":
-        return generate([parse_cycles("(1 2 3)"), parse_cycles("(1 2)")])
+        return [parse_cycles("(1 2 3)"), parse_cycles("(1 2)")]
     if name == "s4":
-        return generate([parse_cycles("(1 2 3 4)"), parse_cycles("(1 2)")])
+        return [parse_cycles("(1 2 3 4)"), parse_cycles("(1 2)")]
     if name == "s5":
-        return generate([parse_cycles("(1 2 3 4 5)"), parse_cycles("(1 2)")])
+        return [parse_cycles("(1 2 3 4 5)"), parse_cycles("(1 2)")]
     if name == "a7":
-        return generate([parse_cycles("(1 2 3)"), parse_cycles("(3 4 5 6 7)", degree=7)])
+        return [parse_cycles("(1 2 3)"), parse_cycles("(3 4 5 6 7)", degree=7)]
     if name == "psl27":
         return _psl2(7)
     if name == "pgl27":
         return _pgl2(7)
     if name == "c2xs3":
-        return generate([parse_cycles("(1 2)", degree=5),
-                         parse_cycles("(3 4 5)"), parse_cycles("(3 4)", degree=5)])
+        return [parse_cycles("(1 2)", degree=5),
+                parse_cycles("(3 4 5)"), parse_cycles("(3 4)", degree=5)]
     m = re.fullmatch(r"c(\d+)", name)
     if m:
         return _cyclic(int(m.group(1)))

@@ -2,49 +2,68 @@
 
 A DihedralFrame fixes the presentation D = <s, t | s^(2^(d-1)), t^2, (st)^2>
 with the named elements s_i = s^(2^(d-1-i)) and subgroups S_i = <s_i>,
-X_i = <s_(i-1), t>, Y_i = <s_(i-1), st>.  Extensions E = D<e> are realized
-as crossed products D x {1, e} turned into permutation groups via the
-right-regular action, so all five isomorphism types (a)-(e) are concrete
-groups with distinguished coset representative e.
+X_i = <s_(i-1), t>, Y_i = <s_(i-1), st>.  Every element of D is written in
+the normal form s^k t^eps as the pair (k, eps), 0 <= k < 2^(d-1), and
+s^k1 t^e1 * s^k2 t^e2 = s^(k1 + (-1)^e1 k2) t^(e1 + e2).
+
+An extension E = D<e> is fixed by alpha = (a, b), the automorphism
+s -> s^a, t -> s^(-b) t with e y = alpha(y) e, and by u = e^2 in D.  Its
+elements are the normal forms (k, eps, i) of s^k t^eps e^i, multiplied as
+(x, i)(y, j) = (x alpha^i(y) u^(ij), i + j).  The right-regular action on
+these 2|D| forms makes E a permutation group, so all five isomorphism
+types (a)-(e) are concrete groups with distinguished coset representative e.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (BadDegree, BadIndex, InvariantViolation, NotDihedral,
                      TypeUnavailable, Unclassifiable)
-from .perm import PermGroup, identity, inverse, mul, nu, perm_order
+from .perm import PermGroup, identity, mul, nu
 
 EXT_TYPES = ("a", "b", "c", "d", "e")
+
+_S, _T = (1, 0), (0, 1)
 
 
 @dataclass(frozen=True)
 class DihedralFrame:
     d: int
-    group: PermGroup
+    group: PermGroup       # D acting naturally on Z/2^(d-1)
     s: tuple
     t: tuple
-    words: dict            # element -> (k, eps) with element = s^k t^eps
 
     @property
     def order(self) -> int:
         return 1 << self.d
 
-    def s_power(self, k: int) -> tuple:
-        m = 1 << (self.d - 1)
-        out = identity(self.group.degree)
-        base = self.s
-        k %= m
-        for _ in range(k):
-            out = mul(out, base)
-        return out
+    @property
+    def forms(self) -> list:
+        """The normal forms (k, eps) of D, the identity first."""
+        return [(k, eps) for eps in (0, 1) for k in range(self.order // 2)]
 
     def s_i(self, i: int) -> tuple:
         """s_i = s^(2^(d-1-i)), an element of order 2^i."""
         if not 1 <= i <= self.d - 1:
             raise ValueError("s_i needs 1 <= i <= d-1")
-        return self.s_power(1 << (self.d - 1 - i))
+        return (1 << (self.d - 1 - i), 0)
+
+    def mul(self, x: tuple, y: tuple) -> tuple:
+        (k1, e1), (k2, e2) = x, y
+        return ((k1 - k2 if e1 else k1 + k2) % (self.order // 2), (e1 + e2) % 2)
+
+    def twist(self, alpha: tuple, x: tuple) -> tuple:
+        """alpha(s^k t^eps) = s^(a k - b eps) t^eps for alpha = (a, b)."""
+        (a, b), (k, eps) = alpha, x
+        return ((a * k - b * eps) % (self.order // 2), eps)
+
+    def perm(self, x: tuple) -> tuple:
+        """s^k t^eps acting on Z/2^(d-1) as y -> (-1)^eps (y + k)."""
+        k, eps = x
+        m = self.order // 2
+        return tuple((-(y + k) if eps else y + k) % m for y in range(m))
 
 
 def build_dihedral(d: int, cap: int | None = None) -> DihedralFrame:
@@ -54,23 +73,13 @@ def build_dihedral(d: int, cap: int | None = None) -> DihedralFrame:
     m = 1 << (d - 1)
     s = tuple((x + 1) % m for x in range(m))
     t = tuple((-x) % m for x in range(m))
-    G = PermGroup([s, t], cap=cap)
-    if G.order != 2 * m:
-        raise InvariantViolation(f"<s, t> has order {G.order}, not {2 * m}")
-    words = {}
-    cur = identity(m)
-    for k in range(m):
-        words[cur] = (k, 0)
-        words[mul(cur, t)] = (k, 1)
-        cur = mul(cur, s)
-    frame = DihedralFrame(d=d, group=G, s=s, t=t, words=words)
-    # presentation invariants
-    st = mul(s, t)
-    z = frame.s_i(1)
-    if (perm_order(s) != m or mul(t, t) != identity(m)
-            or mul(st, st) != identity(m)
-            or any(mul(z, g) != mul(g, z) for g in (s, t))):
-        raise InvariantViolation(f"D_{2 * m} presentation fails")
+    frame = DihedralFrame(d=d, group=PermGroup([s, t], cap=cap), s=s, t=t)
+    # the normal forms are D's elements, and their product is D's product
+    forms, perm = frame.forms, frame.perm
+    if (sorted(map(perm, forms)) != frame.group.elements
+            or any(perm(frame.mul(x, g)) != mul(perm(x), perm(g))
+                   for x in forms for g in (_S, _T))):
+        raise InvariantViolation(f"D_{2 * m} normal forms fail")
     return frame
 
 
@@ -78,155 +87,101 @@ def build_dihedral(d: int, cap: int | None = None) -> DihedralFrame:
 # crossed products D<e>
 # ---------------------------------------------------------------------------
 
-def _automorphism(frame: DihedralFrame, a: int, b: int) -> dict:
-    """The map s -> s^a, t -> s^(-b) t, as an element dictionary."""
-    m = 1 << (frame.d - 1)
-    img_s = frame.s_power(a % m)
-    img_t = mul(frame.s_power((-b) % m), frame.t)
-    out = {}
-    for elem, (k, eps) in frame.words.items():
-        img = identity(frame.group.degree)
-        for _ in range(k):
-            img = mul(img, img_s)
-        if eps:
-            img = mul(img, img_t)
-        out[elem] = img
-    if sorted(out.values()) != sorted(frame.words):
-        raise InvariantViolation("automorphism of D is not bijective")
-    return out
+def _consistent_squares(frame: DihedralFrame, alpha: tuple) -> list:
+    """All u in D with alpha(u) = u and alpha^2(x) = u x u^-1: exactly the
+    e^2 = u for which the product on the forms (x, i) is associative."""
+    if alpha[0] % 2 == 0:
+        raise InvariantViolation(f"s -> s^{alpha[0]} is not an automorphism of D")
 
+    def alpha2(x):
+        return frame.twist(alpha, frame.twist(alpha, x))
 
-def _compose(alpha: dict, beta: dict) -> dict:
-    return {x: beta[alpha[x]] for x in alpha}
-
-
-def _consistent_squares(frame: DihedralFrame, alpha: dict) -> list:
-    """All u in D with alpha^2 = conj_u and alpha(u) = u."""
-    alpha2 = _compose(alpha, alpha)
-    out = []
-    for u in frame.group.elements:
-        ui = inverse(u)
-        if alpha[u] != u:
-            continue
-        if all(alpha2[x] == mul(mul(ui, x), u) for x in frame.group.generators):
-            # generator check suffices: both sides are automorphisms
-            out.append(u)
-    return out
+    # generator check suffices: both sides are automorphisms
+    return [u for u in frame.forms if frame.twist(alpha, u) == u
+            and all(frame.mul(alpha2(x), u) == frame.mul(u, x) for x in (_S, _T))]
 
 
 class ExtensionFrame:
-    """E = D<e> as a regular permutation group with distinguished elements.
+    """E = D<e> as a regular permutation group on the normal forms.
 
-    Elements of E are pairs (x, i) ~ x e^i with (x,i)(y,j) =
-    (x alpha^i(y) u^(i and j), i+j); the regular action turns each pair
-    into a permutation of the 2^(d+1) pairs.
+    `points` lists the forms (k, eps, i), the identity first; `perm(h)` is
+    h's right-regular permutation and `form(g)` recovers h from it.
     """
 
-    def __init__(self, frame: DihedralFrame, alpha: dict, u: tuple, etype: str | None):
+    def __init__(self, frame: DihedralFrame, alpha: tuple, u: tuple, etype: str | None):
         self.frame = frame
+        self.alpha = alpha
+        self.u = u
         self.etype = etype
-        d = frame.d
-        delems = frame.group.elements
-        pairs = [(x, i) for i in (0, 1) for x in delems]
-        index = {pr: n for n, pr in enumerate(pairs)}
-
-        def pmul(p, q):
-            (x, i), (y, j) = p, q
-            ya = alpha[y] if i else y
-            prod = mul(x, ya)
-            if i and j:
-                prod = mul(prod, u)
-            return (prod, (i + j) % 2)
-
-        def regular(h):
-            return tuple(index[pmul(pr, h)] for pr in pairs)
-
-        self._pairs = pairs
-        self._regular = regular
-        gens = [regular((g, 0)) for g in frame.group.generators] + [regular((identity(frame.group.degree), 1))]
-        self.E = PermGroup(gens, degree=len(pairs))
-        if self.E.order != 2 * frame.group.order:
+        self.points = [x + (i,) for i in (0, 1) for x in frame.forms]
+        self._index = {p: n for n, p in enumerate(self.points)}
+        self.s, self.t, self.e = (self.perm(h) for h in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        self.E = PermGroup([self.s, self.t, self.e], degree=len(self.points))
+        if self.E.order != len(self.points):
             raise InvariantViolation("the crossed product D<e> is not of order 2|D|")
-        ident = identity(frame.group.degree)
-        self.e = regular((ident, 1))
-        self.s = regular((frame.s, 0))
-        self.t = regular((frame.t, 0))
-        self._embed = {x: regular((x, 0)) for x in delems}
-        self.D_set = frozenset(self._embed.values())
+        self.D_set = frozenset(g for g in self.E.elements if self.form(g)[2] == 0)
 
-    # -- named elements/subgroups inside E --------------------------------
+    def mul(self, p: tuple, q: tuple) -> tuple:
+        x, i, y, j = p[:2], p[2], q[:2], q[2]
+        if i:
+            y = self.frame.twist(self.alpha, y)
+        xy = self.frame.mul(x, y)
+        if i and j:
+            xy = self.frame.mul(xy, self.u)
+        return xy + ((i + j) % 2,)
 
-    def embed(self, x: tuple) -> tuple:
-        return self._embed[x]
+    def perm(self, h: tuple) -> tuple:
+        return tuple(self._index[self.mul(p, h)] for p in self.points)
 
-    def s_power(self, k: int) -> tuple:
-        return self.embed(self.frame.s_power(k))
+    def form(self, g: tuple) -> tuple:
+        """The normal form h of g = perm(h): g sends the identity to h."""
+        return self.points[g[0]]
 
-    def s_i(self, i: int) -> tuple:
-        return self.embed(self.frame.s_i(i))
-
-    def named_subgroup_gens(self, name: str) -> list:
-        """Generators of one of 1, S_i, S, X_i, Y_i, D inside E."""
-        if name == "1":
-            return []
-        if name == "D":
-            return [self.s, self.t]
-        if name == "S":
-            return [self.s]
-        if name.startswith("S_"):
-            return [self.s_i(int(name[2:]))]
-        if name.startswith("X_"):
-            i = int(name[2:])
-            t = self.embed(self.frame.t)
-            return [t] if i == 1 else [self.s_i(i - 1), t]
-        if name.startswith("Y_"):
-            i = int(name[2:])
-            st = self.embed(mul(self.frame.s, self.frame.t))
-            return [st] if i == 1 else [self.s_i(i - 1), st]
-        raise ValueError(f"unknown subgroup name {name!r}")
+    # -- named subgroups of D ---------------------------------------------
 
     def named_subgroup(self, name: str) -> frozenset:
-        """Element set of one of 1, S_i, S, X_i, Y_i, D inside E."""
-        if name == "D":
-            return self.D_set
-        gens = self.named_subgroup_gens(name)
-        if not gens:
-            return frozenset([identity(self.E.degree)])
-        return self.E.subgroup(gens).element_set()
+        """Normal forms (k, eps) of one of 1, S_i, S, X_i, Y_i, D."""
+        d = self.frame.d
+        if name not in self.named_subgroup_names():
+            raise ValueError(f"unknown subgroup name {name!r}")
+        name = {"1": "S_0", "S": f"S_{d - 1}", "D": f"X_{d}"}.get(name, name)
+        i = int(name[2:])
+        if name[0] == "S":
+            return frozenset((k, 0) for k in range(0, 1 << (d - 1), 1 << (d - 1 - i)))
+        q = 1 << (d - i)
+        if name[0] == "X":
+            return frozenset((k, eps) for k, eps in self.frame.forms if k % q == 0)
+        return frozenset((k, eps) for k, eps in self.frame.forms if (k - eps) % q == 0)
 
     def named_subgroup_names(self) -> list:
-        d = self.frame.d
-        names = ["1"]
-        names += [f"S_{i}" for i in range(1, d - 1)] + ["S"]
-        names += [f"X_{i}" for i in range(1, d)]
-        names += [f"Y_{i}" for i in range(1, d)]
-        names.append("D")
-        return names
+        return _subgroup_names(self.frame.d)
 
     def centralizer_in_D(self, x: tuple) -> frozenset:
-        return frozenset(g for g in self.D_set if mul(g, x) == mul(x, g))
+        """C_D(x) as normal forms (k, eps), for x in normal form (k, eps, i)."""
+        return frozenset(y for y in self.frame.forms
+                         if self.mul(y + (0,), x) == self.mul(x, y + (0,)))
+
+
+def _subgroup_names(d: int) -> list:
+    return (["1"] + [f"S_{i}" for i in range(1, d - 1)] + ["S"]
+            + [f"X_{i}" for i in range(1, d)] + [f"Y_{i}" for i in range(1, d)] + ["D"])
 
 
 def build_extension(frame: DihedralFrame, etype: str) -> ExtensionFrame:
     """One concrete extension of each isomorphism type (a)-(e)."""
     d = frame.d
-    m = 1 << (d - 1)
-    ident = identity(frame.group.degree)
     if etype in ("a", "b"):
-        alpha = {x: x for x in frame.group.elements}
-        u = ident if etype == "a" else frame.s_i(1)
+        alpha = (1, 0)
     elif etype in ("c", "d"):
-        alpha = _automorphism(frame, -1, 1)
-        u = ident if etype == "c" else frame.s_i(1)
+        alpha = (-1, 1)
     elif etype == "e":
         if d < 4:
             raise TypeUnavailable("type (e) needs d >= 4")
-        alpha = _automorphism(frame, (1 << (d - 2)) + 1, 0)
-        u = ident
+        alpha = ((1 << (d - 2)) + 1, 0)
     else:
         raise ValueError(f"unknown extension type {etype!r}")
-    sq = _consistent_squares(frame, alpha)
-    if u not in sq:
+    u = frame.s_i(1) if etype in ("b", "d") else (0, 0)
+    if u not in _consistent_squares(frame, alpha):
         raise InvariantViolation(f"e^2 = u is not consistent for type ({etype})")
     ext = ExtensionFrame(frame, alpha, u, etype)
     _check_type_relations(ext, etype)
@@ -234,27 +189,25 @@ def build_extension(frame: DihedralFrame, etype: str) -> ExtensionFrame:
 
 
 def _check_type_relations(ext: ExtensionFrame, etype: str):
+    """e^2 and the conjugates g^e = e^-1 g e of g = s, t, checked as g e = e g^e."""
     d = ext.frame.d
-    e, s, t = ext.e, ext.s, ext.t
-    ident = identity(ext.E.degree)
-    s1 = ext.s_i(1)
-    e2 = mul(e, e)
-    if etype == "a":
-        ok = e2 == ident and all(mul(e, g) == mul(g, e) for g in (s, t))
-    elif etype == "b":
-        ok = e2 == s1 and all(mul(e, g) == mul(g, e) for g in (s, t))
+    s, t, e = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    s1 = ext.frame.s_i(1) + (0,)
+    if etype in ("a", "b"):
+        conj = {s: s, t: t}
     elif etype in ("c", "d"):
-        conj_s = mul(mul(inverse(e), s), e)
-        ok = conj_s == inverse(s) and e2 == (ident if etype == "c" else s1)
+        conj = {s: ((1 << (d - 1)) - 1, 0, 0)}     # s^-1
+    else:  # "e": build_extension admits no other type
+        conj = {s: ext.mul(s1, s), t: t}
+    e2 = s1 if etype in ("b", "d") else (0, 0, 0)
+    ok = ext.mul(e, e) == e2 and all(ext.mul(g, e) == ext.mul(e, h) for g, h in conj.items())
+    if etype in ("c", "d"):
         order = ext.E.order
         invol = len(ext.E.involution_indices())
         if etype == "c":
             ok = ok and ext.E.exponent() == order // 2 and invol == order // 2 + 2
         else:
             ok = ok and invol == order // 4 + 2
-    else:  # "e": build_extension admits no other type
-        ok = (e2 == ident and mul(mul(inverse(e), s), e) == mul(s1, s)
-              and mul(mul(inverse(e), t), e) == t)
     if not ok:
         raise InvariantViolation(f"type ({etype}) relations fail for d={d}")
 
@@ -276,9 +229,6 @@ def _relative_fingerprint(E: PermGroup, D_set, D_gens) -> tuple:
     return _abstract_fingerprint(E) + (central,)
 
 
-from functools import lru_cache
-
-
 @lru_cache(maxsize=None)
 def _reference_fingerprints(d: int) -> dict:
     frame = build_dihedral(d)
@@ -294,7 +244,7 @@ def census_degree2_extensions(frame: DihedralFrame) -> list:
 
     Enumerates the four involutive outer-automorphism representatives
     paired with every consistent square e^2, builds each crossed product,
-    and deduplicates by abstract fingerprint.  The candidate
+    and deduplicates by abstract fingerprint.  For d >= 4 the candidate
     alpha = (2^(d-2)-1, 1) admits no consistent square and drops out.
     """
     d = frame.d
@@ -305,8 +255,7 @@ def census_degree2_extensions(frame: DihedralFrame) -> list:
     reps = [(1, 0), (-1 % m, 1), ((half + 1) % m, 0), ((half - 1) % m, 1)]
     ref = _reference_fingerprints(d)
     seen = {}
-    for a, b in reps:
-        alpha = _automorphism(frame, a, b)
+    for alpha in reps:
         for u in _consistent_squares(frame, alpha):
             ext = ExtensionFrame(frame, alpha, u, None)
             fp = _relative_fingerprint(ext.E, ext.D_set, [ext.s, ext.t])
@@ -387,32 +336,25 @@ def eclass_table(ext: ExtensionFrame) -> list:
     reference row order; raises if the expected representatives
     fail to partition E - D into distinct classes.
     """
-    d = ext.frame.d
     E = ext.E
-    ident = identity(E.degree)
     classes = E.conjugacy_classes()
-    outside = {i for i, p in enumerate(E.elements) if p not in ext.D_set}
     named = {name: ext.named_subgroup(name) for name in ext.named_subgroup_names()}
     rows = []
     covered = set()
-    for label, (k, teps), _inv_expected, _cname in expected_table1_rows(d, ext.etype):
-        x = ext.s_power(k)
-        if teps:
-            x = mul(x, ext.embed(ext.frame.t))
-        x = mul(x, ext.e)
-        if x in ext.D_set:
-            raise InvariantViolation(f"row {label}: representative lies in D")
-        cls = set(classes[E.class_of(E.idx(x))].members)
+    for label, (k, teps), _inv_expected, _cname in expected_table1_rows(ext.frame.d, ext.etype):
+        x = (k, teps, 1)
+        members = classes[E.class_of(E.idx(ext.perm(x)))].members
+        cls = {ext.form(E.elements[j]) for j in members}
         if covered & cls:
             raise Unclassifiable(f"row {label}: representative already covered")
         covered |= cls
-        is_inv = mul(x, x) == ident
+        is_inv = ext.mul(x, x) == (0, 0, 0)
         cd = ext.centralizer_in_D(x)
         cname = next((n for n, elems in named.items() if elems == cd), None)
         if cname is None:
             raise Unclassifiable(f"row {label}: C_D(x) is not a named subgroup")
         rows.append((label, is_inv, cname, len(cls)))
-    if covered != outside:
+    if covered != {p for p in ext.points if p[2]}:
         raise Unclassifiable("expected representatives do not cover E - D")
     return rows
 
@@ -422,19 +364,17 @@ def eclass_table(ext: ExtensionFrame) -> list:
 # ---------------------------------------------------------------------------
 
 def subpair_reality(ext: ExtensionFrame, Q) -> tuple:
-    """(real?, strongly real?) of the subpair at Q, a subgroup name or generators.
+    """(real?, strongly real?) of the subpair at Q, a subgroup name or a
+    list of normal forms (k, eps).
 
     Real: E = D * C_E(Q) as sets (the subpair-reality criterion).  Strongly
-    real: some involution t in C_E(Q) has E = D<t> (t may be 1 when E = D).
+    real: some involution t in C_E(Q) has E = D<t>, i.e. lies outside D.
     """
-    gens = ext.named_subgroup_gens(Q) if isinstance(Q, str) else Q
-    C = ext.E.centralizer(*gens)
-    inter = sum(1 for x in C.elements if x in ext.D_set)
-    real = len(ext.D_set) * C.order // inter == ext.E.order
-    ident = identity(ext.E.degree)
-    index2 = ext.E.order == 2 * len(ext.D_set)
-    strong = any(mul(x, x) == ident and not (index2 and x in ext.D_set)
-                 for x in C.elements)
+    qs = [y + (0,) for y in (ext.named_subgroup(Q) if isinstance(Q, str) else Q)]
+    C = [g for g in ext.points if all(ext.mul(g, y) == ext.mul(y, g) for y in qs)]
+    inter = sum(1 for g in C if not g[2])
+    real = ext.frame.order * len(C) // inter == len(ext.points)
+    strong = any(g[2] and ext.mul(g, g) == (0, 0, 0) for g in C)
     return real, strong
 
 
@@ -445,10 +385,8 @@ def reality_pattern(ext: ExtensionFrame) -> dict:
 
 def expected_reality(d: int, etype: str) -> dict:
     """Reference (real, strongly real) classification, keyed by named subgroup."""
-    names = ["1"] + [f"S_{i}" for i in range(1, d - 1)] + ["S"] \
-        + [f"X_{i}" for i in range(1, d)] + [f"Y_{i}" for i in range(1, d)] + ["D"]
     out = {}
-    for name in names:
+    for name in _subgroup_names(d):
         if etype == "principal":
             out[name] = (True, True)
             continue

@@ -120,3 +120,27 @@ def enumerate_sign_assignments(type_id: str, etype: str, d: int,
                    for e1 in (1, -1) for e2 in (1, -1)):
                 solver._record(solutions, profile, eps, fam)
     return [solutions[k] for k in sorted(solutions)]
+
+
+def named_subgroup_gens(ext, name: str) -> list:
+    """Generators, as permutations in E, of one of 1, S_i, S, X_i, Y_i, D
+    from their definitions S_i = <s_i>, X_i = <s_(i-1), t>,
+    Y_i = <s_(i-1), st>, with s_i = s^(2^(d-1-i)) and X_1 = <t>, Y_1 = <st>."""
+    d = ext.frame.d
+
+    def s_i(i):
+        return (1 << (d - 1 - i), 0, 0)
+
+    if name == "1":
+        gens = []
+    elif name == "D":
+        gens = [(1, 0, 0), (0, 1, 0)]
+    elif name == "S":
+        gens = [(1, 0, 0)]
+    elif name.startswith("S_"):
+        gens = [s_i(int(name[2:]))]
+    else:
+        i = int(name[2:])
+        top = (0, 1, 0) if name[0] == "X" else (1, 1, 0)
+        gens = [top] if i == 1 else [s_i(i - 1), top]
+    return [ext.perm(g) for g in gens]

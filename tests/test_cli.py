@@ -125,6 +125,9 @@ def test_solver_commands_beyond_d12(capsys):
     ["verify-table2", "--d-range", "6..3"],
     ["solve", "--morita", "i", "--etype", "a", "--d", str(solver.MAX_D + 1)],
     ["solve", "--morita", "i", "--etype", "a", "--d", "2"],
+    ["extensions", "--d", "2"],
+    ["extensions", "--d", "2", "--census"],
+    ["table1", "--d", "2", "--type", "a"],
 ])
 def test_bad_solver_d_is_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -175,14 +178,25 @@ def test_cap_order_env(monkeypatch, capsys):
     monkeypatch.delenv("WORKBENCH_CAP_ORDER")
 
 
+def test_cap_order_flag_reaches_builtins(capsys):
+    # --cap-order bounds a builtin group as it bounds a generator file
+    code = cli.main(["group", "--group", "psl27", "--cap-order", "10"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("workbench: CapExceeded: ")
+
+
 @pytest.mark.parametrize("argv", [
     ["group", "--group", "nosuch"],
     ["group", "--group", "{tmp}/missing.txt"],
     ["group", "--group", "{tmp}/open_cycle.txt"],
     ["invmod", "--group", "s3", "--block", "7"],
     ["invmod", "--group", "s3", "--block", "x"],
+    ["group", "--group", "c0"],
 ], ids=["unknown-builtin", "missing-file", "bad-cycle", "block-out-of-range",
-        "block-not-an-index"])
+        "block-not-an-index", "cyclic-order-0"])
 def test_bad_group_input_is_usage_error(argv, capsys, tmp_path):
     # a bad name on the command line is exit 2 with one line, no traceback
     (tmp_path / "open_cycle.txt").write_text("(1 2\n")

@@ -5,7 +5,8 @@
 `WorkbenchError` (usually `InvariantViolation`) for a failed internal check:
 no `assert` and no `ArithmeticError`, `RuntimeError` or `AssertionError`.
 A module-level UPPER_CASE constant that no module of the package reads is
-dead code and fails the lint too."""
+dead code and fails the lint too, as does a name a module imports and never
+uses."""
 
 import ast
 from pathlib import Path
@@ -66,3 +67,26 @@ def test_module_constants_are_read():
     unread = [f"{stem}.{name}" for stem, tree in trees.items()
               for name in _module_constants(tree) if name not in read]
     assert unread == [], f"module constants nobody reads: {unread}"
+
+
+def _unused_imports(tree):
+    """Names a module imports at top level (`from __future__` aside) but
+    never loads."""
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted((line, name) for name, line in imported.items() if name not in loaded)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unused = _unused_imports(tree)
+    assert unused == [], f"{path.name} imports names it never uses: {unused}"

@@ -3,7 +3,9 @@ import pytest
 from workbench import pgroup
 from workbench.errors import BadDegree, NotDihedral, TypeUnavailable
 from workbench.groups import builtin_group
-from workbench.perm import mul, identity, perm_order
+from workbench.perm import inverse, mul, perm_order
+
+from oracles import named_subgroup_gens
 
 _frames = {}
 _exts = {}
@@ -29,7 +31,7 @@ def test_build_dihedral_basics():
     t_cent = f4.group.centralizer(f4.t)
     assert t_cent.order == 4
     f5 = frame(5)
-    z = f5.s_i(1)
+    z = f5.perm(f5.s_i(1))
     assert perm_order(z) == 2
     assert f5.group.centralizer(z).order == 32
 
@@ -64,9 +66,26 @@ def test_extension_d_is_sd16_for_d3():
 
 def test_extension_e_centralizer():
     e4 = ext(4, "e")
-    cd = e4.centralizer_in_D(e4.e)
+    cd = e4.centralizer_in_D((0, 0, 1))
     assert cd == e4.named_subgroup("X_3")
     assert len(cd) == 8
+
+
+def test_normal_form_matches_engine():
+    # the normal-form product is E's product, and each named subgroup is the
+    # engine closure of its defining generators
+    for d in (3, 4, 5):
+        for ty in pgroup._available_types(d):
+            e = ext(d, ty)
+            perms = {h: e.perm(h) for h in e.points}
+            assert all(e.form(g) == h for h, g in perms.items())
+            for p, gp in perms.items():
+                for q, gq in perms.items():
+                    assert e.form(mul(gp, gq)) == e.mul(p, q), (d, ty, p, q)
+            for name in e.named_subgroup_names():
+                closure = e.E.subgroup(named_subgroup_gens(e, name))
+                assert {e.form(g)[:2] for g in closure.elements} == \
+                    e.named_subgroup(name), (d, ty, name)
 
 
 def test_type_e_unavailable_for_d3():
@@ -159,9 +178,9 @@ def test_real_condition_examples():
 def test_real_condition_constant_on_conjugates():
     # conjugating Q inside D does not change the predicate
     e = ext(4, "c")
-    t_conj = mul(mul(pgroup.inverse(e.s), e.embed(e.frame.t)), e.s)
-    assert pgroup.subpair_reality(e, [e.embed(e.frame.t)])[0] == \
-        pgroup.subpair_reality(e, [t_conj])[0]
+    t_conj = mul(mul(inverse(e.s), e.t), e.s)
+    assert pgroup.subpair_reality(e, [(0, 1)])[0] == \
+        pgroup.subpair_reality(e, [e.form(t_conj)[:2]])[0]
 
 
 def test_named_subgroups_cover_all_subgroups_up_to_conjugacy():
@@ -179,8 +198,8 @@ def test_named_subgroups_cover_all_subgroups_up_to_conjugacy():
         for sub in seen:
             conjugates = []
             for g in D.elements:
-                gi = pgroup.inverse(g)
-                conjugates.append(frozenset(mul(mul(gi, x), g) for x in sub))
+                gi = inverse(g)
+                conjugates.append(frozenset(e.form(mul(mul(gi, x), g))[:2] for x in sub))
             assert any(c in named for c in conjugates)
 
 
