@@ -3,7 +3,8 @@
 Blocks are cut out by equality of reduced central characters
 omega_B(C+) = |C| chi(c) / chi(1) mod 2, computed exactly in a common
 field GF(2^F).  Defect couples (D, E) follow the construction from a real
-defect class element c: E a Sylow 2-subgroup of C*(c), D = E n C(c).
+defect class element c: E a Sylow 2-subgroup of C*(c), D = E n C(c),
+grown as D Sylow in C(c) and then E Sylow in C*(c) above D.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from math import gcd
 from .chartab import CharacterTable
 from .errors import InvariantViolation, NotRealBlock
 from .gf2 import multiplicative_order_of_2
-from .perm import PermGroup, conj, nu
+from .perm import PermGroup, conj, mul, nu
 from .pgroup import classify_extension, is_dihedral_2group
 
 
@@ -47,6 +48,7 @@ class BlockData:
     real_defect_class_ids: tuple | None = None
     couple: DefectCouple | None = None
     etype: str | None = None
+    idempotent: list | None = None   # e_B per class, once computed
 
     def degrees(self, table: CharacterTable) -> list:
         return sorted(table.degrees[i] for i in self.rows)
@@ -83,8 +85,10 @@ def block_idempotent_support(table: CharacterTable, block: BlockData) -> list:
     """Coefficients of e_B per class: reduce((1/|G|) sum chi(1) chi(c^-1)).
 
     Nonzero only on 2-regular classes; returned as GF(2^F) ints in
-    the table's class order.
+    the table's class order, and kept on the block for later calls.
     """
+    if block.idempotent is not None:
+        return block.idempotent
     F = block.field_f
     coeffs = []
     for j in range(table.k):
@@ -99,6 +103,7 @@ def block_idempotent_support(table: CharacterTable, block: BlockData) -> list:
     for j, a in enumerate(coeffs):
         if a and not table.classes[j].is_2regular:
             raise InvariantViolation("idempotent supported on a 2-singular class")
+    block.idempotent = coeffs
     return coeffs
 
 
@@ -158,15 +163,15 @@ def defect_couple(table: CharacterTable, block: BlockData) -> DefectCouple:
 def _couple_from_element(table: CharacterTable, block: BlockData, c_idx: int) -> DefectCouple:
     G = table.group
     c = G.elements[c_idx]
-    cent = G.centralizer(c)
     ext = G.extended_centralizer(c)
+    cent = ext.centralizer(c)
     if ext.order % cent.order or ext.order // cent.order not in (1, 2):
         raise InvariantViolation("[C*(c):C(c)] is not 1 or 2")
-    E = ext.sylow2()
-    D = E.intersection(cent)
-    # D is automatically Sylow in C(c) since [C*(c):C(c)] <= 2
-    if D.order != 1 << nu(cent.order):
-        raise InvariantViolation("D is not a Sylow 2-subgroup of C(c)")
+    D = cent.sylow2()
+    E = ext.sylow2(D)
+    # E n C(c) is a 2-subgroup of C(c) containing the Sylow D, so it is D
+    if any(x not in D.index and mul(x, c) == mul(c, x) for x in E.elements):
+        raise InvariantViolation("E n C(c) is larger than D")
     if D.order != 1 << block.defect:
         raise InvariantViolation("|D| does not match the block's defect")
     etype = None

@@ -338,7 +338,8 @@ def dixon_table(G: PermGroup) -> CharacterTable:
     order = G.order
     reps = [G.elements[c.rep] for c in classes]
     sizes = [c.size() for c in classes]
-    id_class = G.class_of(G.identity_idx())
+    class_of, index = G.class_of, G.index
+    id_class = class_of[G.identity_idx()]
 
     # class data: power_classes[j][r] is the class of rep_j^r for
     # 0 <= r < order, so power_classes[j][-1] is the class of rep_j^-1
@@ -347,8 +348,8 @@ def dixon_table(G: PermGroup) -> CharacterTable:
         pcs = []
         cur = G.identity_idx()
         for _ in range(c.order):
-            pcs.append(G.class_of(cur))
-            cur = G.idx(mul(G.elements[cur], rep))
+            pcs.append(class_of[cur])
+            cur = index[mul(G.elements[cur], rep)]
         power_classes.append(pcs)
     inv_class = [pcs[-1] for pcs in power_classes]
 
@@ -360,7 +361,7 @@ def dixon_table(G: PermGroup) -> CharacterTable:
         inv_members = [G.elements[m] for m in classes[inv_class[i]].members]
         for l, gl in enumerate(reps):
             for u_inv in inv_members:
-                row[G.class_of(G.idx(mul(u_inv, gl)))][l] += 1
+                row[class_of[index[mul(u_inv, gl)]]][l] += 1
 
     exponent = G.exponent()
     p = _dixon_prime(exponent, order)

@@ -93,7 +93,8 @@ def cmd_group(args) -> int:
 
 def cmd_extensions(args) -> int:
     if args.census:
-        census = pgroup.census_degree2_extensions(pgroup.build_dihedral(args.d))
+        census = pgroup.census_degree2_extensions(
+            pgroup.build_dihedral(args.d, cap=args.cap_order))
         payload = {"d": args.d, "classes": len(census),
                    "types": [t for t, _ in census]}
         expected = 4 if args.d == 3 else 5
@@ -106,7 +107,7 @@ def cmd_extensions(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    frame = pgroup.build_dihedral(args.d)
+    frame = pgroup.build_dihedral(args.d, cap=args.cap_order)
     ext = pgroup.build_extension(frame, args.type)
     rows = pgroup.eclass_table(ext)
     payload = {"d": args.d, "type": args.type,

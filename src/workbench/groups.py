@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 
 from .errors import InvariantViolation
-from .perm import PermGroup, generate, parse_cycles
+from .perm import PermGroup, check_cap, generate, parse_cycles
 
 _Q_ALLOWED = (3, 5, 7, 9, 11)
 
@@ -112,9 +112,10 @@ def _semidihedral16() -> list:
     return [r, x]
 
 
-def _cyclic(n: int) -> list:
+def _cyclic(n: int, cap: int | None) -> list:
     if n < 1:
         raise ValueError(f"cyclic group order must be >= 1, got {n}")
+    check_cap(n, cap)
     return [tuple((i + 1) % n for i in range(n))]
 
 
@@ -137,15 +138,16 @@ def _direct_product(parts) -> list:
 def builtin_group(name: str, cap: int | None = None) -> PermGroup:
     """Look up a builtin group by its catalog name; 'AxB' builds products.
 
-    Every builtin is closed by one `generate` call, so `cap` bounds it."""
-    return generate(_builtin_gens(name.lower()), cap=cap)
+    Every builtin is closed by one `generate` call, so `cap` bounds it; a
+    cyclic factor larger than `cap` is refused before it is built."""
+    return generate(_builtin_gens(name.lower(), cap), cap=cap)
 
 
-def _builtin_gens(name: str) -> list:
+def _builtin_gens(name: str, cap: int | None) -> list:
     if "x" in name and name != "c2xs3" and not name.startswith("x"):
         parts = name.split("x")
         if all(parts):
-            return _direct_product([_builtin_gens(p) for p in parts])
+            return _direct_product([_builtin_gens(p, cap) for p in parts])
     if name == "d8":
         return _dihedral(8)
     if name == "d16":
@@ -169,7 +171,7 @@ def _builtin_gens(name: str) -> list:
                 parse_cycles("(3 4 5)"), parse_cycles("(3 4)", degree=5)]
     m = re.fullmatch(r"c(\d+)", name)
     if m:
-        return _cyclic(int(m.group(1)))
+        return _cyclic(int(m.group(1)), cap)
     m = re.fullmatch(r"psl2q\((\d+)\)|psl2_?(\d+)", name)
     if m:
         return _psl2(int(m.group(1) or m.group(2)))

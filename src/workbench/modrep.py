@@ -54,6 +54,7 @@ OMEGA_CAP = 2048
 MEATAXE_DIM_CAP = 512
 SUMMAND_DIM_CAP = 256
 COMMUTANT_DIM_CAP = 48
+SPLIT_TRIES = 60  # corner draws per piece before it counts as indecomposable
 
 
 class GF2Module:
@@ -255,9 +256,10 @@ def block_cut(table: CharacterTable, block: BlockData, module: GF2Module):
     cut_mats = [restrict(ech, map(m.mul_vec, basis), "cut") for m in module.mats]
 
     def endo_spanning():
-        # v*e*O*e = (v*O)*e for v in the image of e
+        # e commutes with every orbital matrix O (both commute with G), so
+        # v*O = v*e*O = (v*O)*e already lies in eM for v in eM
         for O in _orbital_matrices(module):
-            yield restrict(ech, (proj.mul_vec(O.mul_vec(v)) for v in basis), "cut")
+            yield restrict(ech, map(O.mul_vec, basis), "cut")
 
     return GF2Module(cut_mats, len(basis), group=module.group,
                      labels=None, endo_spanning=endo_spanning)
@@ -384,7 +386,7 @@ class _Piece:
         return out
 
 
-def summand_split(module: GF2Module, seed=0, max_tries=60):
+def summand_split(module: GF2Module, seed=0):
     """Indecomposable direct summands via idempotents of End(M).
 
     Each piece P of the split lives in its own coordinates (`_Piece`); the
@@ -394,7 +396,7 @@ def summand_split(module: GF2Module, seed=0, max_tries=60):
     GF(2)[a] (found linearly: x -> x^2 + x), with the minimal polynomial of
     a taken from the Krylov sequences of a few kG-generators of P.  An
     idempotent k splits P into kP and (1 + k)P; pieces where no proper
-    idempotent appears within the retry budget are reported
+    idempotent appears within SPLIT_TRIES draws are reported
     indecomposable.  Each summand's `origin` records its place in the
     decomposition of M.
     """
@@ -410,7 +412,7 @@ def summand_split(module: GF2Module, seed=0, max_tries=60):
         piece = work.pop()
         found = None
         if len(piece.corner) > 1:
-            for _ in range(max_tries):
+            for _ in range(SPLIT_TRIES):
                 found = _proper_corner_idempotent(_corner_draw(piece.corner, rng),
                                                   piece)
                 if found is not None:
@@ -569,7 +571,7 @@ def o2_principal_check(table: CharacterTable, t_index: int) -> bool:
     core = G.o2_core()
     if t not in core.index:
         raise NotInO2("element is not in O_2(G)")
-    cls = G.conjugacy_classes()[G.class_of(t_index)]
+    cls = G.conjugacy_classes()[G.class_of[t_index]]
     module = conjugation_module(G, cls.members)
     for b in block_partition(table):
         if b.is_principal:

@@ -11,9 +11,10 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
-from math import gcd
+from functools import cached_property
+from math import lcm
 
-from .errors import BadIndex, CapExceeded, InvariantViolation, NotMember
+from .errors import CapExceeded, InvariantViolation, NotMember
 
 DEFAULT_ORDER_CAP = 10080
 
@@ -22,6 +23,13 @@ def order_cap() -> int:
     """Group-order cap; WORKBENCH_CAP_ORDER overrides the default."""
     env = os.environ.get("WORKBENCH_CAP_ORDER")
     return int(env) if env else DEFAULT_ORDER_CAP
+
+
+def check_cap(order: int, cap: int | None):
+    """Refuse a group of a known order above `cap` before building it."""
+    cap = cap if cap is not None else order_cap()
+    if order > cap:
+        raise CapExceeded(f"group order {order} exceeds cap {cap}")
 
 
 Perm = tuple  # tuple of 0-based images
@@ -49,12 +57,17 @@ def conj(p: Perm, g: Perm) -> Perm:
 
 
 def perm_order(p: Perm) -> int:
+    """The lcm of the cycle lengths of p."""
     n = 1
-    q = p
-    ident = identity(len(p))
-    while q != ident:
-        q = mul(q, p)
-        n += 1
+    seen = [False] * len(p)
+    for i in range(len(p)):
+        j, length = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = p[j]
+            length += 1
+        if length:
+            n = lcm(n, length)
     return n
 
 
@@ -173,7 +186,7 @@ class PermGroup:
                 raise ValueError(f"not a permutation: {g}")
         self.degree = degree
         self.generators = gens
-        self._cap = cap if cap is not None else order_cap()
+        self.cap = cap if cap is not None else order_cap()
         self._adopt(self._close())
 
     def _adopt(self, elements: list):
@@ -182,7 +195,6 @@ class PermGroup:
         self.index = {p: i for i, p in enumerate(self.elements)}
         self.order = len(self.elements)
         self._classes = None
-        self._class_of = None
 
     def _close(self) -> list:
         ident = identity(self.degree)
@@ -194,9 +206,9 @@ class PermGroup:
                 for g in self.generators:
                     q = mul(p, g)
                     if q not in seen:
-                        if len(seen) >= self._cap:
+                        if len(seen) >= self.cap:
                             raise CapExceeded(
-                                f"group order exceeds cap {self._cap}")
+                                f"group order exceeds cap {self.cap}")
                         seen.add(q)
                         nxt.append(q)
             frontier = nxt
@@ -218,9 +230,6 @@ class PermGroup:
 
     def inv_idx(self, i: int) -> int:
         return self.index[inverse(self.elements[i])]
-
-    def order_of(self, i: int) -> int:
-        return perm_order(self.elements[i])
 
     # -- conjugacy classes ----------------------------------------------
 
@@ -256,7 +265,7 @@ class PermGroup:
         classes = []
         for members in raw:
             rep = members[0]
-            o = self.order_of(rep)
+            o = perm_order(self.elements[rep])
             inv_rep = self.inv_idx(rep)
             classes.append(ConjClass(
                 rep=rep, members=members, order=o,
@@ -265,20 +274,21 @@ class PermGroup:
             ))
         classes.sort(key=lambda c: (c.order, c.size(), c.rep))
         self._classes = classes
-        self._class_of = [0] * self.order
-        for ci, c in enumerate(classes):
-            for m in c.members:
-                self._class_of[m] = ci
         return classes
 
-    def class_of(self, i: int) -> int:
-        self.conjugacy_classes()
-        return self._class_of[i]
+    @cached_property
+    def class_of(self) -> list:
+        """class_of[i] is the position in `conjugacy_classes()` of element i's class."""
+        out = [0] * self.order
+        for ci, c in enumerate(self.conjugacy_classes()):
+            for m in c.members:
+                out[m] = ci
+        return out
 
     # -- subgroups -------------------------------------------------------
 
     def subgroup(self, gen_perms) -> "PermGroup":
-        return PermGroup(list(gen_perms), degree=self.degree, cap=self._cap)
+        return PermGroup(list(gen_perms), degree=self.degree, cap=self.cap)
 
     def centralizer(self, *members: Perm) -> "PermGroup":
         """The elements that commute with every one of `members`."""
@@ -300,69 +310,40 @@ class PermGroup:
         elems = [x for x in self.elements if conj(p, x) in targets]
         return self._from_elements(elems)
 
-    def normalizer_of_set(self, subset) -> "PermGroup":
-        sset = set(subset)
-        elems = []
-        for x in self.elements:
-            xi = inverse(x)
-            if all(mul(mul(xi, s), x) in sset for s in sset):
-                elems.append(x)
-        return self._from_elements(elems)
-
     def _from_elements(self, elems) -> "PermGroup":
         g = PermGroup.__new__(PermGroup)
         g.degree = self.degree
         g.generators = list(elems)
-        g._cap = self._cap
+        g.cap = self.cap
         g._adopt(sorted(elems))
         return g
 
     def element_set(self) -> frozenset:
         return frozenset(self.elements)
 
-    def intersection(self, other: "PermGroup") -> "PermGroup":
-        if other.degree != self.degree:
-            raise BadIndex("degree mismatch")
-        elems = [p for p in self.elements if p in other.index]
-        return self._from_elements(elems)
-
     def is_subgroup_of(self, other: "PermGroup") -> bool:
         return all(p in other.index for p in self.elements)
 
     # -- 2-local structure -------------------------------------------------
 
-    def sylow2(self) -> "PermGroup":
-        """A Sylow 2-subgroup, grown by greedy normalizer ascent.
+    def sylow2(self, start: "PermGroup | None" = None) -> "PermGroup":
+        """A Sylow 2-subgroup containing the 2-subgroup `start` (default 1).
 
-        Starts from the cyclic group on the first 2-element and repeatedly
-        adjoins a 2-element of the normalizer.  Correctness is checked by
-        order only; there is no canonical choice of Sylow subgroup.
+        Grows P one generator at a time: each step adjoins the first
+        2-element y outside P, in element order, with g^y in P for every
+        generator g of P.  Such a y normalizes P, so P<y> is a 2-group; and
+        a y exists while P is not Sylow, since P is then proper in N_S(P)
+        for a Sylow S containing P.  There is no canonical choice.
         """
-        target = 2 ** nu(self.order)
-        if target == 1:
-            return self._from_elements([identity(self.degree)])
-        start = None
-        for p in self.elements:
-            o = perm_order(p)
-            if o > 1 and o & (o - 1) == 0:
-                start = p
-                break
-        current = self.subgroup([start])
+        target = 1 << nu(self.order)
+        current = start if start is not None else self.subgroup([])
+        twos = [y for y in self.elements if (o := perm_order(y)) & (o - 1) == 0]
         while current.order < target:
-            norm = self.normalizer_of_set(current.element_set())
-            grown = None
-            for y in norm.elements:
-                if y in current.index:
-                    continue
-                o = perm_order(y)
-                if o & (o - 1) == 0:
-                    cand = self.subgroup(list(current.generators) + [y])
-                    if cand.order & (cand.order - 1) == 0:
-                        grown = cand
-                        break
+            grown = next((y for y in twos if y not in current.index and all(
+                conj(g, y) in current.index for g in current.generators)), None)
             if grown is None:  # unreachable for finite groups
                 raise InvariantViolation("normalizer ascent stalled")
-            current = grown
+            current = self.subgroup(current.generators + [grown])
         if current.order != target:
             raise InvariantViolation("Sylow 2-subgroup search ended below the 2-part of |G|")
         return current
@@ -372,21 +353,17 @@ class PermGroup:
         return [i for i, p in enumerate(self.elements) if mul(p, p) == identity(self.degree)]
 
     def o2_core(self) -> "PermGroup":
-        """O_2(G): the intersection of all conjugates of a Sylow 2-subgroup."""
+        """O_2(G): the union of the classes inside a Sylow 2-subgroup P.
+
+        x lies in every conjugate of P exactly when x^G lies in P."""
         syl = self.sylow2()
-        core = syl.element_set()
-        for g in self.elements:
-            gi = inverse(g)
-            core = core & frozenset(mul(mul(gi, s), g) for s in syl.elements)
-            if len(core) == 1:
-                break
+        core = [self.elements[m] for c in self.conjugacy_classes()
+                if all(self.elements[m] in syl.index for m in c.members)
+                for m in c.members]
         return self._from_elements(sorted(core))
 
     def exponent(self) -> int:
-        e = 1
-        for c in self.conjugacy_classes():
-            e = e * c.order // gcd(e, c.order)
-        return e
+        return lcm(*(c.order for c in self.conjugacy_classes()))
 
     def center_order(self) -> int:
         return sum(1 for c in self.conjugacy_classes() if c.size() == 1)

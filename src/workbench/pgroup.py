@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .errors import (BadDegree, BadIndex, InvariantViolation, NotDihedral,
                      TypeUnavailable, Unclassifiable)
-from .perm import PermGroup, identity, mul, nu
+from .perm import PermGroup, check_cap, identity, mul, nu
 
 EXT_TYPES = ("a", "b", "c", "d", "e")
 
@@ -67,9 +67,10 @@ class DihedralFrame:
 
 
 def build_dihedral(d: int, cap: int | None = None) -> DihedralFrame:
-    """D_{2^d} acting naturally on 2^(d-1) points."""
+    """D_{2^d} acting naturally on 2^(d-1) points; its extensions share `cap`."""
     if d < 3:
         raise BadDegree("dihedral frame needs d >= 3")
+    check_cap(1 << d, cap)
     m = 1 << (d - 1)
     s = tuple((x + 1) % m for x in range(m))
     t = tuple((-x) % m for x in range(m))
@@ -113,10 +114,12 @@ class ExtensionFrame:
         self.alpha = alpha
         self.u = u
         self.etype = etype
+        check_cap(2 * frame.order, frame.group.cap)
         self.points = [x + (i,) for i in (0, 1) for x in frame.forms]
         self._index = {p: n for n, p in enumerate(self.points)}
         self.s, self.t, self.e = (self.perm(h) for h in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-        self.E = PermGroup([self.s, self.t, self.e], degree=len(self.points))
+        self.E = PermGroup([self.s, self.t, self.e], degree=len(self.points),
+                           cap=frame.group.cap)
         if self.E.order != len(self.points):
             raise InvariantViolation("the crossed product D<e> is not of order 2|D|")
         self.D_set = frozenset(g for g in self.E.elements if self.form(g)[2] == 0)
@@ -343,7 +346,7 @@ def eclass_table(ext: ExtensionFrame) -> list:
     covered = set()
     for label, (k, teps), _inv_expected, _cname in expected_table1_rows(ext.frame.d, ext.etype):
         x = (k, teps, 1)
-        members = classes[E.class_of(E.idx(ext.perm(x)))].members
+        members = classes[E.class_of[E.idx(ext.perm(x))]].members
         cls = {ext.form(E.elements[j]) for j in members}
         if covered & cls:
             raise Unclassifiable(f"row {label}: representative already covered")

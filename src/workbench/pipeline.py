@@ -92,7 +92,7 @@ class BlockReport:
 
 
 def analyze_group(group, name: str | None = None, seed: int = 0,
-                  hint: str | None = None, with_modules: bool = True) -> dict:
+                  hint: str | None = None) -> dict:
     """Full pipeline for one group; returns a JSON-ready report."""
     if isinstance(group, str):
         name = group
@@ -101,9 +101,7 @@ def analyze_group(group, name: str | None = None, seed: int = 0,
     parts = blocklib.analyze_blocks(table)
     if hint is None and name is not None:
         hint = morita_hint(name)
-    omega = None
-    if with_modules:
-        omega = modrep.involution_perm_module(group)
+    omega = modrep.involution_perm_module(group)
     reports = []
     total_cut = 0
     for b in parts:
@@ -120,10 +118,8 @@ def analyze_group(group, name: str | None = None, seed: int = 0,
             rep.defect_group_dihedral = is_dihedral_2group(D)
             rep.etype = b.etype
         _fs_report(table, b, rep)
-        if with_modules:
-            _module_report(table, b, rep, omega, seed)
-            if rep.komega_dim is not None:
-                total_cut += rep.komega_dim
+        _module_report(table, b, rep, omega, seed)
+        total_cut += rep.komega_dim
         if rep.defect_group_dihedral and b.etype is not None:
             _match_table2(table, b, rep, hint, seed)
         reports.append(rep)
@@ -137,10 +133,9 @@ def analyze_group(group, name: str | None = None, seed: int = 0,
                                     zip(table.fs_vector(), table.degrees))
         == len(group.involution_indices()),
         "blocks": [r.to_json() for r in reports],
+        "komega_dim": omega.dim,
+        "cut_dims_sum_ok": total_cut == omega.dim,
     }
-    if with_modules:
-        out["komega_dim"] = omega.dim
-        out["cut_dims_sum_ok"] = (total_cut == omega.dim)
     out["mismatches"] = [m for r in reports for m in r.mismatches]
     if not out["fs_count_identity_ok"]:
         out["mismatches"].append("FS involution-count identity failed")

@@ -144,3 +144,47 @@ def named_subgroup_gens(ext, name: str) -> list:
         top = (0, 1, 0) if name[0] == "X" else (1, 1, 0)
         gens = [top] if i == 1 else [s_i(i - 1), top]
     return [ext.perm(g) for g in gens]
+
+
+def _order_by_powers(p) -> int:
+    """Element order by multiplying p into itself until the identity."""
+    from workbench.perm import identity, mul
+
+    n, q, ident = 1, p, identity(len(p))
+    while q != ident:
+        q = mul(q, p)
+        n += 1
+    return n
+
+
+def normalizer_ascent_sylow2(G):
+    """A Sylow 2-subgroup of G by whole-normalizer ascent: start at the first
+    2-element, then adjoin the first 2-element outside P of the sorted
+    normalizer N_G(P), computed by conjugating all of P by every element."""
+    from workbench.perm import conj, nu
+
+    def two_element(p):
+        o = _order_by_powers(p)
+        return o > 1 and o & (o - 1) == 0
+
+    target = 1 << nu(G.order)
+    if target == 1:
+        return G.subgroup([])
+    P = G.subgroup([next(p for p in G.elements if two_element(p))])
+    while P.order < target:
+        members = set(P.elements)
+        norm = [x for x in G.elements if all(conj(s, x) in members for s in members)]
+        P = G.subgroup(P.generators + [next(y for y in norm if y not in members
+                                            and two_element(y))])
+    return P
+
+
+def conjugate_intersection_o2_core(G) -> frozenset:
+    """O_2(G) as the intersection of all G-conjugates of a Sylow 2-subgroup."""
+    from workbench.perm import conj
+
+    syl = normalizer_ascent_sylow2(G).elements
+    core = frozenset(syl)
+    for g in G.elements:
+        core &= frozenset(conj(s, g) for s in syl)
+    return core

@@ -202,7 +202,7 @@ def test_criterion_11_property_suites():
             supp = blocks.block_idempotent_support(T, b)
             total = [a ^ s for a, s in zip(total, supp)]
         expect = [0] * T.k
-        expect[T.group.class_of(T.group.identity_idx())] = 1
+        expect[T.group.class_of[T.group.identity_idx()]] = 1
         assert total == expect, name
     # defect-couple conjugacy uniqueness, exhaustive
     for name in ("psl27", "s5", "a7"):

@@ -87,7 +87,7 @@ def test_idempotent_support_and_partition_of_unity():
         total = [0] * T.k
         for s in supports:
             total = [a ^ b for a, b in zip(total, s)]
-        id_class = T.group.class_of(T.group.identity_idx())
+        id_class = T.group.class_of[T.group.identity_idx()]
         expect = [0] * T.k
         expect[id_class] = 1
         assert total == expect, name
@@ -153,6 +153,23 @@ def test_defect_couple_defect0_block():
     assert cpl.etype is None  # not dihedral, couple still returned
 
 
+@pytest.mark.parametrize("name", ["psl27", "s5", "a7", "pgl2_11", "c3xs4"])
+def test_couple_grown_on_generators(name):
+    # D Sylow in C(c), E Sylow in C*(c) above D: then E n C(c) = D, and D
+    # carries at most log2|D| generators
+    T = table(name)
+    G = T.group
+    for b in blocks.analyze_blocks(T):
+        if not b.is_real:
+            continue
+        D, E = b.couple.D, b.couple.E
+        assert D.is_subgroup_of(E)
+        assert E.order in (D.order, 2 * D.order)
+        cent = G.centralizer(G.elements[b.couple.c_index])
+        assert {x for x in E.elements if x in cent.index} == set(D.elements)
+        assert len(D.generators) <= nu(D.order)
+
+
 def test_two_defect_notions_agree():
     for name in ("psl27", "s5", "pgl27"):
         T = table(name)
@@ -187,4 +204,4 @@ def test_analyze_blocks_keeps_the_defect_couple():
     for b in blocks.analyze_blocks(T):
         assert isinstance(b.couple, blocks.DefectCouple)
         assert b.couple.etype == b.etype
-        assert T.group.class_of(b.couple.c_index) in b.real_defect_class_ids
+        assert T.group.class_of[b.couple.c_index] in b.real_defect_class_ids

@@ -138,7 +138,7 @@ def test_structure_constants_brute_force(name):
     T = table(name)
     G = T.group
     rep_class = {c.rep: l for l, c in enumerate(T.classes)}
-    cls = [G.class_of(i) for i in range(G.order)]
+    cls = [G.class_of[i] for i in range(G.order)]
     want = [[[0] * T.k for _ in range(T.k)] for _ in range(T.k)]
     for x, px in enumerate(G.elements):
         for y, py in enumerate(G.elements):
@@ -153,6 +153,6 @@ def test_power_maps_against_sympy(name):
     T = table(name)
     G = T.group
     for r in (-1, 2, 3, 5):
-        want = [G.class_of(G.idx(tuple((Permutation(list(G.elements[c.rep])) ** r).array_form)))
+        want = [G.class_of[G.idx(tuple((Permutation(list(G.elements[c.rep])) ** r).array_form))]
                 for c in T.classes]
         assert T._power_map(r) == want, r

@@ -189,6 +189,25 @@ def test_cap_order_flag_reaches_builtins(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["table1", "--d", "3", "--type", "a", "--cap-order", "8"],
+    ["extensions", "--d", "3", "--census", "--cap-order", "8"],
+    ["table1", "--d", "40", "--type", "a"],
+    ["group", "--group", "c100000000"],
+    ["group", "--group", "c100000000xc2"],
+], ids=["table1-extension", "census-extension", "table1-huge-d", "huge-cyclic",
+        "huge-cyclic-factor"])
+def test_cap_order_is_checked_before_building(argv, capsys):
+    # the cap refuses a group before any of its permutations is built, and
+    # --cap-order reaches the dihedral frames of table1 and the census
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("workbench: CapExceeded: ")
+
+
+@pytest.mark.parametrize("argv", [
     ["group", "--group", "nosuch"],
     ["group", "--group", "{tmp}/missing.txt"],
     ["group", "--group", "{tmp}/open_cycle.txt"],

@@ -1,9 +1,24 @@
+from pathlib import Path
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from workbench import perm
 from workbench.errors import CapExceeded, NotMember
 from workbench.groups import builtin_group
+
+from oracles import conjugate_intersection_o2_core, normalizer_ascent_sylow2
+
+GROUP_FILES = Path(__file__).resolve().parents[1] / "perfbench" / "groups"
+
+
+def _group(name):
+    path = GROUP_FILES / f"{name}.txt"
+    if path.exists():
+        return perm.generate(perm.read_generator_file(str(path)))
+    return builtin_group(name)
 
 
 def test_mul_convention():
@@ -165,6 +180,27 @@ def test_sylow2_translates_are_conjugate():
             for x in G.elements
         )
         assert found
+
+
+@pytest.mark.parametrize("name", ["s4", "c2xs3", "psl27", "a7", "pgl2_11", "M11"])
+def test_sylow_ascent_matches_oracle(name):
+    # growing P on its generators picks the same y at every step as
+    # adjoining the first 2-element of the whole normalizer N_G(P)
+    G = _group(name)
+    P, Q = G.sylow2(), normalizer_ascent_sylow2(G)
+    assert P.elements == Q.elements
+    assert P.generators == Q.generators
+
+
+@pytest.mark.parametrize("name", ["s4", "d8", "c2xs3", "c3xs4", "psl27"])
+def test_o2_core_matches_oracle(name):
+    G = builtin_group(name)
+    assert G.o2_core().element_set() == conjugate_intersection_o2_core(G)
+
+
+@given(st.integers(1, 40).flatmap(lambda n: st.permutations(range(n))))
+def test_perm_order_against_sympy(images):
+    assert perm.perm_order(tuple(images)) == Permutation(images).order()
 
 
 def test_nu():
