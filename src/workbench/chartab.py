@@ -10,19 +10,24 @@ everything downstream of the lift is exact; FS indicators are computed once
 per table, on first use.
 
 The class data (the class of every power of every representative, and the
-structure constants) is worked out once, in `dixon_table`, and kept on the
-table: power maps and the block idempotent check read it from there.
+structure constants) is worked out once, in `dixon_table`, from the group's
+index tables (one row x -> g·x per class representative), not tuple
+products, and kept on the table: power maps and the block idempotent check
+read it from there.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from fractions import Fraction
 from math import isqrt
+from operator import add
 
 from . import linalg
 from .cyclotomic import Cyclotomic, prime_divisors
 from .errors import CapExceeded, InvariantViolation, NonIndicatorValue
-from .perm import PermGroup, mul
+from .perm import PermGroup
 
 CLASS_CAP = 60
 
@@ -336,32 +341,29 @@ def dixon_table(G: PermGroup) -> CharacterTable:
     if k > CLASS_CAP:
         raise CapExceeded(f"{k} classes exceeds cap {CLASS_CAP}")
     order = G.order
-    reps = [G.elements[c.rep] for c in classes]
     sizes = [c.size() for c in classes]
-    class_of, index = G.class_of, G.index
-    id_class = class_of[G.identity_idx()]
+    class_of = G.class_of
+    one = G.identity_idx()
+    id_class = class_of[one]
+    inv_class = [class_of[G.inv[c.rep]] for c in classes]
 
-    # class data: power_classes[j][r] is the class of rep_j^r for
-    # 0 <= r < order, so power_classes[j][-1] is the class of rep_j^-1
+    # One left row L: x -> g_l·x at a time, per representative g_l.  Walking
+    # L from 1 gives power_classes[l][r], the class of g_l^r, 0 <= r < order.
+    # a[i][j][l] = #{u in C_i : u^-1 g_l in C_j} counts u^-1 in C_{i^-1} with
+    # g_l·u^-1 in C_j, a conjugate of u^-1·g_l: element x adds one to
+    # a[i][j][l] for i = inv_class[class_of[x]] and j = class_of[L[x]].
+    pair_base = array("i", (inv_class[j] * k for j in class_of))
     power_classes = []
-    for c, rep in zip(classes, reps):
-        pcs = []
-        cur = G.identity_idx()
+    a = [[[0] * k for _ in range(k)] for _ in range(k)]
+    for l, c in enumerate(classes):
+        L = G.left(c.rep)
+        pcs, cur = [], one
         for _ in range(c.order):
             pcs.append(class_of[cur])
-            cur = index[mul(G.elements[cur], rep)]
+            cur = L[cur]
         power_classes.append(pcs)
-    inv_class = [pcs[-1] for pcs in power_classes]
-
-    # structure constants: a[i][j][l] = #{u in C_i : u^-1 g_l in C_j},
-    # with u^-1 running over the inverse class C_{i^-1}
-    a = [[[0] * k for _ in range(k)] for _ in range(k)]
-    for i in range(k):
-        row = a[i]
-        inv_members = [G.elements[m] for m in classes[inv_class[i]].members]
-        for l, gl in enumerate(reps):
-            for u_inv in inv_members:
-                row[class_of[index[mul(u_inv, gl)]]][l] += 1
+        for ij, n in Counter(map(add, pair_base, map(class_of.__getitem__, L))).items():
+            a[ij // k][ij % k][l] = n
 
     exponent = G.exponent()
     p = _dixon_prime(exponent, order)

@@ -40,6 +40,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
+from operator import xor
 
 from .blocks import BlockData, block_idempotent_support, block_partition
 from .chartab import CharacterTable
@@ -76,6 +79,7 @@ class GF2Module:
         self.origin = None
         self._endo_spanning = endo_spanning  # callable yielding BitMatrix spans
         self._orbitals = None
+        self._class_parities = None  # see _orbital_coefficients
         for m in self.mats:
             if not m.nrows == m.ncols == dim:
                 raise InvariantViolation(
@@ -192,23 +196,20 @@ def _orbital_coefficients(table: CharacterTable, coeffs, module: GF2Module):
 
     A class sum commutes with G, so it is constant on each orbital and c_O
     is its (i0, j0) entry: sum_j coeffs[j] #{g in C_j : lab_i0^g = lab_j0}
-    mod 2, for coefficients in GF(2).  Only the rows i0 that represent an
-    orbital are computed, one per G-orbit of points."""
-    G = table.group
-    pos = {lab: n for n, lab in enumerate(module.labels)}
-    orbitals = _orbitals(module)
-    rows = {}
-    for i0, _j0, _O in orbitals:
-        if i0 in rows:
-            continue
-        p = G.elements[module.labels[i0]]
-        row = rows[i0] = {}
-        for c, cls in zip(coeffs, table.classes):
-            if c:
-                for m in cls.members:
-                    t = pos[G.idx(conj(p, G.elements[m]))]
-                    row[t] = row.get(t, 0) ^ c
-    return [(rows[i0].get(j0, 0), O) for i0, j0, O in orbitals]
+    mod 2, for coefficients in GF(2).  Bit t of the parity row (i0, j) is
+    #{g in C_j : lab_i0^g = lab_t} mod 2, counted once per module from the
+    image of lab_i0 under every element (`PermGroup.walk`)."""
+    if module._class_parities is None:
+        module._class_parities = {}
+        for i0, _j0, _O in _orbitals(module):
+            if i0 not in module._class_parities:
+                image = table.group.walk(module.perms, i0)
+                module._class_parities[i0] = [
+                    reduce(xor, (1 << image[m] for m in cls.members), 0)
+                    for cls in table.classes]
+    rows = {i0: reduce(xor, compress(parities, coeffs), 0)
+            for i0, parities in module._class_parities.items()}
+    return [(rows[i0] >> j0 & 1, O) for i0, j0, O in _orbitals(module)]
 
 
 def block_projector(table: CharacterTable, block: BlockData, module: GF2Module):

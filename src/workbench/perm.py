@@ -3,13 +3,18 @@
 Permutations are tuples of 0-based images acting on the right:
 (i)(pq) = ((i)p)q, i.e. mul(p, q)[i] = q[p[i]].  Groups materialize their
 full element list (sorted, so element indices are deterministic) and all
-later layers work with element indices.
+later layers work with element indices.  Products of elements go through
+integer index tables, not tuple products: the closure records the row
+x -> x·g of each generator g, and the rows x -> h·x (`left`) and x -> x^-1
+(`inv`) are walked down its BFS tree.  A subgroup cut out by index (a
+centralizer, C*(g), O_2) reads the rows of its root group.
 """
 
 from __future__ import annotations
 
 import os
 import re
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
@@ -140,15 +145,10 @@ def cycle_notation(p: Perm) -> str:
 
 def read_generator_file(path: str) -> list[Perm]:
     """One permutation per line; blank lines and '#' comments are skipped."""
-    gens = []
     with open(path) as fh:
-        lines = [ln for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
-    degree = 1
-    parsed = [parse_cycles(ln) for ln in lines]
-    for p in parsed:
-        degree = max(degree, len(p))
-    gens = [pad(p, degree) for p in parsed]
-    return gens
+        parsed = [parse_cycles(ln) for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
+    degree = max((len(p) for p in parsed), default=1)
+    return [pad(p, degree) for p in parsed]
 
 
 def pad(p: Perm, degree: int) -> Perm:
@@ -173,7 +173,7 @@ class PermGroup:
     """A permutation group with a materialized, sorted element table.
 
     Immutable after construction; every later layer addresses elements
-    by their index into `elements`.
+    by their index into `elements`.  The index tables are built on first use.
     """
 
     def __init__(self, generators, degree: int | None = None, cap: int | None = None):
@@ -187,32 +187,54 @@ class PermGroup:
         self.degree = degree
         self.generators = gens
         self.cap = cap if cap is not None else order_cap()
-        self._adopt(self._close())
+        self._parent = None
+        self._adopt(*self._close())
 
-    def _adopt(self, elements: list):
-        """Install a sorted element list as the table; reset the class memo."""
+    def _adopt(self, elements: list, index: dict):
+        """Install a sorted element list and its index as the table."""
         self.elements = elements
-        self.index = {p: i for i, p in enumerate(self.elements)}
-        self.order = len(self.elements)
+        self.index = index
+        self.order = len(elements)
+        self._members = range(self.order)  # root indices of the elements
         self._classes = None
 
-    def _close(self) -> list:
+    def _close(self) -> tuple:
+        """Breadth-first closure: (sorted elements, index).  Keeps for `_tables`
+        each product p·g as a BFS position, and each BFS parent and letter."""
         ident = identity(self.degree)
-        seen = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for g in self.generators:
-                    q = mul(p, g)
-                    if q not in seen:
-                        if len(seen) >= self.cap:
-                            raise CapExceeded(
-                                f"group order exceeds cap {self.cap}")
-                        seen.add(q)
-                        nxt.append(q)
-            frontier = nxt
-        return sorted(seen)
+        pos, found = {ident: 0}, [ident]
+        prods, parent, letter = array("i"), array("i", [0]), array("i", [0])
+        for b, p in enumerate(found):
+            for k, g in enumerate(self.generators):
+                q = mul(p, g)
+                j = pos.get(q)
+                if j is None:
+                    if len(found) >= self.cap:
+                        raise CapExceeded(f"group order exceeds cap {self.cap}")
+                    j = pos[q] = len(found)
+                    found.append(q)
+                    parent.append(b)
+                    letter.append(k)
+                prods.append(j)
+        elements = sorted(found)
+        for i, p in enumerate(elements):
+            pos[p] = i
+        self._closure = (array("i", map(pos.__getitem__, found)), prods, parent, letter)
+        return elements, pos
+
+    @cached_property
+    def _tables(self) -> tuple:
+        """(rights, tree): rights[k] is the row x -> x·g_k; tree is three rows,
+        x, parent(x) and k with x = parent(x)·g_k, in BFS order."""
+        rank, prods, parent, letter = self._closure  # rank: BFS position -> index
+        del self._closure
+        unrank = array("i", bytes(4 * self.order))
+        for b, x in enumerate(rank):
+            unrank[x] = b
+        ng = len(self.generators)
+        rights = [array("i", map(rank.__getitem__, map(prods[k::ng].__getitem__, unrank)))
+                  for k in range(ng)]
+        return rights, (rank[1:], array("i", map(rank.__getitem__, parent[1:])), letter[1:])
 
     # -- element helpers ------------------------------------------------
 
@@ -228,8 +250,40 @@ class PermGroup:
     def identity_idx(self) -> int:
         return self.index[identity(self.degree)]
 
-    def inv_idx(self, i: int) -> int:
-        return self.index[inverse(self.elements[i])]
+    # -- index rows -------------------------------------------------------
+
+    def walk(self, actions, start: int) -> array:
+        """row[x] = `start` moved by actions[k] for each letter k of x's BFS
+        word: row[p·g_k] = actions[k][row[p]].  With the rows x -> x·g_k it is
+        x -> start·x; with a point action, the point's image under each x."""
+        xs, ups, letters = self._tables[1]
+        row = array("i", [start]) * self.order
+        for x, p, k in zip(xs, ups, letters):
+            row[x] = actions[k][row[p]]
+        return row
+
+    def left(self, h: int) -> array:
+        """L_h, the row x -> index(h·x)."""
+        if self._parent:
+            return self._from_root(self._parent.left(self._members[h]))
+        return self.walk(self._tables[0], h)
+
+    @cached_property
+    def inv(self) -> array:
+        """The row x -> index(x^-1), walked as inv[p·g] = L_{g^-1}[inv[p]]."""
+        if self._parent:
+            return self._from_root(self._parent.inv)
+        return self.walk([self.left(self.index[inverse(g)]) for g in self.generators],
+                         self.identity_idx())
+
+    def _from_root(self, row: array) -> array:
+        """A row of the root group, read in this subgroup's indices."""
+        els = self._parent.elements
+        return array("i", (self.index[els[row[x]]] for x in self._members))
+
+    def _root_idx(self, p: Perm) -> int:
+        """p's index in the root group; NotMember unless p lies in this group."""
+        return (self._parent or self).index[self.elements[self.idx(p)]]
 
     # -- conjugacy classes ----------------------------------------------
 
@@ -237,41 +291,33 @@ class PermGroup:
         """Partition of elements into conjugacy classes.
 
         Classes are ordered by (element order, class size, min element
-        index); the representative is the minimal element index.
+        index); the representative is the minimal element index.  The
+        orbits are searched under x -> g^-1·x·g = L_{g^-1}[R_g[x]] for each
+        generator g.
         """
         if self._classes is not None:
             return self._classes
-        seen = [False] * self.order
-        raw = []
-        geninv = [(g, inverse(g)) for g in self.generators]
+        inv, moves = self.inv, []
+        for g in self.generators:
+            L = self.left(inv[self.index[g]])  # L_{g^-1}; R_g[x] = inv[L[inv[x]]]
+            R = map(inv.__getitem__, map(L.__getitem__, inv))
+            moves.append(array("i", map(L.__getitem__, R)))
+        seen = bytearray(self.order)
+        classes, index_ints = [], sorted(self.index.values())  # no new int per member
         for i in range(self.order):
             if seen[i]:
                 continue
-            orbit = {i}
-            frontier = [self.elements[i]]
-            seen[i] = True
-            while frontier:
-                nxt = []
-                for p in frontier:
-                    for g, gi in geninv:
-                        q = mul(mul(gi, p), g)
-                        qi = self.index[q]
-                        if qi not in orbit:
-                            orbit.add(qi)
-                            seen[qi] = True
-                            nxt.append(q)
-                frontier = nxt
-            raw.append(tuple(sorted(orbit)))
-        classes = []
-        for members in raw:
-            rep = members[0]
-            o = perm_order(self.elements[rep])
-            inv_rep = self.inv_idx(rep)
-            classes.append(ConjClass(
-                rep=rep, members=members, order=o,
-                is_real=inv_rep in members,
-                is_2regular=o % 2 == 1,
-            ))
+            seen[i] = 1
+            orbit = [i]
+            for x in orbit:
+                for move in moves:
+                    if not seen[y := move[x]]:
+                        seen[y] = 1
+                        orbit.append(y)
+            members = tuple(map(index_ints.__getitem__, sorted(orbit)))
+            o = perm_order(self.elements[i])
+            classes.append(ConjClass(rep=i, members=members, order=o,
+                                     is_real=inv[i] in members, is_2regular=o % 2 == 1))
         classes.sort(key=lambda c: (c.order, c.size(), c.rep))
         self._classes = classes
         return classes
@@ -285,37 +331,51 @@ class PermGroup:
                 out[m] = ci
         return out
 
+    def _orders(self) -> list:
+        """The order of each element, read off the root group's classes."""
+        root = self._parent or self
+        orders = [c.order for c in root.conjugacy_classes()]
+        return [orders[root.class_of[x]] for x in self._members]
+
     # -- subgroups -------------------------------------------------------
 
     def subgroup(self, gen_perms) -> "PermGroup":
         return PermGroup(list(gen_perms), degree=self.degree, cap=self.cap)
 
     def centralizer(self, *members: Perm) -> "PermGroup":
-        """The elements that commute with every one of `members`."""
-        elems = self.elements
+        """The elements that commute with every one of `members`: those x
+        with p·x = x·p, where x·p = inv[L_{p^-1}[inv[x]]]."""
+        root, keep = self._parent or self, self._members
+        inv = root.inv
         for p in members:
-            p = tuple(p)
-            if p not in self.index:
-                raise NotMember(f"{p} not in group")
-            elems = [x for x in elems if mul(x, p) == mul(p, x)]
-        return self._from_elements(elems)
+            r = self._root_idx(p)
+            L, L_inv = root.left(r), root.left(inv[r])
+            keep = array("i", (x for x in keep if L[x] == inv[L_inv[inv[x]]]))
+        return root._sub(keep)
 
     def extended_centralizer(self, p: Perm) -> "PermGroup":
-        """C*(g) = N({g, g^-1}), the stabilizer of the pair {g, g^-1}."""
-        p = tuple(p)
-        if p not in self.index:
-            raise NotMember(f"{p} not in group")
-        pi = inverse(p)
-        targets = {p, pi}
-        elems = [x for x in self.elements if conj(p, x) in targets]
-        return self._from_elements(elems)
+        """C*(g) = N({g, g^-1}), the stabilizer of the pair {g, g^-1}: p^x is
+        p or p^-1 exactly when p·x is x·p or x·p^-1."""
+        root, r = self._parent or self, self._root_idx(p)
+        inv = root.inv
+        L, L_inv = root.left(r), root.left(inv[r])
+        return root._sub(array("i", (x for x in self._members
+                                     if L[x] in (inv[L_inv[inv[x]]], inv[L[inv[x]]]))))
 
     def _from_elements(self, elems) -> "PermGroup":
+        root = self._parent or self
+        return root._sub(sorted(root.idx(p) for p in elems))
+
+    def _sub(self, keep) -> "PermGroup":
+        """The subgroup of this root group on the sorted indices `keep`;
+        its generators are its elements.  All of the group is the group."""
+        if len(keep) == self.order:
+            return self
         g = PermGroup.__new__(PermGroup)
-        g.degree = self.degree
-        g.generators = list(elems)
-        g.cap = self.cap
-        g._adopt(sorted(elems))
+        g.degree, g.cap, g._parent = self.degree, self.cap, self
+        g.generators = [self.elements[x] for x in keep]
+        g._adopt(list(g.generators), {p: i for i, p in enumerate(g.generators)})
+        g._members = array("i", keep)
         return g
 
     def element_set(self) -> frozenset:
@@ -337,7 +397,7 @@ class PermGroup:
         """
         target = 1 << nu(self.order)
         current = start if start is not None else self.subgroup([])
-        twos = [y for y in self.elements if (o := perm_order(y)) & (o - 1) == 0]
+        twos = [y for y, o in zip(self.elements, self._orders()) if o & (o - 1) == 0]
         while current.order < target:
             grown = next((y for y in twos if y not in current.index and all(
                 conj(g, y) in current.index for g in current.generators)), None)
@@ -350,7 +410,7 @@ class PermGroup:
 
     def involution_indices(self) -> list:
         """Indices of elements with g^2 = 1, identity included."""
-        return [i for i, p in enumerate(self.elements) if mul(p, p) == identity(self.degree)]
+        return [i for i, o in enumerate(self._orders()) if o <= 2]
 
     def o2_core(self) -> "PermGroup":
         """O_2(G): the union of the classes inside a Sylow 2-subgroup P.
@@ -360,7 +420,7 @@ class PermGroup:
         core = [self.elements[m] for c in self.conjugacy_classes()
                 if all(self.elements[m] in syl.index for m in c.members)
                 for m in c.members]
-        return self._from_elements(sorted(core))
+        return self._from_elements(core)
 
     def exponent(self) -> int:
         return lcm(*(c.order for c in self.conjugacy_classes()))
@@ -369,23 +429,12 @@ class PermGroup:
         return sum(1 for c in self.conjugacy_classes() if c.size() == 1)
 
     def derived_subgroup(self) -> "PermGroup":
-        comms = set()
-        for g in self.generators:
-            for h in self.generators:
-                comms.add(mul(mul(inverse(g), inverse(h)), mul(g, h)))
-        # close under conjugation to get the normal closure
-        sub = self.subgroup(sorted(comms))
-        while True:
-            extra = set()
-            for g in self.generators:
-                gi = inverse(g)
-                for s in sub.generators:
-                    c = mul(mul(gi, s), g)
-                    if c not in sub.index:
-                        extra.add(c)
-            if not extra:
-                return sub
-            sub = self.subgroup(list(sub.elements) + sorted(extra))
+        """G', the normal closure of the generators' commutators: the
+        subgroup generated by their classes."""
+        classes = self.conjugacy_classes()
+        comms = {self.class_of[self.index[mul(mul(inverse(g), inverse(h)), mul(g, h))]]
+                 for g in self.generators for h in self.generators}
+        return self.subgroup([self.elements[m] for c in sorted(comms) for m in classes[c].members])
 
 
 def generate(gens, degree: int | None = None, cap: int | None = None) -> PermGroup:

@@ -1,11 +1,13 @@
+import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from workbench import perm
+from workbench.chartab import dixon_table
 from workbench.errors import CapExceeded, NotMember
 from workbench.groups import builtin_group
 
@@ -19,6 +21,10 @@ def _group(name):
     if path.exists():
         return perm.generate(perm.read_generator_file(str(path)))
     return builtin_group(name)
+
+
+def _inv_idx(G, i):
+    return G.index[perm.inverse(G.elements[i])]
 
 
 def test_mul_convention():
@@ -88,8 +94,8 @@ def test_class_reality_against_inversion_closure():
     for name in ("s4", "psl27", "c7"):
         G = builtin_group(name)
         for c in G.conjugacy_classes():
-            closed = all(G.inv_idx(m) in c.members for m in c.members)
-            touched = any(G.inv_idx(m) in c.members for m in c.members)
+            closed = all(_inv_idx(G, m) in c.members for m in c.members)
+            touched = any(_inv_idx(G, m) in c.members for m in c.members)
             assert c.is_real == closed == touched
 
 
@@ -237,3 +243,62 @@ def test_engine_against_sympy(name):
     pair = S.centralizer(PermutationGroup([Permutation(list(a)), Permutation(list(b))]))
     assert set(G.centralizer(a, b).elements) == {tuple(p.array_form) for p in pair.elements}
     assert G.sylow2().order == S.sylow_subgroup(2).order()
+
+
+def _table_case(name):
+    if name == "psl27 C*(c)":
+        # an extended centralizer: a subgroup that reads its root's rows
+        G = builtin_group("psl27")
+        c = next(c for c in G.conjugacy_classes() if c.order == 4)
+        return G.extended_centralizer(G.elements[c.rep])
+    return _group(name)
+
+
+@pytest.mark.parametrize("name", ["s4", "c2xs3", "psl27", "a7", "pgl2_11", "M11",
+                                  "psl27 C*(c)"])
+def test_index_tables_match_tuple_products(name):
+    G = _table_case(name)
+    els, index = G.elements, G.index
+    step = max(1, G.order // 12)
+    for h in sorted(set(range(0, G.order, step)) | {index[g] for g in G.generators[:3]}):
+        assert list(G.left(h)) == [index[perm.mul(els[h], x)] for x in els]
+    for k, g in enumerate(G.generators):
+        R = [index[perm.mul(x, g)] for x in els]
+        L_inv = G.left(G.inv[index[g]])
+        assert [G.inv[L_inv[G.inv[x]]] for x in range(G.order)] == R
+        if G._parent is None:
+            assert list(G._tables[0][k]) == R
+    assert list(G.inv) == [_inv_idx(G, x) for x in range(G.order)]
+
+
+def test_table_route_makes_no_tuple_products(monkeypatch):
+    G = builtin_group("pgl2_11")
+    calls = []
+    for fn in (perm.mul, perm.conj):
+        def counted(*args, fn=fn):
+            calls.append(fn.__name__)
+            return fn(*args)
+        for mod in [m for n, m in sys.modules.items() if n.startswith("workbench")]:
+            if getattr(mod, fn.__name__, None) is fn:
+                monkeypatch.setattr(mod, fn.__name__, counted)
+    reps = [G.elements[c.rep] for c in G.conjugacy_classes()]
+    for p in reps:
+        G.centralizer(p)
+        G.extended_centralizer(p).centralizer(p)
+    G.involution_indices()
+    dixon_table(G)
+    assert calls == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 7).flatmap(
+    lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))))
+def test_classes_and_centralizers_against_sympy(gens):
+    G = perm.generate([tuple(g) for g in gens])
+    S = PermutationGroup([Permutation(list(g)) for g in gens])
+    assert sum(c.size() for c in G.conjugacy_classes()) == G.order == S.order()
+    for c in G.conjugacy_classes():
+        rep = G.elements[c.rep]
+        cent = S.centralizer(Permutation(list(rep))).order()
+        assert c.size() * cent == S.order()
+        assert G.centralizer(rep).order == cent
