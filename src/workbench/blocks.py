@@ -21,8 +21,7 @@ from .pgroup import classify_extension, is_dihedral_2group
 
 
 def _is_trivial_row(table: CharacterTable, i: int) -> bool:
-    return table.degrees[i] == 1 and all(
-        v.is_rational() and v.rational_value() == 1 for v in table.chars[i])
+    return all(v == 1 for v in table.chars_p[i])
 
 
 def omega_field(table: CharacterTable) -> int:
@@ -105,22 +104,6 @@ def block_idempotent_support(table: CharacterTable, block: BlockData) -> list:
             raise InvariantViolation("idempotent supported on a 2-singular class")
     block.idempotent = coeffs
     return coeffs
-
-
-def idempotent_square_check(table: CharacterTable, coeffs) -> bool:
-    """Verify (sum a_C C+)^2 = itself in Z(kG), via structure constants mod 2."""
-    from .gf2 import GF2Field
-    k = table.k
-    F = GF2Field(omega_field(table))
-    sq = [0] * k
-    for i in range(k):
-        for jj in range(k):
-            prod = F.mul(coeffs[i], coeffs[jj])
-            if prod:
-                for l in range(k):
-                    if table.constants[i][jj][l] % 2:
-                        sq[l] = F.add(sq[l], prod)
-    return sq == list(coeffs)
 
 
 def real_defect_classes(table: CharacterTable, block: BlockData) -> list:

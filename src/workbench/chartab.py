@@ -5,23 +5,23 @@ p = 1 mod exp(G) (least such prime above 4*sqrt|G|): eigenvalues are the
 roots of characteristic polynomials (Cantor–Zassenhaus), eigenspaces and
 coordinates come from `linalg`.  Orthogonality gives d^2 mod p for each
 degree d, and since p > 4*sqrt|G| + 1 exactly one d <= sqrt|G| fits.
-Values are lifted exactly to Q(zeta_n) from eigenvalue multiplicities, and
-everything downstream of the lift is exact; FS indicators are computed once
-per table, on first use.
+Values are lifted exactly to Q(zeta_n) from eigenvalue multiplicities, for
+the report and the 2-modular reduction; the integer-valued invariants (FS
+indicators, complex conjugates, 2-rationality) are decided from the rows
+chi mod p, which the table keeps beside the exact values.
 
 The class data (the class of every power of every representative, and the
 structure constants) is worked out once, in `dixon_table`, from the group's
 index tables (one row x -> g·x per class representative), not tuple
-products, and kept on the table: power maps and the block idempotent check
-read it from there.
+products.  The power classes are kept on the table for the power maps; the
+structure constants are used only to find the characters.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import Counter
-from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from operator import add
 
 from . import linalg
@@ -215,10 +215,17 @@ def _charpoly_modp(A, p):
 # ---------------------------------------------------------------------------
 
 class CharacterTable:
-    """Irreducible characters x conjugacy classes, exactly over Q(zeta)."""
+    """Irreducible characters x conjugacy classes, exactly over Q(zeta).
+
+    `chars` holds the exact values, read only for the lift (`to_json`) and
+    the 2-modular reduction in `blocks`.  `chars_p` holds the same rows mod
+    the Dixon prime p; the k rows are distinct (distinct central characters
+    mod p, and p exceeds every degree), so every integer-valued invariant
+    (FS indicators, conjugates, 2-rationality) is decided from them.
+    """
 
     def __init__(self, group: PermGroup, classes, chars, degrees, prime,
-                 power_classes, constants):
+                 power_classes, chars_p):
         self.group = group
         self.classes = classes
         self.chars = chars              # list of tuples of Cyclotomic
@@ -226,8 +233,10 @@ class CharacterTable:
         self.k = len(classes)
         self.prime = prime
         self.power_classes = power_classes  # [j][r]: class of rep_j^r, 0 <= r < order
-        self.constants = constants      # [i][j][l]: #{u in C_i : u^-1 g_l in C_j}
-        self._fs_vector = None
+        self.chars_p = chars_p          # list of tuples: chi mod p, per class
+        self._row_index = {row: i for i, row in enumerate(chars_p)}
+        if len(self._row_index) != self.k:
+            raise InvariantViolation("two characters agree mod p")
         self.inverse_map = tuple(self._power_map(-1))
         self.powermap2 = tuple(self._power_map(2))
 
@@ -236,44 +245,40 @@ class CharacterTable:
     def _power_map(self, r: int):
         return [pcs[r % len(pcs)] for pcs in self.power_classes]
 
+    def _row_of(self, i: int, pm) -> int:
+        """Index of the row chi_i o pm (a Galois conjugate of chi_i)."""
+        row = self.chars_p[i]
+        l = self._row_index.get(tuple(row[j] for j in pm))
+        if l is None:
+            raise InvariantViolation(f"chi_{i} composed with a power map is no row")
+        return l
+
     # -- derived data -------------------------------------------------------
 
     def fs_indicator(self, i: int) -> int:
-        """Frobenius–Schur indicator of chi_i, in {-1, 0, +1}."""
-        return self.fs_vector()[i]
+        """Frobenius–Schur indicator of chi_i, in {-1, 0, +1}.
+
+        (1/|G|) sum_j |C_j| chi(g_j^2) mod p; p > 3 is prime to |G|, so the
+        residue decides the indicator."""
+        p = self.prime
+        row = self.chars_p[i]
+        total = sum(len(c.members) * row[j2] for c, j2 in zip(self.classes, self.powermap2))
+        v = total * pow(self.group.order, -1, p) % p
+        if v == p - 1:
+            return -1
+        if v > 1:
+            raise NonIndicatorValue(f"chi_{i}: {v} mod {p}")
+        return v
 
     def fs_vector(self):
-        """FS indicators of all rows, computed once per table."""
-        if self._fs_vector is None:
-            self._fs_vector = tuple(self._fs_value(i) for i in range(self.k))
-        return self._fs_vector
-
-    def _fs_value(self, i: int) -> int:
-        """Average of chi(g^2) over G, computed exactly; in {-1, 0, +1}."""
-        total = Cyclotomic.rational(0)
-        for j, c in enumerate(self.classes):
-            total = total + len(c.members) * self.chars[i][self.powermap2[j]]
-        total = total * Fraction(1, self.group.order)
-        if not total.is_rational():
-            raise NonIndicatorValue(f"chi_{i}: {total!r}")
-        v = total.rational_value()
-        if v not in (-1, 0, 1):
-            raise NonIndicatorValue(f"chi_{i}: {v}")
-        return int(v)
-
-    def is_real_char(self, i: int) -> bool:
-        return all(v.is_real() for v in self.chars[i])
+        return tuple(self.fs_indicator(i) for i in range(self.k))
 
     def conj_char(self, i: int) -> int:
         """Row index of the complex conjugate character."""
-        inv = self.inverse_map
-        target = [self.chars[i][inv[j]] for j in range(self.k)]
-        for l in range(self.k):
-            if self.degrees[l] != self.degrees[i]:
-                continue
-            if all(self.chars[l][j] == target[j] for j in range(self.k)):
-                return l
-        raise InvariantViolation(f"conjugate of chi_{i} not found")
+        return self._row_of(i, self.inverse_map)
+
+    def is_real_char(self, i: int) -> bool:
+        return self.conj_char(i) == i
 
     def _two_galois_exponents(self):
         """Exponents r = 1 mod (odd part) generating Galois fixing odd roots."""
@@ -281,45 +286,26 @@ class CharacterTable:
         m = n
         while m % 2 == 0:
             m //= 2
-        from math import gcd
-        return n, [r for r in range(1, n + 1) if r % m == 1 % max(m, 1) and gcd(r, n) == 1]
+        return [r for r in range(1, n + 1) if r % m == 1 % m and gcd(r, n) == 1]
 
     def is_two_rational(self, i: int) -> bool:
         """Fixed by every Galois map that fixes all odd-order roots of unity."""
-        n, exps = self._two_galois_exponents()
-        for r in exps:
-            pm = self._power_map(r)
-            if any(self.chars[i][pm[j]] != self.chars[i][j] for j in range(self.k)):
-                return False
-        return True
+        return all(self._row_of(i, self._power_map(r)) == i
+                   for r in self._two_galois_exponents())
 
     def two_conjugacy_families(self, rows):
         """Partition the given rows into 2-conjugacy (Galois) orbits."""
         rows = list(rows)
-        n, exps = self._two_galois_exponents()
+        pms = [self._power_map(r) for r in self._two_galois_exponents()]
         fams = []
         remaining = set(rows)
         for i in rows:
             if i not in remaining:
                 continue
-            orbit = {i}
-            for r in exps:
-                pm = self._power_map(r)
-                img = [self.chars[i][pm[j]] for j in range(self.k)]
-                for l in remaining:
-                    if l not in orbit and self.degrees[l] == self.degrees[i] and \
-                            all(self.chars[l][j] == img[j] for j in range(self.k)):
-                        orbit.add(l)
+            orbit = {self._row_of(i, pm) for pm in pms} & remaining
             fams.append(tuple(sorted(orbit)))
             remaining -= orbit
         return fams
-
-    def inner_product(self, i: int, l: int) -> Fraction:
-        total = Cyclotomic.rational(0)
-        for j, c in enumerate(self.classes):
-            total = total + len(c.members) * (self.chars[i][j] * self.chars[l][j].conj())
-        total = total * Fraction(1, self.group.order)
-        return total.rational_value()
 
     def to_json(self):
         return {
@@ -347,14 +333,17 @@ def dixon_table(G: PermGroup) -> CharacterTable:
     id_class = class_of[one]
     inv_class = [class_of[G.inv[c.rep]] for c in classes]
 
+    p = _dixon_prime(G.exponent(), order)
+
     # One left row L: x -> g_l·x at a time, per representative g_l.  Walking
     # L from 1 gives power_classes[l][r], the class of g_l^r, 0 <= r < order.
     # a[i][j][l] = #{u in C_i : u^-1 g_l in C_j} counts u^-1 in C_{i^-1} with
     # g_l·u^-1 in C_j, a conjugate of u^-1·g_l: element x adds one to
     # a[i][j][l] for i = inv_class[class_of[x]] and j = class_of[L[x]].
+    # mats[i] is the class matrix M_i = (a[i][j][l] mod p)_{j,l}.
     pair_base = array("i", (inv_class[j] * k for j in class_of))
     power_classes = []
-    a = [[[0] * k for _ in range(k)] for _ in range(k)]
+    mats = [[[0] * k for _ in range(k)] for _ in range(k)]
     for l, c in enumerate(classes):
         L = G.left(c.rep)
         pcs, cur = [], one
@@ -363,11 +352,7 @@ def dixon_table(G: PermGroup) -> CharacterTable:
             cur = L[cur]
         power_classes.append(pcs)
         for ij, n in Counter(map(add, pair_base, map(class_of.__getitem__, L))).items():
-            a[ij // k][ij % k][l] = n
-
-    exponent = G.exponent()
-    p = _dixon_prime(exponent, order)
-    mats = [[[a[i][j][l] % p for l in range(k)] for j in range(k)] for i in range(k)]
+            mats[ij // k][ij % k][l] = n % p
 
     # simultaneous eigenvectors of all M_i (columns w with M_i w = omega_i w)
     spaces = [[_unit(k, j) for j in range(k)]]
@@ -426,10 +411,11 @@ def dixon_table(G: PermGroup) -> CharacterTable:
 
     # exact value lift per class from eigenvalue multiplicities
     z = _primitive_root(p)
-    chars = []
+    chars, chars_p = [], []
     for w, d in zip(omegas, degrees):
         row = []
-        chi_p = [d * w[j] % p * inv_sizes[j] % p for j in range(k)]
+        chi_p = tuple(d * w[j] % p * inv_sizes[j] % p for j in range(k))
+        chars_p.append(chi_p)
         for j, c in enumerate(classes):
             n = c.order
             lam = pow(z, (p - 1) // n, p)
@@ -457,9 +443,10 @@ def dixon_table(G: PermGroup) -> CharacterTable:
     key = sorted(range(k), key=lambda i: (degrees[i],
                                           tuple(degrees[i] * omegas[i][j] % p for j in range(k))))
     chars = [chars[i] for i in key]
+    chars_p = [chars_p[i] for i in key]
     degrees = [degrees[i] for i in key]
 
-    table = CharacterTable(G, classes, chars, degrees, p, power_classes, a)
+    table = CharacterTable(G, classes, chars, degrees, p, power_classes, chars_p)
     for i in range(k):
         if table.chars[i][id_class].rational_value() != degrees[i]:
             raise InvariantViolation("a character's value at 1 is not its degree")

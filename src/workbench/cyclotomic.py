@@ -19,6 +19,8 @@ from . import linalg
 from .errors import ConductorOverflow, InvariantViolation, NotTwoIntegral
 from .gf2 import GF2Field, GF2m, multiplicative_order_of_2
 
+# A memory guard on `_power_table` (2e+1 rows of phi(e) ints).  Values are
+# lifted one class at a time, so a conductor is at most an element order.
 CONDUCTOR_CAP = 1000
 
 
@@ -192,9 +194,6 @@ class Cyclotomic:
 
     __hash__ = None
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     # -- Galois action ---------------------------------------------------------
 
     def galois(self, r: int) -> "Cyclotomic":
@@ -207,12 +206,6 @@ class Cyclotomic:
             if c:
                 counts[(r * i) % self.e] = counts.get((r * i) % self.e, 0) + c
         return Cyclotomic.from_exponent_counts(self.e, counts)
-
-    def conj(self) -> "Cyclotomic":
-        return self.galois(self.e - 1) if self.e > 1 else self
-
-    def is_real(self) -> bool:
-        return self.conj() == self
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
@@ -312,14 +305,6 @@ def _coerce(value) -> Cyclotomic:
     if isinstance(value, (int, Fraction)):
         return Cyclotomic(1, [Fraction(value)])
     raise TypeError(f"cannot coerce {value!r} to Cyclotomic")
-
-
-def zero() -> Cyclotomic:
-    return Cyclotomic(1, [0])
-
-
-def one() -> Cyclotomic:
-    return Cyclotomic(1, [1])
 
 
 @lru_cache(maxsize=None)

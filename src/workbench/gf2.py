@@ -9,6 +9,8 @@ the table below pins the tower so all runs are reproducible bit-for-bit.
 
 from __future__ import annotations
 
+import random
+
 from .errors import FieldTooSmall, InvariantViolation
 
 # Fixed primitive polynomials (bit i = coefficient of x^i).  Classic LFSR
@@ -144,7 +146,6 @@ def poly_squarefree_parts(f: int) -> list:
 
 def poly_factor(f: int, rng=None) -> dict:
     """Factor f over GF(2) into {irreducible: multiplicity} (Cantor-Zassenhaus)."""
-    import random
     rng = rng or random.Random(0)
     factors: dict = {}
 

@@ -18,7 +18,8 @@ from . import linalg, modrep, solver
 from .chartab import CharacterTable, dixon_table
 from .errors import InvariantViolation
 from .groups import builtin_group, morita_hint
-from .perm import nu
+from .perm import generate, nu, read_generator_file
+from .pgroup import is_dihedral_2group
 
 
 def fit_morita_rows(table: CharacterTable, block, type_id: str):
@@ -114,7 +115,6 @@ def analyze_group(group, name: str | None = None, seed: int = 0,
         if b.couple is not None:
             D = b.couple.D
             rep.defect_group_order = D.order
-            from .pgroup import is_dihedral_2group
             rep.defect_group_dihedral = is_dihedral_2group(D)
             rep.etype = b.etype
         _fs_report(table, b, rep)
@@ -235,7 +235,6 @@ def scan_groups(paths, cap=None) -> list:
     A file that cannot be read or computed gets an "error" entry and the
     scan goes on; an InvariantViolation is a bug, not a property of the
     file, so it propagates."""
-    from .perm import generate, read_generator_file
     out = []
     for path in paths:
         entry = {"path": str(path)}

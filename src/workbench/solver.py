@@ -18,7 +18,9 @@ survives only as a test oracle.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from importlib import resources
 from itertools import permutations
 
 from .errors import InvariantViolation, NegativeMultiplicity, NoSolution
@@ -423,8 +425,6 @@ def count_real_characters(type_id: str, etype: str, d: int, tiebreak: bool = Tru
 
 
 def golden_table2() -> dict:
-    import json
-    from importlib import resources
     with resources.files("workbench.data").joinpath("table2.json").open() as fh:
         return json.load(fh)
 

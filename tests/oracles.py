@@ -1,5 +1,13 @@
 """Independent test oracles (kept apart from the package under test)."""
 
+from fractions import Fraction
+from math import gcd
+
+from workbench.blocks import omega_field
+from workbench.cyclotomic import Cyclotomic
+from workbench.gf2 import GF2Field
+from workbench.perm import mul
+
 
 def psl2_degree_multiset(q: int) -> list:
     """Ordinary character degrees of PSL(2,q), q odd, from the classical
@@ -24,7 +32,6 @@ def brute_force_block_partition(table) -> list:
     """Partition Irr(G) by equality of reduced central characters, computed
     directly from the definition (independent of workbench.blocks)."""
     from workbench.gf2 import multiplicative_order_of_2
-    from fractions import Fraction
 
     k = table.k
     f = 1
@@ -188,3 +195,96 @@ def conjugate_intersection_o2_core(G) -> frozenset:
     for g in G.elements:
         core &= frozenset(conj(s, g) for s in syl)
     return core
+
+
+def structure_constants(G, classes) -> list:
+    """a[i][j][l] = #{(x, y) in C_i x C_j : xy = g_l}, by brute force over
+    all pairs of elements (g_l the representative of class l)."""
+    k = len(classes)
+    rep_class = {c.rep: l for l, c in enumerate(classes)}
+    cls = G.class_of
+    a = [[[0] * k for _ in range(k)] for _ in range(k)]
+    for x, px in enumerate(G.elements):
+        for y, py in enumerate(G.elements):
+            l = rep_class.get(G.idx(mul(px, py)))
+            if l is not None:
+                a[cls[x]][cls[y]][l] += 1
+    return a
+
+
+def idempotent_square_check(table, coeffs) -> bool:
+    """(sum a_C C+)^2 = sum a_C C+ in Z(kG), via structure constants mod 2."""
+    k = table.k
+    F = GF2Field(omega_field(table))
+    const = structure_constants(table.group, table.classes)
+    sq = [0] * k
+    for i in range(k):
+        for j in range(k):
+            prod = F.mul(coeffs[i], coeffs[j])
+            if prod:
+                for l in range(k):
+                    if const[i][j][l] % 2:
+                        sq[l] = F.add(sq[l], prod)
+    return sq == list(coeffs)
+
+
+def inner_product(table, i: int, l: int) -> Fraction:
+    """<chi_i, chi_l> = (1/|G|) sum_j |C_j| chi_i(g_j) conj(chi_l(g_j)), exactly."""
+    total = Cyclotomic.rational(0)
+    for j, c in enumerate(table.classes):
+        total = total + len(c.members) * (table.chars[i][j] * table.chars[l][j].galois(-1))
+    return (total * Fraction(1, table.group.order)).rational_value()
+
+
+# Exact routes to the integer-valued invariants: Cyclotomic sums and equality
+# on the lifted values, where the table decides them mod its Dixon prime.
+
+def exact_fs_indicator(table, i: int) -> Fraction:
+    """(1/|G|) sum_j |C_j| chi_i(g_j^2), summed in Q(zeta_n)."""
+    total = Cyclotomic.rational(0)
+    for j, c in enumerate(table.classes):
+        total = total + len(c.members) * table.chars[i][table.powermap2[j]]
+    return (total * Fraction(1, table.group.order)).rational_value()
+
+
+def _galois_image_row(table, values) -> int:
+    """The one row of the table whose exact values are `values`."""
+    rows = [l for l in range(table.k)
+            if all(a == b for a, b in zip(table.chars[l], values))]
+    if len(rows) != 1:
+        raise ValueError(f"{len(rows)} rows match a Galois image")
+    return rows[0]
+
+
+def exact_conj_char(table, i: int) -> int:
+    """Row of the complex conjugate, matched value by value."""
+    return _galois_image_row(table, [v.galois(-1) for v in table.chars[i]])
+
+
+def two_galois_exponents(G) -> list:
+    """r prime to exp(G) with r = 1 mod its odd part: sigma_r fixes every
+    odd-order root of unity."""
+    n = G.exponent()
+    m = n
+    while m % 2 == 0:
+        m //= 2
+    return [r for r in range(1, n + 1) if gcd(r, n) == 1 and (r - 1) % m == 0]
+
+
+def exact_is_two_rational(table, i: int) -> bool:
+    return all(v.galois(r) == v for r in two_galois_exponents(table.group)
+               for v in table.chars[i])
+
+
+def exact_two_conjugacy_families(table, rows) -> list:
+    rows = list(rows)
+    exps = two_galois_exponents(table.group)
+    fams, seen = [], set()
+    for i in rows:
+        if i in seen:
+            continue
+        orbit = {_galois_image_row(table, [v.galois(r) for v in table.chars[i]])
+                 for r in exps} & set(rows)
+        fams.append(tuple(sorted(orbit)))
+        seen |= orbit
+    return fams

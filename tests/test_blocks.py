@@ -6,7 +6,7 @@ from workbench.errors import NotRealBlock
 from workbench.groups import builtin_group
 from workbench.perm import nu
 
-from oracles import brute_force_block_partition
+from oracles import brute_force_block_partition, idempotent_square_check
 
 _cache = {}
 
@@ -99,7 +99,7 @@ def test_idempotent_squares_small_groups():
         T = table(name)
         for b in blocks.block_partition(T):
             coeffs = blocks.block_idempotent_support(T, b)
-            assert blocks.idempotent_square_check(T, coeffs), name
+            assert idempotent_square_check(T, coeffs), name
 
 
 def test_real_defect_classes_nonempty_for_real_blocks():

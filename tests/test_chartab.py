@@ -1,3 +1,6 @@
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 from sympy.combinatorics import Permutation
 
@@ -5,9 +8,14 @@ from workbench.chartab import dixon_table
 from workbench.cyclotomic import Cyclotomic
 from workbench.errors import CapExceeded
 from workbench.groups import builtin_group
-from workbench.perm import mul
+from workbench.perm import generate, read_generator_file
 
-from oracles import psl2_degree_multiset
+from oracles import (exact_conj_char, exact_fs_indicator, exact_is_two_rational,
+                     exact_two_conjugacy_families, inner_product,
+                     psl2_degree_multiset, structure_constants)
+from test_acceptance import BUILTINS
+
+GROUP_FILES = Path(__file__).resolve().parents[1] / "perfbench" / "groups"
 
 _cache = {}
 
@@ -43,7 +51,7 @@ def test_orthogonality_exact():
         for i in range(T.k):
             for l in range(i, T.k):
                 expect = 1 if i == l else 0
-                assert T.inner_product(i, l) == expect, (name, i, l)
+                assert inner_product(T, i, l) == expect, (name, i, l)
 
 
 def test_degrees_divide_order():
@@ -134,18 +142,44 @@ def test_class_cap():
 
 @pytest.mark.parametrize("name", ["s4", "c2xs3", "psl27"])
 def test_structure_constants_brute_force(name):
-    # constants[i][j][l] = #{(x, y) in C_i x C_j : xy = g_l}, over all pairs
+    # the constants dixon_table counts are the ones its characters satisfy:
+    # a_ijl = |C_i||C_j|/|G| sum_chi chi(g_i) chi(g_j) conj(chi(g_l)) / chi(1),
+    # compared with #{(x, y) in C_i x C_j : xy = g_l} over all pairs
     T = table(name)
-    G = T.group
-    rep_class = {c.rep: l for l, c in enumerate(T.classes)}
-    cls = [G.class_of[i] for i in range(G.order)]
-    want = [[[0] * T.k for _ in range(T.k)] for _ in range(T.k)]
-    for x, px in enumerate(G.elements):
-        for y, py in enumerate(G.elements):
-            l = rep_class.get(G.idx(mul(px, py)))
-            if l is not None:
-                want[cls[x]][cls[y]][l] += 1
-    assert T.constants == want
+    want = structure_constants(T.group, T.classes)
+    sizes = [c.size() for c in T.classes]
+    for i in range(T.k):
+        for j in range(T.k):
+            for l in range(T.k):
+                total = Cyclotomic.rational(0)
+                for row, d in zip(T.chars, T.degrees):
+                    total = total + row[i] * row[j] * row[l].galois(-1) * Fraction(1, d)
+                total = total * Fraction(sizes[i] * sizes[j], T.group.order)
+                assert total == want[i][j][l], (name, i, j, l)
+
+
+def _exact_route_group(name):
+    if name.endswith(".txt"):
+        return generate(read_generator_file(GROUP_FILES / name))
+    return builtin_group(name)
+
+
+# every perfbench/groups file but pgl2_17 and psl2_23, whose exact FS sums
+# lift past the conductor cap (1224 and 1518)
+EXACT_ROUTE_FILES = ("M11.txt", "S6.txt", "S7.txt", "a7.txt", "pgl2_11.txt",
+                     "pgl2_13.txt", "psl2_11.txt", "psl2_13.txt", "psl2_17.txt",
+                     "psl2_19.txt", "psl2_5xpsl2_5.txt", "psl2_9.txt", "s5xs3.txt")
+
+
+@pytest.mark.parametrize("name", BUILTINS + ("pgl2_11",) + EXACT_ROUTE_FILES)
+def test_mod_p_invariants_match_exact_routes(name):
+    T = dixon_table(_exact_route_group(name))
+    rows = range(T.k)
+    assert T.fs_vector() == tuple(exact_fs_indicator(T, i) for i in rows)
+    assert [T.conj_char(i) for i in rows] == [exact_conj_char(T, i) for i in rows]
+    assert [T.is_two_rational(i) for i in rows] == \
+        [exact_is_two_rational(T, i) for i in rows]
+    assert T.two_conjugacy_families(rows) == exact_two_conjugacy_families(T, rows)
 
 
 @pytest.mark.parametrize("name", ["s4", "psl27", "a7"])

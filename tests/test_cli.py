@@ -1,8 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from workbench import cli, solver
+from workbench.perm import generate, identity, mul, read_generator_file
+
+GROUP_FILES = Path(__file__).resolve().parents[1] / "perfbench" / "groups"
 
 
 def run(capsys, argv):
@@ -49,6 +53,20 @@ def test_chartab_command(capsys):
     data = json.loads(out)
     assert sorted(data["degrees"]) == [1, 3, 3, 6, 7, 8]
     assert sorted(data["fs_vector"]) == [0, 0, 1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("name", ["pgl2_17", "psl2_23"])
+def test_chartab_command_large_conductor(capsys, name):
+    # summed in Q(zeta), the FS indicators would need conductors 1224 and
+    # 1518, above the cap; decided mod p they need none
+    path = GROUP_FILES / f"{name}.txt"
+    code, out = run(capsys, ["chartab", "--json", "--group", str(path)])
+    assert code == 0
+    data = json.loads(out)
+    G = generate(read_generator_file(path))
+    one = identity(len(G.elements[0]))
+    squares_one = sum(1 for g in G.elements if mul(g, g) == one)
+    assert sum(e * d for e, d in zip(data["fs_vector"], data["degrees"])) == squares_one
 
 
 def test_blocks_command(capsys):

@@ -6,7 +6,8 @@
 no `assert` and no `ArithmeticError`, `RuntimeError` or `AssertionError`.
 A module-level UPPER_CASE constant that no module of the package reads is
 dead code and fails the lint too, as does a name a module imports and never
-uses."""
+uses, and an import inside a function: none of the package's imports breaks
+a cycle, so each belongs at the top of its module."""
 
 import ast
 from pathlib import Path
@@ -90,3 +91,13 @@ def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unused = _unused_imports(tree)
     assert unused == [], f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_function_level_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = sorted({sub.lineno for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    for sub in ast.walk(node)
+                    if isinstance(sub, (ast.Import, ast.ImportFrom))})
+    assert lines == [], f"{path.name} imports inside functions at lines {lines}"
