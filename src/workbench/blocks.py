@@ -2,18 +2,21 @@
 
 Blocks are cut out by equality of reduced central characters
 omega_B(C+) = |C| chi(c) / chi(1) mod 2, computed exactly in a common
-field GF(2^F).  Defect couples (D, E) follow the construction from a real
-defect class element c: E a Sylow 2-subgroup of C*(c), D = E n C(c),
-grown as D Sylow in C(c) and then E Sylow in C*(c) above D.
+field GF(2^F) from the table's integer power-basis values: the odd parts
+of |C| and chi(1) are units that reduce to 1, so only their 2-parts and
+the parity of each coordinate of chi(c) matter.  Defect couples (D, E)
+follow the construction from a real defect class element c: E a Sylow
+2-subgroup of C*(c), D = E n C(c), grown as D Sylow in C(c) and then E
+Sylow in C*(c) above D.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .chartab import CharacterTable
+from .cyclotomic import reduce_mod2
 from .errors import InvariantViolation, NotRealBlock
 from .gf2 import multiplicative_order_of_2
 from .perm import PermGroup, conj, mul, nu
@@ -56,13 +59,14 @@ class BlockData:
 def block_partition(table: CharacterTable) -> list:
     """Partition Irr(G) into 2-blocks by reduced central characters."""
     F = omega_field(table)
+    class_nus = [nu(len(c.members)) for c in table.classes]
     buckets = {}
-    for i in range(table.k):
-        vec = []
-        for j, c in enumerate(table.classes):
-            val = table.chars[i][j] * Fraction(len(c.members), table.degrees[i])
-            vec.append(val.reduce_mod2(F).value)
-        buckets.setdefault(tuple(vec), []).append(i)
+    for i, row in enumerate(table.values):
+        # omega(C_j) = 2^(s-b) * unit * chi(g_j), s = nu|C_j|, b = nu chi(1)
+        b = nu(table.degrees[i])
+        vec = tuple(0 if s > b else reduce_mod2(c.order, v, F, b - s)
+                    for c, s, v in zip(table.classes, class_nus, row))
+        buckets.setdefault(vec, []).append(i)
     nuG = nu(table.group.order)
     blocks = []
     for vec, rows in buckets.items():
@@ -83,22 +87,19 @@ def block_partition(table: CharacterTable) -> list:
 def block_idempotent_support(table: CharacterTable, block: BlockData) -> list:
     """Coefficients of e_B per class: reduce((1/|G|) sum chi(1) chi(c^-1)).
 
-    Nonzero only on 2-regular classes; returned as GF(2^F) ints in
-    the table's class order, and kept on the block for later calls.
+    The sum is taken on integer power-basis vectors and divided by the
+    2-part of |G| (the odd part is a unit).  Nonzero only on 2-regular
+    classes; returned as GF(2^F) ints in the table's class order, and kept
+    on the block for later calls.
     """
     if block.idempotent is not None:
         return block.idempotent
-    F = block.field_f
+    nuG = nu(table.group.order)
     coeffs = []
-    for j in range(table.k):
-        jinv = table.inverse_map[j]
-        total = None
-        for i in block.rows:
-            term = table.chars[i][jinv] * table.degrees[i]
-            total = term if total is None else total + term
-        total = total * Fraction(1, table.group.order)
-        val = total.reduce_mod2(F).value
-        coeffs.append(val)
+    for jinv in table.inverse_map:
+        total = [sum(table.degrees[i] * x for i, x in zip(block.rows, col))
+                 for col in zip(*(table.values[i][jinv] for i in block.rows))]
+        coeffs.append(reduce_mod2(table.classes[jinv].order, total, block.field_f, nuG))
     for j, a in enumerate(coeffs):
         if a and not table.classes[j].is_2regular:
             raise InvariantViolation("idempotent supported on a 2-singular class")

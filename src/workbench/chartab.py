@@ -5,10 +5,11 @@ p = 1 mod exp(G) (least such prime above 4*sqrt|G|): eigenvalues are the
 roots of characteristic polynomials (Cantor–Zassenhaus), eigenspaces and
 coordinates come from `linalg`.  Orthogonality gives d^2 mod p for each
 degree d, and since p > 4*sqrt|G| + 1 exactly one d <= sqrt|G| fits.
-Values are lifted exactly to Q(zeta_n) from eigenvalue multiplicities, for
-the report and the 2-modular reduction; the integer-valued invariants (FS
-indicators, complex conjugates, 2-rationality) are decided from the rows
-chi mod p, which the table keeps beside the exact values.
+Values are lifted exactly to Z[zeta_n] from eigenvalue multiplicities, as
+int power-basis tuples, for the report and the 2-modular reduction; the
+integer-valued invariants (FS indicators, complex conjugates,
+2-rationality) are decided from the rows chi mod p, which the table keeps
+beside the exact values.
 
 The class data (the class of every power of every representative, and the
 structure constants) is worked out once, in `dixon_table`, from the group's
@@ -21,11 +22,12 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
+from functools import cached_property
 from math import gcd, isqrt
 from operator import add
 
 from . import linalg
-from .cyclotomic import Cyclotomic, prime_divisors
+from .cyclotomic import Cyclotomic, power_coords, prime_divisors
 from .errors import CapExceeded, InvariantViolation, NonIndicatorValue
 from .perm import PermGroup
 
@@ -217,18 +219,21 @@ def _charpoly_modp(A, p):
 class CharacterTable:
     """Irreducible characters x conjugacy classes, exactly over Q(zeta).
 
-    `chars` holds the exact values, read only for the lift (`to_json`) and
-    the 2-modular reduction in `blocks`.  `chars_p` holds the same rows mod
-    the Dixon prime p; the k rows are distinct (distinct central characters
-    mod p, and p exceeds every degree), so every integer-valued invariant
-    (FS indicators, conjugates, 2-rationality) is decided from them.
+    `values[i][j]` is chi_i(g_j) as its int coordinates in the power basis
+    of Z[zeta_n], n the order of g_j; the 2-modular reduction in `blocks`
+    and the conductors in `to_json` read them.  `chars` holds the same
+    values as `Cyclotomic`, for the report only.  `chars_p` holds the rows
+    mod the Dixon prime p; the k rows are distinct (distinct central
+    characters mod p, and p exceeds every degree), so every integer-valued
+    invariant (FS indicators, conjugates, 2-rationality) is decided from
+    them.
     """
 
-    def __init__(self, group: PermGroup, classes, chars, degrees, prime,
+    def __init__(self, group: PermGroup, classes, values, degrees, prime,
                  power_classes, chars_p):
         self.group = group
         self.classes = classes
-        self.chars = chars              # list of tuples of Cyclotomic
+        self.values = values            # list of tuples of int tuples
         self.degrees = degrees
         self.k = len(classes)
         self.prime = prime
@@ -239,6 +244,12 @@ class CharacterTable:
             raise InvariantViolation("two characters agree mod p")
         self.inverse_map = tuple(self._power_map(-1))
         self.powermap2 = tuple(self._power_map(2))
+
+    @cached_property
+    def chars(self):
+        """The values as `Cyclotomic`, each in Q(zeta_n) for its class order n."""
+        return [tuple(Cyclotomic(c.order, v) for c, v in zip(self.classes, row))
+                for row in self.values]
 
     # -- class/power bookkeeping -----------------------------------------
 
@@ -307,6 +318,25 @@ class CharacterTable:
             remaining -= orbit
         return fams
 
+    def _descents(self, j: int) -> list:
+        """(d, classes of g_j^r for r = 1 mod d prime to n) for d | n, ascending.
+
+        sigma_r sends chi(g_j) to chi(g_j^r), so chi(g_j) lies in Q(zeta_d)
+        exactly when it equals its values at these classes; d = n always
+        passes, its only class being j."""
+        pcs = self.power_classes[j]
+        n = len(pcs)
+        return [(d, {pcs[r] for r in range(1, n, d) if gcd(r, n) == 1})
+                for d in range(1, n + 1) if n % d == 0]
+
+    def _minimized_values(self):
+        """Each value rewritten in Q(zeta_d), d its least conductor."""
+        descents = [self._descents(j) for j in range(self.k)]
+        return [[self.chars[i][j].rewrite(next(
+                    d for d, cls in descents[j] if all(row[l] == v for l in cls)))
+                 for j, v in enumerate(row)]
+                for i, row in enumerate(self.values)]
+
     def to_json(self):
         return {
             "order": self.group.order,
@@ -316,7 +346,7 @@ class CharacterTable:
             "fs_vector": list(self.fs_vector()),
             "real_flags": [self.is_real_char(i) for i in range(self.k)],
             "two_rational_flags": [self.is_two_rational(i) for i in range(self.k)],
-            "values": [[v.to_json() for v in row] for row in self.chars],
+            "values": [[v.to_json() for v in row] for row in self._minimized_values()],
         }
 
 
@@ -411,7 +441,7 @@ def dixon_table(G: PermGroup) -> CharacterTable:
 
     # exact value lift per class from eigenvalue multiplicities
     z = _primitive_root(p)
-    chars, chars_p = [], []
+    values, chars_p = [], []
     for w, d in zip(omegas, degrees):
         row = []
         chi_p = tuple(d * w[j] % p * inv_sizes[j] % p for j in range(k))
@@ -436,21 +466,20 @@ def dixon_table(G: PermGroup) -> CharacterTable:
                     counts[m] = c_m
             if sum(counts.values()) != d:
                 raise InvariantViolation("eigenvalue multiplicities do not sum to the degree")
-            row.append(Cyclotomic.from_exponent_counts(n, counts))
-        chars.append(tuple(row))
+            row.append(power_coords(n, counts))
+        values.append(tuple(row))
 
     # deterministic row order: degree, then the mod-p value vector
     key = sorted(range(k), key=lambda i: (degrees[i],
                                           tuple(degrees[i] * omegas[i][j] % p for j in range(k))))
-    chars = [chars[i] for i in key]
+    values = [values[i] for i in key]
     chars_p = [chars_p[i] for i in key]
     degrees = [degrees[i] for i in key]
 
-    table = CharacterTable(G, classes, chars, degrees, p, power_classes, chars_p)
-    for i in range(k):
-        if table.chars[i][id_class].rational_value() != degrees[i]:
+    for row, d in zip(values, degrees):
+        if row[id_class] != (d,):
             raise InvariantViolation("a character's value at 1 is not its degree")
-    return table
+    return CharacterTable(G, classes, values, degrees, p, power_classes, chars_p)
 
 
 def _unit(k, j):

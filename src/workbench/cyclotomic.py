@@ -1,12 +1,16 @@
-"""Exact arithmetic in Q(zeta_e) and reduction modulo a fixed prime over 2.
+"""Power-basis coordinates in Q(zeta_e), and their reduction modulo 2.
 
-Values are represented in Q[x]/(Phi_e(x)) with dense Fraction coefficient
-tuples; equality is coefficient equality after lifting to a common
-conductor.  Serialization first minimizes the conductor: a value fixed by
-the Galois group of Q(zeta_e) over Q(zeta_{e/q}) is rewritten in the
-smaller power basis by one rational solve (`linalg.solve`).  Reduction mod 2 sends 2-power-order roots to 1 and an odd-order
-root zeta_{e'} to the pinned primitive e'-th root of GF(2^f)*, so all runs
-agree bit-for-bit.
+A character value at an element of order n lies in Z[zeta_n], whose power
+basis 1, zeta_n, ..., zeta_n^(phi(n)-1) is a Z-basis, so the character
+table keeps it as an int tuple (`power_coords`).  `reduce_mod2` reduces such
+a tuple, divided by a power of 2, into GF(2^f) from the parity of each
+coordinate: 2-power-order roots go to 1 and an odd-order root zeta_{e'} to
+the pinned primitive e'-th root of GF(2^f)*, so all runs agree bit-for-bit.
+
+`Cyclotomic` (dense Fraction coefficients) holds only the reported values:
+equality is coefficient equality after lifting to a common conductor, and
+`rewrite` moves a value into the power basis of a smaller conductor by one
+rational solve (`linalg.solve`).
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from math import gcd
 
 from . import linalg
 from .errors import ConductorOverflow, InvariantViolation, NotTwoIntegral
-from .gf2 import GF2Field, GF2m, multiplicative_order_of_2
+from .gf2 import GF2Field, multiplicative_order_of_2
 
 # A memory guard on `_power_table` (2e+1 rows of phi(e) ints).  Values are
 # lifted one class at a time, so a conductor is at most an element order.
@@ -56,6 +60,8 @@ def _phi_degree(e: int) -> int:
 @lru_cache(maxsize=None)
 def _power_table(e: int) -> tuple:
     """x^m mod Phi_e for m in 0..2e, as Fraction-free int tuples."""
+    if e > CONDUCTOR_CAP:
+        raise ConductorOverflow(f"conductor {e} above cap {CONDUCTOR_CAP}")
     phi = cyclotomic_poly(e)
     deg = len(phi) - 1
     table = []
@@ -74,6 +80,55 @@ def _power_table(e: int) -> tuple:
         cur = nxt[:deg]
         table.append(tuple(cur))
     return tuple(table)
+
+
+def power_coords(e: int, counts) -> tuple:
+    """Coordinates of sum over m of counts[m] * zeta_e^m in the power basis."""
+    tab = _power_table(e)
+    acc = [0] * _phi_degree(e)
+    for m, c in counts.items():
+        if c:
+            for i, t in enumerate(tab[m % e]):
+                if t:
+                    acc[i] += c * t
+    return tuple(acc)
+
+
+@lru_cache(maxsize=None)
+def _eta_powers(e: int, f: int) -> tuple:
+    """Images in GF(2^f) of zeta_e^i, i < phi(e), under the pinned map.
+
+    zeta of 2-power order maps to 1; zeta of odd order e' maps to the pinned
+    primitive e'-th root omega of GF(2^f)*.  So with e = 2^a e', zeta_e maps
+    to omega^(2^-a mod e'), the odd-order part of zeta_e."""
+    a, eodd = 0, e
+    while eodd % 2 == 0:
+        eodd //= 2
+        a += 1
+    if f % multiplicative_order_of_2(eodd):
+        raise ValueError(f"field degree {f} incompatible with order {eodd}")
+    field = GF2Field(f)
+    eta = field.pow(field.root_of_unity(eodd), pow(2, -a, eodd))
+    out = [1]
+    for _ in range(_phi_degree(e) - 1):
+        out.append(field.mul(out[-1], eta))
+    return tuple(out)
+
+
+def reduce_mod2(e: int, coords, f: int, shift: int = 0) -> int:
+    """Image in GF(2^f) of (sum coords[i] zeta_e^i) / 2^shift, coords ints.
+
+    The power basis is a Z-basis of Z[zeta_e], so the quotient is 2-integral
+    exactly when 2^shift divides every coordinate (else NotTwoIntegral), and
+    its image is the sum of the images of the roots at odd quotients."""
+    low, bit = (1 << shift) - 1, 1 << shift
+    acc = 0
+    for c, eta in zip(coords, _eta_powers(e, f)):
+        if c & low:
+            raise NotTwoIntegral(f"2^{shift} does not divide {tuple(coords)} in Z[zeta_{e}]")
+        if c & bit:
+            acc ^= eta
+    return acc
 
 
 class Cyclotomic:
@@ -100,25 +155,12 @@ class Cyclotomic:
     @classmethod
     def root(cls, e: int, k: int = 1) -> "Cyclotomic":
         """zeta_e^k."""
-        if e > CONDUCTOR_CAP:
-            raise ConductorOverflow(f"conductor {e} above cap {CONDUCTOR_CAP}")
-        tab = _power_table(e)
-        return cls(e, tab[k % e])
+        return cls(e, _power_table(e)[k % e])
 
     @classmethod
     def from_exponent_counts(cls, e: int, counts) -> "Cyclotomic":
         """sum over m of counts[m] * zeta_e^m."""
-        tab = _power_table(e)
-        deg = _phi_degree(e)
-        acc = [Fraction(0)] * deg
-        for m, c in counts.items():
-            if c == 0:
-                continue
-            vec = tab[m % e]
-            for i in range(deg):
-                if vec[i]:
-                    acc[i] += c * vec[i]
-        return cls(e, acc)
+        return cls(e, power_coords(e, counts))
 
     # -- conductor handling -------------------------------------------------
 
@@ -215,88 +257,32 @@ class Cyclotomic:
             raise ValueError(f"not rational: {self!r}")
         return self.coeffs[0]
 
-    # -- conductor minimization (for display/serialization) --------------------
+    # -- conductor change (for display/serialization) ---------------------------
 
-    def minimized(self) -> "Cyclotomic":
-        cur = self
-        changed = True
-        while changed:
-            changed = False
-            e = cur.e
-            for q in prime_divisors(e):
-                low = e // q
-                if cur._descends_to(low):
-                    cur = cur._rewrite(low)
-                    changed = True
-                    break
-        return cur
-
-    def _descends_to(self, low: int) -> bool:
+    def rewrite(self, low: int) -> "Cyclotomic":
+        """The same value in the power basis of Q(zeta_low); it must lie there."""
         e = self.e
-        for r in range(1, e):
-            if r % low == 1 % low and gcd(r, e) == 1 and r != 1:
-                if self.galois(r) != self:
-                    return False
-        return True
-
-    def _rewrite(self, low: int) -> "Cyclotomic":
-        e = self.e
+        if low == e:
+            return self
         step = e // low
         degL = _phi_degree(low)
         tab = _power_table(e)
         cols = [tab[(step * j) % e] for j in range(degL)]
         sol = linalg.solve(cols, [self.coeffs])
-        if sol is None:  # descent test passed, so this is unreachable
+        if sol is None:
             raise InvariantViolation(f"{self!r} does not descend to conductor {low}")
         return Cyclotomic(low, sol[0][0])
 
     # -- serialization -----------------------------------------------------------
 
     def to_json(self):
-        m = self.minimized()
         terms = [[i, c.numerator, c.denominator]
-                 for i, c in enumerate(m.coeffs) if c]
-        return {"conductor": m.e, "terms": terms}
+                 for i, c in enumerate(self.coeffs) if c]
+        return {"conductor": self.e, "terms": terms}
 
     def __repr__(self):
         terms = [f"{c}*z^{i}" for i, c in enumerate(self.coeffs) if c]
         return f"Cyc({self.e}: {' + '.join(terms) or '0'})"
-
-    # -- reduction mod 2 ---------------------------------------------------------
-
-    def reduce_mod2(self, f: int | None = None) -> GF2m:
-        """Image under the pinned ring map O_(2) -> GF(2^f).
-
-        zeta of 2-power order maps to 1; zeta of odd order e' maps to the
-        pinned primitive e'-th root of GF(2^f)*.  f defaults to the
-        multiplicative order of 2 mod e', and must be a multiple of it.
-        """
-        e = self.e
-        a = 0
-        eodd = e
-        while eodd % 2 == 0:
-            eodd //= 2
-            a += 1
-        f0 = multiplicative_order_of_2(eodd)
-        if f is None:
-            f = f0
-        if f % f0:
-            raise ValueError(f"field degree {f} incompatible with order {eodd}")
-        field = GF2Field(f)
-        if eodd == 1:
-            eta = 1
-        else:
-            omega = field.root_of_unity(eodd)
-            eta = field.pow(omega, pow(2, -a, eodd) if a else 1)
-        acc = 0
-        power = 1
-        for c in self.coeffs:
-            if c and c.denominator % 2 == 0:
-                raise NotTwoIntegral(f"even denominator in {self!r}")
-            if c and c.numerator % 2:
-                acc ^= power
-            power = field.mul(power, eta)
-        return GF2m(f, acc)
 
 
 def _coerce(value) -> Cyclotomic:

@@ -261,42 +261,6 @@ class GF2Field:
         return self.pow(self.generator(), (self.order - 1) // e)
 
 
-class GF2m:
-    """An element of GF(2^f); thin value wrapper used at module boundaries."""
-
-    __slots__ = ("f", "value")
-
-    def __init__(self, f: int, value: int):
-        self.f = f
-        self.value = value
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other and other in (0, 1)
-        return isinstance(other, GF2m) and (self.f, self.value) == (other.f, other.value)
-
-    def __hash__(self):
-        return hash((self.f, self.value))
-
-    def __add__(self, other):
-        self._check(other)
-        return GF2m(self.f, self.value ^ other.value)
-
-    def __mul__(self, other):
-        self._check(other)
-        return GF2m(self.f, GF2Field(self.f).mul(self.value, other.value))
-
-    def _check(self, other):
-        if not isinstance(other, GF2m) or other.f != self.f:
-            raise TypeError("mixed GF(2^f) fields")
-
-    def __repr__(self):
-        return f"GF2m(f={self.f}, {self.value:#x})"
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-
 def multiplicative_order_of_2(e: int) -> int:
     """Least f with 2^f = 1 mod e (e odd)."""
     if e % 2 == 0:

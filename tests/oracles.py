@@ -4,8 +4,9 @@ from fractions import Fraction
 from math import gcd
 
 from workbench.blocks import omega_field
-from workbench.cyclotomic import Cyclotomic
-from workbench.gf2 import GF2Field
+from workbench.cyclotomic import Cyclotomic, prime_divisors
+from workbench.errors import NotTwoIntegral
+from workbench.gf2 import GF2Field, multiplicative_order_of_2
 from workbench.perm import mul
 
 
@@ -28,30 +29,130 @@ def psl2_degree_multiset(q: int) -> list:
     return sorted(degs)
 
 
-def brute_force_block_partition(table) -> list:
-    """Partition Irr(G) by equality of reduced central characters, computed
-    directly from the definition (independent of workbench.blocks)."""
-    from workbench.gf2 import multiplicative_order_of_2
+class GF2m:
+    """An element of GF(2^f), with the field operations as + and *."""
 
-    k = table.k
+    __slots__ = ("f", "value")
+
+    def __init__(self, f: int, value: int):
+        self.f = f
+        self.value = value
+
+    def __eq__(self, other):
+        if isinstance(other, int):
+            return self.value == other and other in (0, 1)
+        return isinstance(other, GF2m) and (self.f, self.value) == (other.f, other.value)
+
+    def __hash__(self):
+        return hash((self.f, self.value))
+
+    def __add__(self, other):
+        self._check(other)
+        return GF2m(self.f, self.value ^ other.value)
+
+    def __mul__(self, other):
+        self._check(other)
+        return GF2m(self.f, GF2Field(self.f).mul(self.value, other.value))
+
+    def _check(self, other):
+        if not isinstance(other, GF2m) or other.f != self.f:
+            raise TypeError("mixed GF(2^f) fields")
+
+    def __repr__(self):
+        return f"GF2m(f={self.f}, {self.value:#x})"
+
+
+def exact_reduce_mod2(value: Cyclotomic, f: int | None = None) -> GF2m:
+    """Image of a 2-integral Fraction-coefficient value under the pinned
+    ring map O_(2) -> GF(2^f): zeta of 2-power order maps to 1, zeta of odd
+    order e' to the pinned primitive e'-th root of GF(2^f)*, and each odd
+    denominator to 1.  f defaults to the multiplicative order of 2 mod e',
+    and must be a multiple of it."""
+    e = value.e
+    a = 0
+    eodd = e
+    while eodd % 2 == 0:
+        eodd //= 2
+        a += 1
+    f0 = multiplicative_order_of_2(eodd)
+    if f is None:
+        f = f0
+    if f % f0:
+        raise ValueError(f"field degree {f} incompatible with order {eodd}")
+    field = GF2Field(f)
+    if eodd == 1:
+        eta = 1
+    else:
+        omega = field.root_of_unity(eodd)
+        eta = field.pow(omega, pow(2, -a, eodd) if a else 1)
+    acc = 0
+    power = 1
+    for c in value.coeffs:
+        if c and c.denominator % 2 == 0:
+            raise NotTwoIntegral(f"even denominator in {value!r}")
+        if c and c.numerator % 2:
+            acc ^= power
+        power = field.mul(power, eta)
+    return GF2m(f, acc)
+
+
+def minimized(value: Cyclotomic) -> Cyclotomic:
+    """`value` in its least conductor: descend one prime q at a time while
+    every Galois automorphism over Q(zeta_(e/q)) fixes the exact value."""
+    cur = value
+    changed = True
+    while changed:
+        changed = False
+        e = cur.e
+        for q in prime_divisors(e):
+            low = e // q
+            if all(cur.galois(r) == cur for r in range(2, e)
+                   if r % low == 1 % low and gcd(r, e) == 1):
+                cur = cur.rewrite(low)
+                changed = True
+                break
+    return cur
+
+
+def exact_central_characters(table) -> tuple:
+    """(f, rows): f the lcm of ord_2 over the odd parts of the class orders,
+    and per character the vector omega(C_j) = |C_j| chi(g_j) / chi(1)
+    reduced into GF(2^f), from the exact values (independent of
+    workbench.blocks)."""
     f = 1
     for c in table.classes:
         m = c.order
         while m % 2 == 0:
             m //= 2
         o = multiplicative_order_of_2(m)
-        f = f * o // __import__("math").gcd(f, o)
-    vectors = []
-    for i in range(k):
-        vec = []
-        for j, c in enumerate(table.classes):
-            val = table.chars[i][j] * Fraction(len(c.members), table.degrees[i])
-            vec.append(val.reduce_mod2(f).value)
-        vectors.append(tuple(vec))
+        f = f * o // gcd(f, o)
+    rows = [tuple(exact_reduce_mod2(table.chars[i][j] * Fraction(len(c.members), table.degrees[i]),
+                                    f).value
+                  for j, c in enumerate(table.classes))
+            for i in range(table.k)]
+    return f, rows
+
+
+def brute_force_block_partition(table) -> list:
+    """Partition Irr(G) by equality of reduced central characters, computed
+    directly from the definition."""
     blocks = {}
-    for i, v in enumerate(vectors):
+    for i, v in enumerate(exact_central_characters(table)[1]):
         blocks.setdefault(v, []).append(i)
     return sorted(blocks.values())
+
+
+def exact_block_idempotent(table, rows, f: int) -> list:
+    """e_B per class: (1/|G|) sum over rows of chi(1) chi(g_j^-1), summed in
+    Q(zeta_n) and reduced into GF(2^f)."""
+    out = []
+    for j in range(table.k):
+        jinv = table.inverse_map[j]
+        total = Cyclotomic.rational(0)
+        for i in rows:
+            total = total + table.chars[i][jinv] * table.degrees[i]
+        out.append(exact_reduce_mod2(total * Fraction(1, table.group.order), f).value)
+    return out
 
 
 def signed_sum_solutions(m: int, d: int) -> list:

@@ -1,12 +1,18 @@
+from pathlib import Path
+
 import pytest
 
 from workbench import blocks
 from workbench.chartab import dixon_table
 from workbench.errors import NotRealBlock
 from workbench.groups import builtin_group
-from workbench.perm import nu
+from workbench.perm import generate, nu, read_generator_file
 
-from oracles import brute_force_block_partition, idempotent_square_check
+from oracles import (brute_force_block_partition, exact_block_idempotent,
+                     exact_central_characters, idempotent_square_check)
+from test_acceptance import BUILTINS
+
+GROUP_FILES = Path(__file__).resolve().parents[1] / "perfbench" / "groups"
 
 _cache = {}
 
@@ -43,6 +49,30 @@ def test_partition_matches_independent_oracle():
         T = table(name)
         got = sorted(sorted(b.rows) for b in blocks.block_partition(T))
         assert got == brute_force_block_partition(T)
+
+
+# the perfbench/groups files whose blocks fit a pinned field (the others
+# need GF(2^24), GF(2^36) or GF(2^110))
+FIELD_FILES = ("M11.txt", "S6.txt", "S7.txt", "a7.txt", "pgl2_11.txt", "pgl2_13.txt",
+               "psl2_11.txt", "psl2_13.txt", "psl2_5xpsl2_5.txt", "psl2_9.txt",
+               "s5xs3.txt")
+
+
+@pytest.mark.parametrize("name", BUILTINS + ("pgl2_11",) + FIELD_FILES)
+def test_integer_reduction_matches_exact_oracle(name):
+    # partition, central characters and idempotents from the table's integer
+    # power-basis values against the same reductions of exact Fraction values
+    if name.endswith(".txt"):
+        T = dixon_table(generate(read_generator_file(GROUP_FILES / name)))
+    else:
+        T = table(name)
+    f, omegas = exact_central_characters(T)
+    parts = blocks.block_partition(T)
+    assert sorted(sorted(b.rows) for b in parts) == brute_force_block_partition(T)
+    for b in parts:
+        assert b.field_f == f
+        assert all(omegas[i] == b.omega for i in b.rows)
+        assert blocks.block_idempotent_support(T, b) == exact_block_idempotent(T, b.rows, f)
 
 
 def test_odd_order_blocks_are_defect_zero_singletons():

@@ -11,7 +11,7 @@ from workbench.groups import builtin_group
 from workbench.perm import generate, read_generator_file
 
 from oracles import (exact_conj_char, exact_fs_indicator, exact_is_two_rational,
-                     exact_two_conjugacy_families, inner_product,
+                     exact_two_conjugacy_families, inner_product, minimized,
                      psl2_degree_multiset, structure_constants)
 from test_acceptance import BUILTINS
 
@@ -190,3 +190,15 @@ def test_power_maps_against_sympy(name):
         want = [G.class_of[G.idx(tuple((Permutation(list(G.elements[c.rep])) ** r).array_form))]
                 for c in T.classes]
         assert T._power_map(r) == want, r
+
+
+ALL_FILES = tuple(sorted(p.name for p in GROUP_FILES.glob("*.txt")))
+
+
+@pytest.mark.parametrize("name", BUILTINS + ("pgl2_11",) + ALL_FILES)
+def test_reported_conductors_match_galois_descent(name):
+    # to_json reads each value's conductor off the power maps; the oracle
+    # descends one prime at a time on the exact value
+    T = dixon_table(_exact_route_group(name))
+    want = [[minimized(v).to_json() for v in row] for row in T.chars]
+    assert T.to_json()["values"] == want

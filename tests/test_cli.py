@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -243,3 +244,19 @@ def test_bad_group_input_is_usage_error(argv, capsys, tmp_path):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("workbench: ")
+
+
+# sha256 of `workbench chartab --json` stdout, run from the repository root
+CHARTAB_SHA256 = {
+    "pgl2_11": "ffaa4d80e3c5c215dd06888db8a88023c5a53de88236168bd5b515da65fd8753",
+    "perfbench/groups/psl2_23.txt":
+        "b23f560cf89db76a07096caecb6b9c585859e1c966c87fe10dd26d26e0033715",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(CHARTAB_SHA256))
+def test_chartab_json_digest(capsys, monkeypatch, spec):
+    monkeypatch.chdir(GROUP_FILES.parents[1])
+    code, out = run(capsys, ["chartab", "--group", spec, "--json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CHARTAB_SHA256[spec]

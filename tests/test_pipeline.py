@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -94,3 +95,12 @@ def test_scan_propagates_invariant_violations(monkeypatch, tmp_path):
     monkeypatch.setattr(pipeline, "dixon_table", _raising(FieldTooSmall))
     [entry] = scan_groups([f])
     assert entry["error"] == "FieldTooSmall: raised by the test"
+
+
+def test_refused_scan_files_keep_their_field_verdict():
+    # these blocks need a GF(2^f) with no pinned primitive polynomial
+    files = Path(__file__).resolve().parents[1] / "perfbench" / "groups"
+    want = {"pgl2_17.txt": 24, "psl2_17.txt": 24, "psl2_19.txt": 36, "psl2_23.txt": 110}
+    entries = scan_groups([files / name for name in want])
+    assert [e["error"] for e in entries] == \
+        [f"FieldTooSmall: no primitive polynomial pinned for f={f}" for f in want.values()]
