@@ -133,14 +133,16 @@ def _roots_modp(f, p):
     else:
         lin = _poly_gcd_modp(g, f, p)
 
-    def split(h, c0):
+    # split lin into its linear factors from a work list (a recursive
+    # closure would leave a reference cycle behind on every call)
+    todo = [(lin, 0)]
+    while todo:
+        h, c = todo.pop()
         h = _poly_trim(h[:])
         if len(h) == 2:
             roots.add((-h[0] * pow(h[1], p - 2, p)) % p)
-            return
-        if len(h) <= 1:
-            return
-        c = c0
+        if len(h) <= 2:
+            continue
         while True:
             # gcd((x+c)^((p-1)/2) - 1, h) separates roots by quadratic character
             acc = _poly_powmod([c, 1], (p - 1) // 2, h, p)
@@ -149,13 +151,9 @@ def _roots_modp(f, p):
             if acc != [0]:
                 w = _poly_gcd_modp(acc, h, p)
                 if 0 < len(w) - 1 < len(h) - 1:
-                    split(w, c + 1)
-                    split(_poly_divide_exact(h, w, p), c + 1)
-                    return
+                    todo += [(w, c + 1), (_poly_divide_exact(h, w, p), c + 1)]
+                    break
             c += 1
-
-    if len(lin) > 1:
-        split(lin, 0)
     return sorted(roots)
 
 

@@ -7,8 +7,7 @@ a tuple, divided by a power of 2, into GF(2^f) from the parity of each
 coordinate: 2-power-order roots go to 1 and an odd-order root zeta_{e'} to
 the pinned primitive e'-th root of GF(2^f)*, so all runs agree bit-for-bit.
 
-`Cyclotomic` (dense Fraction coefficients) holds only the reported values:
-equality is coefficient equality after lifting to a common conductor, and
+`Cyclotomic` (dense Fraction coefficients) holds only the reported values;
 `rewrite` moves a value into the power basis of a smaller conductor by one
 rational solve (`linalg.solve`).
 """
@@ -17,7 +16,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 from . import linalg
 from .errors import ConductorOverflow, InvariantViolation, NotTwoIntegral
@@ -132,132 +130,16 @@ def reduce_mod2(e: int, coords, f: int, shift: int = 0) -> int:
 
 
 class Cyclotomic:
-    """An element of Q(zeta_e) in the power basis of Q[x]/(Phi_e)."""
+    """A reported value: an element of Q(zeta_e) in the power basis of Q[x]/(Phi_e)."""
 
     __slots__ = ("e", "coeffs")
 
     def __init__(self, e: int, coeffs):
-        if e > CONDUCTOR_CAP:
-            raise ConductorOverflow(f"conductor {e} above cap {CONDUCTOR_CAP}")
-        deg = _phi_degree(e)
         cs = [Fraction(c) for c in coeffs]
-        if len(cs) != deg:
+        if len(cs) != _phi_degree(e):
             raise ValueError("coefficient length != phi(e)")
         self.e = e
         self.coeffs = tuple(cs)
-
-    # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def rational(cls, value) -> "Cyclotomic":
-        return cls(1, [Fraction(value)])
-
-    @classmethod
-    def root(cls, e: int, k: int = 1) -> "Cyclotomic":
-        """zeta_e^k."""
-        return cls(e, _power_table(e)[k % e])
-
-    @classmethod
-    def from_exponent_counts(cls, e: int, counts) -> "Cyclotomic":
-        """sum over m of counts[m] * zeta_e^m."""
-        return cls(e, power_coords(e, counts))
-
-    # -- conductor handling -------------------------------------------------
-
-    def lift(self, E: int) -> "Cyclotomic":
-        if E == self.e:
-            return self
-        if E % self.e:
-            raise ValueError("can only lift to a multiple of the conductor")
-        step = E // self.e
-        tab = _power_table(E)
-        deg = _phi_degree(E)
-        acc = [Fraction(0)] * deg
-        for i, c in enumerate(self.coeffs):
-            if c:
-                vec = tab[(i * step) % E]
-                for j in range(deg):
-                    if vec[j]:
-                        acc[j] += c * vec[j]
-        return Cyclotomic(E, acc)
-
-    @staticmethod
-    def _common(a: "Cyclotomic", b: "Cyclotomic"):
-        E = a.e * b.e // gcd(a.e, b.e)
-        return a.lift(E), b.lift(E)
-
-    # -- ring operations -----------------------------------------------------
-
-    def __add__(self, other) -> "Cyclotomic":
-        other = _coerce(other)
-        a, b = self._common(self, other)
-        return Cyclotomic(a.e, [x + y for x, y in zip(a.coeffs, b.coeffs)])
-
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __neg__(self) -> "Cyclotomic":
-        return Cyclotomic(self.e, [-c for c in self.coeffs])
-
-    def __sub__(self, other) -> "Cyclotomic":
-        return self + (-_coerce(other))
-
-    def __mul__(self, other) -> "Cyclotomic":
-        other = _coerce(other)
-        a, b = self._common(self, other)
-        deg = _phi_degree(a.e)
-        conv = [Fraction(0)] * (2 * deg - 1 if deg else 1)
-        for i, x in enumerate(a.coeffs):
-            if not x:
-                continue
-            for j, y in enumerate(b.coeffs):
-                if y:
-                    conv[i + j] += x * y
-        tab = _power_table(a.e)
-        acc = [Fraction(0)] * deg
-        for m, c in enumerate(conv):
-            if c:
-                vec = tab[m]
-                for k in range(deg):
-                    if vec[k]:
-                        acc[k] += c * vec[k]
-        return Cyclotomic(a.e, acc)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.rational_value() == other
-        if not isinstance(other, Cyclotomic):
-            return NotImplemented
-        a, b = self._common(self, other)
-        return a.coeffs == b.coeffs
-
-    __hash__ = None
-
-    # -- Galois action ---------------------------------------------------------
-
-    def galois(self, r: int) -> "Cyclotomic":
-        """Apply sigma_r: zeta_e -> zeta_e^r (gcd(r, e) = 1)."""
-        r %= self.e
-        if gcd(r, self.e) != 1:
-            raise ValueError("galois exponent must be prime to the conductor")
-        counts = {}
-        for i, c in enumerate(self.coeffs):
-            if c:
-                counts[(r * i) % self.e] = counts.get((r * i) % self.e, 0) + c
-        return Cyclotomic.from_exponent_counts(self.e, counts)
-
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"not rational: {self!r}")
-        return self.coeffs[0]
-
-    # -- conductor change (for display/serialization) ---------------------------
 
     def rewrite(self, low: int) -> "Cyclotomic":
         """The same value in the power basis of Q(zeta_low); it must lie there."""
@@ -271,9 +153,7 @@ class Cyclotomic:
         sol = linalg.solve(cols, [self.coeffs])
         if sol is None:
             raise InvariantViolation(f"{self!r} does not descend to conductor {low}")
-        return Cyclotomic(low, sol[0][0])
-
-    # -- serialization -----------------------------------------------------------
+        return type(self)(low, sol[0][0])
 
     def to_json(self):
         terms = [[i, c.numerator, c.denominator]
@@ -283,14 +163,6 @@ class Cyclotomic:
     def __repr__(self):
         terms = [f"{c}*z^{i}" for i, c in enumerate(self.coeffs) if c]
         return f"Cyc({self.e}: {' + '.join(terms) or '0'})"
-
-
-def _coerce(value) -> Cyclotomic:
-    if isinstance(value, Cyclotomic):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Cyclotomic(1, [Fraction(value)])
-    raise TypeError(f"cannot coerce {value!r} to Cyclotomic")
 
 
 @lru_cache(maxsize=None)

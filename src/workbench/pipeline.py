@@ -239,21 +239,21 @@ def scan_groups(paths, cap=None) -> list:
     for path in paths:
         entry = {"path": str(path)}
         try:
-            gens = read_generator_file(path)
-            G = generate(gens, cap=cap)
-            table = dixon_table(G)
-            parts = blocklib.analyze_blocks(table)
-            hits = []
-            for b in parts:
-                if b.etype not in (None, "principal", "a"):
-                    hits.append({"degrees": b.degrees(table), "defect": b.defect,
-                                 "etype": b.etype})
-            entry["order"] = G.order
-            entry["blocks"] = len(parts)
-            entry["nontrivial_etype_blocks"] = hits
+            entry.update(_scan_file(path, cap))
         except InvariantViolation:
             raise
         except Exception as exc:  # scan keeps going past bad files
             entry["error"] = f"{type(exc).__name__}: {exc}"
         out.append(entry)
     return out
+
+
+def _scan_file(path, cap) -> dict:
+    """One file's scan entry.  Its group and table die on return, so they
+    are not held while the next file's group is built."""
+    G = generate(read_generator_file(path), cap=cap)
+    table = dixon_table(G)
+    parts = blocklib.analyze_blocks(table)
+    hits = [{"degrees": b.degrees(table), "defect": b.defect, "etype": b.etype}
+            for b in parts if b.etype not in (None, "principal", "a")]
+    return {"order": G.order, "blocks": len(parts), "nontrivial_etype_blocks": hits}

@@ -1,10 +1,12 @@
 """Independent test oracles (kept apart from the package under test)."""
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
+from workbench import cyclotomic
 from workbench.blocks import omega_field
-from workbench.cyclotomic import Cyclotomic, prime_divisors
+from workbench.cyclotomic import _phi_degree, _power_table, power_coords, prime_divisors
 from workbench.errors import NotTwoIntegral
 from workbench.gf2 import GF2Field, multiplicative_order_of_2
 from workbench.perm import mul
@@ -60,6 +62,114 @@ class GF2m:
 
     def __repr__(self):
         return f"GF2m(f={self.f}, {self.value:#x})"
+
+
+class Cyclotomic(cyclotomic.Cyclotomic):
+    """The package's reported value with exact field arithmetic: sums,
+    products and equality after lifting to a common conductor, and the
+    Galois action."""
+
+    __slots__ = ()
+
+    @classmethod
+    def rational(cls, value) -> "Cyclotomic":
+        return cls(1, [Fraction(value)])
+
+    @classmethod
+    def root(cls, e: int, k: int = 1) -> "Cyclotomic":
+        """zeta_e^k."""
+        return cls(e, _power_table(e)[k % e])
+
+    def lift(self, E: int) -> "Cyclotomic":
+        if E == self.e:
+            return self
+        if E % self.e:
+            raise ValueError("can only lift to a multiple of the conductor")
+        step = E // self.e
+        tab = _power_table(E)
+        acc = [Fraction(0)] * _phi_degree(E)
+        for i, c in enumerate(self.coeffs):
+            if c:
+                for j, t in enumerate(tab[(i * step) % E]):
+                    if t:
+                        acc[j] += c * t
+        return Cyclotomic(E, acc)
+
+    @staticmethod
+    def _common(a, b):
+        a, b = _coerce(a), _coerce(b)
+        E = a.e * b.e // gcd(a.e, b.e)
+        return a.lift(E), b.lift(E)
+
+    def __add__(self, other) -> "Cyclotomic":
+        a, b = self._common(self, other)
+        return Cyclotomic(a.e, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "Cyclotomic":
+        return Cyclotomic(self.e, [-c for c in self.coeffs])
+
+    def __sub__(self, other) -> "Cyclotomic":
+        return self + (-_coerce(other))
+
+    def __mul__(self, other) -> "Cyclotomic":
+        a, b = self._common(self, other)
+        deg = _phi_degree(a.e)
+        conv = [Fraction(0)] * (2 * deg - 1)
+        for i, x in enumerate(a.coeffs):
+            if x:
+                for j, y in enumerate(b.coeffs):
+                    if y:
+                        conv[i + j] += x * y
+        tab = _power_table(a.e)
+        acc = [Fraction(0)] * deg
+        for m, c in enumerate(conv):
+            if c:
+                for k, t in enumerate(tab[m]):
+                    if t:
+                        acc[k] += c * t
+        return Cyclotomic(a.e, acc)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        a, b = self._common(self, other)
+        return a.coeffs == b.coeffs
+
+    __hash__ = None
+
+    def galois(self, r: int) -> "Cyclotomic":
+        """Apply sigma_r: zeta_e -> zeta_e^r (gcd(r, e) = 1)."""
+        e = self.e
+        if gcd(r, e) != 1:
+            raise ValueError("galois exponent must be prime to the conductor")
+        counts = {}
+        for i, c in enumerate(self.coeffs):
+            counts[r * i % e] = counts.get(r * i % e, 0) + c
+        return Cyclotomic(e, power_coords(e, counts))
+
+    def is_rational(self) -> bool:
+        return not any(self.coeffs[1:])
+
+    def rational_value(self) -> Fraction:
+        if not self.is_rational():
+            raise ValueError(f"not rational: {self!r}")
+        return self.coeffs[0]
+
+
+def _coerce(value) -> Cyclotomic:
+    if isinstance(value, Cyclotomic):
+        return value
+    if isinstance(value, cyclotomic.Cyclotomic):
+        return Cyclotomic(value.e, value.coeffs)
+    return Cyclotomic.rational(value)
+
+
+@lru_cache(maxsize=8)
+def exact_chars(table) -> list:
+    """The table's reported values (`table.chars`) as oracle `Cyclotomic`s."""
+    return [tuple(map(_coerce, row)) for row in table.chars]
 
 
 def exact_reduce_mod2(value: Cyclotomic, f: int | None = None) -> GF2m:
@@ -126,7 +236,8 @@ def exact_central_characters(table) -> tuple:
             m //= 2
         o = multiplicative_order_of_2(m)
         f = f * o // gcd(f, o)
-    rows = [tuple(exact_reduce_mod2(table.chars[i][j] * Fraction(len(c.members), table.degrees[i]),
+    chars = exact_chars(table)
+    rows = [tuple(exact_reduce_mod2(chars[i][j] * Fraction(len(c.members), table.degrees[i]),
                                     f).value
                   for j, c in enumerate(table.classes))
             for i in range(table.k)]
@@ -145,12 +256,13 @@ def brute_force_block_partition(table) -> list:
 def exact_block_idempotent(table, rows, f: int) -> list:
     """e_B per class: (1/|G|) sum over rows of chi(1) chi(g_j^-1), summed in
     Q(zeta_n) and reduced into GF(2^f)."""
+    chars = exact_chars(table)
     out = []
     for j in range(table.k):
         jinv = table.inverse_map[j]
         total = Cyclotomic.rational(0)
         for i in rows:
-            total = total + table.chars[i][jinv] * table.degrees[i]
+            total = total + chars[i][jinv] * table.degrees[i]
         out.append(exact_reduce_mod2(total * Fraction(1, table.group.order), f).value)
     return out
 
@@ -331,9 +443,10 @@ def idempotent_square_check(table, coeffs) -> bool:
 
 def inner_product(table, i: int, l: int) -> Fraction:
     """<chi_i, chi_l> = (1/|G|) sum_j |C_j| chi_i(g_j) conj(chi_l(g_j)), exactly."""
+    chars = exact_chars(table)
     total = Cyclotomic.rational(0)
     for j, c in enumerate(table.classes):
-        total = total + len(c.members) * (table.chars[i][j] * table.chars[l][j].galois(-1))
+        total = total + len(c.members) * (chars[i][j] * chars[l][j].galois(-1))
     return (total * Fraction(1, table.group.order)).rational_value()
 
 
@@ -342,16 +455,17 @@ def inner_product(table, i: int, l: int) -> Fraction:
 
 def exact_fs_indicator(table, i: int) -> Fraction:
     """(1/|G|) sum_j |C_j| chi_i(g_j^2), summed in Q(zeta_n)."""
+    chars = exact_chars(table)
     total = Cyclotomic.rational(0)
     for j, c in enumerate(table.classes):
-        total = total + len(c.members) * table.chars[i][table.powermap2[j]]
+        total = total + len(c.members) * chars[i][table.powermap2[j]]
     return (total * Fraction(1, table.group.order)).rational_value()
 
 
 def _galois_image_row(table, values) -> int:
     """The one row of the table whose exact values are `values`."""
     rows = [l for l in range(table.k)
-            if all(a == b for a, b in zip(table.chars[l], values))]
+            if all(a == b for a, b in zip(exact_chars(table)[l], values))]
     if len(rows) != 1:
         raise ValueError(f"{len(rows)} rows match a Galois image")
     return rows[0]
@@ -359,7 +473,7 @@ def _galois_image_row(table, values) -> int:
 
 def exact_conj_char(table, i: int) -> int:
     """Row of the complex conjugate, matched value by value."""
-    return _galois_image_row(table, [v.galois(-1) for v in table.chars[i]])
+    return _galois_image_row(table, [v.galois(-1) for v in exact_chars(table)[i]])
 
 
 def two_galois_exponents(G) -> list:
@@ -374,7 +488,7 @@ def two_galois_exponents(G) -> list:
 
 def exact_is_two_rational(table, i: int) -> bool:
     return all(v.galois(r) == v for r in two_galois_exponents(table.group)
-               for v in table.chars[i])
+               for v in exact_chars(table)[i])
 
 
 def exact_two_conjugacy_families(table, rows) -> list:
@@ -384,7 +498,7 @@ def exact_two_conjugacy_families(table, rows) -> list:
     for i in rows:
         if i in seen:
             continue
-        orbit = {_galois_image_row(table, [v.galois(r) for v in table.chars[i]])
+        orbit = {_galois_image_row(table, [v.galois(r) for v in exact_chars(table)[i]])
                  for r in exps} & set(rows)
         fams.append(tuple(sorted(orbit)))
         seen |= orbit

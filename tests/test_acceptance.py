@@ -9,13 +9,13 @@ import time
 
 from workbench import blocks, modrep, pgroup, solver
 from workbench.chartab import dixon_table
-from workbench.cyclotomic import Cyclotomic, reduce_mod2
+from workbench.cyclotomic import reduce_mod2
 from workbench.gf2 import GF2Field
 from workbench.groups import builtin_group
 from workbench.pipeline import analyze_group
 from workbench.perm import nu
 
-from oracles import inner_product
+from oracles import Cyclotomic, inner_product
 
 _tables = {}
 

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from workbench.cyclotomic import Cyclotomic, cyclotomic_poly, reduce_mod2
+from workbench.cyclotomic import cyclotomic_poly, reduce_mod2
 from workbench.errors import ConductorOverflow, NotTwoIntegral
 from workbench.gf2 import GF2Field
 
-from oracles import exact_reduce_mod2, minimized
+from oracles import Cyclotomic, exact_reduce_mod2, minimized
 
 
 def test_cyclotomic_polys():
