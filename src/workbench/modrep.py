@@ -15,70 +15,64 @@ works from them:
   Frobenius-orbit sum of e_B, which is e_B itself when e_B is rational; a
   non-rational e_B gives only the dimension of its cut (`GFModule`).
   `class_sum_matrix` stays as the independent oracle for the tests.
-* Block cuts and summands are written in the projector rows that span
-  them, each reduced against the rows before it (`Echelon.reduced_basis`),
-  and `gf2.restrict` gives the action on that basis.  Block cuts inherit
-  the spanning set e*O*e of their endomorphisms.
-* Summands.  Each piece P of a split lives in its own coordinates: its
-  basis in M, its action and a basis of its corner algebra End(P), both
-  d x d for d = dim P.  An idempotent k of End(P) gives the pieces kP and
-  (1+k)P, whose actions and corners are restricted from P's, so no n x n
-  product is formed below M itself.  A corner element a commutes with G,
-  so its minimal polynomial is the lcm of the local minimal polynomials
-  of a few kG-generators of P: a few vector Krylov sequences per random
-  draw.  A one-dimensional corner is k, hence local, which certifies the
-  summand indecomposable without random draws.
-* Homs between summands of one split come from End(M): every hom
-  eM -> fM extends to M through e, so Hom(eM, fM) = {v -> v*a*f}, and
-  v*a*f is read off the coordinates of v*a over the summand bases.
-  `hom_space` (a linear solve in n1*n2 unknowns) remains the general path
-  for any other pair of modules, and for End(M) of a module with no
-  orbital or split origin.
+* Block cuts are written in the projector rows that span them, each
+  reduced against the rows before it (`Echelon.reduced_basis`), and
+  `gf2.restrict` gives the action on that basis.
+* The endomorphism algebra H = End(M) has the orbital matrices O_a as its
+  basis, and its structure constants are the intersection numbers of the
+  coherent configuration mod 2 (`_orbital_products`), computed once per
+  module.  e_B is central in H, so a block cut keeps H with e_B as unit.
+* Summands.  The split and the grouping work in H on r-bit vectors, for r
+  orbitals, and never on vectors of M (condensation).  A piece is an
+  idempotent f of H; it is indecomposable when its corner fHf is local,
+  which is certified from the composition factors of the regular module
+  of fHf.  Otherwise random corner elements give idempotents of GF(2)[a]
+  that split it.  dim fM is the rank of f on M.  fM and gM are isomorphic
+  iff f lies in the span of fHg * gHf.  A module without orbitals takes
+  H from a `hom_space` basis and its products, and goes the same way.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import compress
-from operator import xor
+from operator import add, xor
 
 from .blocks import BlockData, block_idempotent_support, block_partition
 from .chartab import CharacterTable
 from .errors import (CapExceeded, FieldTooSmall, InvariantViolation,
                      NotIdempotent, NotInO2)
-from .gf2 import (BitMatrix, Echelon, GF2Field, eval_poly, krylov_relation,
-                  poly_lcm, poly_mulmod, restrict)
-from .meataxe import chop, group_constituents, spin
+from .gf2 import BitMatrix, Echelon, GF2Field, krylov_relation, poly_mulmod, restrict
+from .meataxe import chop, group_constituents
 from .perm import PermGroup, conj, identity, mul, nu
 
 OMEGA_CAP = 2048
 MEATAXE_DIM_CAP = 512
 SUMMAND_DIM_CAP = 256
 COMMUTANT_DIM_CAP = 48
-SPLIT_TRIES = 60  # corner draws per piece before it counts as indecomposable
+SPLIT_TRIES = 60  # corner draws per piece that is certified not local
 
 
 class GF2Module:
     """A GF(2)-module given by generator action matrices (row convention).
 
     Permutation modules keep their point labels, the generators' actions as
-    position lists (`perms`) and a reference to the group, so orbital
-    endomorphisms stay available through block cuts.  Summands made by
-    `summand_split` carry their `origin` in the parent module.
+    position lists (`perms`) and a reference to the group.  A block cut
+    keeps the orbital algebra of its permutation module as `endo`.
     """
 
     def __init__(self, mats, dim, group: PermGroup | None = None,
-                 labels=None, endo_spanning=None, perms=None):
+                 labels=None, endo=None, perms=None):
         self.mats = mats if mats else [BitMatrix.identity(dim)]
         self.dim = dim
         self.group = group
         self.labels = labels
         self.perms = perms
-        self.origin = None
-        self._endo_spanning = endo_spanning  # callable yielding BitMatrix spans
+        self.endo = endo
         self._orbitals = None
+        self._products = None  # see _orbital_products
         self._class_parities = None  # see _orbital_coefficients
         for m in self.mats:
             if not m.nrows == m.ncols == dim:
@@ -191,8 +185,9 @@ def _orbital_matrices(module: GF2Module) -> list:
     return [O for _i0, _j0, O in _orbitals(module)]
 
 
-def _orbital_coefficients(table: CharacterTable, coeffs, module: GF2Module):
-    """[(c_O, A_O)] with sum_O c_O A_O = sum_j coeffs[j] C_j+ on the module.
+def _orbital_coefficients(table: CharacterTable, coeffs, module: GF2Module) -> int:
+    """The orbital coordinates of sum_j coeffs[j] C_j+ on the module: bit a
+    is c_O for the a-th orbital O, with sum_O c_O A_O the class sum.
 
     A class sum commutes with G, so it is constant on each orbital and c_O
     is its (i0, j0) entry: sum_j coeffs[j] #{g in C_j : lab_i0^g = lab_j0}
@@ -209,7 +204,7 @@ def _orbital_coefficients(table: CharacterTable, coeffs, module: GF2Module):
                     for cls in table.classes]
     rows = {i0: reduce(xor, compress(parities, coeffs), 0)
             for i0, parities in module._class_parities.items()}
-    return [(rows[i0] >> j0 & 1, O) for i0, j0, O in _orbitals(module)]
+    return sum((rows[i0] >> j0 & 1) << a for a, (i0, j0, _O) in enumerate(_orbitals(module)))
 
 
 def block_projector(table: CharacterTable, block: BlockData, module: GF2Module):
@@ -229,13 +224,11 @@ def block_projector(table: CharacterTable, block: BlockData, module: GF2Module):
         length += 1
     if not all(c in (0, 1) for c in total):
         raise InvariantViolation("Frobenius orbit sum of e_B is not rational")
-    acc = BitMatrix.zero(module.dim, module.dim)
-    for c, O in _orbital_coefficients(table, total, module):
-        if c:
-            acc = acc + O
-    if acc * acc != acc:
+    H = endomorphism_basis(module)
+    e = _orbital_coefficients(table, total, module)
+    if H.mul(e, e) != e:
         raise NotIdempotent("block projector is not idempotent")
-    return acc, length
+    return H.matrix(e), length
 
 
 def block_cut(table: CharacterTable, block: BlockData, module: GF2Module):
@@ -255,15 +248,11 @@ def block_cut(table: CharacterTable, block: BlockData, module: GF2Module):
     ech = Echelon(proj.rows).reduced_basis()
     basis = ech.vectors
     cut_mats = [restrict(ech, map(m.mul_vec, basis), "cut") for m in module.mats]
-
-    def endo_spanning():
-        # e commutes with every orbital matrix O (both commute with G), so
-        # v*O = v*e*O = (v*O)*e already lies in eM for v in eM
-        for O in _orbital_matrices(module):
-            yield restrict(ech, map(O.mul_vec, basis), "cut")
-
+    # e is central in End(M), so End(eM) = e End(M): the orbital algebra
+    # with e, read off the projector at each orbital's first pair, as unit
+    unit = sum(proj.get(i0, j0) << a for a, (i0, j0, _O) in enumerate(_orbitals(module)))
     return GF2Module(cut_mats, len(basis), group=module.group,
-                     labels=None, endo_spanning=endo_spanning)
+                     endo=replace(endomorphism_basis(module), one=unit))
 
 
 class GFModule:
@@ -292,168 +281,196 @@ def meataxe_factors(module, seed=0):
     return [(c, c.dim, mult) for c, mult in grouped]
 
 
-def dual_module(module: GF2Module) -> GF2Module:
-    """The contragredient module: g acts by rho(g^-1)^T."""
-    mats = [m.inverse().transpose() for m in module.mats]
-    return GF2Module(mats, module.dim, group=module.group)
-
-
 def _flatten(mat: BitMatrix) -> int:
-    v = 0
-    for i, r in enumerate(mat.rows):
-        v |= r << (i * mat.ncols)
-    return v
+    return sum(r << (i * mat.ncols) for i, r in enumerate(mat.rows))
 
 
-def _independent(mats) -> list:
-    """The matrices that enlarge the span of those before them."""
-    flat = Echelon()
-    return [m for m in mats if flat.add(_flatten(m))]
-
-
-def endomorphism_basis(module: GF2Module):
-    """Basis of End_kG(M) as BitMatrices."""
-    if module._endo_spanning is not None:
-        return _independent(module._endo_spanning())
-    if module.perms is not None:
-        return _independent(_orbital_matrices(module))
-    if module.dim > COMMUTANT_DIM_CAP:
-        raise CapExceeded(
-            f"generic commutant solve capped at dim {COMMUTANT_DIM_CAP}")
-    return hom_space(module, module)
+def _select(items, mask: int):
+    """The items at the set bits of mask."""
+    return compress(items, (mask >> a & 1 for a in range(len(items))))
 
 
 @dataclass
-class SummandOrigin:
-    """Where a summand sits in the module M that `summand_split` split."""
-    endo: list       # basis of End(M), shared by all summands of the split
-    split: Echelon   # the bases of all summands (M's coordinates), concatenated
-    offset: int      # this summand's basis is split.vectors[offset:offset + dim]
+class EndAlgebra:
+    """H = End_kG(M) on r-bit coordinate vectors: x stands for sum x_a B_a.
+
+    `mats` is a basis B_0..B_{r-1} of matrices acting on `module` (the
+    orbital matrices of a permutation module), row b of `products[a]` holds
+    the coordinates of B_a*B_b, and `one` is the unit: the identity of
+    `module`, or e_B for a block cut of it."""
+    module: GF2Module
+    mats: list
+    products: list
+    one: int
+
+    def left(self, x: int) -> BitMatrix:
+        """The matrix of y -> x*y."""
+        r = len(self.mats)
+        return reduce(add, _select(self.products, x), BitMatrix.zero(r, r))
+
+    def mul(self, x: int, y: int) -> int:
+        return reduce(xor, (P.mul_vec(y) for P in _select(self.products, x)), 0)
+
+    def sandwich(self, f: int, g: int) -> Echelon:
+        """A basis of fHg: the span of f*B_a*g."""
+        left = self.left(f)
+        return Echelon(left.mul_vec(P.mul_vec(g)) for P in self.products)
+
+    def matrix(self, x: int) -> BitMatrix:
+        """sum x_a B_a, acting on `module`."""
+        n = self.module.dim
+        return reduce(add, _select(self.mats, x), BitMatrix.zero(n, n))
 
 
-class _Piece:
-    """A direct summand P of M in its own coordinates, as `summand_split` holds it.
+def _orbital_products(module: GF2Module) -> list:
+    """P_a of the orbital basis: row b holds the orbital coordinates of O_a*O_b.
 
-    `basis` holds P's basis as the rows of a d x n matrix in M's coordinates,
-    `mats` the action on P (d x d), and `corner` a basis of End_kG(P) (d x d)."""
+    The coefficient of O_c in O_a*O_b is its (i0_c, j0_c) entry, the number
+    mod 2 of points k with (i0_c, k) in a and (k, j0_c) in b (the
+    intersection numbers of the coherent configuration).  With the orbital
+    of every pair in the rows i0_c and j0_c, one pass over k per c gives all
+    of them: r*n steps, computed once per module."""
+    if module._products is None:
+        orbitals = _orbitals(module)
+        r = len(orbitals)
+        labels = {}
 
-    def __init__(self, basis: BitMatrix, mats, corner):
-        self.basis = basis
-        self.mats = mats
-        self.corner = corner
-        self._gens = None
+        def row(i):  # the orbital of (i, k) for each point k
+            if i not in labels:
+                lab = [0] * module.dim
+                for a, (_i0, _j0, O) in enumerate(orbitals):
+                    v = O.rows[i]
+                    while v:
+                        low = v & -v
+                        lab[low.bit_length() - 1] = a
+                        v ^= low
+                labels[i] = lab
+            return labels[i]
 
-    @property
-    def dim(self) -> int:
-        return self.basis.nrows
-
-    def generators(self) -> list:
-        """Unit vectors that generate P as a kG-module, chosen greedily."""
-        if self._gens is None:
-            gens, span = [], Echelon()
-            for i in range(self.dim):
-                if len(span) == self.dim:
-                    break
-                if span.reduce(1 << i):
-                    gens.append(1 << i)
-                    span = spin(gens, self.mats)
-            self._gens = gens
-        return self._gens
-
-    def minpoly(self, a: BitMatrix) -> int:
-        """The minimal polynomial of a corner element a on P.
-
-        a commutes with G, so the kernel of a polynomial in a is a
-        submodule, and the minimal polynomial is the lcm of the local
-        minimal polynomials of a set of kG-generators."""
-        m = 1
-        for w in self.generators():
-            m = poly_lcm(m, krylov_relation(w, a.mul_vec, self.dim))
-        return m
-
-    def split(self, k: BitMatrix) -> list:
-        """[kP, (1 + k)P] for an idempotent k of the corner, each in its own
-        coordinates: the reduced rows of the idempotent."""
-        out = []
-        for e in (k, k + BitMatrix.identity(self.dim)):
-            sub = Echelon(e.rows).reduced_basis()
-            vecs = sub.vectors
-            # End(eP) = e End(P) e, and v*b*e lies in eP for v in eP
-            corner = _independent(
-                restrict(sub, (e.mul_vec(b.mul_vec(v)) for v in vecs), "summand")
-                for b in self.corner)
-            mats = [restrict(sub, map(m.mul_vec, vecs), "summand") for m in self.mats]
-            out.append(_Piece(BitMatrix(vecs, self.dim) * self.basis, mats, corner))
-        return out
+        # (k, j) lies in the transpose of the orbital of (j, k)
+        paired = [row(j0)[i0] for i0, j0, _O in orbitals]
+        rows = [[0] * r for _ in range(r)]
+        for c, (i0, j0, _O) in enumerate(orbitals):
+            for a, b in zip(row(i0), row(j0)):
+                rows[a][paired[b]] ^= 1 << c
+        module._products = [BitMatrix(p, r) for p in rows]
+    return module._products
 
 
-def summand_split(module: GF2Module, seed=0):
-    """Indecomposable direct summands via idempotents of End(M).
+def endomorphism_basis(module: GF2Module) -> EndAlgebra:
+    """End_kG(M) with its structure constants.
 
-    Each piece P of the split lives in its own coordinates (`_Piece`); the
-    first is M itself with End(M) as its corner.  A one-dimensional corner
-    is k, so P is indecomposable and is recorded at once.  Otherwise
-    uniform random corner elements a are split through the idempotents of
-    GF(2)[a] (found linearly: x -> x^2 + x), with the minimal polynomial of
-    a taken from the Krylov sequences of a few kG-generators of P.  An
-    idempotent k splits P into kP and (1 + k)P; pieces where no proper
-    idempotent appears within SPLIT_TRIES draws are reported
-    indecomposable.  Each summand's `origin` records its place in the
-    decomposition of M.
+    A block cut carries the orbital algebra of its permutation module with
+    e_B as the unit; a permutation module has its orbital matrices; any
+    other module takes a basis from `hom_space` and the products of it."""
+    if module.endo is not None:
+        return module.endo
+    if module.perms is not None:
+        orbitals = _orbitals(module)
+        one = sum(1 << a for a, (i0, j0, _O) in enumerate(orbitals) if i0 == j0)
+        return EndAlgebra(module, _orbital_matrices(module),
+                          _orbital_products(module), one)
+    if module.dim > COMMUTANT_DIM_CAP:
+        raise CapExceeded(
+            f"generic commutant solve capped at dim {COMMUTANT_DIM_CAP}")
+    basis = hom_space(module, module)
+    flat = Echelon(map(_flatten, basis))
+    products = [restrict(flat, (_flatten(x * y) for y in basis), "End(M)")
+                for x in basis]
+    one = restrict(flat, [_flatten(BitMatrix.identity(module.dim))], "End(M)")
+    return EndAlgebra(module, basis, products, one.rows[0])
+
+
+@dataclass
+class Summand:
+    """The direct summand fM of the module that `summand_split` split: f is a
+    primitive idempotent of its `EndAlgebra`, and dim = rank of f."""
+    algebra: EndAlgebra
+    idempotent: int
+    dim: int
+
+
+def summand_split(module: GF2Module, seed=0) -> list:
+    """Indecomposable direct summands, as primitive idempotents of End(M).
+
+    All the work is on r-bit vectors of H = End(M) (`endomorphism_basis`).
+    Uniform random elements a of a piece's corner fHf are split through the
+    idempotents of GF(2)[a], with the minimal polynomial of a from its
+    powers in the corner (found linearly: x -> x^2 + x); an idempotent k
+    splits f into k and f + k.  A piece is recorded as indecomposable only
+    when fHf is certified local (`_corner_is_local`), which is tried after
+    the first draw finds no split; a piece that is neither split in
+    SPLIT_TRIES draws nor certified raises InvariantViolation.
     """
     if module.dim > SUMMAND_DIM_CAP:
         raise CapExceeded(f"dim {module.dim} exceeds {SUMMAND_DIM_CAP}")
     if module.dim == 0:
         return []
     rng = random.Random(seed)
-    endo = endomorphism_basis(module)
-    work = [_Piece(BitMatrix.identity(module.dim), module.mats, endo)]
-    final = []
+    H = endomorphism_basis(module)
+    work, final = [H.one], []
     while work:
-        piece = work.pop()
-        found = None
-        if len(piece.corner) > 1:
-            for _ in range(SPLIT_TRIES):
-                found = _proper_corner_idempotent(_corner_draw(piece.corner, rng),
-                                                  piece)
-                if found is not None:
-                    break
-        if found is None:
-            final.append(piece)
-        else:
-            work.extend(piece.split(found))
-    total = sum(p.dim for p in final)
-    split = Echelon(v for p in final for v in p.basis.rows)
-    if not len(split) == total == module.dim:
+        f = work.pop()
+        corner = H.sandwich(f, f)
+        draws = (_proper_corner_idempotent(H, f, _corner_draw(corner, rng))
+                 for _ in range(SPLIT_TRIES))
+        # one draw splits most pieces that split at all, and costs far less
+        # than the certificate; a one-dimensional corner is local at once
+        k = next(draws) if len(corner) > 1 else None
+        if k is None:
+            if _corner_is_local(H, f, corner, seed):
+                final.append(f)
+                continue
+            k = next(filter(None, draws), None)
+            if k is None:
+                raise InvariantViolation(
+                    f"a corner of dim {len(corner)} is not local, but "
+                    f"{SPLIT_TRIES} draws found no idempotent")
+        work += [k, f ^ k]
+    summands = sorted((Summand(H, f, H.matrix(f).rank()) for f in final),
+                      key=lambda s: s.dim)
+    if sum(s.dim for s in summands) != module.dim:
         raise InvariantViolation("summands do not decompose the module")
-    summands = []
-    offset = 0
-    for p in final:
-        s = GF2Module(p.mats, p.dim, group=module.group)
-        s.origin = SummandOrigin(endo, split, offset)
-        offset += p.dim
-        summands.append(s)
-    summands.sort(key=lambda s: s.dim)
     return summands
 
 
-def _corner_draw(corner, rng) -> BitMatrix:
+def _corner_is_local(H: EndAlgebra, f: int, corner: Echelon, seed) -> bool:
+    """Certificate that fHf is local, so that fM is indecomposable.
+
+    fHf is local iff its right-regular module has a single simple
+    constituent S up to isomorphism, with dim S = dim End(S): then fHf/J is
+    the field End(S).  The module is written in the corner's basis, with
+    right multiplication by each basis element as a generator; constituents
+    are compared by `hom_space`, which is nonzero between simple modules
+    only when they are isomorphic, so no random isomorphism test runs."""
+    m = len(corner)
+    if m == 1:
+        return True  # fHf = k*f
+    mats = [restrict(corner, (H.mul(x, b) for x in corner.vectors), "corner")
+            for b in corner.vectors]
+    S, *others = chop(mats, m, seed=seed)
+    return S.dim == len(hom_space(S, S)) and all(
+        T.dim == S.dim and hom_space(S, T) for T in others)
+
+
+def _corner_draw(corner: Echelon, rng) -> int:
     """A uniform element of the corner algebra: a random subset sum of its basis."""
-    mask = rng.getrandbits(len(corner))
-    acc = BitMatrix.zero(corner[0].nrows, corner[0].ncols)
-    for t, b in enumerate(corner):
-        if (mask >> t) & 1:
-            acc = acc + b
-    return acc
+    return reduce(xor, _select(corner.vectors, rng.getrandbits(len(corner))), 0)
 
 
-def _proper_corner_idempotent(a, piece: _Piece):
-    """An idempotent k with 0 != k != 1 in GF(2)[a], if one exists.
+def _corner_minpoly(H: EndAlgebra, f: int, a: int) -> int:
+    """The minimal polynomial of a in the corner fHf: the first relation
+    among its powers f, a, a^2, ..."""
+    return krylov_relation(f, H.left(a).mul_vec, len(H.mats))
+
+
+def _proper_corner_idempotent(H: EndAlgebra, f: int, a: int):
+    """An idempotent k with 0 != k != f in GF(2)[a], if one exists.
 
     In char 2 the idempotents of the commutative ring GF(2)[x]/(m) form the
     kernel of the linear map q -> q^2 + q, so they are found by linear
     algebra over GF(2)."""
-    m = piece.minpoly(a)
+    m = _corner_minpoly(H, f, a)
     deg = m.bit_length() - 1
     if deg < 2:
         return None
@@ -462,17 +479,16 @@ def _proper_corner_idempotent(a, piece: _Piece):
     for i in range(deg):
         sq = poly_mulmod(1 << i, 1 << i, m)
         rows.append(sq ^ (1 << i))  # (x^i)^2 + x^i
-    ker = BitMatrix(rows, deg).kernel()
-    one = BitMatrix.identity(piece.dim)
-    for q in ker:
-        if q == 0 or q == 1:
+    left = H.left(a)
+    for q in BitMatrix(rows, deg).kernel():
+        k = 0
+        for i in range(q.bit_length() - 1, -1, -1):  # q(a) by Horner
+            k = left.mul_vec(k) ^ (f if q >> i & 1 else 0)
+        if k in (0, f):
             continue
-        cand = eval_poly(a, q)
-        if cand.is_zero() or cand == one:
-            continue
-        if cand * cand != cand:
+        if H.mul(k, k) != k:
             raise InvariantViolation("candidate corner idempotent is not idempotent")
-        return cand
+        return k
     return None
 
 
@@ -504,52 +520,27 @@ def hom_space(m1: GF2Module, m2: GF2Module):
     return out
 
 
-def summand_homs(m1: GF2Module, m2: GF2Module):
-    """Basis of Hom_kG(eM, fM) for two summands of one `summand_split`.
+def _summands_isomorphic(s: Summand, t: Summand) -> bool:
+    """fM = gM iff f lies in the span of the products fHg * gHf.
 
-    A hom phi: eM -> fM extends to the endomorphism v -> phi(v*e) of M, so
-    the homs are exactly the maps v -> v*a*f with a in End(M).  The image
-    v*a*f is the fM part of v*a: its coordinates over the concatenated
-    summand bases, sliced at fM's offset."""
-    o1, o2 = m1.origin, m2.origin
-    split = o1.split
-    basis = split.vectors[o1.offset:o1.offset + m1.dim]
-    low = (1 << m2.dim) - 1
-    return _independent(
-        BitMatrix([(split.solve(a.mul_vec(v)) >> o2.offset) & low for v in basis],
-                  m2.dim)
-        for a in o1.endo)
-
-
-def modules_isomorphic(m1: GF2Module, m2: GF2Module) -> bool:
-    """Explicit isomorphism search through the hom space."""
-    if m1.dim != m2.dim:
-        return False
-    if m1.origin is not None and m2.origin is not None \
-            and m1.origin.split is m2.origin.split:
-        homs = summand_homs(m1, m2)
-    else:
-        homs = hom_space(m1, m2)
-    if not homs:
-        return m1.dim == 0
-    if len(homs) > 16:
-        raise CapExceeded("hom space too large to enumerate")
-    for mask in range(1, 1 << len(homs)):
-        acc = None
-        for t, h in enumerate(homs):
-            if (mask >> t) & 1:
-                acc = h if acc is None else acc + h
-        if acc is not None and acc.rank() == m1.dim:
-            return True
-    return False
+    That span is an ideal of fHf, which is local, so it is either all of
+    fHf or lies in its radical; f is in it exactly when some x*y with
+    x in fHg, y in gHf is a unit of fHf, that is, when fM and gM are
+    isomorphic."""
+    H, f, g = s.algebra, s.idempotent, t.idempotent
+    if t.algebra is not H:
+        raise InvariantViolation("summands of different splits")
+    back = H.sandwich(g, f).vectors
+    ideal = Echelon(H.mul(x, y) for x in H.sandwich(f, g).vectors for y in back)
+    return ideal.solve(f) is not None
 
 
 def group_summands(summands):
-    """[(dim, multiplicity)] with explicit-hom isomorphism grouping."""
+    """[(summand, multiplicity)]: the summands of one split up to isomorphism."""
     classes = []
     for s in summands:
         for entry in classes:
-            if modules_isomorphic(entry[0], s):
+            if entry[0].dim == s.dim and _summands_isomorphic(entry[0], s):
                 entry[1] += 1
                 break
         else:

@@ -1,14 +1,20 @@
 """Independent test oracles (kept apart from the package under test)."""
 
+import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import accumulate
 from math import gcd
+from operator import add
 
 from workbench import cyclotomic
 from workbench.blocks import omega_field
 from workbench.cyclotomic import _phi_degree, _power_table, power_coords, prime_divisors
 from workbench.errors import NotTwoIntegral
-from workbench.gf2 import GF2Field, multiplicative_order_of_2
+from workbench.gf2 import (BitMatrix, Echelon, GF2Field, eval_poly, krylov_relation,
+                           multiplicative_order_of_2, poly_lcm, poly_mulmod, restrict)
+from workbench.meataxe import spin
+from workbench.modrep import SPLIT_TRIES, GF2Module, endomorphism_basis, hom_space
 from workbench.perm import mul
 
 
@@ -503,3 +509,153 @@ def exact_two_conjugacy_families(table, rows) -> list:
         fams.append(tuple(sorted(orbit)))
         seen |= orbit
     return fams
+
+
+# ---------------------------------------------------------------------------
+# the d x d matrix route of the summand split and of summand isomorphism
+# ---------------------------------------------------------------------------
+
+def dual_module(module) -> GF2Module:
+    """The contragredient module: g acts by rho(g^-1)^T."""
+    return GF2Module([m.inverse().transpose() for m in module.mats], module.dim)
+
+
+def _image(H, f) -> tuple:
+    """(M*f as a module of its own, its basis) for an idempotent f of the
+    `EndAlgebra` H of M: the reduced row space of f's matrix, restricted."""
+    ech = Echelon(H.matrix(f).rows).reduced_basis()
+    mats = [restrict(ech, map(m.mul_vec, ech.vectors)) for m in H.module.mats]
+    return GF2Module(mats, len(ech)), ech
+
+
+def summand_module(summand) -> GF2Module:
+    """The summand fM of a `summand_split`, with its own action matrices."""
+    return _image(summand.algebra, summand.idempotent)[0]
+
+
+def corner_action(H, f: int, x: int) -> BitMatrix:
+    """The matrix of x in fHf on fM, in the basis of `summand_module`."""
+    ech = _image(H, f)[1]
+    return restrict(ech, map(H.matrix(x).mul_vec, ech.vectors))
+
+
+def _flatten(mat: BitMatrix) -> int:
+    return sum(r << (i * mat.ncols) for i, r in enumerate(mat.rows))
+
+
+def _independent(mats) -> list:
+    """The matrices that enlarge the span of those before them."""
+    flat = Echelon()
+    return [m for m in mats if flat.add(_flatten(m))]
+
+
+def _some_invertible(homs, dim: int) -> bool:
+    """Whether some sum of the homs has full rank, by exhaustion."""
+    if len(homs) > 16:
+        raise ValueError("hom space too large to enumerate")
+    return any(reduce(add, (h for t, h in enumerate(homs) if mask >> t & 1)).rank() == dim
+               for mask in range(1, 1 << len(homs)))
+
+
+def modules_isomorphic(m1, m2) -> bool:
+    """Explicit isomorphism search through the hom space."""
+    return m1.dim == m2.dim and (m1.dim == 0 or _some_invertible(hom_space(m1, m2), m1.dim))
+
+
+class _Piece:
+    """A direct summand P of M in its own coordinates: `basis` holds P's
+    basis as the rows of a d x n matrix in M's coordinates, `mats` the
+    action on P (d x d), and `corner` a basis of End_kG(P) (d x d)."""
+
+    def __init__(self, basis: BitMatrix, mats, corner):
+        self.basis = basis
+        self.mats = mats
+        self.corner = corner
+
+    @property
+    def dim(self) -> int:
+        return self.basis.nrows
+
+    def minpoly(self, a: BitMatrix) -> int:
+        """The lcm of the local minimal polynomials of a on a set of
+        kG-generators of P (a commutes with G)."""
+        gens, span = [], Echelon()
+        for i in range(self.dim):
+            if span.reduce(1 << i):
+                gens.append(1 << i)
+                span = spin(gens, self.mats)
+        m = 1
+        for w in gens:
+            m = poly_lcm(m, krylov_relation(w, a.mul_vec, self.dim))
+        return m
+
+    def split(self, k: BitMatrix) -> list:
+        """[kP, (1 + k)P] for an idempotent k of the corner."""
+        out = []
+        for e in (k, k + BitMatrix.identity(self.dim)):
+            sub = Echelon(e.rows).reduced_basis()
+            vecs = sub.vectors
+            corner = _independent(
+                restrict(sub, (e.mul_vec(b.mul_vec(v)) for v in vecs)) for b in self.corner)
+            mats = [restrict(sub, map(m.mul_vec, vecs)) for m in self.mats]
+            out.append(_Piece(BitMatrix(vecs, self.dim) * self.basis, mats, corner))
+        return out
+
+
+def _proper_corner_idempotent(a: BitMatrix, piece: _Piece):
+    """An idempotent k with 0 != k != 1 in GF(2)[a], if one exists: the
+    kernel of q -> q^2 + q on GF(2)[x]/(m)."""
+    m = piece.minpoly(a)
+    deg = m.bit_length() - 1
+    rows = [poly_mulmod(1 << i, 1 << i, m) ^ (1 << i) for i in range(deg)]
+    one = BitMatrix.identity(piece.dim)
+    for q in BitMatrix(rows, deg).kernel() if deg >= 2 else ():
+        cand = eval_poly(a, q)
+        if not cand.is_zero() and cand != one:
+            assert cand * cand == cand
+            return cand
+    return None
+
+
+def matrix_route_summands(module, seed=0) -> list:
+    """[(dim, multiplicity)] of the summands of M, sorted as `group_summands`
+    sorts them, by the d x d route: random corner elements of End(M) written
+    as d x d matrices split M until SPLIT_TRIES draws find no idempotent,
+    and two pieces are isomorphic when some hom v -> v*a*f between them,
+    for a in End(M), is invertible."""
+    H = endomorphism_basis(module)
+    top, ech = _image(H, H.one)
+    endo = _independent(restrict(ech, map(B.mul_vec, ech.vectors)) for B in H.mats)
+    rng = random.Random(seed)
+    work, pieces = [_Piece(BitMatrix.identity(top.dim), top.mats, endo)], []
+    while work:
+        piece = work.pop()
+        for _ in range(SPLIT_TRIES if len(piece.corner) > 1 else 0):
+            mask = rng.getrandbits(len(piece.corner))
+            a = reduce(add, (b for t, b in enumerate(piece.corner) if mask >> t & 1),
+                       BitMatrix.zero(piece.dim, piece.dim))
+            k = _proper_corner_idempotent(a, piece)
+            if k is not None:
+                work += piece.split(k)
+                break
+        else:
+            pieces.append(piece)
+    split = Echelon(v for p in pieces for v in p.basis.rows)
+    offsets = list(accumulate((p.dim for p in pieces), initial=0))
+
+    def homs(i, j):  # Hom(P_i, P_j): the P_j part of v*a, from the split coordinates
+        low = (1 << pieces[j].dim) - 1
+        return _independent(
+            BitMatrix([split.solve(a.mul_vec(v)) >> offsets[j] & low
+                       for v in pieces[i].basis.rows], pieces[j].dim)
+            for a in endo)
+
+    classes = []
+    for i, p in enumerate(pieces):
+        for entry in classes:
+            if pieces[entry[0]].dim == p.dim and _some_invertible(homs(entry[0], i), p.dim):
+                entry[1] += 1
+                break
+        else:
+            classes.append([i, 1])
+    return sorted(((pieces[i].dim, m) for i, m in classes), key=lambda e: (e[0], -e[1]))

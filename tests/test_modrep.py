@@ -1,21 +1,33 @@
 import random
+from functools import reduce
+from operator import xor
+from pathlib import Path
 
 import pytest
 
-from oracles import matrix_minpoly
+from oracles import (corner_action, dual_module, matrix_minpoly,
+                     matrix_route_summands, modules_isomorphic, summand_module)
+from test_acceptance import BUILTINS
 from workbench import blocks, meataxe, modrep
 from workbench.chartab import dixon_table
 from workbench.errors import FieldTooSmall, InvariantViolation, NotInO2
 from workbench.gf2 import BitMatrix, Echelon, GF2Field, restrict
 from workbench.groups import builtin_group
-from workbench.perm import mul, identity
+from workbench.perm import generate, read_generator_file
+
+GROUP_FILES = Path(__file__).resolve().parents[1] / "perfbench" / "groups"
+LADDER = ("psl27", "s5", "a7", "pgl2_11", "pgl2_13.txt", "M11.txt", "S7.txt")
 
 _cache = {}
 
 
 def table(name):
     if name not in _cache:
-        _cache[name] = dixon_table(builtin_group(name))
+        if name.endswith(".txt"):
+            group = generate(read_generator_file(GROUP_FILES / name))
+        else:
+            group = builtin_group(name)
+        _cache[name] = dixon_table(group)
     return _cache[name]
 
 
@@ -95,13 +107,18 @@ def test_meataxe_psl27_principal_cut():
 
 
 def test_meataxe_c2_regular():
-    # regular module of C2: one indecomposable with two trivial factors
+    # regular module of C2: one indecomposable with two trivial factors; it
+    # has no orbitals, so End = k[x]/(x^2) comes from hom_space, and its
+    # corner is certified local with no split
     reg = modrep.GF2Module([BitMatrix.from_lists([[0, 1], [1, 0]])], 2, group=None)
     factors = modrep.meataxe_factors(reg)
     assert [(d, mult) for _c, d, mult in factors] == [(1, 2)]
+    H = modrep.endomorphism_basis(reg)
+    assert len(H.mats) == 2 and H.matrix(H.one) == BitMatrix.identity(2)
+    assert modrep._corner_is_local(H, H.one, H.sandwich(H.one, H.one), 0)
     summands = modrep.summand_split(reg)
-    assert len(summands) == 1
-    assert summands[0].dim == 2
+    assert [(s.dim, s.idempotent) for s in summands] == [(2, H.one)]
+    assert matrix_route_summands(reg) == [(2, 1)]
 
 
 def test_summand_split_psl27():
@@ -116,16 +133,22 @@ def test_summand_split_psl27():
 
 
 def test_summand_split_synthetic_direct_sum():
-    # visibly decomposable: two copies of the S3 involution module
+    # visibly decomposable: two copies of the S3 involution module.  The sum
+    # has no orbitals, so its End comes from hom_space; the summands of the
+    # sum are those of one copy with doubled multiplicities
     T = table("s3")
     m = modrep.involution_perm_module(T.group)
     big = modrep.GF2Module(
         [BitMatrix([a.rows[i] for i in range(m.dim)] +
                    [a.rows[i] << m.dim for i in range(m.dim)], 2 * m.dim)
          for a in m.mats], 2 * m.dim)
+    assert big.perms is None
+    one = [(s.dim, k) for s, k in modrep.group_summands(modrep.summand_split(m))]
+    assert one == [(1, 2), (2, 1)]
     parts = modrep.summand_split(big)
     assert sum(p.dim for p in parts) == 2 * m.dim
-    assert len(parts) >= 2
+    grouped = [(s.dim, k) for s, k in modrep.group_summands(parts)]
+    assert grouped == [(d, 2 * k) for d, k in one] == matrix_route_summands(big)
 
 
 def test_o2_principal_check():
@@ -165,7 +188,7 @@ def test_self_duality_of_involution_cut():
     for a in m.mats:
         assert a * a.transpose() == BitMatrix.identity(m.dim)
     cut = modrep.block_cut(T, principal_block(T), m)
-    assert modrep.modules_isomorphic(cut, modrep.dual_module(cut))
+    assert modules_isomorphic(cut, dual_module(cut))
 
 
 def test_dimension_valuation_check_psl27():
@@ -242,27 +265,26 @@ def test_orbital_projector_matches_class_sums(name, non_rational):
 
 @pytest.mark.parametrize("name", ["psl27", "a7", "pgl2_11"])
 def test_summand_homs_match_hom_space(name):
-    T = table(name)
-    m = modrep.involution_perm_module(T.group)
+    # dim fHg = dim Hom(fM, gM), and the grouping by the ideal fHg*gHf
+    # agrees with an explicit isomorphism search through hom_space
     pairs = 0
-    for b in blocks.block_partition(T):
-        cut = modrep.block_cut(T, b, m)
-        if isinstance(cut, modrep.GFModule) or cut.dim == 0:
-            continue
+    for cut in _gf2_cuts(name):
         summands = modrep.summand_split(cut)
+        H = cut.endo
+        modules = [summand_module(s) for s in summands]
+        assert [mod.dim for mod in modules] == [s.dim for s in summands]
         for i, s1 in enumerate(summands):
-            for s2 in summands[i + 1:]:
+            for j in range(i + 1, len(summands)):
+                s2 = summands[j]
                 if s1.dim != s2.dim:
                     continue
                 pairs += 1
-                got = len(modrep.summand_homs(s1, s2))
-                assert got == len(modrep.hom_space(s1, s2)), (name, s1.dim)
+                got = len(H.sandwich(s1.idempotent, s2.idempotent))
+                assert got == len(modrep.hom_space(modules[i], modules[j])), (name, s1.dim)
                 if name == "pgl2_11" and s1.dim == 20:
                     assert got == 2
-        mults = [(s.dim, k) for s, k in modrep.group_summands(summands)]
-        for s in summands:
-            s.origin = None  # forces the general hom_space route
-        assert mults == [(s.dim, k) for s, k in modrep.group_summands(summands)]
+                assert modrep._summands_isomorphic(s1, s2) == \
+                    modules_isomorphic(modules[i], modules[j]), (name, s1.dim)
     assert pairs > 0
 
 
@@ -278,6 +300,65 @@ def test_one_dimensional_corner_needs_no_draws(monkeypatch):
 
     monkeypatch.setattr(modrep, "_corner_draw", no_draws)
     assert [s.dim for s in modrep.summand_split(cut)] == [8]
+
+
+@pytest.mark.parametrize("name", ["psl27", "s5", "a7", "pgl2_11"])
+def test_every_summand_is_certified_local(name, monkeypatch):
+    certified = []
+
+    def recording(H, f, corner, seed):
+        local = certify(H, f, corner, seed)
+        if local:
+            certified.append(f)
+        return local
+
+    certify = modrep._corner_is_local
+    monkeypatch.setattr(modrep, "_corner_is_local", recording)
+    for cut in _gf2_cuts(name):
+        certified.clear()
+        summands = modrep.summand_split(cut)
+        assert sorted(s.idempotent for s in summands) == sorted(certified), name
+
+
+def test_uncertified_piece_without_split_raises(monkeypatch):
+    T = table("psl27")
+    cut = modrep.block_cut(T, principal_block(T), modrep.involution_perm_module(T.group))
+    monkeypatch.setattr(modrep, "_corner_is_local", lambda *_args: False)
+    with pytest.raises(InvariantViolation):
+        modrep.summand_split(cut)
+
+
+@pytest.mark.parametrize("name", ["psl27", "s5", "a7", "pgl27"])
+def test_orbital_products_match_matrix_products(name):
+    # row b of P_a holds the orbital coordinates of O_a*O_b
+    H = modrep.endomorphism_basis(modrep.involution_perm_module(table(name).group))
+    assert H.matrix(H.one) == BitMatrix.identity(H.module.dim)
+    for a, A in enumerate(H.mats):
+        for b, B in enumerate(H.mats):
+            assert H.matrix(H.products[a].rows[b]) == A * B, (name, a, b)
+
+
+@pytest.mark.parametrize("name", ["psl27", "s5", "a7", "pgl2_11"])
+def test_split_idempotents_are_orthogonal_and_sum_to_the_unit(name):
+    for cut in _gf2_cuts(name):
+        H = cut.endo
+        idems = [s.idempotent for s in modrep.summand_split(cut)]
+        for i, f in enumerate(idems):
+            for j, g in enumerate(idems):
+                assert H.mul(f, g) == (f if i == j else 0), name
+        assert reduce(xor, idems) == H.one
+
+
+@pytest.mark.parametrize("name", sorted(set(BUILTINS + LADDER)))
+def test_split_matches_matrix_route(name):
+    # summand dims and multiplicities against the d x d matrix route on
+    # every rational cut
+    cuts = 0
+    for cut in _gf2_cuts(name):
+        grouped = modrep.group_summands(modrep.summand_split(cut))
+        assert [(s.dim, k) for s, k in grouped] == matrix_route_summands(cut), name
+        cuts += 1
+    assert cuts > 0
 
 
 def test_singular_action_matrix_raises():
@@ -300,18 +381,20 @@ def test_restrict_raises_off_a_stable_subspace():
 
 @pytest.mark.parametrize("name", ["psl27", "s5", "a7"])
 def test_dual_cut_endomorphisms_match(name):
-    # a cut's End comes from the orbitals; its dual has neither orbitals nor
-    # a split origin, so its End comes from the generic solve (hom_space)
-    T = table(name)
-    m = modrep.involution_perm_module(T.group)
+    # a cut's End is e_B times the orbital algebra; its dual has no
+    # orbitals, so its End comes from the generic solve (hom_space).  The
+    # cut is self-dual, so both routes give the same End dimension and the
+    # same summands
     checked = 0
-    for b in blocks.block_partition(T):
-        cut = modrep.block_cut(T, b, m)
-        if isinstance(cut, modrep.GFModule) or not 0 < cut.dim <= modrep.COMMUTANT_DIM_CAP:
+    for cut in _gf2_cuts(name):
+        if cut.dim > modrep.COMMUTANT_DIM_CAP:
             continue
-        dual = modrep.dual_module(cut)
-        assert dual.perms is None and dual.origin is None
-        assert len(modrep.endomorphism_basis(dual)) == len(modrep.endomorphism_basis(cut))
+        dual = dual_module(cut)
+        assert dual.perms is None and dual.endo is None
+        H = cut.endo
+        assert len(modrep.endomorphism_basis(dual).mats) == len(H.sandwich(H.one, H.one))
+        assert [(s.dim, k) for s, k in modrep.group_summands(modrep.summand_split(dual))] \
+            == [(s.dim, k) for s, k in modrep.group_summands(modrep.summand_split(cut))]
         checked += 1
     assert checked > 0
 
@@ -327,30 +410,27 @@ def _gf2_cuts(name):
 
 @pytest.mark.parametrize("name", ["psl27", "a7", "pgl2_11"])
 def test_corner_minpoly_matches_matrix_powers(name):
-    # the lcm over kG-generators of local minimal polynomials equals the
-    # minimal polynomial of the whole corner element, on each cut and on
-    # the pieces of one split of it
+    # the minimal polynomial of a in the corner fHf, from its powers there,
+    # equals the minimal polynomial of the matrix of a on fM; on each cut,
+    # on each summand and on the complement of each summand
     rng = random.Random(1)
     sub_pieces = 0
     for cut in _gf2_cuts(name):
-        top = modrep._Piece(BitMatrix.identity(cut.dim), cut.mats,
-                            modrep.endomorphism_basis(cut))
-        if len(top.corner) < 2:
-            continue
-        pieces = [top]
-        for _ in range(60):
-            k = modrep._proper_corner_idempotent(
-                modrep._corner_draw(top.corner, rng), top)
-            if k is not None:
-                pieces += top.split(k)
-                break
-        for piece in pieces:
-            if len(piece.corner) < 2:
+        H = cut.endo
+        pieces = [H.one]
+        for s in modrep.summand_split(cut):
+            if s.idempotent != H.one:
+                pieces += [s.idempotent, H.one ^ s.idempotent]
+        for f in pieces:
+            corner = H.sandwich(f, f)
+            if len(corner) < 2:
                 continue
-            sub_pieces += piece is not top
+            sub_pieces += f != H.one
+            dim = H.matrix(f).rank()
             for _ in range(3):
-                a = modrep._corner_draw(piece.corner, rng)
-                assert piece.minpoly(a) == matrix_minpoly(a.rows, piece.dim), name
+                a = modrep._corner_draw(corner, rng)
+                assert modrep._corner_minpoly(H, f, a) == \
+                    matrix_minpoly(corner_action(H, f, a).rows, dim), name
     assert sub_pieces > 0
 
 
