@@ -125,21 +125,17 @@ def poly_squarefree_parts(f: int) -> list:
     if f == 0:
         raise ValueError("zero polynomial")
     out = []
-
-    def rec(g: int, mult: int):
-        if poly_deg(g) <= 0:
-            return
+    g, mult = f, 1
+    while poly_deg(g) > 0:
         d = poly_deriv(g)
         if d == 0:
-            rec(_poly_sqrt(g), 2 * mult)
-            return
+            g, mult = _poly_sqrt(g), 2 * mult
+            continue
         c = poly_gcd(g, d)
         sf, _ = poly_divmod(g, c)
         if poly_deg(sf) > 0:
             out.append((sf, mult))
-        rec(c, mult)
-
-    rec(f, 1)
+        g = c
     # merge repeated squarefree parts: factor overlaps resolved by caller
     return out
 
@@ -170,24 +166,33 @@ def poly_factor(f: int, rng=None) -> dict:
         return parts
 
     def edf(g: int, d: int):
-        """Split squarefree g = product of irreducibles of degree d."""
-        n = poly_deg(g)
-        if n == d:
-            return [g]
-        while True:
-            r = rng.getrandbits(n) | 1
-            r = poly_mod(r, g)
-            if poly_deg(r) < 1:
+        """Split squarefree g = product of irreducibles of degree d.
+
+        A work list, not recursion: a closure that calls itself is a
+        reference cycle, left for the cyclic gc after every call."""
+        out, work = [], [g]
+        while work:
+            g = work.pop()
+            n = poly_deg(g)
+            if n == d:
+                out.append(g)
                 continue
-            # trace map Tr(r) = r + r^2 + ... + r^(2^(d-1)) splits over GF(2)
-            t = 0
-            cur = r
-            for _ in range(d):
-                t ^= cur
-                cur = poly_mulmod(cur, cur, g)
-            c = poly_gcd(t, g)
-            if 0 < poly_deg(c) < n:
-                return edf(c, d) + edf(poly_divmod(g, c)[0], d)
+            while True:
+                r = rng.getrandbits(n) | 1
+                r = poly_mod(r, g)
+                if poly_deg(r) < 1:
+                    continue
+                # trace map Tr(r) = r + r^2 + ... + r^(2^(d-1)) splits over GF(2)
+                t = 0
+                cur = r
+                for _ in range(d):
+                    t ^= cur
+                    cur = poly_mulmod(cur, cur, g)
+                c = poly_gcd(t, g)
+                if 0 < poly_deg(c) < n:
+                    work += [poly_divmod(g, c)[0], c]  # c first, as the recursion went
+                    break
+        return out
 
     def add(p: int, mult: int):
         factors[p] = factors.get(p, 0) + mult
