@@ -52,7 +52,7 @@ OMEGA_CAP = 2048
 MEATAXE_DIM_CAP = 512
 SUMMAND_DIM_CAP = 256
 COMMUTANT_DIM_CAP = 48
-SPLIT_TRIES = 60  # corner draws per piece that is certified not local
+SPLIT_TRIES = 60  # corner draws per piece, the first before the locality certificate
 
 
 class GF2Module:
