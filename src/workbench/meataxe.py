@@ -125,9 +125,23 @@ def chop(mats, dim, seed=0) -> list:
 def _chop_rec(mats, dim, rng, out):
     if dim == 0:
         return
-    if dim == 1:
+    # theta, p(theta) and their kernels live in the search's frame, so they
+    # are freed before the recursion
+    sub = _proper_submodule(mats, dim, rng) if dim > 1 else None
+    if sub is None:
         out.append(Constituent(mats))
         return
+    k = len(sub)
+    sub_mats, quot_mats = sub_quotient(mats, dim, sub)
+    del sub
+    _chop_rec(sub_mats, k, rng, out)
+    del sub_mats
+    _chop_rec(quot_mats, dim - k, rng, out)
+
+
+def _proper_submodule(mats, dim, rng):
+    """A proper submodule (an `Echelon`), or None when Norton's test
+    certifies the module irreducible."""
     for _try in range(MAX_THETA_TRIES):
         theta = _random_algebra_element(mats, rng)
         mp = _matrix_minpoly(theta, rng)
@@ -142,8 +156,7 @@ def _chop_rec(mats, dim, rng, out):
                 continue
             s = spin([ker[0]], mats)
             if len(s) < dim:
-                _split(mats, dim, s, rng, out)
-                return
+                return s
             if len(ker) == degp:
                 # ker is a simple k[theta]-module, so the spin of ker[0]
                 # was conclusive; Norton: dual side with the same p
@@ -156,19 +169,11 @@ def _chop_rec(mats, dim, rng, out):
                     sperp = spin(perp, mats)
                     if not 0 < len(sperp) < dim:
                         raise InvariantViolation("Norton's dual split is not proper")
-                    _split(mats, dim, sperp, rng, out)
-                    return
-                out.append(Constituent(mats))
-                return
+                    return sperp
+                return None
             # a larger kernel leaves ker[0]'s spin inconclusive; go on
     raise InvariantViolation(
         f"meataxe found no split or certificate in {MAX_THETA_TRIES} tries")
-
-
-def _split(mats, dim, ech, rng, out):
-    sub_mats, quot_mats = sub_quotient(mats, dim, ech)
-    _chop_rec(sub_mats, len(ech), rng, out)
-    _chop_rec(quot_mats, dim - len(ech), rng, out)
 
 
 # ---------------------------------------------------------------------------

@@ -474,11 +474,8 @@ def _proper_corner_idempotent(H: EndAlgebra, f: int, a: int):
     deg = m.bit_length() - 1
     if deg < 2:
         return None
-    # squaring matrix on GF(2)[x]/(m): column i = x^(2i) mod m
-    rows = []
-    for i in range(deg):
-        sq = poly_mulmod(1 << i, 1 << i, m)
-        rows.append(sq ^ (1 << i))  # (x^i)^2 + x^i
+    # the map q -> q^2 + q on GF(2)[x]/(m): row i = x^(2i) + x^i mod m
+    rows = [poly_mulmod(1 << i, 1 << i, m) ^ (1 << i) for i in range(deg)]
     left = H.left(a)
     for q in BitMatrix(rows, deg).kernel():
         k = 0
