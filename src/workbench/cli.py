@@ -19,7 +19,7 @@ import sys
 from . import blocks as blocklib
 from . import modrep, pgroup, solver
 from .chartab import dixon_table
-from .errors import WorkbenchError
+from .errors import FieldTooSmall, WorkbenchError
 from .groups import builtin_group
 from .perm import generate, read_generator_file
 from .pipeline import analyze_group, scan_groups
@@ -169,6 +169,9 @@ def cmd_invmod(args) -> int:
     cut = modrep.block_cut(table, block, omega)
     payload = {"group": name, "omega_dim": omega.dim, "dim": cut.dim}
     if isinstance(cut, modrep.GFModule):
+        if args.dump_matrices:
+            raise FieldTooSmall(f"block {args.block} is cut over GF(2^{cut.field.f}); "
+                                f"only a GF(2) cut has action matrices to dump")
         payload["field"] = f"GF(2^{cut.field.f})"
         _emit(payload, args.json)
         return 0

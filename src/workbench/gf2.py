@@ -5,11 +5,13 @@ so row operations are single int XORs.  Every matrix is over GF(2): GF(2^f)
 occurs only as scalars (central characters, block idempotent coefficients),
 held as ints of polynomial bits modulo a fixed primitive polynomial per f;
 the table below pins the tower so all runs are reproducible bit-for-bit.
+GF(2)[x] polynomials are ints of coefficient bits as well.  `poly_primes`
+splits one into its distinct irreducible factors, deterministically, through
+the idempotents of GF(2)[x]/(m) (`poly_idempotents`), which the MeatAxe and
+the summand split both use.
 """
 
 from __future__ import annotations
-
-import random
 
 from .errors import FieldTooSmall, InvariantViolation
 
@@ -87,17 +89,6 @@ def poly_lcm(a: int, b: int) -> int:
     return poly_divmod(poly_mul(a, b), poly_gcd(a, b))[0]
 
 
-def poly_powmod(a: int, n: int, m: int) -> int:
-    out = 1
-    a = poly_mod(a, m)
-    while n:
-        if n & 1:
-            out = poly_mulmod(out, a, m)
-        a = poly_mulmod(a, a, m)
-        n >>= 1
-    return out
-
-
 def poly_deriv(a: int) -> int:
     # char 2: only odd-degree terms survive, shifted down
     out = 0
@@ -120,103 +111,47 @@ def _poly_sqrt(a: int) -> int:
     return out
 
 
-def poly_squarefree_parts(f: int) -> list:
-    """Squarefree decomposition over GF(2): list of (squarefree factor, multiplicity)."""
-    if f == 0:
+def poly_idempotents(m: int) -> list:
+    """A basis of the idempotents of GF(2)[x]/(m), as polynomials of degree < deg m.
+
+    In char 2, q -> q^2 + q is linear, and its kernel is the algebra of
+    idempotents (Berlekamp): row i of the map is x^(2i) + x^i mod m.  Its
+    dimension is the number of distinct irreducible factors of m, and the
+    first vector of the basis is 1."""
+    deg = poly_deg(m)
+    rows, sq = [], 1
+    for i in range(deg):
+        rows.append(sq ^ (1 << i))
+        sq = poly_mod(sq << 2, m)  # x^(2i+2) from x^(2i)
+    return BitMatrix(rows, deg).kernel()
+
+
+def poly_primes(m: int) -> list:
+    """The distinct irreducible factors of m over GF(2), in ascending order.
+
+    Every idempotent of GF(2)[x]/(m) is 0 or 1 modulo each primary part
+    q^e of m, and the basis separates any two parts, so the gcds with the
+    basis split m into its primary parts.  q is the squarefree part of q^e:
+    take square roots while the derivative vanishes, leaving an odd power
+    q^k, then q = q^k / gcd(q^k, (q^k)')."""
+    if m == 0:
         raise ValueError("zero polynomial")
-    out = []
-    g, mult = f, 1
-    while poly_deg(g) > 0:
-        d = poly_deriv(g)
-        if d == 0:
-            g, mult = _poly_sqrt(g), 2 * mult
-            continue
-        c = poly_gcd(g, d)
-        sf, _ = poly_divmod(g, c)
-        if poly_deg(sf) > 0:
-            out.append((sf, mult))
-        g = c
-    # merge repeated squarefree parts: factor overlaps resolved by caller
-    return out
-
-
-def poly_factor(f: int, rng=None) -> dict:
-    """Factor f over GF(2) into {irreducible: multiplicity} (Cantor-Zassenhaus)."""
-    rng = rng or random.Random(0)
-    factors: dict = {}
-
-    def ddf(sf: int):
-        """Distinct-degree factorization of squarefree sf."""
-        parts = []
-        h = 2  # x
-        v = sf
-        d = 0
-        while poly_deg(v) >= 2 * (d + 1):
-            d += 1
-            h = poly_powmod(h, 2, v)
-            g = poly_gcd(h ^ 2, v)  # gcd(x^(2^d) - x, v)
-            if poly_deg(g) > 0:
-                parts.append((g, d))
-                v, r = poly_divmod(v, g)
-                if r:
-                    raise InvariantViolation("distinct-degree part does not divide")
-                h = poly_mod(h, v)
-        if poly_deg(v) > 0:
-            parts.append((v, poly_deg(v)))
-        return parts
-
-    def edf(g: int, d: int):
-        """Split squarefree g = product of irreducibles of degree d.
-
-        A work list, not recursion: a closure that calls itself is a
-        reference cycle, left for the cyclic gc after every call."""
-        out, work = [], [g]
-        while work:
-            g = work.pop()
-            n = poly_deg(g)
-            if n == d:
-                out.append(g)
-                continue
-            while True:
-                r = rng.getrandbits(n) | 1
-                r = poly_mod(r, g)
-                if poly_deg(r) < 1:
-                    continue
-                # trace map Tr(r) = r + r^2 + ... + r^(2^(d-1)) splits over GF(2)
-                t = 0
-                cur = r
-                for _ in range(d):
-                    t ^= cur
-                    cur = poly_mulmod(cur, cur, g)
-                c = poly_gcd(t, g)
-                if 0 < poly_deg(c) < n:
-                    work += [poly_divmod(g, c)[0], c]  # c first, as the recursion went
-                    break
-        return out
-
-    def add(p: int, mult: int):
-        factors[p] = factors.get(p, 0) + mult
-
-    for sf, mult in poly_squarefree_parts(f):
-        for g, d in ddf(sf):
-            for p in edf(g, d):
-                add(p, mult)
-    # fix multiplicities exactly by trial division
-    exact = {}
-    rem = f
-    for p in sorted(factors):
-        m = 0
-        while True:
-            q, r = poly_divmod(rem, p)
-            if r != 0:
-                break
-            rem = q
-            m += 1
-        if m:
-            exact[p] = m
-    if poly_deg(rem) > 0:
-        raise InvariantViolation("factors do not multiply back to the polynomial")
-    return exact
+    parts = [m] if poly_deg(m) > 0 else []
+    for e in poly_idempotents(m):
+        split = []
+        for part in parts:
+            g = poly_gcd(part, e)
+            if 0 < poly_deg(g) < poly_deg(part):
+                split += [g, poly_divmod(part, g)[0]]
+            else:
+                split.append(part)
+        parts = split
+    primes = []
+    for part in parts:
+        while (d := poly_deriv(part)) == 0:
+            part = _poly_sqrt(part)
+        primes.append(poly_divmod(part, poly_gcd(part, d))[0])
+    return sorted(primes)
 
 
 # ---------------------------------------------------------------------------

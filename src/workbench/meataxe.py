@@ -3,10 +3,11 @@
 Modules are row-vector spaces: vectors act on the right by BitMatrix
 generators.  chop() returns the composition factors; the irreducibility
 certificate is Norton's test applied to an irreducible factor p of a local
-minimal polynomial whose kernel has dimension deg(p).  For each factor p
-one kernel vector is spun (Holt-Rees): when dim ker p(theta) = deg p the
-kernel is a simple k[theta]-module, so any proper submodule meeting it
-contains it and one vector decides; a larger kernel gets one
+minimal polynomial whose kernel has dimension deg(p).  The factors come
+from `gf2.poly_primes`, which finds them with no random step.  For each
+factor p one kernel vector is spun (Holt-Rees): when dim ker p(theta) =
+deg p the kernel is a simple k[theta]-module, so any proper submodule
+meeting it contains it and one vector decides; a larger kernel gets one
 opportunistic spin before the next factor or theta.  A submodule is the
 `Echelon` that `spin` builds; its action is written in the echelon's
 reduced rows (`gf2.restrict`), the quotient's in the non-pivot
@@ -18,8 +19,8 @@ from __future__ import annotations
 import random
 
 from .errors import InvariantViolation
-from .gf2 import (BitMatrix, Echelon, eval_poly, krylov_relation, poly_factor,
-                  poly_lcm, restrict)
+from .gf2 import (BitMatrix, Echelon, eval_poly, krylov_relation, poly_lcm,
+                  poly_primes, restrict)
 
 MAX_THETA_TRIES = 60
 FACTOR_DEGREE_CAP = 80
@@ -145,8 +146,7 @@ def _proper_submodule(mats, dim, rng):
     for _try in range(MAX_THETA_TRIES):
         theta = _random_algebra_element(mats, rng)
         mp = _matrix_minpoly(theta, rng)
-        factors = sorted(poly_factor(mp, rng), key=lambda p: p.bit_length())
-        for p in factors:
+        for p in poly_primes(mp):  # ascending, so by degree
             degp = p.bit_length() - 1
             if degp > FACTOR_DEGREE_CAP:
                 continue

@@ -44,7 +44,8 @@ from .blocks import BlockData, block_idempotent_support, block_partition
 from .chartab import CharacterTable
 from .errors import (CapExceeded, FieldTooSmall, InvariantViolation,
                      NotIdempotent, NotInO2)
-from .gf2 import BitMatrix, Echelon, GF2Field, krylov_relation, poly_mulmod, restrict
+from .gf2 import (BitMatrix, Echelon, GF2Field, krylov_relation, poly_idempotents,
+                  restrict)
 from .meataxe import chop, group_constituents
 from .perm import PermGroup, conj, identity, mul, nu
 
@@ -58,17 +59,14 @@ SPLIT_TRIES = 60  # corner draws per piece, the first before the locality certif
 class GF2Module:
     """A GF(2)-module given by generator action matrices (row convention).
 
-    Permutation modules keep their point labels, the generators' actions as
-    position lists (`perms`) and a reference to the group.  A block cut
-    keeps the orbital algebra of its permutation module as `endo`.
+    Permutation modules keep the generators' actions on the points as
+    position lists (`perms`).  A block cut keeps the orbital algebra of its
+    permutation module as `endo`.
     """
 
-    def __init__(self, mats, dim, group: PermGroup | None = None,
-                 labels=None, endo=None, perms=None):
+    def __init__(self, mats, dim, endo=None, perms=None):
         self.mats = mats if mats else [BitMatrix.identity(dim)]
         self.dim = dim
-        self.group = group
-        self.labels = labels
         self.perms = perms
         self.endo = endo
         self._orbitals = None
@@ -80,24 +78,6 @@ class GF2Module:
                     f"action matrix is {m.nrows}x{m.ncols}, module dim {dim}")
             if m.rank() != dim:
                 raise InvariantViolation("action matrix not invertible")
-
-    def verify_action(self, rng=None) -> bool:
-        """Spot-check rho(g)rho(h) = rho(gh) on random generator products."""
-        if self.group is None or self.labels is None:
-            return True
-        rng = rng or random.Random(0)
-        gens = self.group.generators
-        if not gens:
-            return True
-        for _ in range(6):
-            g = gens[rng.randrange(len(gens))]
-            h = gens[rng.randrange(len(gens))]
-            lhs = _perm_action_matrix(self.group, self.labels, g) * \
-                _perm_action_matrix(self.group, self.labels, h)
-            rhs = _perm_action_matrix(self.group, self.labels, mul(g, h))
-            if lhs != rhs:
-                return False
-        return True
 
     def export_text(self) -> str:
         parts = [f"# module dim={self.dim} generators={len(self.mats)}"]
@@ -115,16 +95,11 @@ def _perm_matrix(images) -> BitMatrix:
     return BitMatrix([1 << t for t in images], len(images))
 
 
-def _perm_action_matrix(G: PermGroup, labels, g) -> BitMatrix:
-    return _perm_matrix(_action_positions(G, labels, g))
-
-
 def conjugation_module(G: PermGroup, labels) -> GF2Module:
     """Permutation module on a conjugation-stable set of element indices."""
     labels = sorted(labels)
     perms = [_action_positions(G, labels, g) for g in G.generators]
-    return GF2Module([_perm_matrix(p) for p in perms], len(labels), group=G,
-                     labels=labels, perms=perms)
+    return GF2Module([_perm_matrix(p) for p in perms], len(labels), perms=perms)
 
 
 def involution_perm_module(G: PermGroup) -> GF2Module:
@@ -251,7 +226,7 @@ def block_cut(table: CharacterTable, block: BlockData, module: GF2Module):
     # e is central in End(M), so End(eM) = e End(M): the orbital algebra
     # with e, read off the projector at each orbital's first pair, as unit
     unit = sum(proj.get(i0, j0) << a for a, (i0, j0, _O) in enumerate(_orbitals(module)))
-    return GF2Module(cut_mats, len(basis), group=module.group,
+    return GF2Module(cut_mats, len(basis),
                      endo=replace(endomorphism_basis(module), one=unit))
 
 
@@ -465,19 +440,13 @@ def _corner_minpoly(H: EndAlgebra, f: int, a: int) -> int:
 
 
 def _proper_corner_idempotent(H: EndAlgebra, f: int, a: int):
-    """An idempotent k with 0 != k != f in GF(2)[a], if one exists.
-
-    In char 2 the idempotents of the commutative ring GF(2)[x]/(m) form the
-    kernel of the linear map q -> q^2 + q, so they are found by linear
-    algebra over GF(2)."""
-    m = _corner_minpoly(H, f, a)
-    deg = m.bit_length() - 1
-    if deg < 2:
-        return None
-    # the map q -> q^2 + q on GF(2)[x]/(m): row i = x^(2i) + x^i mod m
-    rows = [poly_mulmod(1 << i, 1 << i, m) ^ (1 << i) for i in range(deg)]
+    """An idempotent k with 0 != k != f in GF(2)[a], if one exists: q(a)
+    for q in the basis of the idempotents of GF(2)[x]/(m)
+    (`gf2.poly_idempotents`), with m the minimal polynomial of a.  The
+    basis holds 1, which gives k = f, and spans every idempotent, so when
+    no basis vector gives a proper k, GF(2)[a] is local."""
     left = H.left(a)
-    for q in BitMatrix(rows, deg).kernel():
+    for q in poly_idempotents(_corner_minpoly(H, f, a)):
         k = 0
         for i in range(q.bit_length() - 1, -1, -1):  # q(a) by Horner
             k = left.mul_vec(k) ^ (f if q >> i & 1 else 0)

@@ -213,16 +213,12 @@ def _match_table2(table, block, rep: BlockReport, hint, seed):
         fam_eps.append(table.fs_indicator(f[0]))
     if tuple(fam_eps) != sol.eps_family:
         rep.mismatches.append("family FS vector differs from the classification")
-    # multiplicity comparison from the actual FS values
-    sh = solver._SHAPES[ty]
-    famtotal = sum(len(f) * e for f, e in zip(fams, fam_eps))
-    predicted_ordered = []
-    for m in range(len(dims)):
-        v = sum(sh["dec"][i][m] * eps_rows[i] for i in range(4))
-        v += sh["fam"][m] * famtotal
-        predicted_ordered.append((dims[m], v))
-    rep.predicted = sorted(predicted_ordered)
-    if tuple(v for _d, v in predicted_ordered) != sol.multiplicities:
+    # multiplicity comparison from the actual FS values; family j has 2^j
+    # members (`fit_morita_rows`), as the formula assumes
+    mults = solver.predicted_multiplicities_raw(solver.build_profile(ty, d),
+                                                eps_rows, fam_eps)
+    rep.predicted = sorted(zip(dims, mults))
+    if tuple(mults) != sol.multiplicities:
         rep.mismatches.append("predicted multiplicities differ from solver cell")
     if rep.meataxe is not None and rep.meataxe != rep.predicted:
         rep.mismatches.append(

@@ -273,9 +273,7 @@ def local_constraints(etype: str, profile: MoritaProfile, tiebreak: bool = True)
                                lambda ctx: s1_sum(ctx) == target))
 
     def mults(ctx):
-        famtotal = sum((1 << j) * e for j, e in enumerate(ctx["fam"]))
-        return [sum(sh["dec"][i][m] * ctx["eps"][i] for i in range(4))
-                + sh["fam"][m] * famtotal for m in range(profile.l)]
+        return predicted_multiplicities_raw(profile, ctx["eps"], ctx["fam"])
 
     if etype == "d":
         cons.append(Constraint("all decomposition column sums vanish (kOmega B = 0)",
@@ -395,6 +393,9 @@ def _record(solutions, profile: MoritaProfile, eps, fam):
 
 
 def predicted_multiplicities_raw(profile: MoritaProfile, eps, fam) -> list:
+    """[k-Omega B : M_m] = sum eps(chi) d_(chi,M_m) for each simple M_m, with
+    eps the indicators of chi_1..chi_4 and fam[j] the common indicator of
+    the 2^j characters of family j; not checked for sign."""
     sh = profile.shape
     famtotal = sum((1 << j) * e for j, e in enumerate(fam))
     out = []

@@ -15,7 +15,7 @@ from workbench.gf2 import (BitMatrix, Echelon, GF2Field, eval_poly, krylov_relat
                            multiplicative_order_of_2, poly_lcm, poly_mulmod, restrict)
 from workbench.meataxe import spin
 from workbench.modrep import SPLIT_TRIES, GF2Module, endomorphism_basis, hom_space
-from workbench.perm import mul
+from workbench.perm import conj, mul
 
 
 def psl2_degree_multiset(q: int) -> list:
@@ -509,6 +509,28 @@ def exact_two_conjugacy_families(table, rows) -> list:
         fams.append(tuple(sorted(orbit)))
         seen |= orbit
     return fams
+
+
+# ---------------------------------------------------------------------------
+# permutation modules
+# ---------------------------------------------------------------------------
+
+def conjugation_action_is_homomorphism(module, G, labels) -> bool:
+    """Whether module.mats[i] * module.mats[j] = rho(g_i g_j) for every
+    ordered pair of generators of G, and module.mats[i] = rho(g_i), with
+    rho(x) the matrix of x acting by conjugation on the elements with
+    indices `labels` (row lab has its 1 at lab^x), built here from the
+    elements themselves."""
+    pos = {lab: n for n, lab in enumerate(labels)}
+
+    def rho(x):
+        return BitMatrix([1 << pos[G.idx(conj(G.elements[lab], x))] for lab in labels],
+                         len(labels))
+
+    gens, mats = G.generators, module.mats
+    return len(mats) == len(gens) and all(a == rho(g) for a, g in zip(mats, gens)) and all(
+        mats[i] * mats[j] == rho(mul(g, h))
+        for i, g in enumerate(gens) for j, h in enumerate(gens))
 
 
 # ---------------------------------------------------------------------------

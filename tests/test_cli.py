@@ -92,6 +92,18 @@ def test_invmod_command(capsys, tmp_path):
     assert dump.exists() and dump.read_text().startswith("# module dim=14")
 
 
+def test_invmod_dump_of_non_rational_cut(capsys, tmp_path):
+    # psl2_9 block 1 is cut over GF(2^4): no GF(2) action matrices to write
+    dump = tmp_path / "cut.txt"
+    code = cli.main(["invmod", "--group", "psl2_9", "--block", "1",
+                     "--dump-matrices", str(dump)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == "" and not dump.exists()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("workbench: FieldTooSmall: ")
+
+
 def test_solve_command(capsys):
     code, out = run(capsys, ["solve", "--morita", "iii", "--etype", "c",
                              "--d", "4", "--json"])

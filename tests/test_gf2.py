@@ -2,7 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import GF
+from sympy import GF, Poly, symbols
 from sympy.polys.matrices import DomainMatrix
 
 from workbench import gf2
@@ -22,15 +22,27 @@ def _factor_int(n):
     return out
 
 
+def _poly_powmod(a, n, m):
+    """a^n mod m in GF(2)[x], by repeated squaring."""
+    out = 1
+    a = gf2.poly_mod(a, m)
+    while n:
+        if n & 1:
+            out = gf2.poly_mulmod(out, a, m)
+        a = gf2.poly_mulmod(a, a, m)
+        n >>= 1
+    return out
+
+
 def test_primitive_polys_are_primitive():
     # x must generate the full multiplicative group of GF(2^f)
     for f, m in gf2.PRIMITIVE_POLY.items():
         if f == 1:
             continue
         order = (1 << f) - 1
-        assert gf2.poly_powmod(2, order, m) == 1
+        assert _poly_powmod(2, order, m) == 1
         for q in _factor_int(order):
-            assert gf2.poly_powmod(2, order // q, m) != 1
+            assert _poly_powmod(2, order // q, m) != 1
 
 
 def test_field_axioms_sample():
@@ -52,23 +64,32 @@ def test_root_of_unity_gf8():
     assert F.pow(w, 7) == 1
 
 
-def test_poly_factor_roundtrip():
+def _sympy_primes(f):
+    """The distinct irreducible factors of f mod 2, from sympy, as bitmasks."""
+    coeffs = [f >> i & 1 for i in range(f.bit_length() - 1, -1, -1)]
+    _c, factors = Poly(coeffs, symbols("x"), modulus=2).factor_list()
+    return sorted(int("".join(str(int(c) % 2) for c in p.all_coeffs()), 2)
+                  for p, _m in factors)
+
+
+def test_poly_primes_against_sympy():
     rng = random.Random(7)
-    for _ in range(40):
-        f = rng.getrandbits(24) | (1 << 24) | 1
-        factors = gf2.poly_factor(f)
-        prod = 1
-        for p, m in factors.items():
-            for _ in range(m):
-                prod = gf2.poly_mul(prod, p)
-        assert prod == f
-        for p in factors:
-            # irreducible candidates satisfy x^(2^deg) = x mod p
-            d = gf2.poly_deg(p)
-            assert gf2.poly_powmod(2, 1 << d, p) == gf2.poly_mod(2, p)
-            # and are not divisible by any lower-degree irreducible
-            for e in range(1, d // 2 + 1):
-                assert gf2.poly_deg(gf2.poly_gcd(gf2.poly_powmod(2, 1 << e, p) ^ 2, p)) <= 0
+    for _ in range(60):
+        # random factors, some squared or raised to a higher even power,
+        # times powers of x and x + 1
+        f = 1 << rng.randrange(4)
+        for _ in range(rng.randrange(3)):
+            f = gf2.poly_mul(f, 0b11)
+        for _ in range(rng.randrange(1, 4)):
+            deg = rng.randrange(1, 9)
+            p = rng.getrandbits(deg) | 1 << deg
+            for _ in range(rng.choice((1, 1, 2, 3, 4, 6))):
+                f = gf2.poly_mul(f, p)
+        primes = _sympy_primes(f)
+        assert gf2.poly_primes(f) == primes, f
+        idem = gf2.poly_idempotents(f)
+        assert len(idem) == len(primes), f
+        assert all(gf2.poly_mod(gf2.poly_mul(q, q), f) == q for q in idem), f
 
 
 def test_bitmatrix_mul_against_naive():

@@ -7,7 +7,10 @@ no `assert` and no `ArithmeticError`, `RuntimeError` or `AssertionError`.
 A module-level UPPER_CASE constant that no module of the package reads is
 dead code and fails the lint too, as does a name a module imports and never
 uses, and an import inside a function: none of the package's imports breaks
-a cycle, so each belongs at the top of its module."""
+a cycle, so each belongs at the top of its module.  A function, class or
+method that nothing in the package refers to is there only for the tests,
+and fails the lint unless it is a traced boundary (`perfbench/spans.py`)
+or on the allowlist of public checks."""
 
 import ast
 from pathlib import Path
@@ -18,6 +21,7 @@ import workbench
 
 PACKAGE = Path(workbench.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
@@ -101,3 +105,50 @@ def test_no_function_level_imports(path):
                     for sub in ast.walk(node)
                     if isinstance(sub, (ast.Import, ast.ImportFrom))})
     assert lines == [], f"{path.name} imports inside functions at lines {lines}"
+
+
+# Public checks and views of the paper's objects that no package code calls
+# today; they are API for callers of the library, not helpers of a function.
+PUBLIC_CHECKS = {
+    "blocks.couple_conjugacy_check", "modrep.o2_principal_check", "perm.cycle_notation",
+    "pgroup.count_real_columns", "pgroup.expected_reality", "solver.count_real_characters",
+    "solver.nonreal_brauer_count", "solver.predicted_multiplicities",
+    "solver.MoritaProfile.symbolic_rows", "solver.MoritaProfile.column_names",
+    "gf2.BitMatrix.from_lists", "gf2.BitMatrix.from_text", "gf2.BitMatrix.is_zero",
+}
+
+
+def _definitions(stem, tree):
+    """(qualified name, node) for each top-level function and class of a
+    module and each method of its classes, dunder methods aside."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield f"{stem}.{node.name}", node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if (isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (sub.name.startswith("__") and sub.name.endswith("__"))):
+                    yield f"{stem}.{node.name}.{sub.name}", sub
+
+
+def test_no_test_only_helpers():
+    # a helper that nothing in the package uses is deleted or moved to the
+    # tests; a reference is a name or an attribute outside the definition
+    boundaries = set(ast.literal_eval(next(
+        node.value for node in ast.parse(SPANS.read_text()).body
+        if isinstance(node, ast.Assign) and node.targets[0].id == "BOUNDARIES")))
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    refs = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                refs.setdefault(node.id if isinstance(node, ast.Name) else node.attr,
+                                []).append(node)
+    unused = []
+    for stem, tree in trees.items():
+        for name, node in _definitions(stem, tree):
+            inside = {id(sub) for sub in ast.walk(node)}
+            if not any(id(ref) not in inside for ref in refs.get(node.name, ())):
+                unused.append(name)
+    flagged = sorted(set(unused) - boundaries - PUBLIC_CHECKS)
+    assert flagged == [], f"only tests call these package functions: {flagged}"

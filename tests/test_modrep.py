@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from oracles import (corner_action, dual_module, matrix_minpoly,
-                     matrix_route_summands, modules_isomorphic, summand_module)
+from oracles import (conjugation_action_is_homomorphism, corner_action, dual_module,
+                     matrix_minpoly, matrix_route_summands, modules_isomorphic,
+                     summand_module)
 from test_acceptance import BUILTINS
 from workbench import blocks, meataxe, modrep
 from workbench.chartab import dixon_table
@@ -42,8 +43,10 @@ def test_involution_module_dims():
 
 
 def test_action_verification():
-    m = modrep.involution_perm_module(builtin_group("s4"))
-    assert m.verify_action()
+    for name in ("s4", "psl27", "a7"):
+        G = builtin_group(name)
+        m = modrep.involution_perm_module(G)
+        assert conjugation_action_is_homomorphism(m, G, sorted(G.involution_indices())), name
 
 
 def test_block_cut_dims_psl27():
@@ -110,7 +113,7 @@ def test_meataxe_c2_regular():
     # regular module of C2: one indecomposable with two trivial factors; it
     # has no orbitals, so End = k[x]/(x^2) comes from hom_space, and its
     # corner is certified local with no split
-    reg = modrep.GF2Module([BitMatrix.from_lists([[0, 1], [1, 0]])], 2, group=None)
+    reg = modrep.GF2Module([BitMatrix.from_lists([[0, 1], [1, 0]])], 2)
     factors = modrep.meataxe_factors(reg)
     assert [(d, mult) for _c, d, mult in factors] == [(1, 2)]
     H = modrep.endomorphism_basis(reg)
@@ -235,12 +238,14 @@ def _frobenius_orbit_sum(T, b):
 
 
 def _class_sum_projector(T, coeffs, m):
-    """Oracle: sum_j coeffs[j] C_j+ over GF(2) from full class-sum matrices."""
+    """Oracle: sum_j coeffs[j] C_j+ over GF(2) from full class-sum matrices
+    on the involutions, the points of the module m."""
     n = m.dim
+    labels = sorted(T.group.involution_indices())
     acc = BitMatrix.zero(n, n)
     for j, c in enumerate(coeffs):
         if c:
-            acc = acc + modrep.class_sum_matrix(T.group, m.labels, T.classes[j].members)
+            acc = acc + modrep.class_sum_matrix(T.group, labels, T.classes[j].members)
     return acc
 
 
