@@ -142,7 +142,12 @@ def _chop_rec(mats, dim, rng, out):
 
 def _proper_submodule(mats, dim, rng):
     """A proper submodule (an `Echelon`), or None when Norton's test
-    certifies the module irreducible."""
+    certifies the module irreducible.
+
+    Zero and repeated generators are dropped first: they change no
+    submodule, but a subquotient can carry dozens of them, and words drawn
+    among them would seldom reach the one generator that splits."""
+    mats = list({tuple(m.rows): m for m in mats if any(m.rows)}.values()) or mats[:1]
     for _try in range(MAX_THETA_TRIES):
         theta = _random_algebra_element(mats, rng)
         mp = _matrix_minpoly(theta, rng)

@@ -433,10 +433,10 @@ def _corner_draw(corner: Echelon, rng) -> int:
     return reduce(xor, _select(corner.vectors, rng.getrandbits(len(corner))), 0)
 
 
-def _corner_minpoly(H: EndAlgebra, f: int, a: int) -> int:
-    """The minimal polynomial of a in the corner fHf: the first relation
-    among its powers f, a, a^2, ..."""
-    return krylov_relation(f, H.left(a).mul_vec, len(H.mats))
+def _corner_minpoly(H: EndAlgebra, f: int, left: BitMatrix) -> int:
+    """The minimal polynomial of a in the corner fHf, with left = H.left(a):
+    the first relation among its powers f, a, a^2, ..."""
+    return krylov_relation(f, left.mul_vec, len(H.mats))
 
 
 def _proper_corner_idempotent(H: EndAlgebra, f: int, a: int):
@@ -446,7 +446,7 @@ def _proper_corner_idempotent(H: EndAlgebra, f: int, a: int):
     basis holds 1, which gives k = f, and spans every idempotent, so when
     no basis vector gives a proper k, GF(2)[a] is local."""
     left = H.left(a)
-    for q in poly_idempotents(_corner_minpoly(H, f, a)):
+    for q in poly_idempotents(_corner_minpoly(H, f, left)):
         k = 0
         for i in range(q.bit_length() - 1, -1, -1):  # q(a) by Horner
             k = left.mul_vec(k) ^ (f if q >> i & 1 else 0)

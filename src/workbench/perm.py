@@ -8,6 +8,12 @@ integer index tables, not tuple products: the closure records the row
 x -> x·g of each generator g, and the rows x -> h·x (`left`) and x -> x^-1
 (`inv`) are walked down its BFS tree.  A subgroup cut out by index (a
 centralizer, C*(g), O_2) reads the rows of its root group.
+
+Both loops over the elements run at C speed.  Up to degree 256 the
+closure keys each element by its bytes, so p·g is one `bytes.translate`;
+a larger degree has no byte per point and keeps tuple keys and `mul`.
+The walk fills one slice per run of BFS nodes with the same depth and
+generator letter, from their parents one layer up.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 import os
 import re
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
@@ -200,13 +207,22 @@ class PermGroup:
 
     def _close(self) -> tuple:
         """Breadth-first closure: (sorted elements, index).  Keeps for `_tables`
-        each product p·g as a BFS position, and each BFS parent and letter."""
-        ident = identity(self.degree)
-        pos, found = {ident: 0}, [ident]
+        each product p·g as a BFS position, and each BFS parent and letter.
+
+        Up to degree 256 an element is keyed by its bytes, and p·g is one C
+        call, p.translate(g padded to 256 bytes); bytes sort as the tuples
+        do.  A larger degree has no byte per point, so it keys by tuples."""
+        n = self.degree
+        if n <= 256:
+            start, step = bytes(range(n)), bytes.translate
+            acts = [bytes(g) + bytes(256 - n) for g in self.generators]
+        else:
+            start, step, acts = identity(n), mul, self.generators
+        pos, found = {start: 0}, [start]
         prods, parent, letter = array("i"), array("i", [0]), array("i", [0])
         for b, p in enumerate(found):
-            for k, g in enumerate(self.generators):
-                q = mul(p, g)
+            for k, g in enumerate(acts):
+                q = step(p, g)
                 j = pos.get(q)
                 if j is None:
                     if len(found) >= self.cap:
@@ -217,24 +233,41 @@ class PermGroup:
                     letter.append(k)
                 prods.append(j)
         elements = sorted(found)
+        unrank = array("i", map(pos.__getitem__, elements))  # index -> BFS position
         for i, p in enumerate(elements):
             pos[p] = i
-        self._closure = (array("i", map(pos.__getitem__, found)), prods, parent, letter)
+        self._closure = (array("i", map(pos.__getitem__, found)), unrank, prods, parent, letter)
+        if n <= 256:
+            del pos, found  # free the bytes-keyed dict, then turn bytes to tuples in place
+            for i, p in enumerate(elements):
+                elements[i] = tuple(p)
+            pos = {p: i for i, p in enumerate(elements)}
         return elements, pos
 
     @cached_property
     def _tables(self) -> tuple:
-        """(rights, tree): rights[k] is the row x -> x·g_k; tree is three rows,
-        x, parent(x) and k with x = parent(x)·g_k, in BFS order."""
-        rank, prods, parent, letter = self._closure  # rank: BFS position -> index
+        """(rights, runs, place): rights[k] is the row x -> x·g_k.  The BFS
+        tree is laid out in slots by (depth, letter): each run (lo, hi, k,
+        ups) holds the slots lo..hi-1 of nodes x = parent(x)·g_k at one
+        depth, with ups their parents' slots; place[x] is element x's slot."""
+        rank, unrank, prods, parent, letter = self._closure  # rank: BFS position -> index
         del self._closure
-        unrank = array("i", bytes(4 * self.order))
-        for b, x in enumerate(rank):
-            unrank[x] = b
-        ng = len(self.generators)
-        rights = [array("i", map(rank.__getitem__, map(prods[k::ng].__getitem__, unrank)))
+        n, ng = self.order, len(self.generators)
+        ints = sorted(self.index.values())  # rows share the index's int objects
+        ranked = list(map(ints.__getitem__, rank))
+        rights = [list(map(ranked.__getitem__, map(prods[k::ng].__getitem__, unrank)))
                   for k in range(ng)]
-        return rights, (rank[1:], array("i", map(rank.__getitem__, parent[1:])), letter[1:])
+        slots, spans = [0], []  # slots: slot -> BFS position
+        while len(slots) < n:  # parent rises along the BFS, so each layer is one range
+            lo = len(slots)
+            layer = sorted(range(lo, bisect_left(parent, lo, lo)), key=letter.__getitem__)
+            ks = list(map(letter.__getitem__, layer))
+            spans += [(lo + bisect_left(ks, k), lo + bisect_right(ks, k), k) for k in set(ks)]
+            slots += layer
+        slot = list(map(ints.__getitem__, sorted(range(n), key=slots.__getitem__)))
+        ups = list(map(slot.__getitem__, map(parent.__getitem__, slots)))
+        runs = [(lo, hi, k, ups[lo:hi]) for lo, hi, k in spans]
+        return rights, runs, list(map(slot.__getitem__, unrank))
 
     # -- element helpers ------------------------------------------------
 
@@ -252,34 +285,36 @@ class PermGroup:
 
     # -- index rows -------------------------------------------------------
 
-    def walk(self, actions, start: int) -> array:
+    def walk(self, actions, start: int) -> list:
         """row[x] = `start` moved by actions[k] for each letter k of x's BFS
         word: row[p·g_k] = actions[k][row[p]].  With the rows x -> x·g_k it is
-        x -> start·x; with a point action, the point's image under each x."""
-        xs, ups, letters = self._tables[1]
-        row = array("i", [start]) * self.order
-        for x, p, k in zip(xs, ups, letters):
-            row[x] = actions[k][row[p]]
-        return row
+        x -> start·x; with a point action, the point's image under each x.
+        One slice per (depth, letter) run fills the slots at C speed; a last
+        map puts them in element order."""
+        _rights, runs, place = self._tables
+        row = [start] * self.order
+        for lo, hi, k, ups in runs:
+            row[lo:hi] = map(actions[k].__getitem__, map(row.__getitem__, ups))
+        return list(map(row.__getitem__, place))
 
-    def left(self, h: int) -> array:
+    def left(self, h: int) -> list:
         """L_h, the row x -> index(h·x)."""
         if self._parent:
             return self._from_root(self._parent.left(self._members[h]))
         return self.walk(self._tables[0], h)
 
     @cached_property
-    def inv(self) -> array:
+    def inv(self) -> list:
         """The row x -> index(x^-1), walked as inv[p·g] = L_{g^-1}[inv[p]]."""
         if self._parent:
             return self._from_root(self._parent.inv)
         return self.walk([self.left(self.index[inverse(g)]) for g in self.generators],
                          self.identity_idx())
 
-    def _from_root(self, row: array) -> array:
+    def _from_root(self, row: list) -> list:
         """A row of the root group, read in this subgroup's indices."""
         els = self._parent.elements
-        return array("i", (self.index[els[row[x]]] for x in self._members))
+        return [self.index[els[row[x]]] for x in self._members]
 
     def _root_idx(self, p: Perm) -> int:
         """p's index in the root group; NotMember unless p lies in this group."""

@@ -383,6 +383,40 @@ def _order_by_powers(p) -> int:
     return n
 
 
+def tuple_closure(generators, degree: int) -> tuple:
+    """The closure keyed by tuples, with one `perm.mul` per product:
+    (sorted elements, index, rights, tree).  rights[k] is the row
+    x -> x·g_k; tree holds the rows x, parent(x) and k with
+    x = parent(x)·g_k, in BFS order."""
+    from workbench.perm import identity, mul
+
+    ident = identity(degree)
+    pos, found, prods, parent, letter = {ident: 0}, [ident], [], [0], [0]
+    for b, p in enumerate(found):
+        for k, g in enumerate(generators):
+            q = mul(p, g)
+            if q not in pos:
+                pos[q] = len(found)
+                found.append(q)
+                parent.append(b)
+                letter.append(k)
+            prods.append(pos[q])
+    elements = sorted(found)
+    index = {p: i for i, p in enumerate(elements)}
+    rank = [index[p] for p in found]
+    ng = len(generators)
+    rights = [[rank[prods[pos[p] * ng + k]] for p in elements] for k in range(ng)]
+    return elements, index, rights, (rank[1:], [rank[b] for b in parent[1:]], letter[1:])
+
+
+def tree_walk(tree, actions, start: int, order: int) -> list:
+    """One step per element down the BFS tree: row[p·g_k] = actions[k][row[p]]."""
+    row = [start] * order
+    for x, p, k in zip(*tree):
+        row[x] = actions[k][row[p]]
+    return row
+
+
 def normalizer_ascent_sylow2(G):
     """A Sylow 2-subgroup of G by whole-normalizer ascent: start at the first
     2-element, then adjoin the first 2-element outside P of the sorted

@@ -434,7 +434,7 @@ def test_corner_minpoly_matches_matrix_powers(name):
             dim = H.matrix(f).rank()
             for _ in range(3):
                 a = modrep._corner_draw(corner, rng)
-                assert modrep._corner_minpoly(H, f, a) == \
+                assert modrep._corner_minpoly(H, f, H.left(a)) == \
                     matrix_minpoly(corner_action(H, f, a).rows, dim), name
     assert sub_pieces > 0
 

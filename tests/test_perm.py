@@ -11,7 +11,8 @@ from workbench.chartab import dixon_table
 from workbench.errors import CapExceeded, NotMember
 from workbench.groups import builtin_group
 
-from oracles import conjugate_intersection_o2_core, normalizer_ascent_sylow2
+from oracles import (conjugate_intersection_o2_core, normalizer_ascent_sylow2, tree_walk,
+                     tuple_closure)
 
 GROUP_FILES = Path(__file__).resolve().parents[1] / "perfbench" / "groups"
 
@@ -272,7 +273,6 @@ def test_index_tables_match_tuple_products(name):
 
 
 def test_table_route_makes_no_tuple_products(monkeypatch):
-    G = builtin_group("pgl2_11")
     calls = []
     for fn in (perm.mul, perm.conj):
         def counted(*args, fn=fn):
@@ -281,6 +281,8 @@ def test_table_route_makes_no_tuple_products(monkeypatch):
         for mod in [m for n, m in sys.modules.items() if n.startswith("workbench")]:
             if getattr(mod, fn.__name__, None) is fn:
                 monkeypatch.setattr(mod, fn.__name__, counted)
+    G = builtin_group("pgl2_11")  # degree 12: the closure keys elements by bytes
+    assert calls == []
     reps = [G.elements[c.rep] for c in G.conjugacy_classes()]
     for p in reps:
         G.centralizer(p)
@@ -302,3 +304,59 @@ def test_classes_and_centralizers_against_sympy(gens):
         cent = S.centralizer(Permutation(list(rep))).order()
         assert c.size() * cent == S.order()
         assert G.centralizer(rep).order == cent
+
+
+def _check_against_tuple_closure(G):
+    # elements, index, the right rows, every left row and inv equal the
+    # tuple-product closure's and its per-element walk down the BFS tree
+    elements, index, rights, tree = tuple_closure(G.generators, G.degree)
+    assert G.elements == elements and G.index == index
+    if G._parent is None:
+        assert [list(row) for row in G._tables[0]] == rights
+    lefts = [tree_walk(tree, rights, h, G.order) for h in range(G.order)]
+    assert [list(G.left(h)) for h in range(G.order)] == lefts
+    inv_gens = [lefts[index[perm.inverse(g)]] for g in G.generators]
+    assert list(G.inv) == tree_walk(tree, inv_gens, index[perm.identity(G.degree)], G.order)
+
+
+def _moved(gens, relabel, degree):
+    """Generators on len(relabel) points, carried onto `degree` points."""
+    out = []
+    for g in gens:
+        images = list(range(degree))
+        for i, j in enumerate(g):
+            images[relabel[i]] = relabel[j]
+        out.append(tuple(images))
+    return out
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 5).flatmap(lambda m: st.tuples(
+    st.lists(st.permutations(range(m)), max_size=3),
+    st.sampled_from([m, 9, 255, 256, 257, 300]).flatmap(lambda n: st.permutations(range(n))))))
+def test_closure_and_walk_match_tuple_oracle(case):
+    # byte keys up to degree 256, tuple keys above; points moved anywhere
+    gens, relabel = case
+    G = perm.generate(_moved(gens, relabel, len(relabel)), degree=len(relabel))
+    _check_against_tuple_closure(G)
+    H = G.centralizer(G.elements[-1])
+    if H._parent is not None:
+        _check_against_tuple_closure(H)
+
+
+@pytest.mark.parametrize("degree,cycles", [
+    (1, []), (1, ["()"]), (256, ["(1 256)(2 255 3)", "(4 5 6 7)"]),
+    (256, ["(" + " ".join(map(str, range(1, 257))) + ")"]),
+    (257, ["(1 257)(2 256 3)", "(4 5 6 7)"]), (400, ["(1 400 200)", "(2 399)"])])
+def test_closure_routes_match_tuple_oracle(degree, cycles):
+    G = perm.generate([perm.parse_cycles(c, degree=degree) for c in cycles], degree=degree)
+    assert G.degree == degree
+    _check_against_tuple_closure(G)
+
+
+def test_subgroup_rows_match_tuple_oracle():
+    G = builtin_group("psl27")
+    t = next(p for p in G.elements if perm.perm_order(p) == 2)
+    H = G.centralizer(t)
+    assert H._parent is G and H.order == 8
+    _check_against_tuple_closure(H)

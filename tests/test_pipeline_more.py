@@ -1,5 +1,8 @@
 """Wider end-to-end coverage: more concrete groups against the classification."""
 
+import pytest
+
+from workbench import perm
 from workbench.groups import builtin_group
 from workbench.pipeline import analyze_group
 
@@ -94,3 +97,21 @@ def test_product_groups():
     rep = analyze_group(H, name="d8xc2")
     assert rep["fs_count_identity_ok"]
     assert rep["cut_dims_sum_ok"]
+
+
+# seeds at which a subquotient's zero and repeated generators once starved
+# the MeatAxe's random words of the one generator that splits
+MEATAXE_WITNESSES = [(["(1 2)(3 4)", "(1 6 2 7 3 8 4 5)"], 64, seed) for seed in (122, 191, 211, 357)]
+MEATAXE_WITNESSES.append((["(1 6 3 5 2 7 8)", "(1 8 2 5 6 7)(3 4)"], 1344, 195))  # AGL(3,2)
+
+
+@pytest.mark.parametrize("cycles,order,seed", MEATAXE_WITNESSES)
+def test_meataxe_witnesses_finish(cycles, order, seed):
+    G = perm.generate([perm.parse_cycles(c, degree=8) for c in cycles])
+    assert G.order == order
+    rep = analyze_group(G, seed=seed)
+    assert rep["cut_dims_sum_ok"] and rep["mismatches"] == []
+    for b in rep["blocks"]:
+        if b["meataxe"] is not None:
+            assert sum(d * m for d, m in b["meataxe"]) == b["komega_dim"]
+            assert sum(b["summand_dims"]) == b["komega_dim"]
