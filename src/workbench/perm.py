@@ -208,10 +208,8 @@ class PermGroup:
     def _close(self) -> tuple:
         """Breadth-first closure: (sorted elements, index).  Keeps for `_tables`
         each product p·g as a BFS position, and each BFS parent and letter.
-
-        Up to degree 256 an element is keyed by its bytes, and p·g is one C
-        call, p.translate(g padded to 256 bytes); bytes sort as the tuples
-        do.  A larger degree has no byte per point, so it keys by tuples."""
+        Up to degree 256 the keys are bytes and p·g is p.translate(g padded
+        to 256 bytes); bytes sort as the tuples do, so the order is kept."""
         n = self.degree
         if n <= 256:
             start, step = bytes(range(n)), bytes.translate

@@ -347,7 +347,7 @@ def test_closure_and_walk_match_tuple_oracle(case):
 @pytest.mark.parametrize("degree,cycles", [
     (1, []), (1, ["()"]), (256, ["(1 256)(2 255 3)", "(4 5 6 7)"]),
     (256, ["(" + " ".join(map(str, range(1, 257))) + ")"]),
-    (257, ["(1 257)(2 256 3)", "(4 5 6 7)"]), (400, ["(1 400 200)", "(2 399)"])])
+    (257, ["(1 257)(2 256 3)", "(4 5 6 7)"])])
 def test_closure_routes_match_tuple_oracle(degree, cycles):
     G = perm.generate([perm.parse_cycles(c, degree=degree) for c in cycles], degree=degree)
     assert G.degree == degree
