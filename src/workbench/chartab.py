@@ -11,25 +11,26 @@ integer-valued invariants (FS indicators, complex conjugates,
 2-rationality) are decided from the rows chi mod p, which the table keeps
 beside the exact values.
 
-The class data (the class of every power of every representative, and the
-structure constants) is worked out once, in `dixon_table`, from the group's
-index tables (one row x -> g·x per class representative), not tuple
-products.  The power classes are kept on the table for the power maps; the
-structure constants are used only to find the characters.
+A class matrix M_i (the structure constants a_ijl mod p) is built only when
+the eigenspace loop takes class i, from one left row y -> g_i·y of the
+group's index tables (Dixon–Schneider).  The loop takes high element orders
+first and stops once every eigenspace is a line, so most classes never
+build theirs.  The class of every power of every representative comes from
+tuple products and is kept on the table for the power maps.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
 from functools import cached_property
+from itertools import accumulate, repeat
 from math import gcd, isqrt
-from operator import add
+from operator import add, mul
 
 from . import linalg
 from .cyclotomic import Cyclotomic, power_coords, prime_divisors
 from .errors import CapExceeded, InvariantViolation, NonIndicatorValue
-from .perm import PermGroup
+from .perm import PermGroup, identity, mul as perm_mul
 
 CLASS_CAP = 60
 
@@ -355,58 +356,43 @@ def dixon_table(G: PermGroup) -> CharacterTable:
     if k > CLASS_CAP:
         raise CapExceeded(f"{k} classes exceeds cap {CLASS_CAP}")
     order = G.order
-    sizes = [c.size() for c in classes]
     class_of = G.class_of
-    one = G.identity_idx()
-    id_class = class_of[one]
+    id_class = class_of[G.identity_idx()]
     inv_class = [class_of[G.inv[c.rep]] for c in classes]
-
     p = _dixon_prime(G.exponent(), order)
+    inv_sizes = [pow(c.size(), -1, p) for c in classes]
 
-    # One left row L: x -> g_l·x at a time, per representative g_l.  Walking
-    # L from 1 gives power_classes[l][r], the class of g_l^r, 0 <= r < order.
-    # a[i][j][l] = #{u in C_i : u^-1 g_l in C_j} counts u^-1 in C_{i^-1} with
-    # g_l·u^-1 in C_j, a conjugate of u^-1·g_l: element x adds one to
-    # a[i][j][l] for i = inv_class[class_of[x]] and j = class_of[L[x]].
-    # mats[i] is the class matrix M_i = (a[i][j][l] mod p)_{j,l}.
-    pair_base = array("i", (inv_class[j] * k for j in class_of))
-    power_classes = []
-    mats = [[[0] * k for _ in range(k)] for _ in range(k)]
-    for l, c in enumerate(classes):
-        L = G.left(c.rep)
-        pcs, cur = [], one
-        for _ in range(c.order):
-            pcs.append(class_of[cur])
-            cur = L[cur]
-        power_classes.append(pcs)
-        for ij, n in Counter(map(add, pair_base, map(class_of.__getitem__, L))).items():
-            mats[ij // k][ij % k][l] = n % p
+    # power_classes[j][r] is the class of g_j^r, 0 <= r < order
+    power_classes = [
+        [class_of[G.index[x]] for x in accumulate(repeat(G.elements[c.rep], c.order - 1),
+                                                  perm_mul, initial=identity(G.degree))]
+        for c in classes]
 
-    # simultaneous eigenvectors of all M_i (columns w with M_i w = omega_i w)
-    spaces = [[_unit(k, j) for j in range(k)]]
-    for i in range(k):
+    # simultaneous eigenvectors of the class matrices (columns w with
+    # M_i w = omega_i w), each M_i built only when the loop takes class i;
+    # high element orders first, as they split the space soonest
+    spaces = [[[int(j == c) for c in range(k)] for j in range(k)]]
+    for i in sorted(range(k), key=lambda i: -classes[i].order):
         if all(len(b) == 1 for b in spaces):
             break
-        M = mats[i]
+        if i == id_class:
+            continue  # M = I splits nothing
+        M = _class_matrix(G, i, p)
         new_spaces = []
         for basis in spaces:
             if len(basis) == 1:
                 new_spaces.append(basis)
                 continue
-            A = _restrict(M, basis, p)
+            A = M if len(basis) == k else _restrict(M, basis, p)  # M on the unit basis
             f = _charpoly_modp(A, p)
+            cols = list(zip(*basis))
             split_dim = 0
             for lam in _roots_modp(f, p):
-                B = [[(A[r][c] - (lam if r == c else 0)) % p for c in range(len(A))]
-                     for r in range(len(A))]
-                vecs = []
-                for coord in linalg.nullspace(B, p):
-                    vec = [0] * k
-                    for t, cv in enumerate(coord):
-                        if cv:
-                            for idx2 in range(k):
-                                vec[idx2] = (vec[idx2] + cv * basis[t][idx2]) % p
-                    vecs.append(vec)
+                B = [row[:] for row in A]
+                for r, row in enumerate(B):
+                    row[r] -= lam  # rref reduces mod p
+                vecs = [[sum(map(mul, coord, col)) % p for col in cols]
+                        for coord in linalg.nullspace(B, p)]
                 if vecs:
                     new_spaces.append(vecs)
                     split_dim += len(vecs)
@@ -423,11 +409,8 @@ def dixon_table(G: PermGroup) -> CharacterTable:
         omegas.append([x * scale % p for x in w])
 
     degrees = []
-    inv_sizes = [pow(s, p - 2, p) for s in sizes]
     for w in omegas:
-        f = 0
-        for j in range(k):
-            f = (f + w[j] * w[inv_class[j]] % p * inv_sizes[j]) % p
+        f = sum(w[j] * w[inv_class[j]] * inv_sizes[j] for j in range(k)) % p
         d2 = order * pow(f, p - 2, p) % p
         # p > 4 isqrt|G| + 1, so at most one d <= isqrt|G| has d^2 = d2 mod p
         d = next((d for d in range(1, isqrt(order) + 1) if d * d % p == d2), None)
@@ -437,34 +420,39 @@ def dixon_table(G: PermGroup) -> CharacterTable:
     if sum(d * d for d in degrees) != order:
         raise InvariantViolation("squared degrees do not sum to |G|")
 
-    # exact value lift per class from eigenvalue multiplicities
+    # exact value lift per class from eigenvalue multiplicities: chi(g_j) has
+    # lambda^m with multiplicity sum_c chi(C_c) W_j[m][c], where W_j[m][c] is
+    # the sum of lambda^(-mr)/n over the r with g_j^r in C_c
     z = _primitive_root(p)
+    weights = []
+    for c, pcs in zip(classes, power_classes):
+        n = c.order
+        lam_inv = pow(z, (p - 1) // n * (n - 1), p)
+        inv_n = pow(n, -1, p)
+        W = []
+        for m in range(n):
+            step, t, acc = pow(lam_inv, m, p), inv_n, {}
+            for pc in pcs:
+                acc[pc] = (acc.get(pc, 0) + t) % p
+                t = t * step % p
+            W.append((tuple(acc), tuple(acc.values())))
+        weights.append(W)
     values, chars_p = [], []
     for w, d in zip(omegas, degrees):
         row = []
         chi_p = tuple(d * w[j] % p * inv_sizes[j] % p for j in range(k))
         chars_p.append(chi_p)
-        for j, c in enumerate(classes):
-            n = c.order
-            lam = pow(z, (p - 1) // n, p)
-            lam_inv = pow(lam, p - 2, p)
-            inv_n = pow(n, p - 2, p)
+        for c, W in zip(classes, weights):
             counts = {}
-            for m in range(n):
-                s = 0
-                lm = pow(lam_inv, m, p)
-                t = 1
-                for r in range(n):
-                    s = (s + chi_p[power_classes[j][r]] * t) % p
-                    t = t * lm % p
-                c_m = s * inv_n % p
+            for m, (cls, wts) in enumerate(W):
+                c_m = sum(map(mul, map(chi_p.__getitem__, cls), wts)) % p
                 if c_m > d:
                     raise InvariantViolation("eigenvalue multiplicity out of range")
                 if c_m:
                     counts[m] = c_m
             if sum(counts.values()) != d:
                 raise InvariantViolation("eigenvalue multiplicities do not sum to the degree")
-            row.append(power_coords(n, counts))
+            row.append(power_coords(c.order, counts))
         values.append(tuple(row))
 
     # deterministic row order: degree, then the mod-p value vector
@@ -480,16 +468,28 @@ def dixon_table(G: PermGroup) -> CharacterTable:
     return CharacterTable(G, classes, values, degrees, p, power_classes, chars_p)
 
 
-def _unit(k, j):
-    v = [0] * k
-    v[j] = 1
-    return v
+def _class_matrix(G: PermGroup, i: int, p: int) -> list:
+    """The class matrix M_i = (a_ijl mod p)_{j,l}, a_ijl = #{(x, y) in C_i x C_j :
+    xy = g_l}, from the one left row L: y -> g_i·y.
+
+    Counting the triples xy = z in C_i x C_j x C_l from either end gives
+    |C_l| a_ijl = |C_i| #{y in C_j : g_i·y in C_l}, and p does not divide |C_l|."""
+    classes, class_of = G.conjugacy_classes(), G.class_of
+    k = len(classes)
+    inv_sizes = [pow(c.size(), -1, p) for c in classes]
+    M = [[0] * k for _ in range(k)]
+    size = classes[i].size()
+    L = G.left(classes[i].rep)
+    pairs = Counter(map(add, map(k.__mul__, class_of), map(class_of.__getitem__, L)))
+    for jl, n in pairs.items():
+        j, l = divmod(jl, k)
+        M[j][l] = size * n * inv_sizes[l] % p
+    return M
 
 
 def _restrict(M, basis, p):
     """Matrix of w -> M w on span(basis), in basis coordinates."""
-    k = len(M)
-    imgs = [[sum(M[r][c] * b[c] for c in range(k)) % p for r in range(k)] for b in basis]
+    imgs = [[sum(map(mul, row, b)) % p for row in M] for b in basis]
     sol = linalg.solve(basis, imgs, p)
     if sol is None:
         raise InvariantViolation("vector outside span")

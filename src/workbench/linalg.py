@@ -20,7 +20,6 @@ def rref(rows, ncols: int, p: int | None = None):
     in column pivots[i], and every later row zero in the first `ncols`
     columns.
     """
-    red = (lambda x: x) if p is None else (lambda x: x % p)
     rows = [[Fraction(x) if p is None else x % p for x in row] for row in rows]
     pivots = []
     for c in range(ncols):
@@ -29,12 +28,17 @@ def rref(rows, ncols: int, p: int | None = None):
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = 1 / rows[r][c] if p is None else pow(rows[r][c], -1, p)
-        top = rows[r] = [red(x * inv) for x in rows[r]]
+        if p is None:
+            inv = 1 / rows[r][c]
+            top = rows[r] = [x * inv for x in rows[r]]
+        else:
+            inv = pow(rows[r][c], -1, p)
+            top = rows[r] = [x * inv % p for x in rows[r]]
         for i, row in enumerate(rows):
             f = row[c]
             if f and i != r:
-                rows[i] = [red(x - f * y) for x, y in zip(row, top)]
+                rows[i] = ([x - f * y for x, y in zip(row, top)] if p is None
+                           else [(x - f * y) % p for x, y in zip(row, top)])
         pivots.append(c)
     return rows, pivots
 

@@ -28,8 +28,7 @@ works from them:
   which is certified from the composition factors of the regular module
   of fHf.  Otherwise random corner elements give idempotents of GF(2)[a]
   that split it.  dim fM is the rank of f on M.  fM and gM are isomorphic
-  iff f lies in the span of fHg * gHf.  A module without orbitals takes
-  H from a `hom_space` basis and its products, and goes the same way.
+  iff f lies in the span of fHg * gHf.
 """
 
 from __future__ import annotations
@@ -256,10 +255,6 @@ def meataxe_factors(module, seed=0):
     return [(c, c.dim, mult) for c, mult in grouped]
 
 
-def _flatten(mat: BitMatrix) -> int:
-    return sum(r << (i * mat.ncols) for i, r in enumerate(mat.rows))
-
-
 def _select(items, mask: int):
     """The items at the set bits of mask."""
     return compress(items, (mask >> a & 1 for a in range(len(items))))
@@ -336,24 +331,15 @@ def endomorphism_basis(module: GF2Module) -> EndAlgebra:
     """End_kG(M) with its structure constants.
 
     A block cut carries the orbital algebra of its permutation module with
-    e_B as the unit; a permutation module has its orbital matrices; any
-    other module takes a basis from `hom_space` and the products of it."""
+    e_B as the unit; a permutation module has its orbital matrices.  Every
+    module the package builds is one of the two."""
     if module.endo is not None:
         return module.endo
-    if module.perms is not None:
-        orbitals = _orbitals(module)
-        one = sum(1 << a for a, (i0, j0, _O) in enumerate(orbitals) if i0 == j0)
-        return EndAlgebra(module, _orbital_matrices(module),
-                          _orbital_products(module), one)
-    if module.dim > COMMUTANT_DIM_CAP:
-        raise CapExceeded(
-            f"generic commutant solve capped at dim {COMMUTANT_DIM_CAP}")
-    basis = hom_space(module, module)
-    flat = Echelon(map(_flatten, basis))
-    products = [restrict(flat, (_flatten(x * y) for y in basis), "End(M)")
-                for x in basis]
-    one = restrict(flat, [_flatten(BitMatrix.identity(module.dim))], "End(M)")
-    return EndAlgebra(module, basis, products, one.rows[0])
+    if module.perms is None:
+        raise InvariantViolation("a module with neither orbitals nor a cut algebra")
+    orbitals = _orbitals(module)
+    one = sum(1 << a for a, (i0, j0, _O) in enumerate(orbitals) if i0 == j0)
+    return EndAlgebra(module, _orbital_matrices(module), _orbital_products(module), one)
 
 
 @dataclass

@@ -17,7 +17,7 @@ types (a)-(e) are concrete groups with distinguished coset representative e.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .errors import (BadDegree, BadIndex, InvariantViolation, NotDihedral,
                      TypeUnavailable, Unclassifiable)
@@ -123,6 +123,7 @@ class ExtensionFrame:
         if self.E.order != len(self.points):
             raise InvariantViolation("the crossed product D<e> is not of order 2|D|")
         self.D_set = frozenset(g for g in self.E.elements if self.form(g)[2] == 0)
+        self._commuting = {}  # see commuting_points
 
     def mul(self, p: tuple, q: tuple) -> tuple:
         x, i, y, j = p[:2], p[2], q[:2], q[2]
@@ -142,22 +143,46 @@ class ExtensionFrame:
 
     # -- named subgroups of D ---------------------------------------------
 
-    def named_subgroup(self, name: str) -> frozenset:
-        """Normal forms (k, eps) of one of 1, S_i, S, X_i, Y_i, D."""
+    def _kind_index(self, name: str) -> tuple:
+        """(kind, i) of a subgroup name, kind in "SXY": 1 = S_0, S = S_(d-1), D = X_d."""
         d = self.frame.d
         if name not in self.named_subgroup_names():
             raise ValueError(f"unknown subgroup name {name!r}")
         name = {"1": "S_0", "S": f"S_{d - 1}", "D": f"X_{d}"}.get(name, name)
-        i = int(name[2:])
-        if name[0] == "S":
+        return name[0], int(name[2:])
+
+    def named_subgroup(self, name: str) -> frozenset:
+        """Normal forms (k, eps) of one of 1, S_i, S, X_i, Y_i, D."""
+        d = self.frame.d
+        kind, i = self._kind_index(name)
+        if kind == "S":
             return frozenset((k, 0) for k in range(0, 1 << (d - 1), 1 << (d - 1 - i)))
         q = 1 << (d - i)
-        if name[0] == "X":
+        if kind == "X":
             return frozenset((k, eps) for k, eps in self.frame.forms if k % q == 0)
         return frozenset((k, eps) for k, eps in self.frame.forms if (k - eps) % q == 0)
 
     def named_subgroup_names(self) -> list:
         return _subgroup_names(self.frame.d)
+
+    def named_generators(self, name: str) -> list:
+        """At most two generators, as normal forms (k, eps), of one of 1, S_i,
+        S, X_i, Y_i, D: S_i = <s_i>, X_i = <s_(i-1), t>, Y_i = <s_(i-1), st>,
+        with X_1 = <t> and Y_1 = <st>."""
+        kind, i = self._kind_index(name)
+        if kind == "S":
+            return [self.frame.s_i(i)] if i else []
+        top = _T if kind == "X" else (1, 1)  # t or st
+        return [top] if i == 1 else [self.frame.s_i(i - 1), top]
+
+    def commuting_points(self, y: tuple) -> frozenset:
+        """The points of E that commute with y in D, for y in normal form
+        (k, eps); cached per y."""
+        if y not in self._commuting:
+            y3 = y + (0,)
+            self._commuting[y] = frozenset(
+                g for g in self.points if self.mul(g, y3) == self.mul(y3, g))
+        return self._commuting[y]
 
     def centralizer_in_D(self, x: tuple) -> frozenset:
         """C_D(x) as normal forms (k, eps), for x in normal form (k, eps, i)."""
@@ -372,9 +397,11 @@ def subpair_reality(ext: ExtensionFrame, Q) -> tuple:
 
     Real: E = D * C_E(Q) as sets (the subpair-reality criterion).  Strongly
     real: some involution t in C_E(Q) has E = D<t>, i.e. lies outside D.
+    C_E(Q) is the set of points commuting with each generator of a named Q,
+    or with each element of a listed one.
     """
-    qs = [y + (0,) for y in (ext.named_subgroup(Q) if isinstance(Q, str) else Q)]
-    C = [g for g in ext.points if all(ext.mul(g, y) == ext.mul(y, g) for y in qs)]
+    ys = ext.named_generators(Q) if isinstance(Q, str) else Q
+    C = reduce(frozenset.intersection, map(ext.commuting_points, ys), frozenset(ext.points))
     inter = sum(1 for g in C if not g[2])
     real = ext.frame.order * len(C) // inter == len(ext.points)
     strong = any(g[2] and ext.mul(g, g) == (0, 0, 0) for g in C)

@@ -10,11 +10,12 @@ from operator import add
 from workbench import cyclotomic
 from workbench.blocks import omega_field
 from workbench.cyclotomic import _phi_degree, _power_table, power_coords, prime_divisors
-from workbench.errors import NotTwoIntegral
+from workbench.errors import CapExceeded, NotTwoIntegral
 from workbench.gf2 import (BitMatrix, Echelon, GF2Field, eval_poly, krylov_relation,
                            multiplicative_order_of_2, poly_lcm, poly_mulmod, restrict)
 from workbench.meataxe import spin
-from workbench.modrep import SPLIT_TRIES, GF2Module, endomorphism_basis, hom_space
+from workbench.modrep import (COMMUTANT_DIM_CAP, SPLIT_TRIES, EndAlgebra, GF2Module,
+                              endomorphism_basis, hom_space)
 from workbench.perm import conj, mul
 
 
@@ -348,28 +349,17 @@ def enumerate_sign_assignments(type_id: str, etype: str, d: int,
     return [solutions[k] for k in sorted(solutions)]
 
 
-def named_subgroup_gens(ext, name: str) -> list:
-    """Generators, as permutations in E, of one of 1, S_i, S, X_i, Y_i, D
-    from their definitions S_i = <s_i>, X_i = <s_(i-1), t>,
-    Y_i = <s_(i-1), st>, with s_i = s^(2^(d-1-i)) and X_1 = <t>, Y_1 = <st>."""
-    d = ext.frame.d
-
-    def s_i(i):
-        return (1 << (d - 1 - i), 0, 0)
-
-    if name == "1":
-        gens = []
-    elif name == "D":
-        gens = [(1, 0, 0), (0, 1, 0)]
-    elif name == "S":
-        gens = [(1, 0, 0)]
-    elif name.startswith("S_"):
-        gens = [s_i(int(name[2:]))]
-    else:
-        i = int(name[2:])
-        top = (0, 1, 0) if name[0] == "X" else (1, 1, 0)
-        gens = [top] if i == 1 else [s_i(i - 1), top]
-    return [ext.perm(g) for g in gens]
+def all_elements_subpair_reality(ext, Q) -> tuple:
+    """(real?, strongly real?) of the subpair at Q, a subgroup name or a list
+    of normal forms (k, eps), with C_E(Q) found by testing commutation with
+    every element of Q: real when |D| |C_E(Q)| / |C_D(Q)| = |E|, strongly
+    real when C_E(Q) holds an involution outside D."""
+    qs = [y + (0,) for y in (ext.named_subgroup(Q) if isinstance(Q, str) else Q)]
+    C = [g for g in ext.points if all(ext.mul(g, y) == ext.mul(y, g) for y in qs)]
+    inter = sum(1 for g in C if not g[2])
+    real = ext.frame.order * len(C) // inter == len(ext.points)
+    strong = any(g[2] and ext.mul(g, g) == (0, 0, 0) for g in C)
+    return real, strong
 
 
 def _order_by_powers(p) -> int:
@@ -574,6 +564,19 @@ def conjugation_action_is_homomorphism(module, G, labels) -> bool:
 def dual_module(module) -> GF2Module:
     """The contragredient module: g acts by rho(g^-1)^T."""
     return GF2Module([m.inverse().transpose() for m in module.mats], module.dim)
+
+
+def hom_space_endomorphisms(module) -> EndAlgebra:
+    """End_kG(M) for a module with neither orbitals nor a cut algebra: a
+    basis from `hom_space`, and the structure constants from the products
+    of it, up to dim COMMUTANT_DIM_CAP."""
+    if module.dim > COMMUTANT_DIM_CAP:
+        raise CapExceeded(f"generic commutant solve capped at dim {COMMUTANT_DIM_CAP}")
+    basis = hom_space(module, module)
+    flat = Echelon(map(_flatten, basis))
+    products = [restrict(flat, (_flatten(x * y) for y in basis)) for x in basis]
+    one = restrict(flat, [_flatten(BitMatrix.identity(module.dim))])
+    return EndAlgebra(module, basis, products, one.rows[0])
 
 
 def _image(H, f) -> tuple:

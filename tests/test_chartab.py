@@ -1,10 +1,12 @@
+import hashlib
+import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from sympy.combinatorics import Permutation
 
-from workbench.chartab import dixon_table
+from workbench.chartab import _class_matrix, dixon_table
 from workbench.errors import CapExceeded
 from workbench.groups import builtin_group
 from workbench.perm import generate, read_generator_file
@@ -157,6 +159,17 @@ def test_structure_constants_brute_force(name):
                 assert total == want[i][j][l], (name, i, j, l)
 
 
+@pytest.mark.parametrize("name", ["s4", "c2xs3", "psl27"])
+def test_class_matrices_match_brute_force(name):
+    # each class matrix, built from one left row, is the brute-force
+    # structure constants mod p
+    T = table(name)
+    want = structure_constants(T.group, T.classes)
+    for i in range(T.k):
+        assert _class_matrix(T.group, i, T.prime) == \
+            [[a % T.prime for a in row] for row in want[i]], (name, i)
+
+
 def _exact_route_group(name):
     if name.endswith(".txt"):
         return generate(read_generator_file(GROUP_FILES / name))
@@ -201,3 +214,49 @@ def test_reported_conductors_match_galois_descent(name):
     T = dixon_table(_exact_route_group(name))
     want = [[minimized(v).to_json() for v in row] for row in exact_chars(T)]
     assert T.to_json()["values"] == want
+
+
+# sha256 of the canonical JSON of `dixon_table(G).to_json()` (sorted keys, no
+# spaces): the table must not depend on the order the class matrices are taken in
+TABLE_SHA256 = {
+    "d8": "75b1b7a54ac308614db76ca4793d39b1caa60f2d82ffa4a217d01cf3d581ad6b",
+    "d16": "3b568f08ab0ba3f60eceb9897b480b83040540b9d728eb881fa59812ad54c9d2",
+    "sd16": "7ec87e3f74aecc0823d7e17c52222b212e7f19539bdf5ae6a46a2de760113b9c",
+    "s3": "f66cb3eedcbf9b63f39e11191545fcdd683ea57239259a4cd5bf260e734321a9",
+    "s4": "b90f8be510051f44542031679a996821d29ac2a7bf0c462abfd124329982edd7",
+    "s5": "32102d0d1f1cdd9c47662da6a77061c028b8b6b92807d6a36860b1454dc0c648",
+    "a7": "d85a31a839a61511cf09e82731acc2f6b25c6640c8a4b04f658bd2d8131b7da7",
+    "psl27": "63b4dc31a9e8f2095015f5736a6682c7a3bc40ed1f96d893535160aa49446c7d",
+    "pgl27": "fb9ca5f71ce7c15007df94f73261b8b87cd41b5848396efb66f6f0fae800353a",
+    "psl2_5": "95c49c0b094e06150da65a292d36d5a396e57f52f6df37df93b84a29a4ffa87d",
+    "psl2_9": "1c366e79088376f14de0850570963f0f7ea5b11bda0b4b537a872c5902a35be2",
+    "psl2_11": "b94ebe5b093c08b9993b3afb294fe3a1fa8752854906de13b7d38e3066b5c3b9",
+    "pgl2_5": "32102d0d1f1cdd9c47662da6a77061c028b8b6b92807d6a36860b1454dc0c648",
+    "c3": "911ca2fe10d84b38a9d6ae4117cd8e0a1da56e3348b01d8777e6be60327c4d8b",
+    "c7": "9870c17e9fd4a5b3d84465371c03930c502c8983b244fe2218a4d51ab5fdea22",
+    "c16": "088fc62cbbdc3d37925575f2a9912a365d5051b8047e219d672f052fb6c23ff9",
+    "c2xs3": "3fbb330c77ac10c110581d16f3b70f37d736fd639562b253b7b1b1656553899c",
+    "pgl2_11": "209550ce68bd822e90ca33304f947b41261e4b929c4e6749a935a7076c02cd02",
+    "M11.txt": "34fd774d7c13db374e8f789572eec2a415c8956ae786bae6a78383ce043f777d",
+    "S6.txt": "39da24eb6cefff346d4787ab6d59bc92658967d119d634c749a1a662ae7bc626",
+    "S7.txt": "0daac347d8196089c9221d2409df4bfef7dfd7b5de1b350f9ed63f4da05a0bfc",
+    "a7.txt": "d85a31a839a61511cf09e82731acc2f6b25c6640c8a4b04f658bd2d8131b7da7",
+    "pgl2_11.txt": "209550ce68bd822e90ca33304f947b41261e4b929c4e6749a935a7076c02cd02",
+    "pgl2_13.txt": "98b5ac46af37e4cff485b80541431b68cd476c42c616a953d6b914d8f62f5354",
+    "pgl2_17.txt": "5be7d6236c8c5b4ec92f768426a7cb49bf222f9f64f82924a1b128a08edd89f3",
+    "psl2_11.txt": "b94ebe5b093c08b9993b3afb294fe3a1fa8752854906de13b7d38e3066b5c3b9",
+    "psl2_13.txt": "8d8185154ff5a050f0eaa1ae0ace75854cf83255989093bc98b6238fbd2a2d09",
+    "psl2_17.txt": "01031f8c22908de49a3be09e6773e00f34dc7c4095f2c711923253a5434c7ba3",
+    "psl2_19.txt": "2a1eccc78da39903482a8ab53def84b558dc93ead705dbd8b291247ff76dba66",
+    "psl2_23.txt": "ac0a4c113a1616c7489871f53b003eff9bc4bc054182c69d8278c0396961b3fe",
+    "psl2_5xpsl2_5.txt": "9125224d8ad72153e22bf6b452d24f840b93f6b3619c980d6c0b64ac6a9d3bd8",
+    "psl2_9.txt": "1c366e79088376f14de0850570963f0f7ea5b11bda0b4b537a872c5902a35be2",
+    "s5xs3.txt": "c916a84d1e6f7ecb3ae853877c4eef4c7f4ddb54f07649e1fdd0aecb40212d65",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_SHA256))
+def test_table_digest(name):
+    T = dixon_table(_exact_route_group(name))
+    canonical = json.dumps(T.to_json(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == TABLE_SHA256[name]

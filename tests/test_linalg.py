@@ -94,6 +94,23 @@ def test_elimination_matches_sympy(p, system):
     assert _row_space(ker, m, p) == _row_space(_to_list(ref.nullspace(), p), m, p)
 
 
+@pytest.mark.parametrize("p", FIELDS[:-1], ids=lambda p: f"GF{p}")
+@settings(max_examples=60, deadline=None)
+@given(system=_systems())
+def test_mod_p_rref_is_rational_rref_mod_p(p, system):
+    # a rank can only drop mod p; with the same pivot columns, the reduced
+    # rows over Q (whose denominators are then prime to p) reduce to the
+    # reduced rows mod p
+    A, _targets = system
+    m = len(A[0])
+    rows, pivots = linalg.rref(A, m, p)
+    q_rows, q_pivots = linalg.rref(A, m)
+    assert len(pivots) <= len(q_pivots)
+    if pivots == q_pivots:
+        assert rows == [[x.numerator * pow(x.denominator, -1, p) % p for x in row]
+                        for row in q_rows]
+
+
 def test_is_prime_matches_sympy():
     assert [n for n in range(20000) if _is_prime(n)] == \
         [n for n in range(20000) if isprime(n)]

@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 from oracles import (conjugation_action_is_homomorphism, corner_action, dual_module,
-                     matrix_minpoly, matrix_route_summands, modules_isomorphic,
-                     summand_module)
+                     hom_space_endomorphisms, matrix_minpoly, matrix_route_summands,
+                     modules_isomorphic, summand_module)
 from test_acceptance import BUILTINS
 from workbench import blocks, meataxe, modrep
 from workbench.chartab import dixon_table
@@ -111,12 +111,14 @@ def test_meataxe_psl27_principal_cut():
 
 def test_meataxe_c2_regular():
     # regular module of C2: one indecomposable with two trivial factors; it
-    # has no orbitals, so End = k[x]/(x^2) comes from hom_space, and its
-    # corner is certified local with no split
+    # has no orbitals, so End = k[x]/(x^2) comes from the hom_space oracle,
+    # and its corner is certified local with no split
     reg = modrep.GF2Module([BitMatrix.from_lists([[0, 1], [1, 0]])], 2)
     factors = modrep.meataxe_factors(reg)
     assert [(d, mult) for _c, d, mult in factors] == [(1, 2)]
-    H = modrep.endomorphism_basis(reg)
+    with pytest.raises(InvariantViolation):
+        modrep.endomorphism_basis(reg)
+    H = reg.endo = hom_space_endomorphisms(reg)
     assert len(H.mats) == 2 and H.matrix(H.one) == BitMatrix.identity(2)
     assert modrep._corner_is_local(H, H.one, H.sandwich(H.one, H.one), 0)
     summands = modrep.summand_split(reg)
@@ -137,8 +139,8 @@ def test_summand_split_psl27():
 
 def test_summand_split_synthetic_direct_sum():
     # visibly decomposable: two copies of the S3 involution module.  The sum
-    # has no orbitals, so its End comes from hom_space; the summands of the
-    # sum are those of one copy with doubled multiplicities
+    # has no orbitals, so its End comes from the hom_space oracle; the
+    # summands of the sum are those of one copy with doubled multiplicities
     T = table("s3")
     m = modrep.involution_perm_module(T.group)
     big = modrep.GF2Module(
@@ -146,6 +148,7 @@ def test_summand_split_synthetic_direct_sum():
                    [a.rows[i] << m.dim for i in range(m.dim)], 2 * m.dim)
          for a in m.mats], 2 * m.dim)
     assert big.perms is None
+    big.endo = hom_space_endomorphisms(big)
     one = [(s.dim, k) for s, k in modrep.group_summands(modrep.summand_split(m))]
     assert one == [(1, 2), (2, 1)]
     parts = modrep.summand_split(big)
@@ -387,9 +390,9 @@ def test_restrict_raises_off_a_stable_subspace():
 @pytest.mark.parametrize("name", ["psl27", "s5", "a7"])
 def test_dual_cut_endomorphisms_match(name):
     # a cut's End is e_B times the orbital algebra; its dual has no
-    # orbitals, so its End comes from the generic solve (hom_space).  The
-    # cut is self-dual, so both routes give the same End dimension and the
-    # same summands
+    # orbitals, so its End comes from the generic solve (the hom_space
+    # oracle).  The cut is self-dual, so both routes give the same End
+    # dimension and the same summands
     checked = 0
     for cut in _gf2_cuts(name):
         if cut.dim > modrep.COMMUTANT_DIM_CAP:
@@ -397,7 +400,8 @@ def test_dual_cut_endomorphisms_match(name):
         dual = dual_module(cut)
         assert dual.perms is None and dual.endo is None
         H = cut.endo
-        assert len(modrep.endomorphism_basis(dual).mats) == len(H.sandwich(H.one, H.one))
+        dual.endo = hom_space_endomorphisms(dual)
+        assert len(dual.endo.mats) == len(H.sandwich(H.one, H.one))
         assert [(s.dim, k) for s, k in modrep.group_summands(modrep.summand_split(dual))] \
             == [(s.dim, k) for s, k in modrep.group_summands(modrep.summand_split(cut))]
         checked += 1

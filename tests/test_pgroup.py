@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from workbench import pgroup
@@ -5,7 +7,7 @@ from workbench.errors import BadDegree, NotDihedral, TypeUnavailable
 from workbench.groups import builtin_group
 from workbench.perm import inverse, mul, perm_order
 
-from oracles import named_subgroup_gens
+from oracles import all_elements_subpair_reality
 
 _frames = {}
 _exts = {}
@@ -83,7 +85,9 @@ def test_normal_form_matches_engine():
                 for q, gq in perms.items():
                     assert e.form(mul(gp, gq)) == e.mul(p, q), (d, ty, p, q)
             for name in e.named_subgroup_names():
-                closure = e.E.subgroup(named_subgroup_gens(e, name))
+                gens = e.named_generators(name)
+                assert len(gens) <= 2
+                closure = e.E.subgroup([e.perm(y + (0,)) for y in gens])
                 assert {e.form(g)[:2] for g in closure.elements} == \
                     e.named_subgroup(name), (d, ty, name)
 
@@ -156,6 +160,23 @@ def test_reality_pattern_matches_reference():
             got = pgroup.reality_pattern(ext(d, ty))
             want = pgroup.expected_reality(d, ty)
             assert got == want, (d, ty, {k: (got[k], want[k]) for k in got if got[k] != want[k]})
+
+
+def test_subpair_reality_matches_all_elements_oracle():
+    # generators of a named Q, or every element of a listed one, against the
+    # commutation test with every element of Q
+    rng = random.Random(0)
+    for d in (3, 4, 5, 6):
+        for ty in pgroup._available_types(d):
+            e = ext(d, ty)
+            for name in e.named_subgroup_names():
+                assert pgroup.subpair_reality(e, name) == \
+                    all_elements_subpair_reality(e, name), (d, ty, name)
+            forms = e.frame.forms
+            for _ in range(8):
+                Q = rng.sample(forms, rng.randint(1, 4))
+                assert pgroup.subpair_reality(e, Q) == \
+                    all_elements_subpair_reality(e, Q), (d, ty, Q)
 
 
 def test_strongly_real_implies_real():
