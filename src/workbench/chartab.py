@@ -16,21 +16,21 @@ the eigenspace loop takes class i, from one left row y -> g_i·y of the
 group's index tables (Dixon–Schneider).  The loop takes high element orders
 first and stops once every eigenspace is a line, so most classes never
 build theirs.  The class of every power of every representative comes from
-tuple products and is kept on the table for the power maps.
+`PermGroup.powers` (no tuple products up to degree 256) and is kept on the
+table for the power maps.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from itertools import accumulate, repeat
 from math import gcd, isqrt
 from operator import add, mul
 
 from . import linalg
 from .cyclotomic import Cyclotomic, power_coords, prime_divisors
 from .errors import CapExceeded, InvariantViolation, NonIndicatorValue
-from .perm import PermGroup, identity, mul as perm_mul
+from .perm import PermGroup
 
 CLASS_CAP = 60
 
@@ -363,27 +363,24 @@ def dixon_table(G: PermGroup) -> CharacterTable:
     inv_sizes = [pow(c.size(), -1, p) for c in classes]
 
     # power_classes[j][r] is the class of g_j^r, 0 <= r < order
-    power_classes = [
-        [class_of[G.index[x]] for x in accumulate(repeat(G.elements[c.rep], c.order - 1),
-                                                  perm_mul, initial=identity(G.degree))]
-        for c in classes]
+    power_classes = [list(map(class_of.__getitem__, G.powers(c.rep, c.order))) for c in classes]
 
     # simultaneous eigenvectors of the class matrices (columns w with
     # M_i w = omega_i w), each M_i built only when the loop takes class i;
     # high element orders first, as they split the space soonest
-    spaces = [[[int(j == c) for c in range(k)] for j in range(k)]]
+    spaces = [unit := [[int(j == c) for c in range(k)] for j in range(k)]]
     for i in sorted(range(k), key=lambda i: -classes[i].order):
         if all(len(b) == 1 for b in spaces):
             break
         if i == id_class:
             continue  # M = I splits nothing
-        M = _class_matrix(G, i, p)
+        M = _class_matrix(G, classes[i], inv_sizes, p)
         new_spaces = []
         for basis in spaces:
             if len(basis) == 1:
                 new_spaces.append(basis)
                 continue
-            A = M if len(basis) == k else _restrict(M, basis, p)  # M on the unit basis
+            A = M if basis is unit else _restrict(M, basis, p)  # M in unit coordinates is M
             f = _charpoly_modp(A, p)
             cols = list(zip(*basis))
             split_dim = 0
@@ -468,18 +465,15 @@ def dixon_table(G: PermGroup) -> CharacterTable:
     return CharacterTable(G, classes, values, degrees, p, power_classes, chars_p)
 
 
-def _class_matrix(G: PermGroup, i: int, p: int) -> list:
-    """The class matrix M_i = (a_ijl mod p)_{j,l}, a_ijl = #{(x, y) in C_i x C_j :
-    xy = g_l}, from the one left row L: y -> g_i·y.
+def _class_matrix(G: PermGroup, c, inv_sizes: list, p: int) -> list:
+    """The class matrix M_i = (a_ijl mod p)_{j,l} of c = C_i, a_ijl = #{(x, y) in
+    C_i x C_j : xy = g_l}, from the left row L: y -> g_i·y and 1/|C_l| = inv_sizes[l].
 
     Counting the triples xy = z in C_i x C_j x C_l from either end gives
     |C_l| a_ijl = |C_i| #{y in C_j : g_i·y in C_l}, and p does not divide |C_l|."""
-    classes, class_of = G.conjugacy_classes(), G.class_of
-    k = len(classes)
-    inv_sizes = [pow(c.size(), -1, p) for c in classes]
+    class_of, k, size = G.class_of, len(inv_sizes), c.size()
     M = [[0] * k for _ in range(k)]
-    size = classes[i].size()
-    L = G.left(classes[i].rep)
+    L = G.left(c.rep)
     pairs = Counter(map(add, map(k.__mul__, class_of), map(class_of.__getitem__, L)))
     for jl, n in pairs.items():
         j, l = divmod(jl, k)

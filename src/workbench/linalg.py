@@ -28,12 +28,8 @@ def rref(rows, ncols: int, p: int | None = None):
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        if p is None:
-            inv = 1 / rows[r][c]
-            top = rows[r] = [x * inv for x in rows[r]]
-        else:
-            inv = pow(rows[r][c], -1, p)
-            top = rows[r] = [x * inv % p for x in rows[r]]
+        inv = 1 / rows[r][c] if p is None else pow(rows[r][c], -1, p)
+        top = rows[r] = [x * inv for x in rows[r]] if p is None else [x * inv % p for x in rows[r]]
         for i, row in enumerate(rows):
             f = row[c]
             if f and i != r:

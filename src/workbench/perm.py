@@ -10,8 +10,8 @@ x -> x·g of each generator g, and the rows x -> h·x (`left`) and x -> x^-1
 centralizer, C*(g), O_2) reads the rows of its root group.
 
 Both loops over the elements run at C speed.  Up to degree 256 the
-closure keys each element by its bytes, so p·g is one `bytes.translate`;
-a larger degree has no byte per point and keeps tuple keys and `mul`.
+closure (and `powers`) keys each element by its bytes, so p·g is one
+`bytes.translate`; a larger degree has no byte per point and keeps `mul`.
 The walk fills one slice per run of BFS nodes with the same depth and
 generator letter, from their parents one layer up.
 """
@@ -24,6 +24,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, repeat
 from math import lcm
 
 from .errors import CapExceeded, InvariantViolation, NotMember
@@ -66,6 +67,13 @@ def inverse(p: Perm) -> Perm:
 def conj(p: Perm, g: Perm) -> Perm:
     """p^g = g^-1 p g."""
     return mul(mul(inverse(g), p), g)
+
+
+def _stepping(degree: int, gens) -> tuple:
+    """(start, step, acts), step(p, act) = p·g: bytes.translate up to degree 256, else `mul`."""
+    if degree <= 256:
+        return bytes(range(degree)), bytes.translate, [bytes(g) + bytes(256 - degree) for g in gens]
+    return identity(degree), mul, list(gens)
 
 
 def perm_order(p: Perm) -> int:
@@ -211,11 +219,7 @@ class PermGroup:
         Up to degree 256 the keys are bytes and p·g is p.translate(g padded
         to 256 bytes); bytes sort as the tuples do, so the order is kept."""
         n = self.degree
-        if n <= 256:
-            start, step = bytes(range(n)), bytes.translate
-            acts = [bytes(g) + bytes(256 - n) for g in self.generators]
-        else:
-            start, step, acts = identity(n), mul, self.generators
+        start, step, acts = _stepping(n, self.generators)
         pos, found = {start: 0}, [start]
         prods, parent, letter = array("i"), array("i", [0]), array("i", [0])
         for b, p in enumerate(found):
@@ -300,6 +304,11 @@ class PermGroup:
         if self._parent:
             return self._from_root(self._parent.left(self._members[h]))
         return self.walk(self._tables[0], h)
+
+    def powers(self, x: int, n: int) -> list:
+        """Indices of x^0 .. x^(n-1), stepped as the closure steps p·g."""
+        start, step, (g,) = _stepping(self.degree, [self.elements[x]])
+        return [self.index[tuple(q)] for q in accumulate(repeat(g, n - 1), step, initial=start)]
 
     @cached_property
     def inv(self) -> list:

@@ -165,8 +165,9 @@ def test_class_matrices_match_brute_force(name):
     # structure constants mod p
     T = table(name)
     want = structure_constants(T.group, T.classes)
-    for i in range(T.k):
-        assert _class_matrix(T.group, i, T.prime) == \
+    inv_sizes = [pow(c.size(), -1, T.prime) for c in T.classes]
+    for i, c in enumerate(T.classes):
+        assert _class_matrix(T.group, c, inv_sizes, T.prime) == \
             [[a % T.prime for a in row] for row in want[i]], (name, i)
 
 
