@@ -2,9 +2,10 @@
 
 Class-algebra structure constants are diagonalized over GF(p) for a prime
 p = 1 mod exp(G) (least such prime above 4*sqrt|G|): eigenvalues are the
-roots of characteristic polynomials (Cantor–Zassenhaus), eigenspaces and
-coordinates come from `linalg`.  Orthogonality gives d^2 mod p for each
-degree d, and since p > 4*sqrt|G| + 1 exactly one d <= sqrt|G| fits.
+roots of characteristic polynomials (Cantor–Zassenhaus), a simple root's
+line is read off one Krylov basis per space, and `linalg` does the rest.
+Orthogonality gives d^2 mod p for each degree d, and since
+p > 4*sqrt|G| + 1 exactly one d <= sqrt|G| fits.
 Values are lifted exactly to Z[zeta_n] from eigenvalue multiplicities, as
 int power-basis tuples, for the report and the 2-modular reduction; the
 integer-valued invariants (FS indicators, complex conjugates,
@@ -358,7 +359,7 @@ def dixon_table(G: PermGroup) -> CharacterTable:
     order = G.order
     class_of = G.class_of
     id_class = class_of[G.identity_idx()]
-    inv_class = [class_of[G.inv[c.rep]] for c in classes]
+    inv_class = [class_of[G.inverse_idx(c.rep)] for c in classes]
     p = _dixon_prime(G.exponent(), order)
     inv_sizes = [pow(c.size(), -1, p) for c in classes]
 
@@ -381,21 +382,13 @@ def dixon_table(G: PermGroup) -> CharacterTable:
                 new_spaces.append(basis)
                 continue
             A = M if basis is unit else _restrict(M, basis, p)  # M in unit coordinates is M
-            f = _charpoly_modp(A, p)
             cols = list(zip(*basis))
-            split_dim = 0
-            for lam in _roots_modp(f, p):
-                B = [row[:] for row in A]
-                for r, row in enumerate(B):
-                    row[r] -= lam  # rref reduces mod p
-                vecs = [[sum(map(mul, coord, col)) % p for col in cols]
-                        for coord in linalg.nullspace(B, p)]
-                if vecs:
-                    new_spaces.append(vecs)
-                    split_dim += len(vecs)
+            split = [[[sum(map(mul, coord, col)) % p for col in cols] for coord in coords]
+                     for coords in _eigenspaces(A, p)]
             # the class algebra is semisimple mod p, so eigenspaces fill up
-            if split_dim != len(basis):
+            if sum(map(len, split)) != len(basis):
                 raise InvariantViolation("eigenspaces of a class matrix do not fill up")
+            new_spaces += split
         spaces = new_spaces
     if len(spaces) != k or any(len(b) != 1 for b in spaces):
         raise InvariantViolation("class matrices do not split into k lines")
@@ -479,6 +472,29 @@ def _class_matrix(G: PermGroup, c, inv_sizes: list, p: int) -> list:
         j, l = divmod(jl, k)
         M[j][l] = size * n * inv_sizes[l] % p
     return M
+
+
+def _eigenspaces(A, p) -> list:
+    """A basis of each eigenspace of A over GF(p), one per root lam of its
+    characteristic polynomial f.  For a simple root, g = f/(x - lam) gives
+    v = g(A)e with e = (1, ..., 1), a sum over the Krylov basis A^i e;
+    (A - lam)v = f(A)e = 0 by Cayley–Hamilton, and a simple root's
+    eigenspace is a line, so v spans it unless v = 0.  A repeated root, or
+    v = 0, takes the nullspace of A - lam."""
+    f, out = _charpoly_modp(A, p), []
+    krylov = [[1] * len(A)]
+    while len(krylov) < len(A):
+        krylov.append([sum(map(mul, row, krylov[-1])) % p for row in A])
+    for lam in _roots_modp(f, p):
+        g, acc, g_lam = [0] * (len(f) - 1), 0, 0
+        for i in range(len(g) - 1, -1, -1):  # synthetic division, and Horner for g(lam)
+            g[i] = acc = (f[i + 1] + lam * acc) % p
+            g_lam = (g_lam * lam + acc) % p
+        v = [sum(map(mul, g, comp)) % p for comp in zip(*krylov)] if g_lam else ()
+        # rref reduces A - lam mod p
+        out.append([v] if any(v) else linalg.nullspace(
+            [row[:r] + [row[r] - lam] + row[r + 1:] for r, row in enumerate(A)], p))
+    return out
 
 
 def _restrict(M, basis, p):

@@ -143,7 +143,7 @@ def cmd_blocks(args) -> int:
             D, E = b.couple.D, b.couple.E
             entry["defect_group_order"] = D.order
             entry["defect_group_dihedral"] = pgroup.is_dihedral_2group(D)
-            entry["defect_group_fingerprint"] = list(pgroup._abstract_fingerprint(D))
+            entry["defect_group_fingerprint"] = list(pgroup.group_fingerprint(D))
             entry["extended_index"] = E.order // D.order
             entry["etype"] = b.etype
         if b.real_defect_class_ids is not None:

@@ -25,12 +25,8 @@ def _gf(q: int):
 
         add = [[enc((i % 3) + (j % 3), (i // 3) + (j // 3)) for j in range(9)]
                for i in range(9)]
-        mul = [[0] * 9 for _ in range(9)]
-        for i in range(9):
-            for j in range(9):
-                a, b = i % 3, i // 3
-                c, d = j % 3, j // 3
-                mul[i][j] = enc(a * c - b * d, a * d + b * c)
+        ab = [(i % 3, i // 3) for i in range(9)]
+        mul = [[enc(a * c - b * d, a * d + b * c) for c, d in ab] for a, b in ab]
         return add, mul
     add = [[(i + j) % q for j in range(q)] for i in range(q)]
     mul = [[(i * j) % q for j in range(q)] for i in range(q)]
@@ -40,10 +36,7 @@ def _gf(q: int):
 def _mobius_perm(mat, q: int) -> tuple:
     """Permutation of P^1(GF(q)) = {0..q-1, infinity=q} induced by a 2x2 matrix."""
     add, mul = _gf(q)
-    inv = [0] * q
-    for i in range(1, q):
-        inv[i] = next(j for j in range(1, q) if mul[i][j] == 1)
-    neg = [next(j for j in range(q) if add[i][j] == 0) for i in range(q)]
+    inv = [0] + [mul[i].index(1) for i in range(1, q)]
     a, b, c, d = mat
     images = []
     for z in range(q):
@@ -58,43 +51,26 @@ def _mobius_perm(mat, q: int) -> tuple:
 
 
 def _primitive_element(q: int) -> int:
-    add, mul = _gf(q)
+    _add, mul = _gf(q)
     for x in range(2, q):
-        seen = {x}
-        y = x
-        while True:
-            y = mul[y][x]
-            if y in seen:
-                break
-            seen.add(y)
-        if len(seen) == q - 1:
+        y, n = x, 1
+        while y != 1:
+            y, n = mul[y][x], n + 1
+        if n == q - 1:  # x has order q - 1
             return x
     raise ValueError(f"no primitive element for q={q}")
 
 
-def _psl2(q: int) -> list:
+def _pl2(q: int, general: bool) -> list:
+    """PSL(2,q) on z -> z + 1, z -> -1/z, z -> nu^2 z; PGL(2,q) takes
+    z -> nu z (a non-square determinant) for the last, nu primitive."""
     if q not in _Q_ALLOWED:
-        raise ValueError(f"builtin PSL(2,q) supports odd q <= 11, got {q}")
+        name = "PGL" if general else "PSL"
+        raise ValueError(f"builtin {name}(2,q) supports odd q <= 11, got {q}")
     add, mul = _gf(q)
-    neg1 = next(j for j in range(q) if add[1][j] == 0)
-    t = _mobius_perm((1, 1, 0, 1), q)        # z -> z + 1
-    w = _mobius_perm((0, neg1, 1, 0), q)     # z -> -1/z
     nu = _primitive_element(q)
-    nu2 = mul[nu][nu]
-    dd = _mobius_perm((nu2, 0, 0, 1), q)     # z -> nu^2 z
-    return [t, w, dd]
-
-
-def _pgl2(q: int) -> list:
-    if q not in _Q_ALLOWED:
-        raise ValueError(f"builtin PGL(2,q) supports odd q <= 11, got {q}")
-    add, mul = _gf(q)
-    neg1 = next(j for j in range(q) if add[1][j] == 0)
-    t = _mobius_perm((1, 1, 0, 1), q)
-    w = _mobius_perm((0, neg1, 1, 0), q)
-    nu = _primitive_element(q)
-    d = _mobius_perm((nu, 0, 0, 1), q)       # z -> nu z  (non-square det)
-    return [t, w, d]
+    return [_mobius_perm((1, 1, 0, 1), q), _mobius_perm((0, add[1].index(0), 1, 0), q),
+            _mobius_perm((nu if general else mul[nu][nu], 0, 0, 1), q)]
 
 
 def _dihedral(n: int) -> list:
@@ -163,9 +139,9 @@ def _builtin_gens(name: str, cap: int | None) -> list:
     if name == "a7":
         return [parse_cycles("(1 2 3)"), parse_cycles("(3 4 5 6 7)", degree=7)]
     if name == "psl27":
-        return _psl2(7)
+        return _pl2(7, False)
     if name == "pgl27":
-        return _pgl2(7)
+        return _pl2(7, True)
     if name == "c2xs3":
         return [parse_cycles("(1 2)", degree=5),
                 parse_cycles("(3 4 5)"), parse_cycles("(3 4)", degree=5)]
@@ -174,10 +150,10 @@ def _builtin_gens(name: str, cap: int | None) -> list:
         return _cyclic(int(m.group(1)), cap)
     m = re.fullmatch(r"psl2q\((\d+)\)|psl2_?(\d+)", name)
     if m:
-        return _psl2(int(m.group(1) or m.group(2)))
+        return _pl2(int(m.group(1) or m.group(2)), False)
     m = re.fullmatch(r"pgl2q\((\d+)\)|pgl2_?(\d+)", name)
     if m:
-        return _pgl2(int(m.group(1) or m.group(2)))
+        return _pl2(int(m.group(1) or m.group(2)), True)
     raise ValueError(f"unknown builtin group: {name}")
 
 

@@ -285,6 +285,10 @@ class PermGroup:
     def identity_idx(self) -> int:
         return self.index[identity(self.degree)]
 
+    def inverse_idx(self, x: int) -> int:
+        """The index of element x's inverse."""
+        return self.index[inverse(self.elements[x])]
+
     # -- index rows -------------------------------------------------------
 
     def walk(self, actions, start: int) -> list:
@@ -335,14 +339,17 @@ class PermGroup:
         Classes are ordered by (element order, class size, min element
         index); the representative is the minimal element index.  The
         orbits are searched under x -> g^-1·x·g = L_{g^-1}[R_g[x]] for each
-        generator g.
+        generator g, with R_g the closure's row x -> x·g.  A subgroup cut
+        out by index has no closure, and reads R_g[x] = (g^-1·x^-1)^-1 off
+        `inv` and L_{g^-1}.
         """
         if self._classes is not None:
             return self._classes
-        inv, moves = self.inv, []
-        for g in self.generators:
-            L = self.left(inv[self.index[g]])  # L_{g^-1}; R_g[x] = inv[L[inv[x]]]
-            R = map(inv.__getitem__, map(L.__getitem__, inv))
+        moves = []
+        for k, g in enumerate(self.generators):
+            L = self.left(self.index[inverse(g)])  # L_{g^-1}
+            R = (map(self.inv.__getitem__, map(L.__getitem__, self.inv)) if self._parent
+                 else self._tables[0][k])
             moves.append(array("i", map(L.__getitem__, R)))
         seen = bytearray(self.order)
         classes, index_ints = [], sorted(self.index.values())  # no new int per member
@@ -359,7 +366,8 @@ class PermGroup:
             members = tuple(map(index_ints.__getitem__, sorted(orbit)))
             o = perm_order(self.elements[i])
             classes.append(ConjClass(rep=i, members=members, order=o,
-                                     is_real=inv[i] in members, is_2regular=o % 2 == 1))
+                                     is_real=self.inverse_idx(i) in members,
+                                     is_2regular=o % 2 == 1))
         classes.sort(key=lambda c: (c.order, c.size(), c.rep))
         self._classes = classes
         return classes
@@ -466,17 +474,6 @@ class PermGroup:
 
     def exponent(self) -> int:
         return lcm(*(c.order for c in self.conjugacy_classes()))
-
-    def center_order(self) -> int:
-        return sum(1 for c in self.conjugacy_classes() if c.size() == 1)
-
-    def derived_subgroup(self) -> "PermGroup":
-        """G', the normal closure of the generators' commutators: the
-        subgroup generated by their classes."""
-        classes = self.conjugacy_classes()
-        comms = {self.class_of[self.index[mul(mul(inverse(g), inverse(h)), mul(g, h))]]
-                 for g in self.generators for h in self.generators}
-        return self.subgroup([self.elements[m] for c in sorted(comms) for m in classes[c].members])
 
 
 def generate(gens, degree: int | None = None, cap: int | None = None) -> PermGroup:

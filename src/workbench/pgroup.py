@@ -12,16 +12,19 @@ elements are the normal forms (k, eps, i) of s^k t^eps e^i, multiplied as
 (x, i)(y, j) = (x alpha^i(y) u^(ij), i + j).  The right-regular action on
 these 2|D| forms makes E a permutation group, so all five isomorphism
 types (a)-(e) are concrete groups with distinguished coset representative e.
+Past the three generators, every product, class, centralizer and
+fingerprint of E is read off the regular permutations its closure holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
+from math import lcm
 
 from .errors import (BadDegree, BadIndex, InvariantViolation, NotDihedral,
                      TypeUnavailable, Unclassifiable)
-from .perm import PermGroup, check_cap, identity, mul, nu
+from .perm import PermGroup, check_cap, mul, nu
 
 EXT_TYPES = ("a", "b", "c", "d", "e")
 
@@ -105,8 +108,11 @@ def _consistent_squares(frame: DihedralFrame, alpha: tuple) -> list:
 class ExtensionFrame:
     """E = D<e> as a regular permutation group on the normal forms.
 
-    `points` lists the forms (k, eps, i), the identity first; `perm(h)` is
-    h's right-regular permutation and `form(g)` recovers h from it.
+    `points` lists the forms (k, eps, i), the identity first, so the points
+    below |D| are D.  Normal-form `mul` builds the right-regular permutations
+    of s, t and e; their closure `E` holds every other one, and `rows[x]`
+    is the one that sends the identity to x.  So g·h is the point
+    rows[h][g], and `perm(h)` is a lookup.
     """
 
     def __init__(self, frame: DihedralFrame, alpha: tuple, u: tuple, etype: str | None):
@@ -117,13 +123,14 @@ class ExtensionFrame:
         check_cap(2 * frame.order, frame.group.cap)
         self.points = [x + (i,) for i in (0, 1) for x in frame.forms]
         self._index = {p: n for n, p in enumerate(self.points)}
-        self.s, self.t, self.e = (self.perm(h) for h in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        self.s, self.t, self.e = (tuple(self._index[self.mul(p, h)] for p in self.points)
+                                  for h in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
         self.E = PermGroup([self.s, self.t, self.e], degree=len(self.points),
                            cap=frame.group.cap)
         if self.E.order != len(self.points):
             raise InvariantViolation("the crossed product D<e> is not of order 2|D|")
-        self.D_set = frozenset(g for g in self.E.elements if self.form(g)[2] == 0)
-        self._commuting = {}  # see commuting_points
+        self.rows = sorted(self.E.elements, key=lambda g: g[0])
+        self._gens = [g[0] for g in (self.s, self.t, self.e)]  # the points s, t, e
 
     def mul(self, p: tuple, q: tuple) -> tuple:
         x, i, y, j = p[:2], p[2], q[:2], q[2]
@@ -135,11 +142,17 @@ class ExtensionFrame:
         return xy + ((i + j) % 2,)
 
     def perm(self, h: tuple) -> tuple:
-        return tuple(self._index[self.mul(p, h)] for p in self.points)
+        """h's right-regular permutation of the points."""
+        return self.rows[self._index[h]]
 
-    def form(self, g: tuple) -> tuple:
-        """The normal form h of g = perm(h): g sends the identity to h."""
-        return self.points[g[0]]
+    def fingerprint(self) -> tuple:
+        """`regular_fingerprint` of E on its rows, with D the points below |D|."""
+        return regular_fingerprint(self.rows, self._gens, 0,
+                                   (range(len(self.rows) // 2), self._gens[:2]))
+
+    def conjugacy_class(self, x: int) -> set:
+        """The points conjugate to the point x in E."""
+        return _orbit([x], _conjugations(self.rows, self._gens, 0))
 
     # -- named subgroups of D ---------------------------------------------
 
@@ -175,19 +188,19 @@ class ExtensionFrame:
         top = _T if kind == "X" else (1, 1)  # t or st
         return [top] if i == 1 else [self.frame.s_i(i - 1), top]
 
-    def commuting_points(self, y: tuple) -> frozenset:
-        """The points of E that commute with y in D, for y in normal form
-        (k, eps); cached per y."""
-        if y not in self._commuting:
-            y3 = y + (0,)
-            self._commuting[y] = frozenset(
-                g for g in self.points if self.mul(g, y3) == self.mul(y3, g))
-        return self._commuting[y]
+    def centralizer(self, xs) -> list:
+        """The points g of E with g·x = x·g for every x in xs, each x in
+        normal form (k, eps, i)."""
+        C = list(range(len(self.rows)))
+        for px in map(self._index.__getitem__, xs):
+            rx = self.rows[px]
+            C = [g for g in C if rx[g] == self.rows[g][px]]
+        return C
 
     def centralizer_in_D(self, x: tuple) -> frozenset:
         """C_D(x) as normal forms (k, eps), for x in normal form (k, eps, i)."""
-        return frozenset(y for y in self.frame.forms
-                         if self.mul(y + (0,), x) == self.mul(x, y + (0,)))
+        half = len(self.rows) // 2
+        return frozenset(self.points[y][:2] for y in self.centralizer([x]) if y < half)
 
 
 def _subgroup_names(d: int) -> list:
@@ -230,10 +243,9 @@ def _check_type_relations(ext: ExtensionFrame, etype: str):
     e2 = s1 if etype in ("b", "d") else (0, 0, 0)
     ok = ext.mul(e, e) == e2 and all(ext.mul(g, e) == ext.mul(e, h) for g, h in conj.items())
     if etype in ("c", "d"):
-        order = ext.E.order
-        invol = len(ext.E.involution_indices())
+        order, invol, exponent = ext.fingerprint()[:3]
         if etype == "c":
-            ok = ok and ext.E.exponent() == order // 2 and invol == order // 2 + 2
+            ok = ok and exponent == order // 2 and invol == order // 2 + 2
         else:
             ok = ok and invol == order // 4 + 2
     if not ok:
@@ -244,17 +256,58 @@ def _check_type_relations(ext: ExtensionFrame, etype: str):
 # census and classification
 # ---------------------------------------------------------------------------
 
-def _abstract_fingerprint(G: PermGroup) -> tuple:
-    return (G.order, len(G.involution_indices()), G.exponent(),
-            G.center_order(), G.derived_subgroup().order)
+def _orbit(points, moves) -> set:
+    """The orbit of the set `points` under the maps in `moves`."""
+    seen, todo = set(points), list(points)
+    for x in todo:
+        for move in moves:
+            if (y := move(x)) not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
 
 
-def _relative_fingerprint(E: PermGroup, D_set, D_gens) -> tuple:
-    """Abstract fingerprint of E plus: does some involution in E - D centralize D?"""
-    ident = identity(E.degree)
-    central = any(x not in D_set and mul(x, x) == ident
-                  for x in E.centralizer(*D_gens).elements)
-    return _abstract_fingerprint(E) + (central,)
+def _conjugations(rows, gens, ident) -> list:
+    """The maps x -> g^-1·x·g = rows[g][rows[x][g^-1]], one per generator g."""
+    return [lambda x, rg=rows[g], g_inv=rows[g].index(ident): rg[rows[x][g_inv]] for g in gens]
+
+
+def regular_fingerprint(rows, gens, ident, D=None) -> tuple:
+    """(|G|, #{g^2 = 1}, exponent, |Z|, |G'|) of G = <gens> on its regular
+    rows: rows[h][g] is the element g·h, and `ident` is the identity.  The
+    left rows x -> h·x give the opposite group, which has the same
+    invariants.  G' is the normal closure of the generators' commutators,
+    the orbit of the identity under right multiplication by them and
+    conjugation by the generators.  With D = (members, generators) of a
+    subgroup, a last entry flags an involution in G - D centralizing D."""
+    n, square = len(rows), [row[g] for g, row in enumerate(rows)]  # g·g
+
+    def order(g):
+        x, k = g, 1
+        while x != ident:
+            x, k = rows[g][x], k + 1
+        return k
+
+    def centralizes(g, hs):
+        return all(rows[h][g] == rows[g][h] for h in hs)
+
+    conj = _conjugations(rows, gens, ident)
+    comms = {rows[by_h(g)][rows[g].index(ident)] for g in gens for by_h in conj}  # g^-1·g^h
+    derived = _orbit([ident], conj + [rows[c].__getitem__ for c in comms])
+    fp = (n, square.count(ident), lcm(*map(order, range(n))),
+          sum(1 for g in range(n) if centralizes(g, gens)), len(derived))
+    if D is None:
+        return fp
+    members, D_gens = D
+    return fp + (any(g not in members and square[g] == ident and centralizes(g, D_gens)
+                     for g in range(n)),)
+
+
+def group_fingerprint(G: PermGroup, D: PermGroup | None = None) -> tuple:
+    """`regular_fingerprint` of a concrete G, read off its left rows, and of D <= G."""
+    rel = None if D is None else ({G.idx(p) for p in D.elements}, list(map(G.idx, D.generators)))
+    return regular_fingerprint([G.left(h) for h in range(G.order)],
+                               list(map(G.idx, G.generators)), G.identity_idx(), rel)
 
 
 @lru_cache(maxsize=None)
@@ -262,8 +315,7 @@ def _reference_fingerprints(d: int) -> dict:
     frame = build_dihedral(d)
     out = {}
     for etype in _available_types(d):
-        ext = build_extension(frame, etype)
-        out[etype] = _relative_fingerprint(ext.E, ext.D_set, [ext.s, ext.t])
+        out[etype] = build_extension(frame, etype).fingerprint()
     return out
 
 
@@ -285,8 +337,7 @@ def census_degree2_extensions(frame: DihedralFrame) -> list:
     seen = {}
     for alpha in reps:
         for u in _consistent_squares(frame, alpha):
-            ext = ExtensionFrame(frame, alpha, u, None)
-            fp = _relative_fingerprint(ext.E, ext.D_set, [ext.s, ext.t])
+            fp = ExtensionFrame(frame, alpha, u, None).fingerprint()
             matches = [ty for ty, rfp in ref.items() if rfp == fp]
             if len(matches) != 1:
                 raise Unclassifiable(f"census fingerprint collision: {fp}")
@@ -317,7 +368,7 @@ def classify_extension(D: PermGroup, E: PermGroup) -> str:
         raise BadIndex(f"[E:D] = {E.order / D.order} not in (1, 2)")
     d = nu(D.order)
     ref = _reference_fingerprints(d)
-    fp = _relative_fingerprint(E, D.element_set(), D.generators)
+    fp = group_fingerprint(E, D)
     matches = [ty for ty, rfp in ref.items() if rfp == fp]
     if len(matches) != 1:
         raise Unclassifiable(f"fingerprint {fp} matched {matches}")
@@ -364,27 +415,25 @@ def eclass_table(ext: ExtensionFrame) -> list:
     reference row order; raises if the expected representatives
     fail to partition E - D into distinct classes.
     """
-    E = ext.E
-    classes = E.conjugacy_classes()
     named = {name: ext.named_subgroup(name) for name in ext.named_subgroup_names()}
-    rows = []
+    rows, half = ext.rows, len(ext.rows) // 2
+    out = []
     covered = set()
     for label, (k, teps), _inv_expected, _cname in expected_table1_rows(ext.frame.d, ext.etype):
-        x = (k, teps, 1)
-        members = classes[E.class_of[E.idx(ext.perm(x))]].members
-        cls = {ext.form(E.elements[j]) for j in members}
+        h = (k, teps, 1)
+        x = ext._index[h]
+        cls = ext.conjugacy_class(x)
         if covered & cls:
             raise Unclassifiable(f"row {label}: representative already covered")
         covered |= cls
-        is_inv = ext.mul(x, x) == (0, 0, 0)
-        cd = ext.centralizer_in_D(x)
+        cd = ext.centralizer_in_D(h)
         cname = next((n for n, elems in named.items() if elems == cd), None)
         if cname is None:
             raise Unclassifiable(f"row {label}: C_D(x) is not a named subgroup")
-        rows.append((label, is_inv, cname, len(cls)))
-    if covered != {p for p in ext.points if p[2]}:
+        out.append((label, rows[x][x] == 0, cname, len(cls)))
+    if covered != set(range(half, len(rows))):
         raise Unclassifiable("expected representatives do not cover E - D")
-    return rows
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +450,10 @@ def subpair_reality(ext: ExtensionFrame, Q) -> tuple:
     or with each element of a listed one.
     """
     ys = ext.named_generators(Q) if isinstance(Q, str) else Q
-    C = reduce(frozenset.intersection, map(ext.commuting_points, ys), frozenset(ext.points))
-    inter = sum(1 for g in C if not g[2])
-    real = ext.frame.order * len(C) // inter == len(ext.points)
-    strong = any(g[2] and ext.mul(g, g) == (0, 0, 0) for g in C)
+    rows, half = ext.rows, len(ext.rows) // 2
+    C = ext.centralizer([y + (0,) for y in ys])
+    real = ext.frame.order * len(C) // sum(1 for x in C if x < half) == len(rows)
+    strong = any(x >= half and rows[x][x] == 0 for x in C)
     return real, strong
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from itertools import permutations
 
@@ -158,10 +159,12 @@ def signed_sum_decompose(m: int, d: int) -> tuple:
 # dualities (conjugate-pair structures on the decomposition matrix)
 # ---------------------------------------------------------------------------
 
-def _admissible_dualities(type_id: str):
+@lru_cache(maxsize=None)
+def _admissible_dualities(type_id: str) -> tuple:
     """Pairs (tau, sigma) of involutive row/column permutations fixing the
     decomposition matrix; tau moves the nonreal height-0 pair, sigma the
-    nonreal Brauer-character pair."""
+    nonreal Brauer-character pair.  They depend on the shape only, so each
+    shape enumerates them once."""
     sh = _SHAPES[type_id]
     dec, fam = sh["dec"], sh["fam"]
     l = len(fam)
@@ -177,7 +180,7 @@ def _admissible_dualities(type_id: str):
             if all(dec[tau[i]][sigma[m]] == dec[i][m]
                    for i in range(4) for m in range(l)):
                 out.append((tau, sigma))
-    return out
+    return tuple(out)
 
 
 def _moved(perm) -> int:

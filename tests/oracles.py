@@ -16,7 +16,7 @@ from workbench.gf2 import (BitMatrix, Echelon, GF2Field, eval_poly, krylov_relat
 from workbench.meataxe import spin
 from workbench.modrep import (COMMUTANT_DIM_CAP, SPLIT_TRIES, EndAlgebra, GF2Module,
                               endomorphism_basis, hom_space)
-from workbench.perm import conj, mul
+from workbench.perm import conj, identity, inverse, mul
 
 
 def psl2_degree_multiset(q: int) -> list:
@@ -360,6 +360,26 @@ def all_elements_subpair_reality(ext, Q) -> tuple:
     real = ext.frame.order * len(C) // inter == len(ext.points)
     strong = any(g[2] and ext.mul(g, g) == (0, 0, 0) for g in C)
     return real, strong
+
+
+def abstract_fingerprint(G) -> tuple:
+    """(|G|, #{g^2 = 1}, exponent, |Z|, |G'|) from the engine's classes, with
+    G' the subgroup generated by the classes of the generators' commutators."""
+    classes = G.conjugacy_classes()
+    comms = {G.class_of[G.index[mul(mul(inverse(g), inverse(h)), mul(g, h))]]
+             for g in G.generators for h in G.generators}
+    derived = G.subgroup([G.elements[m] for c in sorted(comms) for m in classes[c].members])
+    return (G.order, len(G.involution_indices()), G.exponent(),
+            sum(1 for c in classes if c.size() == 1), derived.order)
+
+
+def relative_fingerprint(E, D_set, D_gens) -> tuple:
+    """The abstract fingerprint of E, plus: does some involution in E - D
+    centralize D?  Read off the engine's centralizer of D's generators."""
+    ident = identity(E.degree)
+    central = any(x not in D_set and mul(x, x) == ident
+                  for x in E.centralizer(*D_gens).elements)
+    return abstract_fingerprint(E) + (central,)
 
 
 def _order_by_powers(p) -> int:

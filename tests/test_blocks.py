@@ -2,14 +2,14 @@ from pathlib import Path
 
 import pytest
 
-from workbench import blocks
+from workbench import blocks, pgroup
 from workbench.chartab import dixon_table
 from workbench.errors import NotRealBlock
 from workbench.groups import builtin_group
 from workbench.perm import generate, nu, read_generator_file
 
-from oracles import (brute_force_block_partition, exact_block_idempotent,
-                     exact_central_characters, idempotent_square_check)
+from oracles import (abstract_fingerprint, brute_force_block_partition, exact_block_idempotent,
+                     exact_central_characters, idempotent_square_check, relative_fingerprint)
 from test_acceptance import BUILTINS
 
 GROUP_FILES = Path(__file__).resolve().parents[1] / "perfbench" / "groups"
@@ -181,6 +181,24 @@ def test_defect_couple_defect0_block():
     assert cpl.D.order == 1
     assert cpl.E.order == 2   # strongly real defect-0 block
     assert cpl.etype is None  # not dihedral, couple still returned
+
+
+@pytest.mark.parametrize("name", BUILTINS + ("pgl2_11",) + FIELD_FILES)
+def test_couple_fingerprints_match_engine_oracle(name):
+    # the fingerprints read off the left rows of every concrete couple
+    # (D, E) against the engine's classes and centralizers; the dihedral
+    # ones with E != D are S7's and s5xs3's, both of type (a)
+    if name.endswith(".txt"):
+        T = dixon_table(generate(read_generator_file(GROUP_FILES / name)))
+    else:
+        T = table(name)
+    for b in blocks.analyze_blocks(T):
+        if b.couple is None:
+            continue
+        D, E = b.couple.D, b.couple.E
+        assert pgroup.group_fingerprint(D) == abstract_fingerprint(D)
+        assert pgroup.group_fingerprint(E, D) == \
+            relative_fingerprint(E, D.element_set(), D.generators)
 
 
 @pytest.mark.parametrize("name", ["psl27", "s5", "a7", "pgl2_11", "c3xs4"])

@@ -4,9 +4,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from sympy import Matrix
 from sympy.combinatorics import Permutation
 
-from workbench.chartab import _class_matrix, dixon_table
+from workbench import linalg
+from workbench.chartab import _class_matrix, _eigenspaces, dixon_table
 from workbench.errors import CapExceeded
 from workbench.groups import builtin_group
 from workbench.perm import generate, read_generator_file
@@ -157,6 +159,39 @@ def test_structure_constants_brute_force(name):
                     total = total + row[i] * row[j] * row[l].galois(-1) * Fraction(1, d)
                 total = total * Fraction(sizes[i] * sizes[j], T.group.order)
                 assert total == want[i][j][l], (name, i, j, l)
+
+
+def _lines(spaces, p):
+    """Each basis vector scaled to a leading 1."""
+    return [[[x * pow(next(c for c in v if c), -1, p) % p for x in v] for v in vecs]
+            for vecs in spaces]
+
+
+@pytest.mark.parametrize("eigenvalues", [(2, 3, 5, 7), (2, 3, 5, 2)])
+def test_krylov_lines_fall_back_to_nullspace(monkeypatch, eigenvalues):
+    # A = P diag P^-1 over GF(13) with eigenvectors (1,1,0,0), (0,0,1,0),
+    # (1,0,0,0), (0,0,0,1); e = (1,1,1,1) has no component on the third,
+    # a simple eigenspace, so g(A)e = 0 there and the nullspace must fire
+    # (and once more for the repeated root of the second case)
+    p = 13
+    P = Matrix([[1, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+    A = (P * Matrix.diag(*eigenvalues) * P.inv_mod(p)).applyfunc(lambda x: x % p)
+    A = [[int(x) for x in A.row(r)] for r in range(4)]
+    calls = []
+    nullspace = linalg.nullspace
+
+    def counted(rows, q):
+        calls.append(rows)
+        return nullspace(rows, q)
+
+    monkeypatch.setattr(linalg, "nullspace", counted)
+    got = _eigenspaces(A, p)
+    assert len(calls) == (1 if len(set(eigenvalues)) == 4 else 2)
+    roots = sorted(set(eigenvalues))
+    want = [nullspace([[(x - lam * (r == c)) % p for c, x in enumerate(row)]
+                       for r, row in enumerate(A)], p) for lam in roots]
+    assert _lines(got, p) == _lines(want, p)
+    assert [len(vecs) for vecs in got] == [eigenvalues.count(lam) for lam in roots]
 
 
 @pytest.mark.parametrize("name", ["s4", "c2xs3", "psl27"])

@@ -304,6 +304,20 @@ def test_classes_and_centralizers_against_sympy(gens):
         cent = S.centralizer(Permutation(list(rep))).order()
         assert c.size() * cent == S.order()
         assert G.centralizer(rep).order == cent
+        assert c.is_real == (perm.inverse(rep) in {G.elements[m] for m in c.members})
+    # classes of subgroups cut out by index, which have no closure rows: the
+    # centralizer and C*(g) of an element g of the largest class
+    g = G.elements[G.conjugacy_classes()[-1].rep]
+    C = S.centralizer(Permutation(list(g)))
+    flip = next((x for x in G.elements if perm.conj(g, x) == perm.inverse(g)), None)
+    C_star = C if flip is None else PermutationGroup(C.generators + [Permutation(list(flip))])
+    for H, T in ((G.centralizer(g), C), (G.extended_centralizer(g), C_star)):
+        assert H._parent is not None or H is G
+        got = {frozenset(H.elements[m] for m in c.members) for c in H.conjugacy_classes()}
+        assert got == {frozenset(tuple(x.array_form) for x in cls) for cls in T.conjugacy_classes()}
+        for c in H.conjugacy_classes():
+            assert c.is_real == (perm.inverse(H.elements[c.rep]) in
+                                 {H.elements[m] for m in c.members})
 
 
 def _check_against_tuple_closure(G):

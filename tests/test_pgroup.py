@@ -5,9 +5,9 @@ import pytest
 from workbench import pgroup
 from workbench.errors import BadDegree, NotDihedral, TypeUnavailable
 from workbench.groups import builtin_group
-from workbench.perm import inverse, mul, perm_order
+from workbench.perm import PermGroup, inverse, mul, perm_order
 
-from oracles import all_elements_subpair_reality
+from oracles import abstract_fingerprint, all_elements_subpair_reality, relative_fingerprint
 
 _frames = {}
 _exts = {}
@@ -48,7 +48,9 @@ def test_build_extension_relations():
         for ty in pgroup._available_types(d):
             e = ext(d, ty)
             assert e.E.order == 2 ** (d + 1)
-            assert len(e.D_set) == 2 ** d
+            # rows[x] is the element sending the identity to x
+            assert sorted(e.rows) == e.E.elements
+            assert all(g[0] == x for x, g in enumerate(e.rows))
 
 
 def test_extension_c_is_d16_for_d3():
@@ -63,7 +65,8 @@ def test_extension_d_is_sd16_for_d3():
     assert len(E.involution_indices()) == 6  # 5 involutions + identity
     # matches the concrete SD16 builtin
     sd = builtin_group("sd16")
-    assert pgroup._abstract_fingerprint(E) == pgroup._abstract_fingerprint(sd)
+    assert ext(3, "d").fingerprint()[:5] == pgroup.group_fingerprint(sd) == \
+        abstract_fingerprint(sd)
 
 
 def test_extension_e_centralizer():
@@ -80,15 +83,15 @@ def test_normal_form_matches_engine():
         for ty in pgroup._available_types(d):
             e = ext(d, ty)
             perms = {h: e.perm(h) for h in e.points}
-            assert all(e.form(g) == h for h, g in perms.items())
+            assert all(e.points[g[0]] == h for h, g in perms.items())
             for p, gp in perms.items():
                 for q, gq in perms.items():
-                    assert e.form(mul(gp, gq)) == e.mul(p, q), (d, ty, p, q)
+                    assert e.points[mul(gp, gq)[0]] == e.mul(p, q), (d, ty, p, q)
             for name in e.named_subgroup_names():
                 gens = e.named_generators(name)
                 assert len(gens) <= 2
                 closure = e.E.subgroup([e.perm(y + (0,)) for y in gens])
-                assert {e.form(g)[:2] for g in closure.elements} == \
+                assert {e.points[g[0]][:2] for g in closure.elements} == \
                     e.named_subgroup(name), (d, ty, name)
 
 
@@ -107,8 +110,7 @@ def test_census_counts():
 
 def test_fingerprints_pairwise_distinct():
     for d in (3, 4, 5, 6, 7):
-        fps = [pgroup._relative_fingerprint(e.E, e.D_set, [e.s, e.t])
-               for e in (ext(d, ty) for ty in pgroup._available_types(d))]
+        fps = [ext(d, ty).fingerprint() for ty in pgroup._available_types(d)]
         assert len(set(fps)) == len(fps)
 
 
@@ -201,7 +203,7 @@ def test_real_condition_constant_on_conjugates():
     e = ext(4, "c")
     t_conj = mul(mul(inverse(e.s), e.t), e.s)
     assert pgroup.subpair_reality(e, [(0, 1)])[0] == \
-        pgroup.subpair_reality(e, [e.form(t_conj)[:2]])[0]
+        pgroup.subpair_reality(e, [e.points[t_conj[0]][:2]])[0]
 
 
 def test_named_subgroups_cover_all_subgroups_up_to_conjugacy():
@@ -220,7 +222,7 @@ def test_named_subgroups_cover_all_subgroups_up_to_conjugacy():
             conjugates = []
             for g in D.elements:
                 gi = inverse(g)
-                conjugates.append(frozenset(e.form(mul(mul(gi, x), g))[:2] for x in sub))
+                conjugates.append(frozenset(e.points[mul(mul(gi, x), g)[0]][:2] for x in sub))
             assert any(c in named for c in conjugates)
 
 
@@ -234,3 +236,83 @@ def test_count_real_columns():
     out = pgroup.count_real_columns(4, "c", "bb")
     assert out["nonreal"] == 2
     assert out["real"] == 2 ** (4 - 2) + 1
+
+
+def test_regular_fingerprint_matches_engine_oracle(monkeypatch):
+    # every extension the census builds: the fingerprint on E's rows, and
+    # on the left rows of E as a concrete group, against the engine's
+    # classes and centralizers
+    built = []
+    init = pgroup.ExtensionFrame.__init__
+
+    def kept_init(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(pgroup.ExtensionFrame, "__init__", kept_init)
+    for d in (3, 4, 5, 6):
+        pgroup.census_degree2_extensions(frame(d))
+    candidates = [e for e in built if e.etype is None]
+    assert len(candidates) == 26
+    for e in candidates:
+        d = e.frame.d
+        D_set = {g for g in e.E.elements if g[0] < 2 ** d}
+        want = relative_fingerprint(e.E, D_set, [e.s, e.t])
+        assert e.fingerprint() == want, (d, e.alpha, e.u)
+        assert pgroup.group_fingerprint(e.E, e.E.subgroup([e.s, e.t])) == want
+        assert pgroup.group_fingerprint(e.E) == abstract_fingerprint(e.E)
+
+
+def test_eclass_classes_match_engine_classes():
+    # each row's class, the orbit of its point under conjugation by s, t
+    # and e, is the engine's class of its permutation
+    for d in (3, 4, 5, 6):
+        for ty in pgroup._available_types(d):
+            e = ext(d, ty)
+            classes = e.E.conjugacy_classes()
+            sizes = [size for _label, _inv, _cname, size in pgroup.eclass_table(e)]
+            for (_label, (k, teps), _inv, _cname), size in zip(
+                    pgroup.expected_table1_rows(d, ty), sizes):
+                g = e.perm((k, teps, 1))
+                members = classes[e.E.class_of[e.E.idx(g)]].members
+                want = {e.E.elements[j][0] for j in members}
+                assert e.conjugacy_class(g[0]) == want, (d, ty, k, teps)
+                assert size == len(want)
+
+
+def test_table2_route_reads_products_off_rows(monkeypatch):
+    # the census, build_extension, eclass_table and reality_pattern read
+    # every product off E's rows: normal-form products only build the three
+    # generator rows (2|D| products each) and check the type relations (at
+    # most 6 products), and no group's conjugacy classes are built
+    frames, products, classes = [], [], []
+    init, nf_mul = pgroup.ExtensionFrame.__init__, pgroup.ExtensionFrame.mul
+    engine_classes = PermGroup.conjugacy_classes
+
+    def counted_init(self, *args):
+        frames.append(self)
+        init(self, *args)
+
+    def counted_mul(self, p, q):
+        products.append(1)
+        return nf_mul(self, p, q)
+
+    def counted_classes(self):
+        classes.append(self.order)
+        return engine_classes(self)
+
+    monkeypatch.setattr(pgroup.ExtensionFrame, "__init__", counted_init)
+    monkeypatch.setattr(pgroup.ExtensionFrame, "mul", counted_mul)
+    monkeypatch.setattr(PermGroup, "conjugacy_classes", counted_classes)
+    pgroup._reference_fingerprints.cache_clear()  # build the reference types too
+    for d in (3, 4, 5, 6):
+        f = pgroup.build_dihedral(d)
+        assert [ty for ty, _fp in pgroup.census_degree2_extensions(f)] == \
+            list(pgroup._available_types(d))
+        for ty in pgroup._available_types(d):
+            e = pgroup.build_extension(f, ty)
+            pgroup.eclass_table(e)
+            pgroup.reality_pattern(e)
+    assert frames
+    assert len(products) <= sum(3 * len(e.points) + 6 for e in frames)
+    assert classes == []
