@@ -176,14 +176,13 @@ def cmd_invmod(args) -> int:
         _emit(payload, args.json)
         return 0
     if cut.dim:
-        factors = modrep.meataxe_factors(cut, seed=args.seed)
+        factors, summands, grouped = modrep.decompose_cut(cut, seed=args.seed)
         payload["factors"] = [[dim, mult] for _c, dim, mult in factors]
-        summands = modrep.summand_split(cut, seed=args.seed)
-        grouped = modrep.group_summands(summands)
-        payload["summands"] = [[s.dim, mult] for s, mult in grouped]
-        if block.is_real and block.couple is not None:
-            payload["checks"] = modrep.dimension_valuation_check(
-                table, block, block.couple, summands)
+        if summands is not None:
+            payload["summands"] = [[s.dim, mult] for s, mult in grouped]
+            if block.is_real and block.couple is not None:
+                payload["checks"] = modrep.dimension_valuation_check(
+                    table, block, block.couple, summands)
     if args.dump_matrices:
         with open(args.dump_matrices, "w") as fh:
             fh.write(cut.export_text())

@@ -252,9 +252,6 @@ class BitMatrix:
             rows.append(v)
         return cls(rows, ncols)
 
-    def copy(self) -> "BitMatrix":
-        return BitMatrix(self.rows[:], self.ncols)
-
     def get(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
 

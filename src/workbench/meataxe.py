@@ -1,4 +1,4 @@
-"""Norton/Parker MeatAxe over GF(2) plus standard-basis isomorphism testing.
+"""Norton/Parker MeatAxe over GF(2) that knows the class of every factor.
 
 Modules are row-vector spaces: vectors act on the right by BitMatrix
 generators.  chop() returns the composition factors; the irreducibility
@@ -12,11 +12,27 @@ opportunistic spin before the next factor or theta.  A submodule is the
 `Echelon` that `spin` builds; its action is written in the echelon's
 reduced rows (`gf2.restrict`), the quotient's in the non-pivot
 coordinates.
+
+A simple module S keeps its certificate (Holt-Rees): the word theta in the
+generators, the factor p and a vector v of ker p(theta_S), with the
+standard basis that spins v to S.  A homomorphism S -> X sends v into
+ker p(theta_X) and is fixed by that image, so one linear solve on
+ker p(theta_X) gives Hom(S, X), and the sum of the images is a submodule
+S + ... + S of X (`_embedded_copies`).  chop() tests each module against
+every simple it knows before it draws any theta, splits those copies off
+and goes on with the quotient alone; the random search only runs on a
+module that no known simple embeds in, so a simple it certifies is a new
+class.  Each class is one `Constituent` object, and `group_constituents`
+only counts.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
+from functools import reduce
+from itertools import compress
+from operator import mul, xor
 
 from .errors import InvariantViolation
 from .gf2 import (BitMatrix, Echelon, eval_poly, krylov_relation, poly_lcm,
@@ -46,7 +62,11 @@ def sub_quotient(mats, dim, ech: Echelon):
     """(sub_mats, quot_mats) for a proper submodule."""
     sub = ech.reduced_basis()
     sub_mats = [restrict(sub, map(m.mul_vec, sub.vectors)) for m in mats]
-    # complement coordinates: non-pivot positions
+    return sub_mats, quotient(mats, dim, ech)
+
+
+def quotient(mats, dim, ech: Echelon) -> list:
+    """The action on the quotient by a submodule, in the non-pivot coordinates."""
     free = [c for c in range(dim) if not (ech.pivots >> c) & 1]
     pos = {c: n for n, c in enumerate(free)}
 
@@ -62,7 +82,7 @@ def sub_quotient(mats, dim, ech: Echelon):
     for m in mats:
         rows = [project(m.mul_vec(1 << c)) for c in free]
         quot.append(BitMatrix(rows, len(free)))
-    return sub_mats, quot
+    return quot
 
 
 def _matrix_minpoly(A: BitMatrix, rng) -> int:
@@ -77,79 +97,168 @@ def _matrix_minpoly(A: BitMatrix, rng) -> int:
     return m
 
 
-def _random_algebra_element(mats, rng) -> BitMatrix:
+def _random_word(ngens, rng) -> tuple:
+    """A random algebra element: 2 or 3 products of 1 or 2 generators, by
+    index, plus the identity (the empty product) half the time."""
+    terms = []
+    for _ in range(rng.randrange(2, 4)):
+        first = rng.randrange(ngens)
+        terms.append((first, *(rng.randrange(ngens) for _ in range(rng.randrange(0, 2)))))
+    if rng.randrange(2):
+        terms.append(())
+    return tuple(terms)
+
+
+def _evaluate(word, mats) -> BitMatrix:
+    """The matrix of a word of `_random_word` on the module with generators mats."""
     n = mats[0].nrows
     acc = BitMatrix.zero(n, n)
-    for _ in range(rng.randrange(2, 4)):
-        w = mats[rng.randrange(len(mats))]
-        for _ in range(rng.randrange(0, 2)):
-            w = w * mats[rng.randrange(len(mats))]
-        acc = acc + w
-    if rng.randrange(2):
-        acc = acc + BitMatrix.identity(n)
+    for term in word:
+        acc = acc + (reduce(mul, (mats[i] for i in term)) if term else BitMatrix.identity(n))
     return acc
 
 
 class Constituent:
-    """One irreducible composition factor: dim + action matrices."""
+    """One isomorphism class of composition factors: the action matrices of
+    its first copy, and the certificate that finds it again.
 
-    def __init__(self, mats):
+    The certificate is a word theta in the generators, an irreducible p and
+    a vector v != 0 with v p(theta) = 0.  v spins to the standard basis
+    b_0 = v, b_k = b_i g_j for (i, j) = steps[k - 1], and actions[j] is g_j
+    written in that basis."""
+
+    def __init__(self, mats, word, poly, v):
         self.mats = mats
-        self.dim = mats[0].nrows if mats else 0
+        self.dim = mats[0].nrows
+        self.word = word
+        self.poly = poly
+        ech = Echelon([v])
+        self.steps = []
+        i = 0
+        while i < len(ech):
+            for j, m in enumerate(mats):
+                if ech.add(m.mul_vec(ech.vectors[i])):
+                    self.steps.append((i, j))
+            i += 1
+        if len(ech) != self.dim:
+            raise InvariantViolation("a certified simple module is not spun by its vector")
+        self.actions = [restrict(ech, map(m.mul_vec, ech.vectors)) for m in mats]
 
-    def fingerprint(self) -> tuple:
-        n = self.dim
-        ident = BitMatrix.identity(n)
-        ranks = [(m + ident).rank() for m in self.mats]
-        extra = []
-        if len(self.mats) >= 2:
-            w = self.mats[0] * self.mats[1]
-            extra.append((w + ident).rank())
-            extra.append((w * self.mats[0] + ident).rank())
-        return (n, tuple(ranks), tuple(extra))
+
+def _scalar_constituent(mats) -> Constituent:
+    """A 1-dimensional module, certified by its own scalars: theta = g_0 and
+    p = x + s_0.  Generators of an algebra can act as 0, so it need not be
+    the trivial module."""
+    return Constituent(mats, ((0,),), 0b10 | mats[0].rows[0], 1)
 
 
-def chop(mats, dim, seed=0) -> list:
-    """Composition factors (with repetition) of the module (dim, mats)."""
+def _embedded_copies(S: Constituent, mats, dim):
+    """The sum of the images of all homomorphisms from S to the module X =
+    (mats, dim), an `Echelon` of dim r*dim(S); None when Hom(S, X) = 0.
+
+    A homomorphism sends S's vector v to some w in ker p(theta_X), and
+    sends the standard basis b_k to the vectors w spins to along S's steps.
+    Those images define a homomorphism iff they satisfy S's relations
+    b_i g_j = sum_k actions[j][i, k] b_k, which is linear in w: one solve
+    over a basis of ker p(theta_X) gives all of Hom(S, X)."""
+    if S.dim > dim:
+        return None
+    ker = eval_poly(_evaluate(S.word, mats), S.poly).kernel()
+    if not ker:
+        return None
+    created = set(S.steps)
+    residuals = []
+    for u in ker:
+        images = [u]
+        for i, j in S.steps:
+            images.append(mats[j].mul_vec(images[i]))
+        E = BitMatrix(images, dim)
+        res, width = 0, 0
+        for j, (m, A) in enumerate(zip(mats, S.actions)):
+            for i in range(S.dim):
+                if (i, j) not in created:
+                    res |= (m.mul_vec(images[i]) ^ E.mul_vec(A.rows[i])) << width
+                    width += dim
+        residuals.append(res)
+    homs = BitMatrix(residuals, width).kernel()
+    if not homs:
+        return None
+    images = [reduce(xor, compress(ker, (c >> t & 1 for t in range(len(ker)))), 0)
+              for c in homs]
+    copies = spin(images, mats)
+    if len(copies) % S.dim:
+        raise InvariantViolation("the images of a simple module are not a sum of copies")
+    return copies
+
+
+def chop(mats, dim, seed=0, known=None) -> list:
+    """Composition factors of the module (dim, mats), with repetition: one
+    `Constituent` object per isomorphism class, listed once per copy.
+
+    `known` holds the classes found in earlier modules with the same
+    generators, and the new ones are appended to it."""
     if dim == 0:
         return []
     if not mats:
         raise InvariantViolation("modules need at least one action matrix")
     rng = random.Random(seed)
     out = []
-    _chop_rec([m.copy() for m in mats], dim, rng, out)
+    _chop_rec(list(mats), dim, rng, [] if known is None else known, out)
     if sum(c.dim for c in out) != dim:
         raise InvariantViolation("composition factor dimensions do not add up")
     return out
 
 
-def _chop_rec(mats, dim, rng, out):
+def _chop_rec(mats, dim, rng, known, out):
+    mats, dim = _peel(mats, dim, known, out)
     if dim == 0:
         return
     # theta, p(theta) and their kernels live in the search's frame, so they
     # are freed before the recursion
-    sub = _proper_submodule(mats, dim, rng) if dim > 1 else None
-    if sub is None:
-        out.append(Constituent(mats))
+    found = _proper_submodule(mats, dim, rng) if dim > 1 else _scalar_constituent(mats)
+    if isinstance(found, Constituent):
+        known.append(found)
+        out.append(found)
         return
-    k = len(sub)
-    sub_mats, quot_mats = sub_quotient(mats, dim, sub)
-    del sub
-    _chop_rec(sub_mats, k, rng, out)
+    k = len(found)
+    sub_mats, quot_mats = sub_quotient(mats, dim, found)
+    del found, mats
+    _chop_rec(sub_mats, k, rng, known, out)
     del sub_mats
-    _chop_rec(quot_mats, dim - k, rng, out)
+    _chop_rec(quot_mats, dim - k, rng, known, out)
+
+
+def _peel(mats, dim, known, out):
+    """(mats, dim) of the quotient by every copy of a known simple at the
+    bottom of the module, those copies recorded in out.  A quotient can
+    hold any known simple again, so each split restarts the tests."""
+    n = 0
+    while n < len(known) and dim:
+        S = known[n]
+        copies = _embedded_copies(S, mats, dim)
+        if copies is None:
+            n += 1
+            continue
+        out += [S] * (len(copies) // S.dim)
+        mats = quotient(mats, dim, copies)
+        dim -= len(copies)
+        n = 0
+    return mats, dim
 
 
 def _proper_submodule(mats, dim, rng):
-    """A proper submodule (an `Echelon`), or None when Norton's test
-    certifies the module irreducible.
+    """A proper submodule (an `Echelon`), or the module's `Constituent` when
+    Norton's test certifies it irreducible.
 
     Zero and repeated generators are dropped first: they change no
     submodule, but a subquotient can carry dozens of them, and words drawn
-    among them would seldom reach the one generator that splits."""
-    mats = list({tuple(m.rows): m for m in mats if any(m.rows)}.values()) or mats[:1]
+    among them would seldom reach the one generator that splits.  The
+    certifying word is written back in the indices of all of mats."""
+    keep = list({tuple(m.rows): i for i, m in enumerate(mats) if any(m.rows)}.values()) or [0]
+    gens = [mats[i] for i in keep]
     for _try in range(MAX_THETA_TRIES):
-        theta = _random_algebra_element(mats, rng)
+        word = _random_word(len(gens), rng)
+        theta = _evaluate(word, gens)
         mp = _matrix_minpoly(theta, rng)
         for p in poly_primes(mp):  # ascending, so by degree
             degp = p.bit_length() - 1
@@ -159,7 +268,7 @@ def _proper_submodule(mats, dim, rng):
             ker = P.kernel()
             if not ker:
                 continue
-            s = spin([ker[0]], mats)
+            s = spin([ker[0]], gens)
             if len(s) < dim:
                 return s
             if len(ker) == degp:
@@ -167,85 +276,44 @@ def _proper_submodule(mats, dim, rng):
                 # was conclusive; Norton: dual side with the same p
                 Pt = P.transpose()
                 kert = Pt.kernel()
-                tmats = [m.transpose() for m in mats]
+                tmats = [m.transpose() for m in gens]
                 st = spin([kert[0]], tmats)
                 if len(st) < dim:
                     perp = BitMatrix(st.vectors, dim).transpose().kernel()
-                    sperp = spin(perp, mats)
+                    sperp = spin(perp, gens)
                     if not 0 < len(sperp) < dim:
                         raise InvariantViolation("Norton's dual split is not proper")
                     return sperp
-                return None
+                return _certified(mats, keep, rng, word, p, ker[0])
             # a larger kernel leaves ker[0]'s spin inconclusive; go on
     raise InvariantViolation(
         f"meataxe found no split or certificate in {MAX_THETA_TRIES} tries")
 
 
-# ---------------------------------------------------------------------------
-# isomorphism testing via standard bases
-# ---------------------------------------------------------------------------
+def _certified(mats, keep, rng, word, p, v) -> Constituent:
+    """The `Constituent` of a module Norton's test certified irreducible,
+    with its words written in the indices of all of mats.
 
-def _standard_rep(mats, w):
-    """Spin w with a fixed schedule; return the dependency shape and the
-    per-generator matrices in the canonical spin basis."""
-    ech = Echelon([w])
-    shape = []
-    i = 0
-    while i < len(ech):
-        for gi, m in enumerate(mats):
-            shape.append((i, gi, ech.add(m.mul_vec(ech.vectors[i]))))
-        i += 1
-    reps = [restrict(ech, map(m.mul_vec, ech.vectors)) for m in mats]
-    return tuple(shape), reps, len(ech)
-
-
-def isomorphic_irreducibles(c1: Constituent, c2: Constituent, seed=0) -> bool:
-    """Exact isomorphism test for two irreducible modules."""
-    if c1.dim != c2.dim or len(c1.mats) != len(c2.mats):
-        return False
-    if c1.dim == 0:
-        return True
-    if c1.fingerprint() != c2.fingerprint():
-        return False
-    rng = random.Random(seed)
+    Any v != 0 with v q(theta) = 0 is a certificate for `_embedded_copies`,
+    whose solve has dim ker q(theta_X) unknowns on a module X: the fewer
+    on S, the fewer on X.  So words are drawn until theta or theta + 1 has
+    a kernel of dim 1 on S; failing that, Norton's own word and p serve."""
+    gens = [mats[i] for i in keep]
+    best = (p.bit_length() - 1, word, p, v)  # Norton's kernel has dim deg p
     for _try in range(MAX_THETA_TRIES):
-        # same word evaluated in both modules
-        state = rng.getstate()
-        A1 = _random_algebra_element(c1.mats, rng)
-        rng.setstate(state)
-        A2 = _random_algebra_element(c2.mats, rng)
-        k1 = A1.kernel()
-        k2 = A2.kernel()
-        if len(k1) != len(k2):
-            return False
-        if not k1 or len(k1) > 8:
-            continue
-        shape1, reps1, n1 = _standard_rep(c1.mats, k1[0])
-        if n1 != c1.dim:
-            continue  # not actually irreducible-spanning from this vector
-        # try every nonzero kernel vector on the other side
-        for mask in range(1, 1 << len(k2)):
-            w2 = 0
-            for t in range(len(k2)):
-                if (mask >> t) & 1:
-                    w2 ^= k2[t]
-            shape2, reps2, n2 = _standard_rep(c2.mats, w2)
-            if n2 == c2.dim and shape1 == shape2 and reps1 == reps2:
-                return True
-        return False
-    raise InvariantViolation(
-        f"isomorphism test inconclusive after {MAX_THETA_TRIES} tries")
+        if best[0] == 1:
+            break
+        draw = _random_word(len(gens), rng)
+        theta = _evaluate(draw, gens)
+        for c in (0, 1):
+            ker = (theta + BitMatrix.identity(len(theta.rows)) if c else theta).kernel()
+            if 0 < len(ker) < best[0]:
+                best = (len(ker), draw, 0b10 | c, ker[0])
+    _nullity, word, p, v = best
+    return Constituent(mats, tuple(tuple(keep[i] for i in term) for term in word), p, v)
 
 
-def group_constituents(constituents, seed=0):
-    """Group a factor list into iso-classes: [(representative, multiplicity)]."""
-    classes = []
-    for c in constituents:
-        for entry in classes:
-            if isomorphic_irreducibles(entry[0], c, seed=seed):
-                entry[1] += 1
-                break
-        else:
-            classes.append([c, 1])
-    classes.sort(key=lambda e: e[0].dim)
-    return [(c, m) for c, m in classes]
+def group_constituents(constituents):
+    """[(class, multiplicity)] of a factor list from `chop`, which gives one
+    object per isomorphism class, in order of (dim, multiplicity)."""
+    return sorted(Counter(constituents).items(), key=lambda e: (e[0].dim, e[1]))

@@ -29,6 +29,9 @@ works from them:
   of fHf.  Otherwise random corner elements give idempotents of GF(2)[a]
   that split it.  dim fM is the rank of f on M.  fM and gM are isomorphic
   iff f lies in the span of fHg * gHf.
+* Composition factors.  A cut is split first, and the MeatAxe chops one
+  summand per isomorphism class, each factor counted once per copy
+  (`decompose_cut`).
 """
 
 from __future__ import annotations
@@ -244,15 +247,38 @@ class GFModule:
 # composition factors and summands
 # ---------------------------------------------------------------------------
 
-def meataxe_factors(module, seed=0):
-    """Iso-classes of composition factors: [(Constituent, dim, multiplicity)]."""
+def meataxe_factors(module, seed=0, summands=None):
+    """Iso-classes of composition factors: [(Constituent, dim, multiplicity)].
+
+    `summands` is the module's split up to isomorphism, [(Summand,
+    multiplicity)] from `group_summands`: one summand per class is chopped,
+    on the row space of its idempotent, built when its turn comes and
+    dropped after its chop, and its factors count once per copy.  Without
+    it the module is chopped whole.  All pieces share the simples found so
+    far (`chop`'s `known`), so a factor is known by its class."""
     if isinstance(module, GFModule):
         raise FieldTooSmall("MeatAxe implemented over GF(2) modules only")
     if module.dim > MEATAXE_DIM_CAP:
         raise CapExceeded(f"dim {module.dim} exceeds {MEATAXE_DIM_CAP}")
-    factors = chop(module.mats, module.dim, seed=seed)
-    grouped = group_constituents(factors, seed=seed)
-    return [(c, c.dim, mult) for c, mult in grouped]
+    known, factors = [], []
+    for s, mult in summands or [(None, 1)]:
+        mats, dim = (module.mats, module.dim) if s is None else (_summand_action(s), s.dim)
+        factors += chop(mats, dim, seed=seed, known=known) * mult
+        del mats
+    if sum(c.dim for c in factors) != module.dim:
+        raise InvariantViolation("the summands' factors do not add up to the module")
+    return [(c, c.dim, mult) for c, mult in group_constituents(factors)]
+
+
+def decompose_cut(cut: GF2Module, seed=0):
+    """(factors, summands, grouped) of a block cut: the summand split and
+    its grouping (None above SUMMAND_DIM_CAP) first, then the MeatAxe
+    factors chopped summand by summand (`meataxe_factors`)."""
+    summands = grouped = None
+    if cut.dim <= SUMMAND_DIM_CAP:
+        summands = summand_split(cut, seed=seed)
+        grouped = group_summands(summands)
+    return meataxe_factors(cut, seed=seed, summands=grouped), summands, grouped
 
 
 def _select(items, mask: int):
@@ -351,6 +377,16 @@ class Summand:
     dim: int
 
 
+def _summand_action(s: Summand) -> list:
+    """The generators' action on fM, written in the reduced row space of
+    f's matrix on the module its algebra acts on."""
+    H = s.algebra
+    ech = Echelon(H.matrix(s.idempotent).rows).reduced_basis()
+    if len(ech) != s.dim:
+        raise InvariantViolation("a summand's row space has the wrong dimension")
+    return [restrict(ech, map(m.mul_vec, ech.vectors), "summand") for m in H.module.mats]
+
+
 def summand_split(module: GF2Module, seed=0) -> list:
     """Indecomposable direct summands, as primitive idempotents of End(M).
 
@@ -401,17 +437,15 @@ def _corner_is_local(H: EndAlgebra, f: int, corner: Echelon, seed) -> bool:
     fHf is local iff its right-regular module has a single simple
     constituent S up to isomorphism, with dim S = dim End(S): then fHf/J is
     the field End(S).  The module is written in the corner's basis, with
-    right multiplication by each basis element as a generator; constituents
-    are compared by `hom_space`, which is nonzero between simple modules
-    only when they are isomorphic, so no random isomorphism test runs."""
+    right multiplication by each basis element as a generator; `chop` gives
+    one object per isomorphism class, and dim End(S) is `hom_space`'s."""
     m = len(corner)
     if m == 1:
         return True  # fHf = k*f
     mats = [restrict(corner, (H.mul(x, b) for x in corner.vectors), "corner")
             for b in corner.vectors]
     S, *others = chop(mats, m, seed=seed)
-    return S.dim == len(hom_space(S, S)) and all(
-        T.dim == S.dim and hom_space(S, T) for T in others)
+    return S.dim == len(hom_space(S, S)) and all(T is S for T in others)
 
 
 def _corner_draw(corner: Echelon, rng) -> int:

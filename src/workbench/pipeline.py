@@ -168,12 +168,10 @@ def _module_report(table, block, rep: BlockReport, omega, seed):
     rep.komega_dim = cut.dim
     if isinstance(cut, modrep.GFModule) or cut.dim == 0:
         return
-    factors = modrep.meataxe_factors(cut, seed=seed)
+    factors, summands, grouped = modrep.decompose_cut(cut, seed=seed)
     rep.meataxe = sorted((dim, mult) for _c, dim, mult in factors)
-    if cut.dim <= modrep.SUMMAND_DIM_CAP:
-        summands = modrep.summand_split(cut, seed=seed)
+    if summands is not None:
         rep.summand_dims = sorted(s.dim for s in summands)
-        grouped = modrep.group_summands(summands)
         rep.summand_multiplicities = sorted(m for _s, m in grouped)
         if block.is_real and block.couple is not None:
             val = modrep.dimension_valuation_check(table, block, block.couple,

@@ -7,10 +7,10 @@ from itertools import accumulate
 from math import gcd
 from operator import add
 
-from workbench import cyclotomic
+from workbench import cyclotomic, meataxe
 from workbench.blocks import omega_field
 from workbench.cyclotomic import _phi_degree, _power_table, power_coords, prime_divisors
-from workbench.errors import CapExceeded, NotTwoIntegral
+from workbench.errors import CapExceeded, InvariantViolation, NotTwoIntegral
 from workbench.gf2 import (BitMatrix, Echelon, GF2Field, eval_poly, krylov_relation,
                            multiplicative_order_of_2, poly_lcm, poly_mulmod, restrict)
 from workbench.meataxe import spin
@@ -738,3 +738,78 @@ def matrix_route_summands(module, seed=0) -> list:
         else:
             classes.append([i, 1])
     return sorted(((pieces[i].dim, m) for i, m in classes), key=lambda e: (e[0], -e[1]))
+
+
+ISOMORPHISM_TRIES = 60
+
+
+def constituent_fingerprint(c) -> tuple:
+    """Ranks that an isomorphism preserves: of g + 1 for each generator g,
+    and of w + 1, w*g_0 + 1 for w = g_0 g_1."""
+    ident = BitMatrix.identity(c.dim)
+    ranks = [(m + ident).rank() for m in c.mats]
+    extra = []
+    if len(c.mats) >= 2:
+        w = c.mats[0] * c.mats[1]
+        extra.append((w + ident).rank())
+        extra.append((w * c.mats[0] + ident).rank())
+    return (c.dim, tuple(ranks), tuple(extra))
+
+
+def standard_rep(mats, w):
+    """Spin w with a fixed schedule; return the dependency shape and the
+    per-generator matrices in the canonical spin basis."""
+    ech = Echelon([w])
+    shape = []
+    i = 0
+    while i < len(ech):
+        for gi, m in enumerate(mats):
+            shape.append((i, gi, ech.add(m.mul_vec(ech.vectors[i]))))
+        i += 1
+    reps = [restrict(ech, map(m.mul_vec, ech.vectors)) for m in mats]
+    return tuple(shape), reps, len(ech)
+
+
+def isomorphic_irreducibles(c1, c2, seed=0) -> bool:
+    """Isomorphism test for two irreducible modules by standard bases: the
+    same random word's kernel in both, each kernel vector of the second
+    spun and compared with the first's spin, up to ISOMORPHISM_TRIES words."""
+    if c1.dim != c2.dim or len(c1.mats) != len(c2.mats):
+        return False
+    if c1.dim == 0:
+        return True
+    if constituent_fingerprint(c1) != constituent_fingerprint(c2):
+        return False
+    rng = random.Random(seed)
+    for _try in range(ISOMORPHISM_TRIES):
+        # same word evaluated in both modules
+        state = rng.getstate()
+        A1 = _random_algebra_element(c1.mats, rng)
+        rng.setstate(state)
+        A2 = _random_algebra_element(c2.mats, rng)
+        k1 = A1.kernel()
+        k2 = A2.kernel()
+        if len(k1) != len(k2):
+            return False
+        if not k1 or len(k1) > 8:
+            continue
+        shape1, reps1, n1 = standard_rep(c1.mats, k1[0])
+        if n1 != c1.dim:
+            continue  # not actually irreducible-spanning from this vector
+        # try every nonzero kernel vector on the other side
+        for mask in range(1, 1 << len(k2)):
+            w2 = 0
+            for t in range(len(k2)):
+                if (mask >> t) & 1:
+                    w2 ^= k2[t]
+            shape2, reps2, n2 = standard_rep(c2.mats, w2)
+            if n2 == c2.dim and shape1 == shape2 and reps1 == reps2:
+                return True
+        return False
+    raise InvariantViolation(
+        f"isomorphism test inconclusive after {ISOMORPHISM_TRIES} tries")
+
+
+def _random_algebra_element(mats, rng) -> BitMatrix:
+    """A random word of the MeatAxe's kind, evaluated on mats."""
+    return meataxe._evaluate(meataxe._random_word(len(mats), rng), mats)

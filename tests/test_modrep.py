@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 from oracles import (conjugation_action_is_homomorphism, corner_action, dual_module,
-                     hom_space_endomorphisms, matrix_minpoly, matrix_route_summands,
-                     modules_isomorphic, summand_module)
+                     hom_space_endomorphisms, isomorphic_irreducibles, matrix_minpoly,
+                     matrix_route_summands, modules_isomorphic, summand_module)
 from test_acceptance import BUILTINS
 from workbench import blocks, meataxe, modrep
 from workbench.chartab import dixon_table
@@ -105,7 +105,6 @@ def test_meataxe_psl27_principal_cut():
     assert [(d, mult) for _c, d, mult in factors] == [(1, 2), (3, 2), (3, 2)]
     # the two 3-dimensional classes are genuinely non-isomorphic
     threes = [c for c, d, _m in factors if d == 3]
-    from workbench.meataxe import isomorphic_irreducibles
     assert not isomorphic_irreducibles(threes[0], threes[1])
 
 
@@ -443,25 +442,74 @@ def test_corner_minpoly_matches_matrix_powers(name):
     assert sub_pieces > 0
 
 
-@pytest.mark.parametrize("name", ["a7", "pgl2_11"])
+@pytest.mark.parametrize("name", ["psl27", "s5", "a7", "pgl2_11"])
 def test_module_layer_is_seed_invariant(name):
     for cut in _gf2_cuts(name):
         seen = set()
         for seed in range(6):
-            factors = sorted((d, k) for _c, d, k in modrep.meataxe_factors(cut, seed=seed))
-            summands = modrep.summand_split(cut, seed=seed)
-            mults = sorted(k for _s, k in modrep.group_summands(summands))
-            seen.add((tuple(factors), tuple(sorted(s.dim for s in summands)),
-                      tuple(mults)))
+            factors, summands, grouped = modrep.decompose_cut(cut, seed=seed)
+            seen.add((tuple(sorted((d, k) for _c, d, k in factors)),
+                      tuple(sorted(s.dim for s in summands)),
+                      tuple(sorted(k for _s, k in grouped))))
         assert len(seen) == 1, (name, cut.dim, seen)
+
+
+@pytest.mark.parametrize("name", sorted(set(BUILTINS) | set(LADDER)))
+def test_meataxe_classes_match_oracle_whole_and_by_summand(name):
+    # each rational cut at seeds 0-2, chopped whole and one summand per
+    # class: within a route, two classes of one dim are not isomorphic; across
+    # the routes, each class is isomorphic to exactly one class of the other,
+    # with the same multiplicity (the standard-basis oracle)
+    for cut in _gf2_cuts(name):
+        for seed in range(3):
+            whole = modrep.meataxe_factors(cut, seed=seed)
+            pieces = modrep.decompose_cut(cut, seed=seed)[0]
+            for route in (whole, pieces):
+                for n, (c1, d1, _k1) in enumerate(route):
+                    for c2, d2, _k2 in route[n + 1:]:
+                        assert d1 != d2 or not isomorphic_irreducibles(c1, c2), (name, seed)
+            for c1, d1, k1 in pieces:
+                twins = [k2 for c2, d2, k2 in whole
+                         if d2 == d1 and isomorphic_irreducibles(c1, c2)]
+                assert twins == [k1], (name, cut.dim, seed, d1)
+            assert len(whole) == len(pieces)
+
+
+@pytest.mark.parametrize("gens", [[[[1, 0], [0, 0]]], [[[1, 0], [0, 1]], [[1, 0], [0, 0]]]],
+                         ids=["diag", "identity-diag"])
+def test_one_dimensional_factors_are_told_apart_by_scalars(gens):
+    # k + k with a generator acting as diag(1, 0): two one-dimensional
+    # modules of an algebra, told apart by that generator's scalar
+    mats = [BitMatrix.from_lists(g) for g in gens]
+    grouped = meataxe.group_constituents(meataxe.chop(mats, 2))
+    assert [(c.dim, k) for c, k in grouped] == [(1, 1), (1, 1)]
+    assert sorted(c.mats[-1].rows[0] for c, _k in grouped) == [0, 1]
+
+
+def test_s7_principal_corners_at_seed_24():
+    # a corner certified local only because its 1-dim factors were all taken
+    # for the trivial module merged 70 + 1 into one summand at this seed
+    T = table("S7.txt")
+    cut = modrep.block_cut(T, principal_block(T), modrep.involution_perm_module(T.group))
+    summands = modrep.summand_split(cut, seed=24)
+    assert sorted(s.dim for s in summands) == [1, 1, 1, 1, 14, 14, 70, 70]
 
 
 def test_meataxe_retry_exhaustion_is_typed(monkeypatch):
     T = table("psl27")
     cut = modrep.block_cut(T, principal_block(T), modrep.involution_perm_module(T.group))
-    threes = [c for c, d, _k in modrep.meataxe_factors(cut) if d == 3]
+    factors = meataxe.chop(cut.mats, cut.dim)
     monkeypatch.setattr(meataxe, "MAX_THETA_TRIES", 0)
     with pytest.raises(InvariantViolation):
         meataxe.chop(cut.mats, cut.dim)
-    with pytest.raises(InvariantViolation):
-        meataxe.isomorphic_irreducibles(threes[0], threes[0])
+
+    # route guard: grouping only counts the classes chop found, with no
+    # random isomorphism search and so no budget to run out of
+    class NoRandom:
+        def __init__(self, *args):
+            raise AssertionError("group_constituents drew a random number")
+
+    monkeypatch.setattr(meataxe.random, "Random", NoRandom)
+    grouped = meataxe.group_constituents(factors)
+    assert [(c.dim, k) for c, k in grouped] == [(1, 2), (3, 2), (3, 2)]
+    assert sum(k for _c, k in grouped) == len(factors)
