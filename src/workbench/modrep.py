@@ -7,6 +7,12 @@ permutation module is spanned by its orbital matrices (the G-orbits on
 pairs of points, computed once per module), and the whole module layer
 works from them:
 
+* Orbitals.  The orbitals that start in a G-orbit X of points are the
+  orbits of the stabilizer of its least point i0, found by Schreier
+  transport: a BFS from i0 carries the labels of row i0 to every row of X,
+  and each non-tree edge of the BFS is one list compare of two transported
+  rows (`_stabilizer_orbits`).  The label rows, the orbital of each pair,
+  give the adjacency matrices and the structure constants.
 * Block projectors.  A class sum commutes with G, so it is constant on
   each orbital, and a central element acts as sum_O c_O A_O.  The
   coefficient c_O is the (i0, j0) entry for one representative pair of O:
@@ -16,8 +22,10 @@ works from them:
   non-rational e_B gives only the dimension of its cut (`GFModule`).
   `class_sum_matrix` stays as the independent oracle for the tests.
 * Block cuts are written in the projector rows that span them, each
-  reduced against the rows before it (`Echelon.reduced_basis`), and
-  `gf2.restrict` gives the action on that basis.
+  reduced against the rows before it (`Echelon.reduced_basis`).  A cut
+  keeps that basis and its permutation module, and `gf2.restrict` gives
+  its action matrices only when they are first read: the split and the
+  summands' factors never read them.
 * The endomorphism algebra H = End(M) has the orbital matrices O_a as its
   basis, and its structure constants are the intersection numbers of the
   coherent configuration mod 2 (`_orbital_products`), computed once per
@@ -27,8 +35,9 @@ works from them:
   idempotent f of H; it is indecomposable when its corner fHf is local,
   which is certified from the composition factors of the regular module
   of fHf.  Otherwise random corner elements give idempotents of GF(2)[a]
-  that split it.  dim fM is the rank of f on M.  fM and gM are isomorphic
-  iff f lies in the span of fHg * gHf.
+  that split it.  A final piece keeps the reduced row space of f on M:
+  its length is dim fM, and the summand's action is written in it.  fM
+  and gM are isomorphic iff f lies in the span of fHg * gHf.
 * Composition factors.  A cut is split first, and the MeatAxe chops one
   summand per isomorphism class, each factor counted once per copy
   (`decompose_cut`).
@@ -63,23 +72,36 @@ class GF2Module:
 
     Permutation modules keep the generators' actions on the points as
     position lists (`perms`).  A block cut keeps the orbital algebra of its
-    permutation module as `endo`.
-    """
+    permutation module as `endo`, and its basis and that module as `span`:
+    its matrices, and their check, wait for the first read of `mats`."""
 
-    def __init__(self, mats, dim, endo=None, perms=None):
-        self.mats = mats if mats else [BitMatrix.identity(dim)]
+    def __init__(self, mats, dim, endo=None, perms=None, span=None):
         self.dim = dim
         self.perms = perms
         self.endo = endo
+        self.span = span  # (Echelon basis, parent module) of a cut, or None
+        self._mats = None if span else self._checked(mats or [BitMatrix.identity(dim)])
         self._orbitals = None
+        self._labels = None  # see _orbitals
         self._products = None  # see _orbital_products
         self._class_parities = None  # see _orbital_coefficients
-        for m in self.mats:
-            if not m.nrows == m.ncols == dim:
+
+    @property
+    def mats(self) -> list:
+        if self._mats is None:
+            ech, parent = self.span
+            self._mats = self._checked(
+                [restrict(ech, map(m.mul_vec, ech.vectors), "cut") for m in parent.mats])
+        return self._mats
+
+    def _checked(self, mats) -> list:
+        for m in mats:
+            if not m.nrows == m.ncols == self.dim:
                 raise InvariantViolation(
-                    f"action matrix is {m.nrows}x{m.ncols}, module dim {dim}")
-            if m.rank() != dim:
+                    f"action matrix is {m.nrows}x{m.ncols}, module dim {self.dim}")
+            if m.rank() != self.dim:
                 raise InvariantViolation("action matrix not invertible")
+        return mats
 
     def export_text(self) -> str:
         parts = [f"# module dim={self.dim} generators={len(self.mats)}"]
@@ -127,34 +149,91 @@ def _orbitals(module: GF2Module) -> list:
     """G-orbits on pairs of points of a permutation module.
 
     [(i0, j0, adjacency BitMatrix)] with (i0, j0) the first pair of the
-    orbital in row-major order, so i0 is the least point of its G-orbit.
-    Computed once per module by a search on the position lists."""
+    orbital in row-major order, so i0 is the least point of its G-orbit X,
+    and the orbitals that start in X are the orbits of Stab(i0) on the
+    points, in the order of their least points (`_stabilizer_orbits`).
+    Label row i, kept as `module._labels[i]`, holds the index of the
+    orbital of (i, j) for each point j; the adjacency matrices are read off
+    it.  Computed once per module."""
     if module._orbitals is None:
-        n = module.dim
-        full = (1 << n) - 1
-        seen = [0] * n
-        out = []
+        n, perms = module.dim, module.perms
+        inverses = [[0] * n for _ in perms]
+        for p, q in zip(perms, inverses):
+            for x, y in enumerate(p):
+                q[y] = x
+        labels, adjacency, out = [None] * n, [], []
+        bits = [1 << j for j in range(n)]
         for i0 in range(n):
-            while seen[i0] != full:
-                free = ~seen[i0] & full
-                j0 = (free & -free).bit_length() - 1
-                rows = [0] * n
-                seen[i0] |= 1 << j0
-                rows[i0] = 1 << j0
-                frontier = [(i0, j0)]
-                while frontier:
-                    nxt = []
-                    for i, j in frontier:
-                        for p in module.perms:
-                            i2, bit = p[i], 1 << p[j]
-                            if not seen[i2] & bit:
-                                seen[i2] |= bit
-                                rows[i2] |= bit
-                                nxt.append((i2, p[j]))
-                    frontier = nxt
-                out.append((i0, j0, BitMatrix(rows, n)))
-        module._orbitals = out
+            if labels[i0] is not None:
+                continue
+            base = len(out)
+            first, orbit = _stabilizer_orbits(i0, perms, inverses, labels, base)
+            adjacency += [[0] * n for _ in first]
+            for i in orbit:
+                for a, bit in zip(labels[i], bits):
+                    adjacency[a][i] |= bit
+            out += [(i0, j0, BitMatrix(adjacency[base + a], n)) for a, j0 in enumerate(first)]
+        module._orbitals, module._labels = out, labels
     return module._orbitals
+
+
+def _stabilizer_orbits(i0, perms, inverses, labels, base) -> tuple:
+    """(first points, orbit): the orbits of Stab(i0) on the points, by
+    Schreier transport, with the label rows of i0's G-orbit filled in.
+
+    A BFS from i0 on the position lists gives, for each point i of the
+    orbit, the position list v_i of g_i^-1 for an element g_i with
+    i0^g_i = i (v_j = v_i o p^-1 along a tree edge i -p-> j), so that (i, j)
+    lies in the orbital of (i0, v_i[j]).  By Schreier's lemma the elements
+    g_i p g_j^-1 of the non-tree edges i -p-> j generate Stab(i0), so a
+    partition lab of the points is Stab(i0)-stable iff R_j o p = R_i on each
+    of them, with R_i = lab o v_i.  Starting from the points apart, a failing
+    edge merges each pair it tells apart (union-find); an edge that holds
+    keeps holding as lab grows coarser, so one pass over the edges ends at
+    the orbits.  The R rows are rebuilt lazily after a merge, and label row
+    i is lab o v_i with each class renumbered from `base` in the order of
+    its least point."""
+    n = len(labels)
+    v, orbit, edges = {i0: list(range(n))}, [i0], []
+    for i in orbit:
+        vi = v[i]
+        for p, q in zip(perms, inverses):
+            j = p[i]
+            if j in v:
+                edges.append((i, p, j))
+            else:
+                v[j] = list(map(vi.__getitem__, q))
+                orbit.append(j)
+    lab, parent, rows = list(range(n)), list(range(n)), {}
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
+    def row(i):
+        if i not in rows:
+            rows[i] = list(map(lab.__getitem__, v[i]))
+        return rows[i]
+
+    for i, p, j in edges:
+        ri, moved = row(i), list(map(row(j).__getitem__, p))
+        if moved != ri:
+            for a, b in zip(ri, moved):
+                a, b = find(a), find(b)
+                if a != b:
+                    parent[max(a, b)] = min(a, b)
+            lab = list(map(find, lab))
+            rows.clear()
+    index, first = {}, []
+    for y, c in enumerate(lab):
+        if c not in index:
+            index[c] = base + len(first)
+            first.append(y)
+    final = [index[c] for c in lab]
+    for i in orbit:
+        labels[i] = list(map(final.__getitem__, v.pop(i)))
+    return first, orbit
 
 
 def _orbital_matrices(module: GF2Module) -> list:
@@ -223,13 +302,11 @@ def block_cut(table: CharacterTable, block: BlockData, module: GF2Module):
                 f"orbit cut dim {orbit_dim} not divisible by orbit length {length}")
         return GFModule(GF2Field(block.field_f), orbit_dim // length)
     ech = Echelon(proj.rows).reduced_basis()
-    basis = ech.vectors
-    cut_mats = [restrict(ech, map(m.mul_vec, basis), "cut") for m in module.mats]
     # e is central in End(M), so End(eM) = e End(M): the orbital algebra
     # with e, read off the projector at each orbital's first pair, as unit
     unit = sum(proj.get(i0, j0) << a for a, (i0, j0, _O) in enumerate(_orbitals(module)))
-    return GF2Module(cut_mats, len(basis),
-                     endo=replace(endomorphism_basis(module), one=unit))
+    return GF2Module(None, len(ech), endo=replace(endomorphism_basis(module), one=unit),
+                     span=(ech, module))
 
 
 class GFModule:
@@ -324,30 +401,17 @@ def _orbital_products(module: GF2Module) -> list:
     The coefficient of O_c in O_a*O_b is its (i0_c, j0_c) entry, the number
     mod 2 of points k with (i0_c, k) in a and (k, j0_c) in b (the
     intersection numbers of the coherent configuration).  With the orbital
-    of every pair in the rows i0_c and j0_c, one pass over k per c gives all
-    of them: r*n steps, computed once per module."""
+    of every pair in the label rows i0_c and j0_c (`_orbitals`), one pass
+    over k per c gives all of them: r*n steps, computed once per module."""
     if module._products is None:
         orbitals = _orbitals(module)
+        labels = module._labels
         r = len(orbitals)
-        labels = {}
-
-        def row(i):  # the orbital of (i, k) for each point k
-            if i not in labels:
-                lab = [0] * module.dim
-                for a, (_i0, _j0, O) in enumerate(orbitals):
-                    v = O.rows[i]
-                    while v:
-                        low = v & -v
-                        lab[low.bit_length() - 1] = a
-                        v ^= low
-                labels[i] = lab
-            return labels[i]
-
         # (k, j) lies in the transpose of the orbital of (j, k)
-        paired = [row(j0)[i0] for i0, j0, _O in orbitals]
+        paired = [labels[j0][i0] for i0, j0, _O in orbitals]
         rows = [[0] * r for _ in range(r)]
         for c, (i0, j0, _O) in enumerate(orbitals):
-            for a, b in zip(row(i0), row(j0)):
+            for a, b in zip(labels[i0], labels[j0]):
                 rows[a][paired[b]] ^= 1 << c
         module._products = [BitMatrix(p, r) for p in rows]
     return module._products
@@ -371,20 +435,22 @@ def endomorphism_basis(module: GF2Module) -> EndAlgebra:
 @dataclass
 class Summand:
     """The direct summand fM of the module that `summand_split` split: f is a
-    primitive idempotent of its `EndAlgebra`, and dim = rank of f."""
+    primitive idempotent of its `EndAlgebra`, and `basis` is the reduced row
+    space of f's matrix on the module the algebra acts on."""
     algebra: EndAlgebra
     idempotent: int
-    dim: int
+    basis: Echelon
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
 
 
 def _summand_action(s: Summand) -> list:
-    """The generators' action on fM, written in the reduced row space of
-    f's matrix on the module its algebra acts on."""
-    H = s.algebra
-    ech = Echelon(H.matrix(s.idempotent).rows).reduced_basis()
-    if len(ech) != s.dim:
-        raise InvariantViolation("a summand's row space has the wrong dimension")
-    return [restrict(ech, map(m.mul_vec, ech.vectors), "summand") for m in H.module.mats]
+    """The generators' action on fM, written in the summand's basis."""
+    ech = s.basis
+    return [restrict(ech, map(m.mul_vec, ech.vectors), "summand")
+            for m in s.algebra.module.mats]
 
 
 def summand_split(module: GF2Module, seed=0) -> list:
@@ -424,8 +490,8 @@ def summand_split(module: GF2Module, seed=0) -> list:
                     f"a corner of dim {len(corner)} is not local, but "
                     f"{SPLIT_TRIES} draws found no idempotent")
         work += [k, f ^ k]
-    summands = sorted((Summand(H, f, H.matrix(f).rank()) for f in final),
-                      key=lambda s: s.dim)
+    summands = sorted((Summand(H, f, Echelon(H.matrix(f).rows).reduced_basis())
+                       for f in final), key=lambda s: s.dim)
     if sum(s.dim for s in summands) != module.dim:
         raise InvariantViolation("summands do not decompose the module")
     return summands

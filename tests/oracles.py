@@ -577,6 +577,36 @@ def conjugation_action_is_homomorphism(module, G, labels) -> bool:
         for i, g in enumerate(gens) for j, h in enumerate(gens))
 
 
+def pair_orbitals(module) -> list:
+    """G-orbits on pairs of points, by a search over the pairs themselves:
+    [(i0, j0, adjacency BitMatrix)] with (i0, j0) the first pair of each
+    orbital in row-major order, each pair reached once per generator."""
+    n = module.dim
+    full = (1 << n) - 1
+    seen = [0] * n
+    out = []
+    for i0 in range(n):
+        while seen[i0] != full:
+            free = ~seen[i0] & full
+            j0 = (free & -free).bit_length() - 1
+            rows = [0] * n
+            seen[i0] |= 1 << j0
+            rows[i0] = 1 << j0
+            frontier = [(i0, j0)]
+            while frontier:
+                nxt = []
+                for i, j in frontier:
+                    for p in module.perms:
+                        i2, bit = p[i], 1 << p[j]
+                        if not seen[i2] & bit:
+                            seen[i2] |= bit
+                            rows[i2] |= bit
+                            nxt.append((i2, p[j]))
+                frontier = nxt
+            out.append((i0, j0, BitMatrix(rows, n)))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the d x d matrix route of the summand split and of summand isomorphism
 # ---------------------------------------------------------------------------

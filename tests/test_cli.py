@@ -92,6 +92,24 @@ def test_invmod_command(capsys, tmp_path):
     assert dump.exists() and dump.read_text().startswith("# module dim=14")
 
 
+@pytest.mark.parametrize("group,block,digest", [
+    ("psl27", "principal", "5028cc8f221989e19565053859883381b8eb7c5fda2314f07b2febe0d26e2bfa"),
+    # the Frobenius group 7:3: its block 3 is GF(2)-rational and cuts k-Omega to 0
+    ("f21.txt", "3", "c03c794715e22ffbb0550db8afd8adacae040290e95ba7f221316731fe91c31f")],
+    ids=["psl27-principal", "f21-dim0"])
+def test_invmod_dump_is_pinned(capsys, tmp_path, group, block, digest):
+    # a cut builds its matrices only when they are read; the dump is the
+    # text the eagerly built cut wrote
+    if group.endswith(".txt"):
+        (tmp_path / group).write_text("(1 2 3 4 5 6 7)\n(2 3 5)(4 7 6)\n")
+        group = str(tmp_path / group)
+    dump = tmp_path / "cut.txt"
+    code, _out = run(capsys, ["invmod", "--group", group, "--block", block,
+                              "--json", "--dump-matrices", str(dump)])
+    assert code == 0
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == digest
+
+
 def test_invmod_dump_of_non_rational_cut(capsys, tmp_path):
     # psl2_9 block 1 is cut over GF(2^4): no GF(2) action matrices to write
     dump = tmp_path / "cut.txt"

@@ -4,12 +4,15 @@ from operator import xor
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import (conjugation_action_is_homomorphism, corner_action, dual_module,
                      hom_space_endomorphisms, isomorphic_irreducibles, matrix_minpoly,
-                     matrix_route_summands, modules_isomorphic, summand_module)
+                     matrix_route_summands, modules_isomorphic, pair_orbitals,
+                     summand_module)
 from test_acceptance import BUILTINS
-from workbench import blocks, meataxe, modrep
+from workbench import blocks, meataxe, modrep, pipeline
 from workbench.chartab import dixon_table
 from workbench.errors import FieldTooSmall, InvariantViolation, NotInO2
 from workbench.gf2 import BitMatrix, Echelon, GF2Field, restrict
@@ -372,6 +375,106 @@ def test_singular_action_matrix_raises():
     singular = BitMatrix.from_lists([[1, 1], [1, 1]])
     with pytest.raises(InvariantViolation):
         modrep.GF2Module([singular], 2)
+
+
+def test_cut_matrices_are_built_and_checked_on_first_use():
+    # a cut keeps its basis and parent; the action is restricted, and checked
+    # for invertibility, only when `mats` is first read
+    singular = BitMatrix.from_lists([[1, 1], [1, 1]])
+    parent = modrep.GF2Module([BitMatrix.identity(2)], 2)
+    parent._mats = [singular]  # a parent that no constructor would accept
+    cut = modrep.GF2Module(None, 2, span=(Echelon([1, 2]), parent))
+    assert type(cut) is modrep.GF2Module and cut.dim == 2
+    with pytest.raises(InvariantViolation):
+        cut.mats
+    T = table("psl27")
+    m = modrep.involution_perm_module(T.group)
+    cut = modrep.block_cut(T, principal_block(T), m)
+    assert cut._mats is None
+    ech, parent = cut.span
+    assert parent is m and len(ech) == cut.dim == 14
+    assert cut.mats == [restrict(ech, map(a.mul_vec, ech.vectors)) for a in m.mats]
+    assert cut.mats is cut.mats
+
+
+@pytest.mark.parametrize("name", ["psl27", "a7", "M11.txt"])
+def test_module_route_builds_no_cut_matrices(name, monkeypatch):
+    # analyze_group reads each summand's action off the basis its split kept:
+    # no cut restricts its parent's matrices, and each final summand's
+    # matrix H.matrix(f) is built (and eliminated) at most once
+    cut_restricts, matrices, runs = [], [], []
+
+    def counted_restrict(ech, images, what="subspace"):
+        if what == "cut":
+            cut_restricts.append(len(ech))
+        return restrict(ech, images, what)
+
+    def counted_matrix(H, x):
+        matrices.append(x)
+        return matrix(H, x)
+
+    def recorded_decompose(cut, seed=0):
+        matrices.clear()
+        out = decompose(cut, seed=seed)
+        runs.append((list(matrices), [s.idempotent for s in out[1]]))
+        return out
+
+    matrix, decompose = modrep.EndAlgebra.matrix, modrep.decompose_cut
+    monkeypatch.setattr(modrep, "restrict", counted_restrict)
+    monkeypatch.setattr(modrep.EndAlgebra, "matrix", counted_matrix)
+    monkeypatch.setattr(modrep, "decompose_cut", recorded_decompose)
+    G = table(name).group
+    report = pipeline.analyze_group(G, name=name)
+    assert report["cut_dims_sum_ok"] and report["mismatches"] == []
+    assert cut_restricts == []
+    assert runs
+    for built, final in runs:
+        assert sorted(built) == sorted(final), name
+
+
+def test_orbitals_match_pair_search_on_every_group():
+    for name in sorted(set(BUILTINS + LADDER)):
+        m = modrep.involution_perm_module(table(name).group)
+        _check_orbitals(m)
+
+
+def _check_orbitals(m):
+    got = [(i0, j0, O.rows) for i0, j0, O in modrep._orbitals(m)]
+    assert got == [(i0, j0, O.rows) for i0, j0, O in pair_orbitals(m)]
+    # label row i gives the orbital of each pair (i, j)
+    for a, (_i0, _j0, rows) in enumerate(got):
+        for i, row in enumerate(rows):
+            assert row == sum(1 << j for j, b in enumerate(m._labels[i]) if b == a)
+
+
+@st.composite
+def _small_groups(draw):
+    """Generators of a subgroup of S_a x S_b, a + b <= 8, kept below 600
+    elements: each generator permutes the first a points and the next b."""
+    a, b = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    halves = st.tuples(st.permutations(range(a)), st.permutations(range(a, a + b)))
+    return [tuple(p) + tuple(q) for p, q in draw(st.lists(halves, min_size=1, max_size=3))]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_small_groups(), st.lists(st.integers(0, 99), max_size=4))
+@example([(1, 0, 2, 4, 3)], [1, 2, 3])  # a single generator
+@example([(0, 1, 2, 3), (1, 2, 3, 0), (1, 0, 2, 3)], [1, 2, 3, 4])  # an identity generator
+@example([(0,)], [])  # the trivial group on one point
+def test_orbitals_match_pair_search_on_random_groups(gens, picks):
+    # the conjugation module on the identity, a one-point orbit, and up to
+    # four more classes, capped at 96 points
+    G = generate(gens)
+    classes = G.conjugacy_classes()
+    labels = {G.identity_idx()}
+    for k in picks:
+        members = classes[k % len(classes)].members
+        if len(labels | set(members)) <= 96:
+            labels |= set(members)
+    m = modrep.conjugation_module(G, labels)
+    assert any(i0 == j0 and O.rows[i0] == 1 << i0 and sum(O.rows) == 1 << i0
+               for i0, j0, O in modrep._orbitals(m))
+    _check_orbitals(m)
 
 
 def test_restrict_raises_off_a_stable_subspace():
