@@ -152,9 +152,10 @@ def _orbitals(module: GF2Module) -> list:
     orbital in row-major order, so i0 is the least point of its G-orbit X,
     and the orbitals that start in X are the orbits of Stab(i0) on the
     points, in the order of their least points (`_stabilizer_orbits`).
-    Label row i, kept as `module._labels[i]`, holds the index of the
-    orbital of (i, j) for each point j; the adjacency matrices are read off
-    it.  Computed once per module."""
+    Label row i holds the index of the orbital of (i, j) for each point j;
+    the adjacency matrices are read off the label rows, and the rows of the
+    first pairs' points stay in `module._labels` for `_orbital_products`.
+    Computed once per module."""
     if module._orbitals is None:
         n, perms = module.dim, module.perms
         inverses = [[0] * n for _ in perms]
@@ -173,7 +174,8 @@ def _orbitals(module: GF2Module) -> list:
                 for a, bit in zip(labels[i], bits):
                     adjacency[a][i] |= bit
             out += [(i0, j0, BitMatrix(adjacency[base + a], n)) for a, j0 in enumerate(first)]
-        module._orbitals, module._labels = out, labels
+        module._orbitals = out
+        module._labels = {i: labels[i] for pair in out for i in pair[:2]}
     return module._orbitals
 
 
@@ -190,21 +192,23 @@ def _stabilizer_orbits(i0, perms, inverses, labels, base) -> tuple:
     of them, with R_i = lab o v_i.  Starting from the points apart, a failing
     edge merges each pair it tells apart (union-find); an edge that holds
     keeps holding as lab grows coarser, so one pass over the edges ends at
-    the orbits.  The R rows are rebuilt lazily after a merge, and label row
-    i is lab o v_i with each class renumbered from `base` in the order of
-    its least point."""
+    the orbits.  lab[y] is the root of y, so R_i = v_i to begin with, and a
+    row left from before a merge is brought up to date by lab o R_i when an
+    edge next reads it.  Label row i is R_i with each class renumbered from
+    `base` in the order of its least point."""
     n = len(labels)
-    v, orbit, edges = {i0: list(range(n))}, [i0], []
+    rows, orbit, edges = {i0: list(range(n))}, [i0], []
     for i in orbit:
-        vi = v[i]
+        ri = rows[i]
         for p, q in zip(perms, inverses):
             j = p[i]
-            if j in v:
+            if j in rows:
                 edges.append((i, p, j))
             else:
-                v[j] = list(map(vi.__getitem__, q))
+                rows[j] = list(map(ri.__getitem__, q))
                 orbit.append(j)
-    lab, parent, rows = list(range(n)), list(range(n)), {}
+    lab, parent = list(range(n)), list(range(n))
+    merges, stamp = 0, dict.fromkeys(orbit, 0)  # the merges each row has seen
 
     def find(a):
         while parent[a] != a:
@@ -212,27 +216,28 @@ def _stabilizer_orbits(i0, perms, inverses, labels, base) -> tuple:
         return a
 
     def row(i):
-        if i not in rows:
-            rows[i] = list(map(lab.__getitem__, v[i]))
+        if stamp[i] != merges:
+            rows[i] = list(map(lab.__getitem__, rows[i]))
+            stamp[i] = merges
         return rows[i]
 
     for i, p, j in edges:
-        ri, moved = row(i), list(map(row(j).__getitem__, p))
+        moved, ri = list(map(row(j).__getitem__, p)), row(i)
         if moved != ri:
             for a, b in zip(ri, moved):
                 a, b = find(a), find(b)
                 if a != b:
                     parent[max(a, b)] = min(a, b)
             lab = list(map(find, lab))
-            rows.clear()
+            merges += 1
     index, first = {}, []
     for y, c in enumerate(lab):
         if c not in index:
             index[c] = base + len(first)
             first.append(y)
-    final = [index[c] for c in lab]
+    final = [index[c] for c in lab]  # final o R_i is label row i, stale R_i or not
     for i in orbit:
-        labels[i] = list(map(final.__getitem__, v.pop(i)))
+        labels[i] = list(map(final.__getitem__, rows.pop(i)))
     return first, orbit
 
 

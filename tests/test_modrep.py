@@ -441,10 +441,12 @@ def test_orbitals_match_pair_search_on_every_group():
 def _check_orbitals(m):
     got = [(i0, j0, O.rows) for i0, j0, O in modrep._orbitals(m)]
     assert got == [(i0, j0, O.rows) for i0, j0, O in pair_orbitals(m)]
-    # label row i gives the orbital of each pair (i, j)
+    # the label rows kept, those of the first pairs' points, give the
+    # orbital of each pair (i, j)
+    assert set(m._labels) == {i for i0, j0, _rows in got for i in (i0, j0)}
     for a, (_i0, _j0, rows) in enumerate(got):
-        for i, row in enumerate(rows):
-            assert row == sum(1 << j for j, b in enumerate(m._labels[i]) if b == a)
+        for i, labels in m._labels.items():
+            assert rows[i] == sum(1 << j for j, b in enumerate(labels) if b == a)
 
 
 @st.composite
