@@ -19,7 +19,7 @@ from .chartab import CharacterTable
 from .cyclotomic import reduce_mod2
 from .errors import InvariantViolation, NotRealBlock
 from .gf2 import multiplicative_order_of_2
-from .perm import PermGroup, conj, mul, nu
+from .perm import PermGroup, conj, nu
 from .pgroup import classify_extension, is_dihedral_2group
 
 
@@ -154,7 +154,7 @@ def _couple_from_element(table: CharacterTable, block: BlockData, c_idx: int) ->
     D = cent.sylow2()
     E = ext.sylow2(D)
     # E n C(c) is a 2-subgroup of C(c) containing the Sylow D, so it is D
-    if any(x not in D.index and mul(x, c) == mul(c, x) for x in E.elements):
+    if any(x not in D.index and x in cent.index for x in E.elements):
         raise InvariantViolation("E n C(c) is larger than D")
     if D.order != 1 << block.defect:
         raise InvariantViolation("|D| does not match the block's defect")

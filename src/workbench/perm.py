@@ -6,8 +6,11 @@ full element list (sorted, so element indices are deterministic) and all
 later layers work with element indices.  Products of elements go through
 integer index tables, not tuple products: the closure records the row
 x -> x·g of each generator g, and the rows x -> h·x (`left`) and x -> x^-1
-(`inv`) are walked down its BFS tree.  A subgroup cut out by index (a
-centralizer, C*(g), O_2) reads the rows of its root group.
+(`inv`) are walked down its BFS tree.  The class search builds the rows
+x -> g^-1·x·g, and a root group keeps them: a walk of them from c gives
+c^x for every x, so a centralizer, C*(c) and a Sylow ascent read them, as
+does the conjugation module on a set of elements.  A subgroup cut out by
+index (a centralizer, C*(g), O_2) reads the rows of its root group.
 
 Both loops over the elements run at C speed.  Up to degree 256 the
 closure (and `powers`) keys each element by its bytes, so p·g is one
@@ -24,8 +27,9 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, repeat
+from itertools import accumulate, compress, repeat
 from math import lcm
+from operator import itemgetter
 
 from .errors import CapExceeded, InvariantViolation, NotMember
 
@@ -212,6 +216,7 @@ class PermGroup:
         self.order = len(elements)
         self._members = range(self.order)  # root indices of the elements
         self._classes = None
+        self._conjugations = None  # see conjugation_rows
 
     def _close(self) -> tuple:
         """Breadth-first closure: (sorted elements, index).  Keeps for `_tables`
@@ -251,7 +256,8 @@ class PermGroup:
         """(rights, runs, place): rights[k] is the row x -> x·g_k.  The BFS
         tree is laid out in slots by (depth, letter): each run (lo, hi, k,
         ups) holds the slots lo..hi-1 of nodes x = parent(x)·g_k at one
-        depth, with ups their parents' slots; place[x] is element x's slot."""
+        depth, with ups their parents' slots, and the runs are in slot
+        order; place[x] is element x's slot."""
         rank, unrank, prods, parent, letter = self._closure  # rank: BFS position -> index
         del self._closure
         n, ng = self.order, len(self.generators)
@@ -268,7 +274,7 @@ class PermGroup:
             slots += layer
         slot = list(map(ints.__getitem__, sorted(range(n), key=slots.__getitem__)))
         ups = list(map(slot.__getitem__, map(parent.__getitem__, slots)))
-        runs = [(lo, hi, k, ups[lo:hi]) for lo, hi, k in spans]
+        runs = [(lo, hi, k, ups[lo:hi]) for lo, hi, k in sorted(spans)]
         return rights, runs, list(map(slot.__getitem__, unrank))
 
     # -- element helpers ------------------------------------------------
@@ -303,6 +309,17 @@ class PermGroup:
             row[lo:hi] = map(actions[k].__getitem__, map(row.__getitem__, ups))
         return list(map(row.__getitem__, place))
 
+    def _word(self, x: int) -> list:
+        """The letters k1, k2, ... of x = g_k1·g_k2·..., x's word in the BFS
+        tree: its slot climbs run by run to the identity's (`_tables`)."""
+        _rights, runs, place = self._tables
+        slot, word = place[x], []
+        while slot:
+            lo, _hi, k, ups = runs[bisect_right(runs, slot, key=itemgetter(0)) - 1]
+            word.append(k)
+            slot = ups[slot - lo]
+        return word[::-1]
+
     def left(self, h: int) -> list:
         """L_h, the row x -> index(h·x)."""
         if self._parent:
@@ -333,24 +350,40 @@ class PermGroup:
 
     # -- conjugacy classes ----------------------------------------------
 
+    def conjugation_rows(self) -> list:
+        """The rows x -> g^-1·x·g = L_{g^-1}[R_g[x]], one per generator g, as
+        array("i"), with R_g the closure's row x -> x·g.  A root group keeps
+        them for its classes, centralizers and conjugation modules.  A
+        subgroup cut out by index has no closure: it reads R_g[x] =
+        (g^-1·x^-1)^-1 off `inv` and L_{g^-1}, and builds them anew."""
+        if self._conjugations is not None:
+            return self._conjugations
+        rows = []
+        for k, g in enumerate(self.generators):
+            L = self.left(self.index[inverse(g)])  # L_{g^-1}
+            R = (map(self.inv.__getitem__, map(L.__getitem__, self.inv)) if self._parent
+                 else self._tables[0][k])
+            rows.append(array("i", map(L.__getitem__, R)))
+        if self._parent is None:
+            self._conjugations = rows
+        return rows
+
+    def _conjugates(self, r: int) -> list:
+        """row[x] = the root index of c^x for each root element x, with c the
+        root element r: one walk of the root's conjugation rows."""
+        root = self._parent or self
+        return root.walk(root.conjugation_rows(), r)
+
     def conjugacy_classes(self) -> list:
         """Partition of elements into conjugacy classes.
 
         Classes are ordered by (element order, class size, min element
         index); the representative is the minimal element index.  The
-        orbits are searched under x -> g^-1·x·g = L_{g^-1}[R_g[x]] for each
-        generator g, with R_g the closure's row x -> x·g.  A subgroup cut
-        out by index has no closure, and reads R_g[x] = (g^-1·x^-1)^-1 off
-        `inv` and L_{g^-1}.
+        orbits are searched under the generators' `conjugation_rows`.
         """
         if self._classes is not None:
             return self._classes
-        moves = []
-        for k, g in enumerate(self.generators):
-            L = self.left(self.index[inverse(g)])  # L_{g^-1}
-            R = (map(self.inv.__getitem__, map(L.__getitem__, self.inv)) if self._parent
-                 else self._tables[0][k])
-            moves.append(array("i", map(L.__getitem__, R)))
+        moves = self.conjugation_rows()
         seen = bytearray(self.order)
         classes, index_ints = [], sorted(self.index.values())  # no new int per member
         for i in range(self.order):
@@ -385,7 +418,7 @@ class PermGroup:
         """The order of each element, read off the root group's classes."""
         root = self._parent or self
         orders = [c.order for c in root.conjugacy_classes()]
-        return [orders[root.class_of[x]] for x in self._members]
+        return list(map(orders.__getitem__, map(root.class_of.__getitem__, self._members)))
 
     # -- subgroups -------------------------------------------------------
 
@@ -393,24 +426,23 @@ class PermGroup:
         return PermGroup(list(gen_perms), degree=self.degree, cap=self.cap)
 
     def centralizer(self, *members: Perm) -> "PermGroup":
-        """The elements that commute with every one of `members`: those x
-        with p·x = x·p, where x·p = inv[L_{p^-1}[inv[x]]]."""
+        """The elements x with p^x = p for every one of `members`, each read
+        off one walk of the root's conjugation rows (`_conjugates`)."""
         root, keep = self._parent or self, self._members
-        inv = root.inv
         for p in members:
             r = self._root_idx(p)
-            L, L_inv = root.left(r), root.left(inv[r])
-            keep = array("i", (x for x in keep if L[x] == inv[L_inv[inv[x]]]))
+            row = self._conjugates(r)
+            keep = array("i", compress(keep, map(r.__eq__, map(row.__getitem__, keep))))
         return root._sub(keep)
 
     def extended_centralizer(self, p: Perm) -> "PermGroup":
-        """C*(g) = N({g, g^-1}), the stabilizer of the pair {g, g^-1}: p^x is
-        p or p^-1 exactly when p·x is x·p or x·p^-1."""
+        """C*(g) = N({g, g^-1}), the stabilizer of the pair {g, g^-1}: the
+        elements x with p^x = p or p^-1, read off one walk (`_conjugates`)."""
         root, r = self._parent or self, self._root_idx(p)
-        inv = root.inv
-        L, L_inv = root.left(r), root.left(inv[r])
-        return root._sub(array("i", (x for x in self._members
-                                     if L[x] in (inv[L_inv[inv[x]]], inv[L[inv[x]]]))))
+        row, pair = self._conjugates(r), {r, root.inverse_idx(r)}
+        keep = self._members
+        return root._sub(array("i", compress(keep, map(pair.__contains__,
+                                                       map(row.__getitem__, keep)))))
 
     def _from_elements(self, elems) -> "PermGroup":
         root = self._parent or self
@@ -443,24 +475,43 @@ class PermGroup:
         2-element y outside P, in element order, with g^y in P for every
         generator g of P.  Such a y normalizes P, so P<y> is a 2-group; and
         a y exists while P is not Sylow, since P is then proper in N_S(P)
-        for a Sylow S containing P.  There is no canonical choice.
+        for a Sylow S containing P.  There is no canonical choice.  g^y is
+        g moved by the root's conjugation row of each letter of y's word
+        (`_word`), in root indices.
         """
+        root = self._parent or self
         target = 1 << nu(self.order)
         current = start if start is not None else self.subgroup([])
-        twos = [y for y, o in zip(self.elements, self._orders()) if o & (o - 1) == 0]
+        orders = self._orders()
+        two_powers = {o for o in set(orders) if o & (o - 1) == 0}
+        twos = list(compress(self._members, map(two_powers.__contains__, orders)))
+        moves, words = root.conjugation_rows(), {}  # words: y -> the rows of its letters
+
+        def normalizes(y, gens, inside) -> bool:
+            if y not in words:
+                words[y] = list(map(moves.__getitem__, root._word(y)))
+            for g in gens:
+                for move in words[y]:
+                    g = move[g]
+                if g not in inside:
+                    return False
+            return True
+
         while current.order < target:
-            grown = next((y for y in twos if y not in current.index and all(
-                conj(g, y) in current.index for g in current.generators)), None)
+            inside = set(map(root.idx, current.elements))
+            gens = list(map(root.idx, current.generators))
+            grown = next((y for y in twos if y not in inside and normalizes(y, gens, inside)),
+                         None)
             if grown is None:  # unreachable for finite groups
                 raise InvariantViolation("normalizer ascent stalled")
-            current = self.subgroup(current.generators + [grown])
+            current = self.subgroup(current.generators + [root.elements[grown]])
         if current.order != target:
             raise InvariantViolation("Sylow 2-subgroup search ended below the 2-part of |G|")
         return current
 
     def involution_indices(self) -> list:
         """Indices of elements with g^2 = 1, identity included."""
-        return [i for i, o in enumerate(self._orders()) if o <= 2]
+        return list(compress(range(self.order), map((2).__ge__, self._orders())))
 
     def o2_core(self) -> "PermGroup":
         """O_2(G): the union of the classes inside a Sylow 2-subgroup P.

@@ -13,7 +13,7 @@ from workbench.cyclotomic import _phi_degree, _power_table, power_coords, prime_
 from workbench.errors import CapExceeded, InvariantViolation, NotTwoIntegral
 from workbench.gf2 import (BitMatrix, Echelon, GF2Field, eval_poly, krylov_relation,
                            multiplicative_order_of_2, poly_lcm, poly_mulmod, restrict)
-from workbench.meataxe import spin
+from workbench.meataxe import chop, spin
 from workbench.modrep import (COMMUTANT_DIM_CAP, SPLIT_TRIES, EndAlgebra, GF2Module,
                               endomorphism_basis, hom_space)
 from workbench.perm import conj, identity, inverse, mul
@@ -611,6 +611,22 @@ def pair_orbitals(module) -> list:
 # the d x d matrix route of the summand split and of summand isomorphism
 # ---------------------------------------------------------------------------
 
+def chopped_corner_is_local(H, f: int, corner: Echelon, seed=0) -> bool:
+    """Certificate that fHf is local from the composition factors of its
+    right-regular module: fHf is local iff that module has a single simple
+    constituent S up to isomorphism, with dim S = dim End(S).  The module is
+    written in the corner's basis, with right multiplication by each basis
+    element as a generator; `chop` gives one object per isomorphism class,
+    and dim End(S) is `hom_space`'s."""
+    m = len(corner)
+    if m == 1:
+        return True  # fHf = k*f
+    mats = [restrict(corner, (H.mul(x, b) for x in corner.vectors), "corner")
+            for b in corner.vectors]
+    S, *others = chop(mats, m, seed=seed)
+    return S.dim == len(hom_space(S, S)) and all(T is S for T in others)
+
+
 def dual_module(module) -> GF2Module:
     """The contragredient module: g acts by rho(g^-1)^T."""
     return GF2Module([m.inverse().transpose() for m in module.mats], module.dim)
@@ -842,4 +858,26 @@ def isomorphic_irreducibles(c1, c2, seed=0) -> bool:
 
 def _random_algebra_element(mats, rng) -> BitMatrix:
     """A random word of the MeatAxe's kind, evaluated on mats."""
-    return meataxe._evaluate(meataxe._random_word(len(mats), rng), mats)
+    return word_matrix(meataxe._random_word(len(mats), rng), mats)
+
+
+def word_matrix(word, mats) -> BitMatrix:
+    """A word of `meataxe._random_word` on mats: the plain sum of its
+    products of generators, the empty product being the identity."""
+    n = mats[0].nrows
+    acc = BitMatrix.zero(n, n)
+    for term in word:
+        acc = acc + (reduce(lambda a, b: a * b, (mats[i] for i in term)) if term
+                     else BitMatrix.identity(n))
+    return acc
+
+
+def horner(A: BitMatrix, poly: int) -> BitMatrix:
+    """poly(A) by Horner from the zero matrix."""
+    n = A.nrows
+    out = BitMatrix.zero(n, n)
+    for i in range(poly.bit_length() - 1, -1, -1):
+        out = out * A
+        if (poly >> i) & 1:
+            out = out + BitMatrix.identity(n)
+    return out

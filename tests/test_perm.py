@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
-from workbench import perm
+from workbench import blocks, modrep, perm, pgroup
 from workbench.chartab import dixon_table
 from workbench.errors import CapExceeded, NotMember
 from workbench.groups import builtin_group
@@ -269,7 +269,15 @@ def test_index_tables_match_tuple_products(name):
         assert [G.inv[L_inv[G.inv[x]]] for x in range(G.order)] == R
         if G._parent is None:
             assert list(G._tables[0][k]) == R
+        # the class search's rows x -> g^-1·x·g, kept on a root group only
+        assert list(G.conjugation_rows()[k]) == [index[perm.conj(x, g)] for x in els]
+    assert (G._conjugations is G.conjugation_rows()) == (G._parent is None)
     assert list(G.inv) == [_inv_idx(G, x) for x in range(G.order)]
+    # a walk of the root's rows from c gives c^x for every element x of the root
+    root = G._parent or G
+    for c in sorted({0, G.order // 2, G.order - 1}):
+        r = root.idx(els[c])
+        assert G._conjugates(r) == [root.index[perm.conj(els[c], x)] for x in root.elements]
 
 
 def test_table_route_makes_no_tuple_products(monkeypatch):
@@ -281,14 +289,21 @@ def test_table_route_makes_no_tuple_products(monkeypatch):
         for mod in [m for n, m in sys.modules.items() if n.startswith("workbench")]:
             for name in [n for n, v in vars(mod).items() if v is fn]:  # under any name
                 monkeypatch.setattr(mod, name, counted)
+    # the reference census of each D_2^d is built once per process, and
+    # checks its normal forms against tuple products on purpose
+    pgroup._reference_fingerprints(3)
+    calls.clear()
     G = builtin_group("pgl2_11")  # degree 12: the closure keys elements by bytes
     assert calls == []
     reps = [G.elements[c.rep] for c in G.conjugacy_classes()]
     for p in reps:
         G.centralizer(p)
-        G.extended_centralizer(p).centralizer(p)
+        G.extended_centralizer(p).centralizer(p).sylow2()
     G.involution_indices()
-    dixon_table(G)
+    table = dixon_table(G)
+    assert modrep.involution_perm_module(G).dim == len(G.involution_indices())
+    couples = [b.couple for b in blocks.analyze_blocks(table) if b.couple]
+    assert any(c.etype for c in couples)  # a dihedral D is classified, so pgroup ran too
     assert calls == []
 
 
