@@ -430,18 +430,14 @@ def restrict(ech: Echelon, images, what: str = "subspace") -> BitMatrix:
 
 
 def eval_poly(A: BitMatrix, poly: int) -> BitMatrix:
-    """poly(A) by Horner, started at A for the leading term of a poly of
-    degree >= 1."""
+    """poly(A) by Horner."""
     n = A.nrows
     ident = BitMatrix.identity(n)
-    if poly < 2:
-        return ident if poly else BitMatrix.zero(n, n)
-    out = A
-    for i in range(poly.bit_length() - 2, -1, -1):
+    out = BitMatrix.zero(n, n)
+    for i in range(poly.bit_length() - 1, -1, -1):
+        out = out * A
         if (poly >> i) & 1:
             out = out + ident
-        if i:
-            out = out * A
     return out
 
 

@@ -11,9 +11,7 @@ meeting it contains it and one vector decides; a larger kernel gets one
 opportunistic spin before the next factor or theta.  A submodule is the
 `Echelon` that `spin` builds; its action is written in the echelon's
 reduced rows (`gf2.restrict`), the quotient's in the non-pivot
-coordinates.  theta is the XOR of its terms, and each product of two
-generators is built once per module, in a cache (`_Products`) that
-belongs to one chop frame and is freed before the frame recurses.
+coordinates.
 
 A simple module S keeps its certificate (Holt-Rees): the word theta in the
 generators, the factor p and a vector v of ker p(theta_S), with the
@@ -33,8 +31,8 @@ from __future__ import annotations
 import random
 from collections import Counter
 from functools import reduce
-from itertools import compress, repeat
-from operator import xor
+from itertools import compress
+from operator import mul, xor
 
 from .errors import InvariantViolation
 from .gf2 import (BitMatrix, Echelon, eval_poly, krylov_relation, poly_lcm,
@@ -111,30 +109,13 @@ def _random_word(ngens, rng) -> tuple:
     return tuple(terms)
 
 
-class _Products(dict):
-    """The products g_i·g_j of a module's generators, keyed (i, j), each
-    built on its first use: the cache of one chop frame, so each product
-    is built at most once per module."""
-
-    def __init__(self, mats):
-        super().__init__()
-        self.mats = mats
-
-    def __missing__(self, key):
-        i, j = key
-        product = self[key] = self.mats[i] * self.mats[j]
-        return product
-
-
-def _evaluate(word, products: _Products) -> BitMatrix:
-    """The matrix of a word of `_random_word`, written in the indices of
-    products.mats: the XOR of its terms, each the identity, a generator or
-    a cached product of two."""
-    mats = products.mats
+def _evaluate(word, mats) -> BitMatrix:
+    """The matrix of a word of `_random_word` on the module with generators mats."""
     n = mats[0].nrows
-    terms = [products[term] if len(term) == 2 else mats[term[0]] if term
-             else BitMatrix.identity(n) for term in word]
-    return BitMatrix(map(reduce, repeat(xor), zip(*(t.rows for t in terms))), n)
+    acc = BitMatrix.zero(n, n)
+    for term in word:
+        acc = acc + (reduce(mul, (mats[i] for i in term)) if term else BitMatrix.identity(n))
+    return acc
 
 
 class Constituent:
@@ -171,10 +152,9 @@ def _scalar_constituent(mats) -> Constituent:
     return Constituent(mats, ((0,),), 0b10 | mats[0].rows[0], 1)
 
 
-def _embedded_copies(S: Constituent, products: _Products, dim):
+def _embedded_copies(S: Constituent, mats, dim):
     """The sum of the images of all homomorphisms from S to the module X =
-    (products.mats, dim), an `Echelon` of dim r*dim(S); None when
-    Hom(S, X) = 0.
+    (mats, dim), an `Echelon` of dim r*dim(S); None when Hom(S, X) = 0.
 
     A homomorphism sends S's vector v to some w in ker p(theta_X), and
     sends the standard basis b_k to the vectors w spins to along S's steps.
@@ -183,8 +163,7 @@ def _embedded_copies(S: Constituent, products: _Products, dim):
     over a basis of ker p(theta_X) gives all of Hom(S, X)."""
     if S.dim > dim:
         return None
-    mats = products.mats
-    ker = eval_poly(_evaluate(S.word, products), S.poly).kernel()
+    ker = eval_poly(_evaluate(S.word, mats), S.poly).kernel()
     if not ker:
         return None
     created = set(S.steps)
@@ -231,14 +210,12 @@ def chop(mats, dim, seed=0, known=None) -> list:
 
 
 def _chop_rec(mats, dim, rng, known, out):
-    products, dim = _peel(_Products(mats), dim, known, out)
-    mats = products.mats
+    mats, dim = _peel(mats, dim, known, out)
     if dim == 0:
         return
-    # theta, p(theta) and their kernels live in the search's frame, and the
-    # cached products in this one, so all are freed before the recursion
-    found = _proper_submodule(products, dim, rng) if dim > 1 else _scalar_constituent(mats)
-    del products
+    # theta, p(theta) and their kernels live in the search's frame, so they
+    # are freed before the recursion
+    found = _proper_submodule(mats, dim, rng) if dim > 1 else _scalar_constituent(mats)
     if isinstance(found, Constituent):
         known.append(found)
         out.append(found)
@@ -251,45 +228,37 @@ def _chop_rec(mats, dim, rng, known, out):
     _chop_rec(quot_mats, dim - k, rng, known, out)
 
 
-def _peel(products: _Products, dim, known, out):
-    """(products, dim) of the quotient by every copy of a known simple at
-    the bottom of the module, those copies recorded in out; a quotient
-    starts a new cache.  A quotient can hold any known simple again, so
-    each split restarts the tests."""
+def _peel(mats, dim, known, out):
+    """(mats, dim) of the quotient by every copy of a known simple at the
+    bottom of the module, those copies recorded in out.  A quotient can
+    hold any known simple again, so each split restarts the tests."""
     n = 0
     while n < len(known) and dim:
         S = known[n]
-        copies = _embedded_copies(S, products, dim)
+        copies = _embedded_copies(S, mats, dim)
         if copies is None:
             n += 1
             continue
         out += [S] * (len(copies) // S.dim)
-        products = _Products(quotient(products.mats, dim, copies))
+        mats = quotient(mats, dim, copies)
         dim -= len(copies)
         n = 0
-    return products, dim
+    return mats, dim
 
 
-def _draw(keep, rng) -> tuple:
-    """A `_random_word` among the generators at the indices `keep`, written
-    in the indices of all of them."""
-    return tuple(tuple(keep[i] for i in term) for term in _random_word(len(keep), rng))
-
-
-def _proper_submodule(products: _Products, dim, rng):
+def _proper_submodule(mats, dim, rng):
     """A proper submodule (an `Echelon`), or the module's `Constituent` when
     Norton's test certifies it irreducible.
 
     Zero and repeated generators are dropped first: they change no
     submodule, but a subquotient can carry dozens of them, and words drawn
-    among them would seldom reach the one generator that splits.  Words
-    are written in the indices of all of mats, whose products are cached."""
-    mats = products.mats
+    among them would seldom reach the one generator that splits.  The
+    certifying word is written back in the indices of all of mats."""
     keep = list({tuple(m.rows): i for i, m in enumerate(mats) if any(m.rows)}.values()) or [0]
     gens = [mats[i] for i in keep]
     for _try in range(MAX_THETA_TRIES):
-        word = _draw(keep, rng)
-        theta = _evaluate(word, products)
+        word = _random_word(len(gens), rng)
+        theta = _evaluate(word, gens)
         mp = _matrix_minpoly(theta, rng)
         for p in poly_primes(mp):  # ascending, so by degree
             degp = p.bit_length() - 1
@@ -315,31 +284,33 @@ def _proper_submodule(products: _Products, dim, rng):
                     if not 0 < len(sperp) < dim:
                         raise InvariantViolation("Norton's dual split is not proper")
                     return sperp
-                return _certified(products, keep, rng, word, p, ker[0])
+                return _certified(mats, keep, rng, word, p, ker[0])
             # a larger kernel leaves ker[0]'s spin inconclusive; go on
     raise InvariantViolation(
         f"meataxe found no split or certificate in {MAX_THETA_TRIES} tries")
 
 
-def _certified(products: _Products, keep, rng, word, p, v) -> Constituent:
-    """The `Constituent` of a module Norton's test certified irreducible.
+def _certified(mats, keep, rng, word, p, v) -> Constituent:
+    """The `Constituent` of a module Norton's test certified irreducible,
+    with its words written in the indices of all of mats.
 
     Any v != 0 with v q(theta) = 0 is a certificate for `_embedded_copies`,
     whose solve has dim ker q(theta_X) unknowns on a module X: the fewer
     on S, the fewer on X.  So words are drawn until theta or theta + 1 has
     a kernel of dim 1 on S; failing that, Norton's own word and p serve."""
+    gens = [mats[i] for i in keep]
     best = (p.bit_length() - 1, word, p, v)  # Norton's kernel has dim deg p
     for _try in range(MAX_THETA_TRIES):
         if best[0] == 1:
             break
-        draw = _draw(keep, rng)
-        theta = _evaluate(draw, products)
+        draw = _random_word(len(gens), rng)
+        theta = _evaluate(draw, gens)
         for c in (0, 1):
             ker = (theta + BitMatrix.identity(len(theta.rows)) if c else theta).kernel()
             if 0 < len(ker) < best[0]:
                 best = (len(ker), draw, 0b10 | c, ker[0])
     _nullity, word, p, v = best
-    return Constituent(products.mats, word, p, v)
+    return Constituent(mats, tuple(tuple(keep[i] for i in term) for term in word), p, v)
 
 
 def group_constituents(constituents):

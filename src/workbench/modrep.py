@@ -67,11 +67,16 @@ MEATAXE_DIM_CAP = 512
 SUMMAND_DIM_CAP = 256
 COMMUTANT_DIM_CAP = 48
 SPLIT_TRIES = 60  # corner draws per piece, the first before the locality certificate
-# Corner dims up to which locality is certified by the unit walk.  A local
-# corner costs the walk 2^m rank tests: on k[x]/(x^m) that is 0.73 ms at
-# m = 7 and 1.6 ms at m = 8, against 0.7 and 0.9 ms for the chop of its
-# regular module (2-vCPU Xeon VM, Python 3.11); a non-local corner usually
-# stops far sooner.
+# Corner dims up to which locality is certified by the unit walk; above it
+# the regular module of fHf is chopped.  Timed per corner (min of 5 runs,
+# 2-vCPU Xeon VM, Python 3.11) on every corner summand_split certifies in
+# analyze_group on the seven benchmark ladder groups, seeds 0-29: each
+# corner of dim 5 to 14 there is non-local, and the walk beats the chop at
+# each dim up to 11 (dim 5: 0.35 against 0.86 ms, dim 8: 0.60 against
+# 1.25 ms, dim 12: 4.4 against 2.6 ms).  A local corner costs the walk all
+# 2^m rank tests: on k[x]/(x^m) it passes the chop at m = 7 (1.6 against
+# 1.4 ms; m = 8: 3.4 against 1.8 ms; m = 9: 7.1 against 2.4 ms).  So the
+# cap is the largest m at which a local corner costs at most twice the chop.
 CORNER_WALK_CAP = 8
 
 
@@ -529,8 +534,14 @@ def _corner_is_local(H: EndAlgebra, f: int, corner: Echelon) -> bool:
                 for b in corner.vectors]
         S, *others = chop(mats, m)
         return S.dim == len(hom_space(S, S)) and all(T is S for T in others)
-    lefts = [restrict(corner, (H.mul(b, x) for x in corner.vectors), "corner").rows
-             for b in corner.vectors]
+    return _walk_is_local([restrict(corner, (H.mul(b, x) for x in corner.vectors), "corner").rows
+                           for b in corner.vectors])
+
+
+def _walk_is_local(lefts) -> bool:
+    """The unit walk of `_corner_is_local` over an algebra of dim m, given
+    by the rows of left multiplication by each of its m basis elements."""
+    m = len(lefts)
     nonunits, count, a, rows = Echelon(), 1, 0, [0] * m  # count: non-units walked, 0 too
     for step in range(1, 1 << m):
         t = (step & -step).bit_length() - 1

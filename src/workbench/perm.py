@@ -418,7 +418,7 @@ class PermGroup:
         """The order of each element, read off the root group's classes."""
         root = self._parent or self
         orders = [c.order for c in root.conjugacy_classes()]
-        return list(map(orders.__getitem__, map(root.class_of.__getitem__, self._members)))
+        return [orders[root.class_of[x]] for x in self._members]
 
     # -- subgroups -------------------------------------------------------
 
@@ -511,7 +511,7 @@ class PermGroup:
 
     def involution_indices(self) -> list:
         """Indices of elements with g^2 = 1, identity included."""
-        return list(compress(range(self.order), map((2).__ge__, self._orders())))
+        return [i for i, o in enumerate(self._orders()) if o <= 2]
 
     def o2_core(self) -> "PermGroup":
         """O_2(G): the union of the classes inside a Sylow 2-subgroup P.

@@ -858,26 +858,4 @@ def isomorphic_irreducibles(c1, c2, seed=0) -> bool:
 
 def _random_algebra_element(mats, rng) -> BitMatrix:
     """A random word of the MeatAxe's kind, evaluated on mats."""
-    return word_matrix(meataxe._random_word(len(mats), rng), mats)
-
-
-def word_matrix(word, mats) -> BitMatrix:
-    """A word of `meataxe._random_word` on mats: the plain sum of its
-    products of generators, the empty product being the identity."""
-    n = mats[0].nrows
-    acc = BitMatrix.zero(n, n)
-    for term in word:
-        acc = acc + (reduce(lambda a, b: a * b, (mats[i] for i in term)) if term
-                     else BitMatrix.identity(n))
-    return acc
-
-
-def horner(A: BitMatrix, poly: int) -> BitMatrix:
-    """poly(A) by Horner from the zero matrix."""
-    n = A.nrows
-    out = BitMatrix.zero(n, n)
-    for i in range(poly.bit_length() - 1, -1, -1):
-        out = out * A
-        if (poly >> i) & 1:
-            out = out + BitMatrix.identity(n)
-    return out
+    return meataxe._evaluate(meataxe._random_word(len(mats), rng), mats)

@@ -8,8 +8,6 @@ from sympy.polys.matrices import DomainMatrix
 from workbench import gf2
 from workbench.gf2 import BitMatrix, GF2Field, Echelon
 
-from oracles import horner
-
 
 def _factor_int(n):
     out = {}
@@ -226,15 +224,3 @@ def test_multiplicative_order_of_2():
     assert gf2.multiplicative_order_of_2(7) == 3
     assert gf2.multiplicative_order_of_2(21) == 6
     assert gf2.multiplicative_order_of_2(1) == 1
-
-
-def test_eval_poly_matches_reference_horner():
-    # Horner started at A against Horner from the zero matrix: 0, 1, x and
-    # x + 1, and three random polys of each degree up to 8
-    rng = random.Random(5)
-    polys = [0, 1, 0b10, 0b11] + [rng.getrandbits(d) | 1 << d
-                                  for d in range(1, 9) for _ in range(3)]
-    for n in (1, 3, 8):
-        A = BitMatrix([rng.getrandbits(n) for _ in range(n)], n)
-        for p in polys:
-            assert gf2.eval_poly(A, p) == horner(A, p), (n, p)

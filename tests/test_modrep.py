@@ -1,5 +1,4 @@
 import random
-import weakref
 from functools import reduce
 from operator import xor
 from pathlib import Path
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import (chopped_corner_is_local, conjugation_action_is_homomorphism,
                      corner_action, dual_module, hom_space_endomorphisms,
                      isomorphic_irreducibles, matrix_minpoly, matrix_route_summands,
-                     modules_isomorphic, pair_orbitals, summand_module, word_matrix)
+                     modules_isomorphic, pair_orbitals, summand_module)
 from test_acceptance import BUILTINS
 from workbench import blocks, meataxe, modrep, pipeline
 from workbench.chartab import dixon_table
@@ -142,22 +141,29 @@ def test_summand_split_psl27():
     assert mults == [1, 1, 2]  # exactly one isomorphic pair
 
 
-def _walk_checked_against_chop(monkeypatch, cap=16) -> list:
-    """Certify every corner `summand_split` asks about by the unit walk up to
-    dim `cap`, and check each answer against the chop certificate; the
-    (dim, answer) pairs are recorded in the returned list."""
-    seen = []
-    walk = modrep._corner_is_local
+def _walk_checked_against_chop(patch, cap=16) -> list:
+    """Certify every corner `summand_split` asks about with CORNER_WALK_CAP
+    = cap, and check each answer against the chop certificate; the (dim,
+    answer) of each corner the unit walk certified is recorded in the
+    returned list.  `patch` is the monkeypatch, or a context of it that
+    ends before the next call saves the originals."""
+    walked = []
+    certify, walk = modrep._corner_is_local, modrep._walk_is_local
 
     def checked(H, f, corner):
-        local = walk(H, f, corner)
+        local = certify(H, f, corner)
         assert local == chopped_corner_is_local(H, f, corner), len(corner)
-        seen.append((len(corner), local))
         return local
 
-    monkeypatch.setattr(modrep, "_corner_is_local", checked)
-    monkeypatch.setattr(modrep, "CORNER_WALK_CAP", cap)
-    return seen
+    def recorded(lefts):
+        local = walk(lefts)
+        walked.append((len(lefts), local))
+        return local
+
+    patch.setattr(modrep, "_corner_is_local", checked)
+    patch.setattr(modrep, "_walk_is_local", recorded)
+    patch.setattr(modrep, "CORNER_WALK_CAP", cap)
+    return walked
 
 
 def test_summand_split_synthetic_direct_sum(monkeypatch):
@@ -165,7 +171,7 @@ def test_summand_split_synthetic_direct_sum(monkeypatch):
     # has no orbitals, so its End comes from the hom_space oracle; the
     # summands of the sum are those of one copy with doubled multiplicities,
     # and each corner the split asks about is walked and chopped alike
-    seen = _walk_checked_against_chop(monkeypatch)
+    walked = _walk_checked_against_chop(monkeypatch)
     T = table("s3")
     m = modrep.involution_perm_module(T.group)
     big = modrep.GF2Module(
@@ -180,7 +186,7 @@ def test_summand_split_synthetic_direct_sum(monkeypatch):
     assert sum(p.dim for p in parts) == 2 * m.dim
     grouped = [(s.dim, k) for s, k in modrep.group_summands(parts)]
     assert grouped == [(d, 2 * k) for d, k in one] == matrix_route_summands(big)
-    assert any(m > 1 and not local for m, local in seen)  # the sum's corner is walked
+    assert any(not local for _m, local in walked)  # the sum's corner is walked
 
 
 def test_o2_principal_check():
@@ -360,12 +366,16 @@ def test_unit_walk_agrees_with_chop_certificate(monkeypatch):
     # the splits are the same whichever certifies
     splits = []
     for cap in (16, modrep.CORNER_WALK_CAP, 1):
-        seen = _walk_checked_against_chop(monkeypatch, cap)
-        splits.append([[s.idempotent for s in modrep.summand_split(cut)]
-                       for name in ("psl27", "s5", "a7", "pgl2_11")
-                       for cut in _gf2_cuts(name)])
-        walked = {local for m, local in seen if 1 < m <= cap}
-        assert walked == ({True, False} if cap > 1 else set()), cap
+        with monkeypatch.context() as patch:
+            walked = _walk_checked_against_chop(patch, cap)
+            splits.append([[s.idempotent for s in modrep.summand_split(cut)]
+                           for name in ("psl27", "s5", "a7", "pgl2_11")
+                           for cut in _gf2_cuts(name)])
+        if cap > 1:
+            assert {local for _m, local in walked} == {True, False}, cap
+            assert all(1 < m <= cap for m, _local in walked), cap
+        else:
+            assert walked == []  # every corner of dim > 1 was chopped
     assert splits[0] == splits[1] == splits[2]
 
 
@@ -637,55 +647,6 @@ def test_s7_principal_corners_at_seed_24():
     cut = modrep.block_cut(T, principal_block(T), modrep.involution_perm_module(T.group))
     summands = modrep.summand_split(cut, seed=24)
     assert sorted(s.dim for s in summands) == [1, 1, 1, 1, 14, 14, 70, 70]
-
-
-@pytest.mark.parametrize("name", ["psl27", "a7"])
-def test_theta_is_the_xor_of_products_built_once(name, monkeypatch):
-    # seeded random words on each cut: theta from the cached products is the
-    # plain sum of the words' products, and each product of two generators
-    # is built once for all the words
-    rng = random.Random(11)
-    product = BitMatrix.__mul__
-    for cut in _gf2_cuts(name):
-        mats, built = cut.mats, []
-        words = [meataxe._random_word(len(mats), rng) for _ in range(40)]
-        products = meataxe._Products(mats)
-        with monkeypatch.context() as m:
-            m.setattr(BitMatrix, "__mul__", lambda a, b: built.append(1) or product(a, b))
-            thetas = [meataxe._evaluate(w, products) for w in words]
-        assert 0 < len(built) == len(products) <= len(mats) ** 2, (name, cut.dim)
-        assert thetas == [word_matrix(w, mats) for w in words], (name, cut.dim)
-
-
-def test_no_cached_product_outlives_its_chop_frame(monkeypatch):
-    # a chop frame's products are freed before it recurses: no cache is
-    # alive when a frame starts, nor after chop returns
-    caches, alive_at_entry, built = [], [], []
-
-    class Recorded(meataxe._Products):
-        def __init__(self, mats):
-            super().__init__(mats)
-            caches.append(weakref.ref(self))
-
-        def __missing__(self, key):
-            built.append(key)
-            return super().__missing__(key)
-
-    chop_rec = meataxe._chop_rec
-
-    def entered(*args):
-        alive_at_entry.append(sum(ref() is not None for ref in caches))
-        return chop_rec(*args)
-
-    monkeypatch.setattr(meataxe, "_Products", Recorded)
-    monkeypatch.setattr(meataxe, "_chop_rec", entered)
-    for name in ("psl27", "a7"):
-        T = table(name)
-        cut = modrep.block_cut(T, principal_block(T), modrep.involution_perm_module(T.group))
-        meataxe.chop(cut.mats, cut.dim)
-        assert all(ref() is None for ref in caches), name
-    assert len(alive_at_entry) > 2 and set(alive_at_entry) == {0}
-    assert built
 
 
 def test_meataxe_retry_exhaustion_is_typed(monkeypatch):
