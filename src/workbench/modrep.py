@@ -70,8 +70,8 @@ SPLIT_TRIES = 60  # corner draws per piece, the first before the locality certif
 # Corner dims up to which locality is certified by the unit walk; above it
 # the regular module of fHf is chopped.  Timed per corner (min of 5 runs,
 # 2-vCPU Xeon VM, Python 3.11) on every corner summand_split certifies in
-# analyze_group on the seven benchmark ladder groups, seeds 0-29: each
-# corner of dim 5 to 14 there is non-local, and the walk beats the chop at
+# analyze_group on the seven benchmark ladder groups, seeds 0-29: every
+# corner of dim 5 or more there is non-local, and the walk beats the chop at
 # each dim up to 11 (dim 5: 0.35 against 0.86 ms, dim 8: 0.60 against
 # 1.25 ms, dim 12: 4.4 against 2.6 ms).  A local corner costs the walk all
 # 2^m rank tests: on k[x]/(x^m) it passes the chop at m = 7 (1.6 against
