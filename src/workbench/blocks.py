@@ -147,8 +147,7 @@ def defect_couple(table: CharacterTable, block: BlockData) -> DefectCouple:
 def _couple_from_element(table: CharacterTable, block: BlockData, c_idx: int) -> DefectCouple:
     G = table.group
     c = G.elements[c_idx]
-    ext = G.extended_centralizer(c)
-    cent = ext.centralizer(c)
+    cent, ext = G.centralizers(c)
     if ext.order % cent.order or ext.order // cent.order not in (1, 2):
         raise InvariantViolation("[C*(c):C(c)] is not 1 or 2")
     D = cent.sylow2()

@@ -9,9 +9,11 @@ factor p one kernel vector is spun (Holt-Rees): when dim ker p(theta) =
 deg p the kernel is a simple k[theta]-module, so any proper submodule
 meeting it contains it and one vector decides; a larger kernel gets one
 opportunistic spin before the next factor or theta.  A submodule is the
-`Echelon` that `spin` builds; its action is written in the echelon's
-reduced rows (`gf2.restrict`), the quotient's in the non-pivot
-coordinates.
+`Echelon` that `spin` builds; a spin stops as soon as its span is the
+whole module, and keeps no coordinates.  A submodule's action is written
+in the echelon's reduced rows (`gf2.restrict`), the quotient's in the
+non-pivot coordinates, which are gathered from each vector's binary
+string.
 
 A simple module S keeps its certificate (Holt-Rees): the word theta in the
 generators, the factor p and a vector v of ker p(theta_S), with the
@@ -31,8 +33,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from functools import reduce
-from itertools import compress
-from operator import mul, xor
+from operator import itemgetter, mul
 
 from .errors import InvariantViolation
 from .gf2 import (BitMatrix, Echelon, eval_poly, krylov_relation, poly_lcm,
@@ -42,16 +43,16 @@ MAX_THETA_TRIES = 60
 FACTOR_DEGREE_CAP = 80
 
 
-def spin(vectors, mats) -> Echelon:
-    """Smallest module-closed subspace containing the vectors."""
+def spin(vectors, mats, dim) -> Echelon:
+    """Smallest module-closed subspace containing the vectors, in a module
+    of dimension dim: the spin stops as soon as the span is the module."""
     ech = Echelon()
-    queue = []
-    for v in vectors:
-        if ech.add(v):
-            queue.append(v)
+    queue = [v for v in vectors if ech.add(v)]
     while queue:
         v = queue.pop()
         for m in mats:
+            if len(ech) == dim:
+                return ech
             w = m.mul_vec(v)
             if ech.add(w):
                 queue.append(w)
@@ -60,7 +61,7 @@ def spin(vectors, mats) -> Echelon:
 
 def sub_quotient(mats, dim, ech: Echelon):
     """(sub_mats, quot_mats) for a proper submodule."""
-    sub = ech.reduced_basis()
+    sub = ech.reduced_basis(dim)
     sub_mats = [restrict(sub, map(m.mul_vec, sub.vectors)) for m in mats]
     return sub_mats, quotient(mats, dim, ech)
 
@@ -68,21 +69,16 @@ def sub_quotient(mats, dim, ech: Echelon):
 def quotient(mats, dim, ech: Echelon) -> list:
     """The action on the quotient by a submodule, in the non-pivot coordinates."""
     free = [c for c in range(dim) if not (ech.pivots >> c) & 1]
-    pos = {c: n for n, c in enumerate(free)}
+    if not free:
+        return [BitMatrix([], 0) for _m in mats]
+    # bit c of v is character dim-1-c of its dim-digit binary string, so
+    # the projection, most significant free column first, is a gather
+    width, gather = f"0{dim}b", itemgetter(*(dim - 1 - c for c in reversed(free)))
 
     def project(v):
-        v = ech.reduce(v)
-        out = 0
-        for c in free:
-            if (v >> c) & 1:
-                out |= 1 << pos[c]
-        return out
+        return int("".join(gather(format(ech.reduce(v), width))), 2)
 
-    quot = []
-    for m in mats:
-        rows = [project(m.mul_vec(1 << c)) for c in free]
-        quot.append(BitMatrix(rows, len(free)))
-    return quot
+    return [BitMatrix([project(m.rows[c]) for c in free], len(free)) for m in mats]
 
 
 def _matrix_minpoly(A: BitMatrix, rng) -> int:
@@ -132,13 +128,15 @@ class Constituent:
         self.dim = mats[0].nrows
         self.word = word
         self.poly = poly
-        ech = Echelon([v])
+        ech = Echelon([v], self.dim)
         self.steps = []
         i = 0
-        while i < len(ech):
+        while i < len(ech) < self.dim:
             for j, m in enumerate(mats):
                 if ech.add(m.mul_vec(ech.vectors[i])):
                     self.steps.append((i, j))
+                    if len(ech) == self.dim:
+                        break
             i += 1
         if len(ech) != self.dim:
             raise InvariantViolation("a certified simple module is not spun by its vector")
@@ -183,9 +181,7 @@ def _embedded_copies(S: Constituent, mats, dim):
     homs = BitMatrix(residuals, width).kernel()
     if not homs:
         return None
-    images = [reduce(xor, compress(ker, (c >> t & 1 for t in range(len(ker)))), 0)
-              for c in homs]
-    copies = spin(images, mats)
+    copies = spin(map(BitMatrix(ker, dim).mul_vec, homs), mats, dim)
     if len(copies) % S.dim:
         raise InvariantViolation("the images of a simple module are not a sum of copies")
     return copies
@@ -268,7 +264,7 @@ def _proper_submodule(mats, dim, rng):
             ker = P.kernel()
             if not ker:
                 continue
-            s = spin([ker[0]], gens)
+            s = spin([ker[0]], gens, dim)
             if len(s) < dim:
                 return s
             if len(ker) == degp:
@@ -277,10 +273,10 @@ def _proper_submodule(mats, dim, rng):
                 Pt = P.transpose()
                 kert = Pt.kernel()
                 tmats = [m.transpose() for m in gens]
-                st = spin([kert[0]], tmats)
+                st = spin([kert[0]], tmats, dim)
                 if len(st) < dim:
                     perp = BitMatrix(st.vectors, dim).transpose().kernel()
-                    sperp = spin(perp, gens)
+                    sperp = spin(perp, gens, dim)
                     if not 0 < len(sperp) < dim:
                         raise InvariantViolation("Norton's dual split is not proper")
                     return sperp
@@ -297,8 +293,10 @@ def _certified(mats, keep, rng, word, p, v) -> Constituent:
     Any v != 0 with v q(theta) = 0 is a certificate for `_embedded_copies`,
     whose solve has dim ker q(theta_X) unknowns on a module X: the fewer
     on S, the fewer on X.  So words are drawn until theta or theta + 1 has
-    a kernel of dim 1 on S; failing that, Norton's own word and p serve."""
-    gens = [mats[i] for i in keep]
+    a kernel of dim 1 on S; failing that, Norton's own word and p serve.
+    The nullity is read off the rank, and a kernel built only for a new
+    best."""
+    gens, n = [mats[i] for i in keep], mats[0].nrows
     best = (p.bit_length() - 1, word, p, v)  # Norton's kernel has dim deg p
     for _try in range(MAX_THETA_TRIES):
         if best[0] == 1:
@@ -306,9 +304,10 @@ def _certified(mats, keep, rng, word, p, v) -> Constituent:
         draw = _random_word(len(gens), rng)
         theta = _evaluate(draw, gens)
         for c in (0, 1):
-            ker = (theta + BitMatrix.identity(len(theta.rows)) if c else theta).kernel()
-            if 0 < len(ker) < best[0]:
-                best = (len(ker), draw, 0b10 | c, ker[0])
+            M = theta + BitMatrix.identity(n) if c else theta
+            nullity = n - M.rank()
+            if 0 < nullity < best[0]:
+                best = (nullity, draw, 0b10 | c, M.kernel()[0])
     _nullity, word, p, v = best
     return Constituent(mats, tuple(tuple(keep[i] for i in term) for term in word), p, v)
 

@@ -25,7 +25,8 @@ works from them:
   reduced against the rows before it (`Echelon.reduced_basis`).  A cut
   keeps that basis and its permutation module, and `gf2.restrict` gives
   its action matrices only when they are first read: the split and the
-  summands' factors never read them.
+  summands' factors never read them.  A generator moves a vector of the
+  permutation module as a gather of its binary string (`_span_action`).
 * The endomorphism algebra H = End(M) has the orbital matrices O_a as its
   basis, and its structure constants are the intersection numbers of the
   coherent configuration mod 2 (`_orbital_products`), computed once per
@@ -39,7 +40,9 @@ works from them:
   instead.  Otherwise random corner elements give idempotents of GF(2)[a]
   that split it.  A final piece keeps the reduced row space of f on M:
   its length is dim fM, and the summand's action is written in it.  fM
-  and gM are isomorphic iff f lies in the span of fHg * gHf.
+  and gM are isomorphic iff f lies in the span of fHg * gHf.  The
+  certificate and that test build the multiplication matrix (`H.left`,
+  `H.right`) of each basis element x once, and multiply by it.
 * Composition factors.  A cut is split first, and the MeatAxe chops one
   summand per isomorphism class, each factor counted once per copy
   (`decompose_cut`).
@@ -51,7 +54,7 @@ import random
 from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import compress
-from operator import add, xor
+from operator import add, itemgetter, xor
 
 from .blocks import BlockData, block_idempotent_support, block_partition
 from .chartab import CharacterTable
@@ -102,9 +105,7 @@ class GF2Module:
     @property
     def mats(self) -> list:
         if self._mats is None:
-            ech, parent = self.span
-            self._mats = self._checked(
-                [restrict(ech, map(m.mul_vec, ech.vectors), "cut") for m in parent.mats])
+            self._mats = self._checked(_span_action(*self.span, "cut"))
         return self._mats
 
     def _checked(self, mats) -> list:
@@ -124,6 +125,25 @@ class GF2Module:
 
 def _perm_matrix(images) -> BitMatrix:
     return BitMatrix([1 << t for t in images], len(images))
+
+
+def _span_action(ech: Echelon, module: GF2Module, what: str) -> list:
+    """The generators' action on a stable span of `module`, written in its
+    basis (`restrict`).  On a permutation module a vector is moved as its
+    dim-digit binary string, where bit x is character dim-1-x: a generator
+    sends bit x to bit p[x], so the image is a gather of the string."""
+    if module.perms is None:
+        return [restrict(ech, map(m.mul_vec, ech.vectors), what) for m in module.mats]
+    n = module.dim
+    strings = [format(v, f"0{n}b") for v in ech.vectors]
+    out = []
+    for p in module.perms:
+        gather = [0] * n
+        for x, y in enumerate(p):
+            gather[n - 1 - y] = n - 1 - x
+        moved = itemgetter(*gather)
+        out.append(restrict(ech, (int("".join(moved(s)), 2) for s in strings), what))
+    return out
 
 
 def conjugation_module(G: PermGroup, labels) -> GF2Module:
@@ -271,7 +291,7 @@ def _orbital_coefficients(table: CharacterTable, coeffs, module: GF2Module) -> i
             if i0 not in module._class_parities:
                 image = table.group.walk(module.perms, i0)
                 module._class_parities[i0] = [
-                    reduce(xor, (1 << image[m] for m in cls.members), 0)
+                    reduce(xor, map((1).__lshift__, map(image.__getitem__, cls.members)), 0)
                     for cls in table.classes]
     rows = {i0: reduce(xor, compress(parities, coeffs), 0)
             for i0, parities in module._class_parities.items()}
@@ -316,7 +336,7 @@ def block_cut(table: CharacterTable, block: BlockData, module: GF2Module):
             raise InvariantViolation(
                 f"orbit cut dim {orbit_dim} not divisible by orbit length {length}")
         return GFModule(GF2Field(block.field_f), orbit_dim // length)
-    ech = Echelon(proj.rows).reduced_basis()
+    ech = Echelon(proj.rows).reduced_basis(module.dim)
     # e is central in End(M), so End(eM) = e End(M): the orbital algebra
     # with e, read off the projector at each orbital's first pair, as unit
     unit = sum(proj.get(i0, j0) << a for a, (i0, j0, _O) in enumerate(_orbitals(module)))
@@ -396,13 +416,17 @@ class EndAlgebra:
         r = len(self.mats)
         return reduce(add, _select(self.products, x), BitMatrix.zero(r, r))
 
+    def right(self, y: int) -> BitMatrix:
+        """The matrix of x -> x*y: row a holds B_a*y."""
+        return BitMatrix([P.mul_vec(y) for P in self.products], len(self.mats))
+
     def mul(self, x: int, y: int) -> int:
         return reduce(xor, (P.mul_vec(y) for P in _select(self.products, x)), 0)
 
     def sandwich(self, f: int, g: int) -> Echelon:
-        """A basis of fHg: the span of f*B_a*g."""
+        """A basis of fHg, to solve against: the span of f*B_a*g."""
         left = self.left(f)
-        return Echelon(left.mul_vec(P.mul_vec(g)) for P in self.products)
+        return Echelon((left.mul_vec(P.mul_vec(g)) for P in self.products), len(self.mats))
 
     def matrix(self, x: int) -> BitMatrix:
         """sum x_a B_a, acting on `module`."""
@@ -463,9 +487,7 @@ class Summand:
 
 def _summand_action(s: Summand) -> list:
     """The generators' action on fM, written in the summand's basis."""
-    ech = s.basis
-    return [restrict(ech, map(m.mul_vec, ech.vectors), "summand")
-            for m in s.algebra.module.mats]
+    return _span_action(s.basis, s.algebra.module, "summand")
 
 
 def summand_split(module: GF2Module, seed=0) -> list:
@@ -505,7 +527,7 @@ def summand_split(module: GF2Module, seed=0) -> list:
                     f"a corner of dim {len(corner)} is not local, but "
                     f"{SPLIT_TRIES} draws found no idempotent")
         work += [k, f ^ k]
-    summands = sorted((Summand(H, f, Echelon(H.matrix(f).rows).reduced_basis())
+    summands = sorted((Summand(H, f, Echelon(H.matrix(f).rows).reduced_basis(H.module.dim))
                        for f in final), key=lambda s: s.dim)
     if sum(s.dim for s in summands) != module.dim:
         raise InvariantViolation("summands do not decompose the module")
@@ -525,16 +547,17 @@ def _corner_is_local(H: EndAlgebra, f: int, corner: Echelon) -> bool:
     matrix; it stops at the first unit in the span of the non-units found
     so far.  Above CORNER_WALK_CAP the right-regular module of fHf is
     chopped instead: fHf is local iff it has a single simple constituent S
-    up to isomorphism, with dim S = dim End(S) (`hom_space`)."""
+    up to isomorphism, with dim S = dim End(S) (`hom_space`).  Either way
+    each basis element's multiplication matrix is built once."""
     m = len(corner)
     if m == 1:
         return True  # fHf = k*f
     if m > CORNER_WALK_CAP:
-        mats = [restrict(corner, (H.mul(x, b) for x in corner.vectors), "corner")
+        mats = [restrict(corner, map(H.right(b).mul_vec, corner.vectors), "corner")
                 for b in corner.vectors]
         S, *others = chop(mats, m)
         return S.dim == len(hom_space(S, S)) and all(T is S for T in others)
-    return _walk_is_local([restrict(corner, (H.mul(b, x) for x in corner.vectors), "corner").rows
+    return _walk_is_local([restrict(corner, map(H.left(b).mul_vec, corner.vectors), "corner").rows
                            for b in corner.vectors])
 
 
@@ -624,8 +647,8 @@ def _summands_isomorphic(s: Summand, t: Summand) -> bool:
     if t.algebra is not H:
         raise InvariantViolation("summands of different splits")
     back = H.sandwich(g, f).vectors
-    ideal = Echelon(H.mul(x, y) for x in H.sandwich(f, g).vectors for y in back)
-    return ideal.solve(f) is not None
+    ideal = Echelon(L.mul_vec(y) for L in map(H.left, H.sandwich(f, g).vectors) for y in back)
+    return ideal.reduce(f) == 0
 
 
 def group_summands(summands):

@@ -418,7 +418,7 @@ class PermGroup:
         """The order of each element, read off the root group's classes."""
         root = self._parent or self
         orders = [c.order for c in root.conjugacy_classes()]
-        return [orders[root.class_of[x]] for x in self._members]
+        return list(map(orders.__getitem__, map(root.class_of.__getitem__, self._members)))
 
     # -- subgroups -------------------------------------------------------
 
@@ -436,13 +436,18 @@ class PermGroup:
         return root._sub(keep)
 
     def extended_centralizer(self, p: Perm) -> "PermGroup":
-        """C*(g) = N({g, g^-1}), the stabilizer of the pair {g, g^-1}: the
-        elements x with p^x = p or p^-1, read off one walk (`_conjugates`)."""
+        """C*(g) = N({g, g^-1}), the stabilizer of the pair {g, g^-1}
+        (`centralizers`)."""
+        return self.centralizers(p)[1]
+
+    def centralizers(self, p: Perm) -> tuple:
+        """(C(g), C*(g)): the elements x with p^x = p, and those with p^x =
+        p or p^-1, both read off one walk (`_conjugates`)."""
         root, r = self._parent or self, self._root_idx(p)
-        row, pair = self._conjugates(r), {r, root.inverse_idx(r)}
-        keep = self._members
-        return root._sub(array("i", compress(keep, map(pair.__contains__,
-                                                       map(row.__getitem__, keep)))))
+        row, pair, keep = self._conjugates(r), {r, root.inverse_idx(r)}, self._members
+        images = list(map(row.__getitem__, keep))
+        return (root._sub(array("i", compress(keep, map(r.__eq__, images)))),
+                root._sub(array("i", compress(keep, map(pair.__contains__, images)))))
 
     def _from_elements(self, elems) -> "PermGroup":
         root = self._parent or self

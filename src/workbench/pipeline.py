@@ -128,10 +128,9 @@ def analyze_group(group, name: str | None = None, seed: int = 0,
         "order": group.order,
         "degrees": list(table.degrees),
         "fs_vector": list(table.fs_vector()),
-        "involution_count": len(group.involution_indices()),
+        "involution_count": omega.dim,  # k-Omega has a point per involution
         "fs_count_identity_ok": sum(e * deg for e, deg in
-                                    zip(table.fs_vector(), table.degrees))
-        == len(group.involution_indices()),
+                                    zip(table.fs_vector(), table.degrees)) == omega.dim,
         "blocks": [r.to_json() for r in reports],
         "komega_dim": omega.dim,
         "cut_dims_sum_ok": total_cut == omega.dim,

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import accumulate
 from math import gcd
 from operator import add
@@ -639,7 +639,7 @@ def hom_space_endomorphisms(module) -> EndAlgebra:
     if module.dim > COMMUTANT_DIM_CAP:
         raise CapExceeded(f"generic commutant solve capped at dim {COMMUTANT_DIM_CAP}")
     basis = hom_space(module, module)
-    flat = Echelon(map(_flatten, basis))
+    flat = Echelon(map(_flatten, basis), module.dim ** 2)
     products = [restrict(flat, (_flatten(x * y) for y in basis)) for x in basis]
     one = restrict(flat, [_flatten(BitMatrix.identity(module.dim))])
     return EndAlgebra(module, basis, products, one.rows[0])
@@ -648,7 +648,7 @@ def hom_space_endomorphisms(module) -> EndAlgebra:
 def _image(H, f) -> tuple:
     """(M*f as a module of its own, its basis) for an idempotent f of the
     `EndAlgebra` H of M: the reduced row space of f's matrix, restricted."""
-    ech = Echelon(H.matrix(f).rows).reduced_basis()
+    ech = Echelon(H.matrix(f).rows).reduced_basis(H.module.dim)
     mats = [restrict(ech, map(m.mul_vec, ech.vectors)) for m in H.module.mats]
     return GF2Module(mats, len(ech)), ech
 
@@ -662,6 +662,36 @@ def corner_action(H, f: int, x: int) -> BitMatrix:
     """The matrix of x in fHf on fM, in the basis of `summand_module`."""
     ech = _image(H, f)[1]
     return restrict(ech, map(H.matrix(x).mul_vec, ech.vectors))
+
+
+def bit_loop_mul_vec(M: BitMatrix, v: int) -> int:
+    """v*M, the rows picked by a Python loop over v's set bits: the route
+    of `BitMatrix.mul_vec` below DENSE_BITS set bits, at every density."""
+    acc, rows = 0, M.rows
+    while v:
+        low = v & -v
+        acc ^= rows[low.bit_length() - 1]
+        v ^= low
+    return acc
+
+
+def bitwise_quotient(mats, dim: int, ech: Echelon) -> list:
+    """`meataxe.quotient` with the projection onto the free columns made
+    bit by bit."""
+    free = [c for c in range(dim) if not (ech.pivots >> c) & 1]
+
+    def project(v):
+        v = ech.reduce(v)
+        return sum(((v >> c) & 1) << n for n, c in enumerate(free))
+
+    return [BitMatrix([project(m.mul_vec(1 << c)) for c in free], len(free)) for m in mats]
+
+
+def matrix_span_action(ech: Echelon, module) -> list:
+    """The generators' action on a stable span of a module, each basis
+    vector moved by the generators' matrices (for a permutation module,
+    its permutation matrices)."""
+    return [restrict(ech, map(partial(bit_loop_mul_vec, m), ech.vectors)) for m in module.mats]
 
 
 def _flatten(mat: BitMatrix) -> int:
@@ -708,7 +738,7 @@ class _Piece:
         for i in range(self.dim):
             if span.reduce(1 << i):
                 gens.append(1 << i)
-                span = spin(gens, self.mats)
+                span = spin(gens, self.mats, self.dim)
         m = 1
         for w in gens:
             m = poly_lcm(m, krylov_relation(w, a.mul_vec, self.dim))
@@ -718,7 +748,7 @@ class _Piece:
         """[kP, (1 + k)P] for an idempotent k of the corner."""
         out = []
         for e in (k, k + BitMatrix.identity(self.dim)):
-            sub = Echelon(e.rows).reduced_basis()
+            sub = Echelon(e.rows).reduced_basis(self.dim)
             vecs = sub.vectors
             corner = _independent(
                 restrict(sub, (e.mul_vec(b.mul_vec(v)) for v in vecs)) for b in self.corner)
@@ -765,7 +795,7 @@ def matrix_route_summands(module, seed=0) -> list:
                 break
         else:
             pieces.append(piece)
-    split = Echelon(v for p in pieces for v in p.basis.rows)
+    split = Echelon((v for p in pieces for v in p.basis.rows), module.dim)
     offsets = list(accumulate((p.dim for p in pieces), initial=0))
 
     def homs(i, j):  # Hom(P_i, P_j): the P_j part of v*a, from the split coordinates
@@ -805,7 +835,7 @@ def constituent_fingerprint(c) -> tuple:
 def standard_rep(mats, w):
     """Spin w with a fixed schedule; return the dependency shape and the
     per-generator matrices in the canonical spin basis."""
-    ech = Echelon([w])
+    ech = Echelon([w], mats[0].nrows)
     shape = []
     i = 0
     while i < len(ech):

@@ -253,3 +253,26 @@ def test_analyze_blocks_keeps_the_defect_couple():
         assert isinstance(b.couple, blocks.DefectCouple)
         assert b.couple.etype == b.etype
         assert T.group.class_of[b.couple.c_index] in b.real_defect_class_ids
+
+
+@pytest.mark.parametrize("name", BUILTINS + ("pgl2_13.txt", "M11.txt", "S7.txt"))
+def test_couples_match_the_two_walk_route(name):
+    # C(c) and C*(c) read off one walk give the couples that C*(c), then
+    # C(c) inside it, each read off a walk of their own give
+    if name.endswith(".txt"):
+        T = dixon_table(generate(read_generator_file(GROUP_FILES / name)))
+    else:
+        T = table(name)
+    G, couples = T.group, 0
+    for b in blocks.analyze_blocks(T):
+        if b.couple is None:
+            continue
+        c = G.elements[b.couple.c_index]
+        ext = G.extended_centralizer(c)
+        cent = ext.centralizer(c)
+        assert [H.elements for H in G.centralizers(c)] == [cent.elements, ext.elements]
+        D = cent.sylow2()
+        assert b.couple.D.elements == D.elements
+        assert b.couple.E.elements == ext.sylow2(D).elements
+        couples += 1
+    assert couples, name

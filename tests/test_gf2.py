@@ -1,11 +1,15 @@
 import random
+from functools import reduce
+from operator import xor
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import GF, Poly, symbols
 from sympy.polys.matrices import DomainMatrix
 
+from oracles import bit_loop_mul_vec
 from workbench import gf2
+from workbench.errors import InvariantViolation
 from workbench.gf2 import BitMatrix, GF2Field, Echelon
 
 
@@ -134,7 +138,7 @@ def test_echelon_solve():
     rng = random.Random(13)
     vecs = [rng.getrandbits(30) for _ in range(10)]
     # a dependent vector in the middle is skipped and takes no coordinate
-    ech = Echelon(vecs[:5] + [vecs[1] ^ vecs[2]] + vecs[5:])
+    ech = Echelon(vecs[:5] + [vecs[1] ^ vecs[2]] + vecs[5:], 30)
     assert ech.vectors == vecs
     assert bin(ech.pivots).count("1") == len(ech) == 10
     assert ech.solve(vecs[0] ^ vecs[3] ^ vecs[7]) == 1 | 1 << 3 | 1 << 7
@@ -146,13 +150,19 @@ def test_echelon_solve():
         assert (ech.solve(w) is None) == (r != 0)
         assert ech.add(w) == (r != 0)
     # the reduced basis: same span and pivots, each row clear of earlier pivots
-    red = ech.reduced_basis()
+    red = ech.reduced_basis(30)
     assert red.pivots == ech.pivots and len(red) == len(ech)
     seen = 0
     for r in red.vectors:
         assert r & seen == 0 and ech.solve(r) is not None
         seen |= r & -r
     assert seen == ech.pivots
+    # a span solves only with coordinates, and only over its width
+    with pytest.raises(InvariantViolation):
+        Echelon(vecs).solve(vecs[0])
+    assert ech.solve(1 << 30) is None
+    with pytest.raises(ValueError):
+        ech.add(1 << 30)
 
 
 def test_pow_of_zero():
@@ -201,7 +211,7 @@ def test_elimination_matches_sympy(M, target):
     assert len(ker) == n - rank
     assert _row_space(ker, n) == _row_space(_bits(ref.transpose().nullspace().to_list()), n)
     # solve: a mask over the independent rows, None exactly off the row space
-    ech = Echelon(M.rows)
+    ech = Echelon(M.rows, m)
     v = target % (1 << m)
     mask = ech.solve(v)
     inside = _dm(M.rows + [v], m).rank() == rank
@@ -224,3 +234,54 @@ def test_multiplicative_order_of_2():
     assert gf2.multiplicative_order_of_2(7) == 3
     assert gf2.multiplicative_order_of_2(21) == 6
     assert gf2.multiplicative_order_of_2(1) == 1
+
+
+@st.composite
+def _spans(draw):
+    """(width, vectors, probes): vectors of up to `width` bits, some of
+    them sums of earlier ones, and probes to reduce."""
+    width = draw(st.integers(1, 300))
+    word = st.integers(0, (1 << width) - 1)
+    vectors = []
+    for pick in draw(st.lists(st.integers(0, (1 << 12) - 1), max_size=24)):
+        if pick & 1 and vectors:  # a sum of earlier vectors, often dependent
+            vectors.append(reduce(xor, (v for t, v in enumerate(vectors) if pick >> t & 1), 0))
+        else:
+            vectors.append(draw(word))
+    return width, vectors, draw(st.lists(word, max_size=8)) + vectors[:4]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_spans())
+def test_coordinate_tracking_changes_no_elimination(span):
+    # a span built with a width carries coordinates above it; the rows below
+    # it, pivots, vectors and reductions are those of the span without them
+    width, vectors, probes = span
+    free, tracked = Echelon(vectors), Echelon(vectors, width)
+    low = (1 << width) - 1
+    assert list(free.rows.items()) == [(p, r & low) for p, r in tracked.rows.items()]
+    assert free.pivots == tracked.pivots and free.vectors == tracked.vectors
+    assert free.reduced_basis(width).vectors == tracked.reduced_basis(width).vectors
+    for w in probes:
+        assert free.reduce(w) == tracked.reduce(w)
+        mask = tracked.solve(w)
+        assert (mask is None) == (free.reduce(w) != 0)
+        if mask is not None:
+            assert reduce(xor, (v for t, v in enumerate(tracked.vectors) if mask >> t & 1), 0) == w
+
+
+@pytest.mark.parametrize("n", [1, 8, 64, 232])
+def test_mul_vec_routes_match_bit_loop(n):
+    # popcounts on both sides of DENSE_BITS, where mul_vec changes route
+    rng = random.Random(n)
+    M = BitMatrix([rng.getrandbits(n + 5) for _ in range(n)], n + 5)
+    for k in sorted({min(k, n) for k in (0, 1, 15, 16, 17, n)}):
+        v = reduce(xor, (1 << t for t in rng.sample(range(n), k)), 0)
+        assert M.mul_vec(v) == bit_loop_mul_vec(M, v), (n, k)
+    A = BitMatrix([reduce(xor, (1 << t for t in rng.sample(range(n), min(k, n))), 0)
+                   for k in (0, 1, 15, 16, 17, n)], n)
+    assert (A * M).rows == [bit_loop_mul_vec(M, r) for r in A.rows]
+    # a vector wider than the matrix raises on either route
+    for v in (1 << n, (1 << (n + gf2.DENSE_BITS)) - 1):
+        with pytest.raises(IndexError):
+            M.mul_vec(v)

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (chopped_corner_is_local, conjugation_action_is_homomorphism,
-                     corner_action, dual_module, hom_space_endomorphisms,
-                     isomorphic_irreducibles, matrix_minpoly, matrix_route_summands,
-                     modules_isomorphic, pair_orbitals, summand_module)
+from oracles import (bitwise_quotient, chopped_corner_is_local,
+                     conjugation_action_is_homomorphism, corner_action, dual_module,
+                     hom_space_endomorphisms, isomorphic_irreducibles, matrix_minpoly,
+                     matrix_route_summands, matrix_span_action, modules_isomorphic,
+                     pair_orbitals, summand_module)
 from test_acceptance import BUILTINS
 from workbench import blocks, meataxe, modrep, pipeline
 from workbench.chartab import dixon_table
@@ -432,7 +433,7 @@ def test_cut_matrices_are_built_and_checked_on_first_use():
     singular = BitMatrix.from_lists([[1, 1], [1, 1]])
     parent = modrep.GF2Module([BitMatrix.identity(2)], 2)
     parent._mats = [singular]  # a parent that no constructor would accept
-    cut = modrep.GF2Module(None, 2, span=(Echelon([1, 2]), parent))
+    cut = modrep.GF2Module(None, 2, span=(Echelon([1, 2], 2), parent))
     assert type(cut) is modrep.GF2Module and cut.dim == 2
     with pytest.raises(InvariantViolation):
         cut.mats
@@ -530,12 +531,12 @@ def test_orbitals_match_pair_search_on_random_groups(gens, picks):
 
 def test_restrict_raises_off_a_stable_subspace():
     m = modrep.involution_perm_module(builtin_group("psl27"))
-    points = Echelon([1, 2])  # two points of Omega span no submodule
+    points = Echelon([1, 2], m.dim)  # two points of Omega span no submodule
     with pytest.raises(InvariantViolation):
         for a in m.mats:
             restrict(points, map(a.mul_vec, points.vectors))
     # the sum of all points is fixed by G, so its span restricts to k
-    total = Echelon([(1 << m.dim) - 1])
+    total = Echelon([(1 << m.dim) - 1], m.dim)
     for a in m.mats:
         assert restrict(total, map(a.mul_vec, total.vectors)) == BitMatrix.identity(1)
 
@@ -667,3 +668,90 @@ def test_meataxe_retry_exhaustion_is_typed(monkeypatch):
     grouped = meataxe.group_constituents(factors)
     assert [(c.dim, k) for c, k in grouped] == [(1, 2), (3, 2), (3, 2)]
     assert sum(k for _c, k in grouped) == len(factors)
+
+
+def _spin_cases():
+    """(mats, dim) of psl27's 8-dim cut and of a7's 70-dim summand."""
+    cut = next(c for c in _gf2_cuts("psl27") if c.dim == 8)
+    yield cut.mats, cut.dim
+    big = next(c for c in _gf2_cuts("a7") if c.dim == 86)
+    summand = next(s for s in modrep.summand_split(big) if s.dim == 70)
+    yield modrep._summand_action(summand), summand.dim
+
+
+def test_spin_stops_at_the_full_module(monkeypatch):
+    # once the span is the whole module, spin multiplies no queued vector
+    log = []
+
+    class Logged(Echelon):
+        def add(self, v):
+            grew = super().add(v)
+            log.append(len(self))
+            return grew
+
+    class Counted(BitMatrix):
+        def mul_vec(self, v):
+            log.append("mul")
+            return super().mul_vec(v)
+
+    monkeypatch.setattr(meataxe, "Echelon", Logged)
+    rng = random.Random(5)
+    for mats, dim in _spin_cases():
+        counted = [Counted(m.rows, m.ncols) for m in mats]
+        full = 0
+        for _ in range(10):
+            log.clear()
+            if len(meataxe.spin([rng.getrandbits(dim)], counted, dim)) == dim:
+                full += 1
+                assert "mul" in log and "mul" not in log[log.index(dim):], dim
+        assert full, dim
+
+
+def test_quotient_gather_matches_bitwise_projection():
+    # random actions and subspaces, tracked or not, from none to all columns
+    rng = random.Random(8)
+    for dim in (1, 2, 9, 33, 70, 100):
+        mats = [BitMatrix([rng.getrandbits(dim) for _ in range(dim)], dim) for _ in range(2)]
+        for k in (0, 1, dim // 2, dim):
+            for width in (None, dim):
+                ech = Echelon((rng.getrandbits(dim) for _ in range(k)), width)
+                got = meataxe.quotient(mats, dim, ech)
+                assert got == bitwise_quotient(mats, dim, ech), (dim, k, width)
+    # and the quotients of a spun submodule of psl27's principal cut
+    cut = next(_gf2_cuts("psl27"))
+    sub = meataxe.spin([1], cut.mats, cut.dim)
+    assert 0 < len(sub) < cut.dim
+    assert meataxe.quotient(cut.mats, cut.dim, sub) == bitwise_quotient(cut.mats, cut.dim, sub)
+
+
+@pytest.mark.parametrize("name", ["psl27", "s5", "a7", "pgl2_11"])
+def test_permutation_gather_matches_permutation_matrices(name):
+    # the action on each cut and summand of k-Omega, moved by bit gathers,
+    # against the permutation matrices
+    for cut in _gf2_cuts(name):
+        ech, omega = cut.span
+        assert modrep._span_action(ech, omega, "cut") == matrix_span_action(ech, omega)
+        for s in modrep.summand_split(cut):
+            assert modrep._summand_action(s) == matrix_span_action(s.basis, omega), name
+
+
+@pytest.mark.parametrize("name", ["psl27", "s5", "a7", "pgl2_11"])
+def test_product_matrices_match_products_on_every_corner(name, monkeypatch):
+    # H.left(b) and H.right(b), built once per corner basis element,
+    # against H.mul on every corner the split asks about
+    corners = []
+
+    def recording(H, f, corner):
+        corners.append((H, corner))
+        return certify(H, f, corner)
+
+    certify = modrep._corner_is_local
+    monkeypatch.setattr(modrep, "_corner_is_local", recording)
+    for cut in _gf2_cuts(name):
+        modrep.summand_split(cut)
+    assert corners
+    for H, corner in corners:
+        for b in corner.vectors:
+            left, right = H.left(b), H.right(b)
+            for x in corner.vectors:
+                assert left.mul_vec(x) == H.mul(b, x) and right.mul_vec(x) == H.mul(x, b)
