@@ -12,8 +12,7 @@ opportunistic spin before the next factor or theta.  A submodule is the
 `Echelon` that `spin` builds; a spin stops as soon as its span is the
 whole module, and keeps no coordinates.  A submodule's action is written
 in the echelon's reduced rows (`gf2.restrict`), the quotient's in the
-non-pivot coordinates, which are gathered from each vector's binary
-string.
+non-pivot coordinates.
 
 A simple module S keeps its certificate (Holt-Rees): the word theta in the
 generators, the factor p and a vector v of ker p(theta_S), with the
@@ -33,7 +32,8 @@ from __future__ import annotations
 import random
 from collections import Counter
 from functools import reduce
-from operator import itemgetter, mul
+from itertools import groupby
+from operator import mul
 
 from .errors import InvariantViolation
 from .gf2 import (BitMatrix, Echelon, eval_poly, krylov_relation, poly_lcm,
@@ -67,16 +67,22 @@ def sub_quotient(mats, dim, ech: Echelon):
 
 
 def quotient(mats, dim, ech: Echelon) -> list:
-    """The action on the quotient by a submodule, in the non-pivot coordinates."""
+    """The action on the quotient by a submodule, in the non-pivot coordinates.
+
+    A reduced vector has no pivot bit set, so its projection closes up the
+    gaps between the free columns: one shift and mask per run of
+    consecutive free columns, of which a quotient has only a few."""
     free = [c for c in range(dim) if not (ech.pivots >> c) & 1]
-    if not free:
-        return [BitMatrix([], 0) for _m in mats]
-    # bit c of v is character dim-1-c of its dim-digit binary string, so
-    # the projection, most significant free column first, is a gather
-    width, gather = f"0{dim}b", itemgetter(*(dim - 1 - c for c in reversed(free)))
+    runs = []  # (first column, mask, first free coordinate) of each run
+    for _gap, run in groupby(enumerate(free), lambda nc: nc[1] - nc[0]):
+        (n, c), *rest = run
+        runs.append((c, (1 << (len(rest) + 1)) - 1, n))
 
     def project(v):
-        return int("".join(gather(format(ech.reduce(v), width))), 2)
+        v, out = ech.reduce(v), 0
+        for c, mask, n in runs:
+            out |= (v >> c & mask) << n
+        return out
 
     return [BitMatrix([project(m.rows[c]) for c in free], len(free)) for m in mats]
 

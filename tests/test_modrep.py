@@ -707,7 +707,7 @@ def test_spin_stops_at_the_full_module(monkeypatch):
         assert full, dim
 
 
-def test_quotient_gather_matches_bitwise_projection():
+def test_quotient_runs_match_bitwise_projection():
     # random actions and subspaces, tracked or not, from none to all columns
     rng = random.Random(8)
     for dim in (1, 2, 9, 33, 70, 100):
