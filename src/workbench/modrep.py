@@ -287,11 +287,12 @@ def _orbital_coefficients(table: CharacterTable, coeffs, module: GF2Module) -> i
     image of lab_i0 under every element (`PermGroup.walk`)."""
     if module._class_parities is None:
         module._class_parities = {}
+        bits = [1 << t for t in range(module.dim)]
         for i0, _j0, _O in _orbitals(module):
             if i0 not in module._class_parities:
                 image = table.group.walk(module.perms, i0)
                 module._class_parities[i0] = [
-                    reduce(xor, map((1).__lshift__, map(image.__getitem__, cls.members)), 0)
+                    reduce(xor, map(bits.__getitem__, map(image.__getitem__, cls.members)), 0)
                     for cls in table.classes]
     rows = {i0: reduce(xor, compress(parities, coeffs), 0)
             for i0, parities in module._class_parities.items()}
