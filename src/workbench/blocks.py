@@ -13,7 +13,7 @@ Sylow in C*(c) above D.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import lcm
 
 from .chartab import CharacterTable
 from .cyclotomic import reduce_mod2
@@ -27,16 +27,9 @@ def _is_trivial_row(table: CharacterTable, i: int) -> bool:
     return all(v == 1 for v in table.chars_p[i])
 
 
-def omega_field(table: CharacterTable) -> int:
+def omega_field(classes) -> int:
     """Common field degree F: lcm of ord_2 over odd parts of class orders."""
-    f = 1
-    for c in table.classes:
-        m = c.order
-        while m % 2 == 0:
-            m //= 2
-        o = multiplicative_order_of_2(m)
-        f = f * o // gcd(f, o)
-    return f
+    return lcm(*(multiplicative_order_of_2(c.order >> nu(c.order)) for c in classes))
 
 
 @dataclass
@@ -58,7 +51,7 @@ class BlockData:
 
 def block_partition(table: CharacterTable) -> list:
     """Partition Irr(G) into 2-blocks by reduced central characters."""
-    F = omega_field(table)
+    F = omega_field(table.classes)
     class_nus = [nu(len(c.members)) for c in table.classes]
     buckets = {}
     for i, row in enumerate(table.values):
@@ -134,18 +127,30 @@ class DefectCouple:
     etype: str | None
 
 
-def defect_couple(table: CharacterTable, block: BlockData) -> DefectCouple:
-    """Couple from the first real defect class: E Sylow in C*(c), D = E n C(c)."""
+def defect_couple(table: CharacterTable, block: BlockData, found=None) -> DefectCouple:
+    """Couple from the first real defect class: E Sylow in C*(c), D = E n C(c).
+
+    `found` maps the element indices of one partition to the couples built
+    from them, so blocks whose first real defect class has the same
+    representative share one couple."""
     classes = real_defect_classes(table, block)
     if not classes:
         raise NotRealBlock("no real defect class found")
-    j = classes[0]
-    c_idx = table.classes[j].rep
-    return _couple_from_element(table, block, c_idx)
+    c_idx = table.classes[classes[0]].rep
+    found = {} if found is None else found
+    if c_idx not in found:
+        found[c_idx] = _couple_from_element(table.group, c_idx)
+    return _of_defect(found[c_idx], block)
 
 
-def _couple_from_element(table: CharacterTable, block: BlockData, c_idx: int) -> DefectCouple:
-    G = table.group
+def _of_defect(couple: DefectCouple, block: BlockData) -> DefectCouple:
+    """The couple, once |D| = 2^defect of the block is checked."""
+    if couple.D.order != 1 << block.defect:
+        raise InvariantViolation("|D| does not match the block's defect")
+    return couple
+
+
+def _couple_from_element(G: PermGroup, c_idx: int) -> DefectCouple:
     c = G.elements[c_idx]
     cent, ext = G.centralizers(c)
     if ext.order % cent.order or ext.order // cent.order not in (1, 2):
@@ -155,8 +160,6 @@ def _couple_from_element(table: CharacterTable, block: BlockData, c_idx: int) ->
     # E n C(c) is a 2-subgroup of C(c) containing the Sylow D, so it is D
     if any(x not in D.index and x in cent.index for x in E.elements):
         raise InvariantViolation("E n C(c) is larger than D")
-    if D.order != 1 << block.defect:
-        raise InvariantViolation("|D| does not match the block's defect")
     etype = None
     if is_dihedral_2group(D):
         etype = classify_extension(D, E)
@@ -169,7 +172,7 @@ def couple_conjugacy_check(table: CharacterTable, block: BlockData) -> bool:
     couples = []
     for j in real_defect_classes(table, block):
         for m in table.classes[j].members:
-            couples.append(_couple_from_element(table, block, m))
+            couples.append(_of_defect(_couple_from_element(G, m), block))
     if len(couples) <= 1:
         return True
     base = couples[0]
@@ -186,13 +189,13 @@ def couple_conjugacy_check(table: CharacterTable, block: BlockData) -> bool:
 
 def analyze_blocks(table: CharacterTable) -> list:
     """Full block report: partition plus couples for real blocks."""
-    blocks = block_partition(table)
+    blocks, found = block_partition(table), {}
     for b in blocks:
         if not b.is_real:
             continue
         rdc = real_defect_classes(table, b)
         b.real_defect_class_ids = tuple(rdc)
         if rdc:
-            b.couple = defect_couple(table, b)
+            b.couple = defect_couple(table, b, found)
             b.etype = b.couple.etype
     return blocks

@@ -350,12 +350,18 @@ class CharacterTable:
         }
 
 
+def capped_classes(G: PermGroup) -> list:
+    """G's conjugacy classes, refused (CapExceeded) above CLASS_CAP."""
+    classes = G.conjugacy_classes()
+    if len(classes) > CLASS_CAP:
+        raise CapExceeded(f"{len(classes)} classes exceeds cap {CLASS_CAP}")
+    return classes
+
+
 def dixon_table(G: PermGroup) -> CharacterTable:
     """Compute the exact ordinary character table of G."""
-    classes = G.conjugacy_classes()
+    classes = capped_classes(G)
     k = len(classes)
-    if k > CLASS_CAP:
-        raise CapExceeded(f"{k} classes exceeds cap {CLASS_CAP}")
     order = G.order
     class_of = G.class_of
     id_class = class_of[G.identity_idx()]

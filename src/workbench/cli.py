@@ -16,13 +16,12 @@ import argparse
 import json
 import sys
 
-from . import blocks as blocklib
 from . import modrep, pgroup, solver
 from .chartab import dixon_table
 from .errors import FieldTooSmall, WorkbenchError
 from .groups import builtin_group
 from .perm import generate, read_generator_file
-from .pipeline import analyze_group, scan_groups
+from .pipeline import analyze_group, scan_groups, table_blocks
 
 
 class _UsageError(Exception):
@@ -131,8 +130,7 @@ def cmd_chartab(args) -> int:
 
 def cmd_blocks(args) -> int:
     G, name = _load_group(args.group, cap=args.cap_order)
-    table = dixon_table(G)
-    parts = blocklib.analyze_blocks(table)
+    table, parts = table_blocks(G)
     out = []
     for b in parts:
         entry = {
@@ -156,8 +154,7 @@ def cmd_blocks(args) -> int:
 
 def cmd_invmod(args) -> int:
     G, name = _load_group(args.group, cap=args.cap_order)
-    table = dixon_table(G)
-    parts = blocklib.analyze_blocks(table)
+    table, parts = table_blocks(G)
     if args.block == "principal":
         block = next(b for b in parts if b.is_principal)
     elif args.block.isdecimal() and int(args.block) < len(parts):

@@ -19,19 +19,19 @@ generators, the factor p and a vector v of ker p(theta_S), with the
 standard basis that spins v to S.  A homomorphism S -> X sends v into
 ker p(theta_X) and is fixed by that image, so one linear solve on
 ker p(theta_X) gives Hom(S, X), and the sum of the images is a submodule
-S + ... + S of X (`_embedded_copies`).  chop() tests each module against
-every simple it knows before it draws any theta, splits those copies off
-and goes on with the quotient alone; the random search only runs on a
-module that no known simple embeds in, so a simple it certifies is a new
-class.  Each class is one `Constituent` object, and `group_constituents`
-only counts.
+S + ... + S of X (`_embedded_copies`); on X = S it gives e = dim End(S).
+chop() tests each module against every simple it knows before it draws
+any theta, splits those copies off and goes on with the quotient alone;
+the random search only runs on a module that no known simple embeds in,
+so a simple it certifies is a new class.  Each class is one `Constituent`
+object, and `group_constituents` only counts.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import groupby
 from operator import mul
 
@@ -148,6 +148,13 @@ class Constituent:
             raise InvariantViolation("a certified simple module is not spun by its vector")
         self.actions = [restrict(ech, map(m.mul_vec, ech.vectors)) for m in mats]
 
+    @cached_property
+    def end_dim(self) -> int:
+        """e = dim End(S), by the Hom solve of S on itself (`_homs`).  End(S)
+        is the field GF(2^e), and over the algebraic closure S is e
+        Galois-conjugate absolutely irreducible modules of dim S / e."""
+        return len(_homs(self, self.mats, self.dim)[1])
+
 
 def _scalar_constituent(mats) -> Constituent:
     """A 1-dimensional module, certified by its own scalars: theta = g_0 and
@@ -156,20 +163,19 @@ def _scalar_constituent(mats) -> Constituent:
     return Constituent(mats, ((0,),), 0b10 | mats[0].rows[0], 1)
 
 
-def _embedded_copies(S: Constituent, mats, dim):
-    """The sum of the images of all homomorphisms from S to the module X =
-    (mats, dim), an `Echelon` of dim r*dim(S); None when Hom(S, X) = 0.
+def _homs(S: Constituent, mats, dim) -> tuple:
+    """(ker, homs): a basis ker of ker p(theta_X) on the module X = (mats,
+    dim), and a basis of Hom(S, X) as coordinates over ker of the image of
+    S's vector v.
 
-    A homomorphism sends S's vector v to some w in ker p(theta_X), and
-    sends the standard basis b_k to the vectors w spins to along S's steps.
-    Those images define a homomorphism iff they satisfy S's relations
-    b_i g_j = sum_k actions[j][i, k] b_k, which is linear in w: one solve
-    over a basis of ker p(theta_X) gives all of Hom(S, X)."""
-    if S.dim > dim:
-        return None
+    A homomorphism sends v to some w in ker p(theta_X), and sends the
+    standard basis b_k to the vectors w spins to along S's steps.  Those
+    images define a homomorphism iff they satisfy S's relations b_i g_j =
+    sum_k actions[j][i, k] b_k, which is linear in w: one solve over a
+    basis of ker p(theta_X) gives all of Hom(S, X)."""
     ker = eval_poly(_evaluate(S.word, mats), S.poly).kernel()
     if not ker:
-        return None
+        return ker, []
     created = set(S.steps)
     residuals = []
     for u in ker:
@@ -184,7 +190,15 @@ def _embedded_copies(S: Constituent, mats, dim):
                     res |= (m.mul_vec(images[i]) ^ E.mul_vec(A.rows[i])) << width
                     width += dim
         residuals.append(res)
-    homs = BitMatrix(residuals, width).kernel()
+    return ker, BitMatrix(residuals, width).kernel()
+
+
+def _embedded_copies(S: Constituent, mats, dim):
+    """The sum of the images of all homomorphisms from S to the module X =
+    (mats, dim), an `Echelon` of dim r*dim(S); None when Hom(S, X) = 0."""
+    if S.dim > dim:
+        return None
+    ker, homs = _homs(S, mats, dim)
     if not homs:
         return None
     copies = spin(map(BitMatrix(ker, dim).mul_vec, homs), mats, dim)

@@ -24,12 +24,12 @@ from __future__ import annotations
 import os
 import re
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, compress, count, repeat
 from math import lcm
-from operator import itemgetter
+from operator import is_, itemgetter
 
 from .errors import CapExceeded, InvariantViolation, NotMember
 
@@ -219,31 +219,35 @@ class PermGroup:
         self._conjugations = None  # see conjugation_rows
 
     def _close(self) -> tuple:
-        """Breadth-first closure: (sorted elements, index).  Keeps for `_tables`
-        each product p·g as a BFS position, and each BFS parent and letter.
-        Up to degree 256 the keys are bytes and p·g is p.translate(g padded
-        to 256 bytes); bytes sort as the tuples do, so the order is kept."""
+        """Breadth-first closure: (sorted elements, index).  It finds a depth
+        layer one letter at a time, so a BFS position is a slot of `_tables`,
+        and keeps one product row per letter and the runs.  One letter moves
+        distinct parents to distinct products, so a layer is stepped and
+        looked up at C speed.  Up to degree 256 the keys are bytes and p·g is
+        p.translate(g padded to 256 bytes); bytes sort as the tuples do."""
         n = self.degree
         start, step, acts = _stepping(n, self.generators)
         pos, found = {start: 0}, [start]
-        prods, parent, letter = array("i"), array("i", [0]), array("i", [0])
-        for b, p in enumerate(found):
+        prods, runs, lo = [array("i") for _ in acts], [], 0
+        while lo < len(found):
+            layer, hi = found[lo:], len(found)
             for k, g in enumerate(acts):
-                q = step(p, g)
-                j = pos.get(q)
-                if j is None:
-                    if len(found) >= self.cap:
+                qs = list(map(step, layer, repeat(g)))
+                new = list(map(is_, map(pos.get, qs), repeat(None)))
+                ups = array("i", compress(range(lo, hi), new))
+                if ups:
+                    if len(found) + len(ups) > self.cap:
                         raise CapExceeded(f"group order exceeds cap {self.cap}")
-                    j = pos[q] = len(found)
-                    found.append(q)
-                    parent.append(b)
-                    letter.append(k)
-                prods.append(j)
+                    runs.append((len(found), len(found) + len(ups), k, ups))
+                    pos.update(zip(compress(qs, new), count(len(found))))
+                    found += compress(qs, new)
+                prods[k].extend(map(pos.__getitem__, qs))
+            lo = hi
         elements = sorted(found)
-        unrank = array("i", map(pos.__getitem__, elements))  # index -> BFS position
+        unrank = array("i", map(pos.__getitem__, elements))  # index -> slot
         for i, p in enumerate(elements):
             pos[p] = i
-        self._closure = (array("i", map(pos.__getitem__, found)), unrank, prods, parent, letter)
+        self._closure = (array("i", map(pos.__getitem__, found)), unrank, prods, runs)
         if n <= 256:
             del pos, found  # free the bytes-keyed dict, then turn bytes to tuples in place
             for i, p in enumerate(elements):
@@ -253,29 +257,17 @@ class PermGroup:
 
     @cached_property
     def _tables(self) -> tuple:
-        """(rights, runs, place): rights[k] is the row x -> x·g_k.  The BFS
-        tree is laid out in slots by (depth, letter): each run (lo, hi, k,
-        ups) holds the slots lo..hi-1 of nodes x = parent(x)·g_k at one
-        depth, with ups their parents' slots, and the runs are in slot
-        order; place[x] is element x's slot."""
-        rank, unrank, prods, parent, letter = self._closure  # rank: BFS position -> index
+        """(rights, runs, place): rights[k] is the row x -> x·g_k; each run
+        (lo, hi, k, ups) holds the slots lo..hi-1 of the nodes x =
+        parent(x)·g_k at one depth, ups their parents' slots, in the closure's
+        (depth, letter) order; place[x] is element x's slot."""
+        rank, unrank, prods, runs = self._closure  # rank: slot -> index
         del self._closure
-        n, ng = self.order, len(self.generators)
         ints = sorted(self.index.values())  # rows share the index's int objects
         ranked = list(map(ints.__getitem__, rank))
-        rights = [list(map(ranked.__getitem__, map(prods[k::ng].__getitem__, unrank)))
-                  for k in range(ng)]
-        slots, spans = [0], []  # slots: slot -> BFS position
-        while len(slots) < n:  # parent rises along the BFS, so each layer is one range
-            lo = len(slots)
-            layer = sorted(range(lo, bisect_left(parent, lo, lo)), key=letter.__getitem__)
-            ks = list(map(letter.__getitem__, layer))
-            spans += [(lo + bisect_left(ks, k), lo + bisect_right(ks, k), k) for k in set(ks)]
-            slots += layer
-        slot = list(map(ints.__getitem__, sorted(range(n), key=slots.__getitem__)))
-        ups = list(map(slot.__getitem__, map(parent.__getitem__, slots)))
-        runs = [(lo, hi, k, ups[lo:hi]) for lo, hi, k in sorted(spans)]
-        return rights, runs, list(map(slot.__getitem__, unrank))
+        rights = [list(map(ranked.__getitem__, map(row.__getitem__, unrank))) for row in prods]
+        runs = [(lo, hi, k, list(map(ints.__getitem__, ups))) for lo, hi, k, ups in runs]
+        return rights, runs, list(map(ints.__getitem__, unrank))
 
     # -- element helpers ------------------------------------------------
 

@@ -15,8 +15,9 @@ from itertools import permutations
 
 from . import blocks as blocklib
 from . import linalg, modrep, solver
-from .chartab import CharacterTable, dixon_table
+from .chartab import CharacterTable, capped_classes, dixon_table
 from .errors import InvariantViolation
+from .gf2 import GF2Field
 from .groups import builtin_group, morita_hint
 from .perm import generate, nu, read_generator_file
 from .pgroup import is_dihedral_2group
@@ -65,6 +66,15 @@ def _solve_dims(sh, degs, fam_degree, l):
     return [int(x) for x in dims]
 
 
+def table_blocks(G) -> tuple:
+    """(table, `blocks.analyze_blocks` of it).  F reads only the class orders:
+    a GF(2^F) with no pinned polynomial is refused past the class cap, before
+    the table is built."""
+    GF2Field(blocklib.omega_field(capped_classes(G)))
+    table = dixon_table(G)
+    return table, blocklib.analyze_blocks(table)
+
+
 @dataclass
 class BlockReport:
     degrees: list
@@ -98,8 +108,7 @@ def analyze_group(group, name: str | None = None, seed: int = 0,
     if isinstance(group, str):
         name = group
         group = builtin_group(group)
-    table = dixon_table(group)
-    parts = blocklib.analyze_blocks(table)
+    table, parts = table_blocks(group)
     if hint is None and name is not None:
         hint = morita_hint(name)
     omega = modrep.involution_perm_module(group)
@@ -118,10 +127,10 @@ def analyze_group(group, name: str | None = None, seed: int = 0,
             rep.defect_group_dihedral = is_dihedral_2group(D)
             rep.etype = b.etype
         _fs_report(table, b, rep)
-        _module_report(table, b, rep, omega, seed)
+        factors = _module_report(table, b, rep, omega, seed)
         total_cut += rep.komega_dim
         if rep.defect_group_dihedral and b.etype is not None:
-            _match_table2(table, b, rep, hint, seed)
+            _match_table2(table, b, rep, hint, factors)
         reports.append(rep)
     out = {
         "group": name or "custom",
@@ -163,10 +172,12 @@ def _fs_report(table, block, rep: BlockReport):
 
 
 def _module_report(table, block, rep: BlockReport, omega, seed):
+    """Fill in the cut's module fields; returns its MeatAxe factors, or
+    None when the MeatAxe does not run."""
     cut = modrep.block_cut(table, block, omega)
     rep.komega_dim = cut.dim
     if isinstance(cut, modrep.GFModule) or cut.dim == 0:
-        return
+        return None
     factors, summands, grouped = modrep.decompose_cut(cut, seed=seed)
     rep.meataxe = sorted((dim, mult) for _c, dim, mult in factors)
     if summands is not None:
@@ -178,9 +189,14 @@ def _module_report(table, block, rep: BlockReport, omega, seed):
             rep.valuation_ok = val["ok"]
             if not val["ok"]:
                 rep.mismatches.append("summand dimension valuation failed")
+    return factors
 
 
-def _match_table2(table, block, rep: BlockReport, hint, seed):
+def _match_table2(table, block, rep: BlockReport, hint, factors):
+    """Fit the Morita shape and compare FS values and multiplicities with
+    the solver's cell.  The MeatAxe factors are compared over the algebraic
+    closure: a GF(2) factor S with End(S) = GF(2^e) is e Galois-conjugate
+    absolutely irreducible modules of dim S / e, each with S's multiplicity."""
     d = block.defect
     candidates = [hint] if hint else list(solver.MORITA_TYPES)
     fitted = None
@@ -217,9 +233,12 @@ def _match_table2(table, block, rep: BlockReport, hint, seed):
     rep.predicted = sorted(zip(dims, mults))
     if tuple(mults) != sol.multiplicities:
         rep.mismatches.append("predicted multiplicities differ from solver cell")
-    if rep.meataxe is not None and rep.meataxe != rep.predicted:
-        rep.mismatches.append(
-            f"MeatAxe factors {rep.meataxe} != predicted {rep.predicted}")
+    if factors is None:
+        return
+    absolute = sorted((dim // c.end_dim, mult) for c, dim, mult in factors
+                      for _copy in range(c.end_dim))
+    if absolute != rep.predicted:
+        rep.mismatches.append(f"MeatAxe factors {rep.meataxe} != predicted {rep.predicted}")
 
 
 def scan_groups(paths, cap=None) -> list:
@@ -244,9 +263,7 @@ def scan_groups(paths, cap=None) -> list:
 def _scan_file(path, cap) -> dict:
     """One file's scan entry.  Its group and table die on return, so they
     are not held while the next file's group is built."""
-    G = generate(read_generator_file(path), cap=cap)
-    table = dixon_table(G)
-    parts = blocklib.analyze_blocks(table)
+    table, parts = table_blocks(generate(read_generator_file(path), cap=cap))
     hits = [{"degrees": b.degrees(table), "defect": b.defect, "etype": b.etype}
             for b in parts if b.etype not in (None, "principal", "a")]
-    return {"order": G.order, "blocks": len(parts), "nontrivial_etype_blocks": hits}
+    return {"order": table.group.order, "blocks": len(parts), "nontrivial_etype_blocks": hits}

@@ -478,7 +478,7 @@ def structure_constants(G, classes) -> list:
 def idempotent_square_check(table, coeffs) -> bool:
     """(sum a_C C+)^2 = sum a_C C+ in Z(kG), via structure constants mod 2."""
     k = table.k
-    F = GF2Field(omega_field(table))
+    F = GF2Field(omega_field(table.classes))
     const = structure_constants(table.group, table.classes)
     sq = [0] * k
     for i in range(k):

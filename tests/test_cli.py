@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from workbench import cli, solver
+from workbench import cli, pipeline, solver
 from workbench.perm import generate, identity, mul, read_generator_file
 
 GROUP_FILES = Path(__file__).resolve().parents[1] / "perfbench" / "groups"
@@ -68,6 +68,21 @@ def test_chartab_command_large_conductor(capsys, name):
     one = identity(len(G.elements[0]))
     squares_one = sum(1 for g in G.elements if mul(g, g) == one)
     assert sum(e * d for e, d in zip(data["fs_vector"], data["degrees"])) == squares_one
+
+
+def test_blocks_refuses_the_field_before_the_table(capsys, monkeypatch):
+    # chartab needs no GF(2^F) and builds psl2_23's table
+    # (test_chartab_command_large_conductor); blocks needs F = 110, and is
+    # refused with no table built
+    def no_table(_G):
+        raise AssertionError("dixon_table was called")
+
+    monkeypatch.setattr(pipeline, "dixon_table", no_table)
+    code = cli.main(["blocks", "--group", str(GROUP_FILES / "psl2_23.txt")])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.splitlines() == [
+        "workbench: FieldTooSmall: no primitive polynomial pinned for f=110"]
 
 
 def test_blocks_command(capsys):

@@ -641,6 +641,18 @@ def test_one_dimensional_factors_are_told_apart_by_scalars(gens):
     assert sorted(c.mats[-1].rows[0] for c, _k in grouped) == [0, 1]
 
 
+def test_end_dim_reads_the_field_of_endomorphisms():
+    # C3 on GF(4) = GF(2)^2 (multiplication by a root of x^2 + x + 1) is
+    # simple with End = GF(4); beside it the trivial module has End = GF(2)
+    w = [[0, 1, 0], [1, 1, 0], [0, 0, 1]]
+    grouped = meataxe.group_constituents(meataxe.chop([BitMatrix.from_lists(w)], 3))
+    assert [(c.dim, c.end_dim, k) for c, k in grouped] == [(1, 1, 1), (2, 2, 1)]
+    # every factor of psl27's principal cut is absolutely irreducible
+    T = table("psl27")
+    cut = modrep.block_cut(T, principal_block(T), modrep.involution_perm_module(T.group))
+    assert {c.end_dim for c in meataxe.chop(cut.mats, cut.dim)} == {1}
+
+
 def test_s7_principal_corners_at_seed_24():
     # a corner certified local only because its 1-dim factors were all taken
     # for the trivial module merged 70 + 1 into one summand at this seed

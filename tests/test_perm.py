@@ -255,6 +255,42 @@ def _table_case(name):
     return _group(name)
 
 
+def _check_words_and_runs(G):
+    # the runs tile slots 1..n-1 in (depth, letter) order, each node one
+    # step from its parent along the rows x -> x·g_k, and depth the BFS
+    # distance from 1; each element's word, read along the rows, spells it
+    G = G._parent or G
+    rights, runs, place = G._tables
+    unplace = sorted(range(G.order), key=place.__getitem__)
+    one = G.identity_idx()
+    assert place[one] == 0 and sorted(place) == list(range(G.order))
+    assert [s for lo, hi, _k, _ups in runs for s in range(lo, hi)] == list(range(1, G.order))
+    distance, frontier = {one: 0}, [one]
+    while frontier:
+        reached = []
+        for x in frontier:
+            for y in (row[x] for row in rights):
+                if y not in distance:
+                    distance[y] = distance[x] + 1
+                    reached.append(y)
+        frontier = reached
+    depth = [0] * G.order  # by slot
+    keys = []
+    for lo, hi, k, ups in runs:
+        assert len(ups) == hi - lo
+        for s, up in zip(range(lo, hi), ups):
+            assert up < lo and rights[k][unplace[up]] == unplace[s]
+            depth[s] = depth[up] + 1
+        assert len({depth[s] for s in range(lo, hi)}) == 1
+        keys.append((depth[lo], k))
+    assert keys == sorted(set(keys))
+    for x in range(G.order):
+        word, y = G._word(x), one
+        for k in word:
+            y = rights[k][y]
+        assert y == x and len(word) == depth[place[x]] == distance[x]
+
+
 @pytest.mark.parametrize("name", ["s4", "c2xs3", "psl27", "a7", "pgl2_11", "M11",
                                   "psl27 C*(c)"])
 def test_index_tables_match_tuple_products(name):
@@ -272,6 +308,7 @@ def test_index_tables_match_tuple_products(name):
         # the class search's rows x -> g^-1·x·g, kept on a root group only
         assert list(G.conjugation_rows()[k]) == [index[perm.conj(x, g)] for x in els]
     assert (G._conjugations is G.conjugation_rows()) == (G._parent is None)
+    _check_words_and_runs(G)
     assert list(G.inv) == [_inv_idx(G, x) for x in range(G.order)]
     # a walk of the root's rows from c gives c^x for every element x of the root
     root = G._parent or G
@@ -342,6 +379,7 @@ def _check_against_tuple_closure(G):
     assert G.elements == elements and G.index == index
     if G._parent is None:
         assert [list(row) for row in G._tables[0]] == rights
+    _check_words_and_runs(G)
     lefts = [tree_walk(tree, rights, h, G.order) for h in range(G.order)]
     assert [list(G.left(h)) for h in range(G.order)] == lefts
     one = index[perm.identity(G.degree)]

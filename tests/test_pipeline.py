@@ -5,10 +5,11 @@ from pathlib import Path
 import pytest
 
 from workbench.pipeline import analyze_group, fit_morita_rows, scan_groups
-from workbench import blocks, pipeline
+from workbench import blocks, chartab, pipeline
 from workbench.errors import FieldTooSmall, InvariantViolation
 from workbench.chartab import dixon_table
 from workbench.groups import builtin_group
+from workbench.perm import generate, read_generator_file
 
 EXPECT = {
     # group: (morita, etype, simple dims, meataxe [(dim, mult)])
@@ -104,3 +105,40 @@ def test_refused_scan_files_keep_their_field_verdict():
     entries = scan_groups([files / name for name in want])
     assert [e["error"] for e in entries] == \
         [f"FieldTooSmall: no primitive polynomial pinned for f={f}" for f in want.values()]
+
+
+GROUP_FILES = Path(__file__).resolve().parents[1] / "perfbench" / "groups"
+
+
+def test_refused_scan_files_build_no_table(monkeypatch):
+    # route guard: F reads only the class orders, so a file is refused
+    # right after its classes, before any character table is built
+    built = []
+    monkeypatch.setattr(pipeline, "dixon_table", lambda G: built.append(G.order))
+    want = {"pgl2_17.txt": 24, "psl2_17.txt": 24, "psl2_19.txt": 36, "psl2_23.txt": 110}
+    entries = scan_groups([GROUP_FILES / name for name in want])
+    assert built == []
+    assert [e["error"] for e in entries] == \
+        [f"FieldTooSmall: no primitive polynomial pinned for f={f}" for f in want.values()]
+
+
+def test_class_cap_is_refused_before_the_field(monkeypatch):
+    # psl2_17 has 11 classes and F = 24: the class cap speaks first
+    monkeypatch.setattr(chartab, "CLASS_CAP", 5)
+    [entry] = scan_groups([GROUP_FILES / "psl2_17.txt"])
+    assert entry["error"] == "CapExceeded: 11 classes exceeds cap 5"
+
+
+def test_meataxe_factors_are_compared_over_the_closure(tmp_path):
+    # C3 x| PGL(2,7): PSL(2,7) centralizes the C3 on points 9-11 and the
+    # other coset inverts it.  The type-(c) block of defect 3 has GF(2)
+    # factors of dims 2 and 12; the 12-dim one has End = GF(4), so over the
+    # closure it is two conjugate 6-dim modules, as the classification says
+    f = tmp_path / "c3_pgl27.txt"
+    f.write_text("(1 2 3 4 5 6 7)\n(1 8)(2 7)(3 4)(5 6)\n(2 4 3 7 5 6)(10 11)\n(9 10 11)\n")
+    rep = analyze_group(generate(read_generator_file(f)), name="c3_pgl27")
+    assert rep["order"] == 1008 and rep["mismatches"] == []
+    [block] = [b for b in rep["blocks"] if b["etype"] == "c"]
+    assert block["defect"] == 3
+    assert block["meataxe"] == [(2, 2), (12, 3)]
+    assert block["predicted"] == [(2, 2), (6, 3), (6, 3)]
