@@ -15,8 +15,9 @@ index (a centralizer, C*(g), O_2) reads the rows of its root group.
 Both loops over the elements run at C speed.  Up to degree 256 the
 closure (and `powers`) keys each element by its bytes, so p·g is one
 `bytes.translate`; a larger degree has no byte per point and keeps `mul`.
-The walk fills one slice per run of BFS nodes with the same depth and
-generator letter, from their parents one layer up.
+The closure finds elements by depth and then by letter, so its BFS order
+is the walk's layout: one slice per run of BFS nodes with the same depth
+and generator letter, filled from their parents one layer up.
 """
 
 from __future__ import annotations

@@ -129,16 +129,24 @@ def test_class_cap_is_refused_before_the_field(monkeypatch):
     assert entry["error"] == "CapExceeded: 11 classes exceeds cap 5"
 
 
-def test_meataxe_factors_are_compared_over_the_closure(tmp_path):
-    # C3 x| PGL(2,7): PSL(2,7) centralizes the C3 on points 9-11 and the
-    # other coset inverts it.  The type-(c) block of defect 3 has GF(2)
-    # factors of dims 2 and 12; the 12-dim one has End = GF(4), so over the
-    # closure it is two conjugate 6-dim modules, as the classification says
-    f = tmp_path / "c3_pgl27.txt"
-    f.write_text("(1 2 3 4 5 6 7)\n(1 8)(2 7)(3 4)(5 6)\n(2 4 3 7 5 6)(10 11)\n(9 10 11)\n")
-    rep = analyze_group(generate(read_generator_file(f)), name="c3_pgl27")
-    assert rep["order"] == 1008 and rep["mismatches"] == []
+@pytest.mark.parametrize("gens,order,meataxe,predicted", [
+    (["(1 2 3 4 5 6 7)", "(1 8)(2 7)(3 4)(5 6)", "(2 4 3 7 5 6)(10 11)", "(9 10 11)"],
+     1008, [(2, 2), (12, 3)], [(2, 2), (6, 3), (6, 3)]),
+    (["(1 2 3)(4 5 6)(7 8 9)", "(1 10)(2 3)(5 8)(6 9)", "(2 5 7 8 3 9 4 6)(12 13)",
+      "(11 12 13)"],
+     2160, [(2, 4), (16, 2)], [(2, 4), (8, 2), (8, 2)]),
+], ids=["c3_pgl2_7", "c3_pgl2_9"])
+def test_meataxe_factors_are_compared_over_the_closure(tmp_path, gens, order, meataxe,
+                                                       predicted):
+    # C3 x| PGL(2,q): PSL(2,q), the even permutations, centralizes the C3 on
+    # the last three points and the odd ones invert it.  The type-(c) block
+    # of defect 3 has a GF(2) factor with End = GF(4), which over the
+    # closure is two conjugate modules of half its dimension, as the
+    # classification counts them
+    f = tmp_path / "c3_pgl.txt"
+    f.write_text("\n".join(gens) + "\n")
+    rep = analyze_group(generate(read_generator_file(f)), name="c3_pgl")
+    assert rep["order"] == order and rep["mismatches"] == []
     [block] = [b for b in rep["blocks"] if b["etype"] == "c"]
     assert block["defect"] == 3
-    assert block["meataxe"] == [(2, 2), (12, 3)]
-    assert block["predicted"] == [(2, 2), (6, 3), (6, 3)]
+    assert block["meataxe"] == meataxe and block["predicted"] == predicted
