@@ -44,6 +44,7 @@ class BlockData:
     couple: DefectCouple | None = None
     etype: str | None = None
     idempotent: list | None = None   # e_B per class, once computed
+    split: tuple | None = None       # (height-0 rows, families), once split
 
     def degrees(self, table: CharacterTable) -> list:
         return sorted(table.degrees[i] for i in self.rows)
@@ -98,6 +99,21 @@ def block_idempotent_support(table: CharacterTable, block: BlockData) -> list:
             raise InvariantViolation("idempotent supported on a 2-singular class")
     block.idempotent = coeffs
     return coeffs
+
+
+def height_split(table: CharacterTable, block: BlockData) -> tuple:
+    """(height0, families): the rows of height 0 and, when there are four
+    of them, the other rows in 2-conjugacy families, smallest first
+    (otherwise families is None).  Kept on the block for later calls."""
+    if block.split is None:
+        nuG = nu(table.group.order)
+        height0 = [i for i in block.rows if nu(table.degrees[i]) == nuG - block.defect]
+        fams = None
+        if len(height0) == 4:
+            rest = [i for i in block.rows if i not in height0]
+            fams = tuple(sorted(table.two_conjugacy_families(rest), key=len))
+        block.split = tuple(height0), fams
+    return block.split
 
 
 def real_defect_classes(table: CharacterTable, block: BlockData) -> list:

@@ -5,7 +5,7 @@ so row operations are single int XORs.  A product v*M sums the rows at v's
 set bits: a sparse v by a loop over its bits, a dense one at C level, by
 `compress` over its binary string, and M*N is one such product per row.
 The one eliminator, `Echelon`, keeps coordinates only on a span built to
-be solved against (`restrict`, `krylov_relation`, `inverse`), and carries
+be solved against (`restrict`, `krylov_relation`), and carries
 them in the same ints as the rows.  Every matrix is over GF(2): GF(2^f)
 occurs only as scalars (central characters, block idempotent coefficients),
 held as ints of polynomial bits modulo a fixed primitive polynomial per f;
@@ -177,9 +177,6 @@ class GF2Field:
         self.modulus = PRIMITIVE_POLY[f]
         self.order = 1 << f
 
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         return poly_mulmod(a, b, self.modulus) if self.f > 1 else (a & b)
 
@@ -194,11 +191,6 @@ class GF2Field:
             a = self.mul(a, a)
             n >>= 1
         return out
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError
-        return self.pow(a, self.order - 2)
 
     def generator(self) -> int:
         return 0b10 if self.f > 1 else 1
@@ -312,27 +304,8 @@ class BitMatrix:
                 v ^= low
         return BitMatrix(out, self.nrows)
 
-    def pow(self, n: int) -> "BitMatrix":
-        result = BitMatrix.identity(self.nrows)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.rows)
-
-    def inverse(self) -> "BitMatrix":
-        if self.nrows != self.ncols:
-            raise ValueError("not square")
-        ech = Echelon(self.rows, self.ncols)
-        if len(ech) < self.nrows:
-            raise ZeroDivisionError("matrix not invertible")
-        # row j of the inverse: the coordinates of e_j over the rows
-        return BitMatrix([ech.solve(1 << j) for j in range(self.ncols)], self.nrows)
 
     def rank(self) -> int:
         return len(Echelon(self.rows))

@@ -156,27 +156,3 @@ def _builtin_gens(name: str, cap: int | None) -> list:
         return _pl2(int(m.group(1) or m.group(2)), True)
     raise ValueError(f"unknown builtin group: {name}")
 
-
-# Morita-family hints for classification matching; the pipeline records these as a
-# labeled hypothesis and verifies them against the block's degree profile.
-MORITA_HINTS = {
-    "psl27": "vi",
-    "s5": "ii",
-    "pgl27": "iii",
-    "a7": "iv",
-}
-
-
-def morita_hint(name: str) -> str | None:
-    name = name.lower()
-    if name in MORITA_HINTS:
-        return MORITA_HINTS[name]
-    m = re.fullmatch(r"psl2q\((\d+)\)|psl2_?(\d+)", name)
-    if m:
-        q = int(m.group(1) or m.group(2))
-        return "v" if q % 4 == 1 else "vi"
-    m = re.fullmatch(r"pgl2q\((\d+)\)|pgl2_?(\d+)", name)
-    if m:
-        q = int(m.group(1) or m.group(2))
-        return "ii" if q % 4 == 1 else "iii"
-    return None

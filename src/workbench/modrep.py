@@ -329,14 +329,15 @@ def block_cut(table: CharacterTable, block: BlockData, module: GF2Module):
     When e_B is GF(2)-rational this is a GF2Module written in the projector
     rows.  Otherwise the blocks in the Frobenius orbit of e_B cut out
     summands of equal dimension, so the result is a GFModule of dimension
-    rank(orbit sum) / (orbit length)."""
+    rank(orbit sum) / (orbit length), over GF(2^length): the coefficients
+    of e_B are fixed by the length-th power of the Frobenius map."""
     proj, length = block_projector(table, block, module)
     if length > 1:
         orbit_dim = proj.rank()
         if orbit_dim % length:
             raise InvariantViolation(
                 f"orbit cut dim {orbit_dim} not divisible by orbit length {length}")
-        return GFModule(GF2Field(block.field_f), orbit_dim // length)
+        return GFModule(GF2Field(length), orbit_dim // length)
     ech = Echelon(proj.rows).reduced_basis(module.dim)
     # e is central in End(M), so End(eM) = e End(M): the orbital algebra
     # with e, read off the projector at each orbital's first pair, as unit
@@ -548,8 +549,9 @@ def _corner_is_local(H: EndAlgebra, f: int, corner: Echelon) -> bool:
     matrix; it stops at the first unit in the span of the non-units found
     so far.  Above CORNER_WALK_CAP the right-regular module of fHf is
     chopped instead: fHf is local iff it has a single simple constituent S
-    up to isomorphism, with dim S = dim End(S) (`hom_space`).  Either way
-    each basis element's multiplication matrix is built once."""
+    up to isomorphism, with dim S = dim End(S), read off S's certificate
+    (`Constituent.end_dim`).  Either way each basis element's
+    multiplication matrix is built once."""
     m = len(corner)
     if m == 1:
         return True  # fHf = k*f
@@ -557,7 +559,7 @@ def _corner_is_local(H: EndAlgebra, f: int, corner: Echelon) -> bool:
         mats = [restrict(corner, map(H.right(b).mul_vec, corner.vectors), "corner")
                 for b in corner.vectors]
         S, *others = chop(mats, m)
-        return S.dim == len(hom_space(S, S)) and all(T is S for T in others)
+        return all(T is S for T in others) and S.end_dim == S.dim
     return _walk_is_local([restrict(corner, map(H.left(b).mul_vec, corner.vectors), "corner").rows
                            for b in corner.vectors])
 

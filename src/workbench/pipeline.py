@@ -1,69 +1,87 @@
 """End-to-end analysis: character table -> blocks -> couples -> FS vector ->
 involution-module cross-checks against the symbolic classification.
 
-The Morita shape of a concrete block is a labeled hypothesis: a builtin
-family hint (PSL/PGL/A7/nilpotent) is verified by fitting the block's
-degree profile to the shape's decomposition matrix, which also recovers
-the simple-module dimensions used to compare MeatAxe output with the
-predicted multiplicities.
+The Morita shape of a real block with dihedral defect group is read off
+its degree profile alone: the shape whose decomposition matrix, with the
+row of the height-1 families, carries some assignment of the height-0
+degrees and the family degree to positive integer simple-module
+dimensions.  No two shapes share a profile, so the fit names the shape,
+and the dimensions it recovers are what the MeatAxe output is compared
+with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import permutations
+from math import lcm
+from operator import mul
 
 from . import blocks as blocklib
 from . import linalg, modrep, solver
 from .chartab import CharacterTable, capped_classes, dixon_table
 from .errors import InvariantViolation
 from .gf2 import GF2Field
-from .groups import builtin_group, morita_hint
+from .groups import builtin_group
 from .perm import generate, nu, read_generator_file
 from .pgroup import is_dihedral_2group
 
 
-def fit_morita_rows(table: CharacterTable, block, type_id: str):
-    """Assign block rows to the shape's chi_1..chi_4 and solve for simple
-    dimensions; returns (row_assignment, dims, families) or None.
+def fit_morita_rows(table: CharacterTable, block):
+    """The Morita shape that fits the block's degree profile: (type, row
+    assignment, dims, families) for the first shape of `solver.MORITA_TYPES`
+    and the first assignment of the height-0 rows to its chi_1..chi_4 with
+    positive integer simple dimensions (`_shape_dims`), or None.
 
-    families come back ordered F_0, F_1, ..., F_(d-3) (sizes 1, 2, 4, ...).
-    """
-    sh = solver._SHAPES[type_id]
+    families come back ordered F_0, F_1, ..., F_(d-3) (sizes 1, 2, 4, ...)."""
     d = block.defect
-    nuG = nu(table.group.order)
-    height0 = [i for i in block.rows if nu(table.degrees[i]) == nuG - d]
-    height1 = [i for i in block.rows if i not in height0]
-    if len(height0) != 4 or len(height1) != (1 << (d - 2)) - 1:
-        return None
-    if any(nu(table.degrees[i]) != nuG - d + 1 for i in height1):
-        return None
-    fams = table.two_conjugacy_families(height1)
-    fams = sorted(fams, key=len)
-    if [len(f) for f in fams] != [1 << j for j in range(d - 2)]:
+    height0, fams = blocklib.height_split(table, block)
+    if fams is None or [len(f) for f in fams] != [1 << j for j in range(d - 2)]:
         return None
     fam_degree = {table.degrees[i] for f in fams for i in f}
     if len(fam_degree) != 1:
         return None
     fam_degree = fam_degree.pop()
-    l = len(sh["fam"])
-    for perm in permutations(height0):
-        degs = [table.degrees[i] for i in perm]
-        dims = _solve_dims(sh, degs, fam_degree, l)
-        if dims is not None:
-            return tuple(perm), tuple(dims), tuple(tuple(f) for f in fams)
+    if nu(fam_degree) != nu(table.group.order) - d + 1:
+        return None
+    for ty in solver.MORITA_TYPES:
+        for perm in permutations(height0):
+            dims = _shape_dims(ty, [*(table.degrees[i] for i in perm), fam_degree])
+            if dims is not None:
+                return ty, perm, dims, fams
     return None
 
 
-def _solve_dims(sh, degs, fam_degree, l):
-    """Positive integer dims with dec * dims = degs and fam * dims = fam_degree."""
-    sol = linalg.solve(list(zip(*sh["dec"], sh["fam"])), [[*degs, fam_degree]])
-    if sol is None or len(sol[1]) != l:
+@lru_cache(maxsize=None)
+def _left_inverse(type_id: str) -> tuple:
+    """(A, Q, D): A the shape's rows chi_1..chi_4 and family row, and an
+    integer matrix Q with Q A = D I, D > 0, from one rational solve.  A has
+    full column rank and depends on the shape only, so each shape is
+    solved once."""
+    sh = solver._SHAPES[type_id]
+    A = (*sh["dec"], sh["fam"])
+    l = len(sh["fam"])
+    ys, _pivots = linalg.solve(A, [[int(m == k) for m in range(l)] for k in range(l)])
+    D = lcm(*(y.denominator for row in ys for y in row))
+    return A, tuple(tuple(int(y * D) for y in row) for row in ys), D
+
+
+def _shape_dims(type_id: str, profile):
+    """The positive integer dims with A dims = profile, A the shape's rows
+    chi_1..chi_4 and family row, or None: dims = Q profile / D
+    (`_left_inverse`) when that is a positive integer vector that A maps
+    back onto the profile."""
+    A, Q, D = _left_inverse(type_id)
+    dims = []
+    for row in Q:
+        x, r = divmod(sum(map(mul, row, profile)), D)
+        if x <= 0 or r:
+            return None
+        dims.append(x)
+    if [sum(map(mul, row, dims)) for row in A] != list(profile):
         return None
-    dims = sol[0][0]
-    if any(x.denominator != 1 or x <= 0 for x in dims):
-        return None
-    return [int(x) for x in dims]
+    return tuple(dims)
 
 
 def table_blocks(G) -> tuple:
@@ -102,15 +120,13 @@ class BlockReport:
         return {k: v for k, v in self.__dict__.items()}
 
 
-def analyze_group(group, name: str | None = None, seed: int = 0,
-                  hint: str | None = None) -> dict:
-    """Full pipeline for one group; returns a JSON-ready report."""
+def analyze_group(group, name: str | None = None, seed: int = 0) -> dict:
+    """Full pipeline for one group; returns a JSON-ready report.  The name
+    is only the report's "group" label."""
     if isinstance(group, str):
         name = group
         group = builtin_group(group)
     table, parts = table_blocks(group)
-    if hint is None and name is not None:
-        hint = morita_hint(name)
     omega = modrep.involution_perm_module(group)
     reports = []
     total_cut = 0
@@ -130,7 +146,7 @@ def analyze_group(group, name: str | None = None, seed: int = 0,
         factors = _module_report(table, b, rep, omega, seed)
         total_cut += rep.komega_dim
         if rep.defect_group_dihedral and b.etype is not None:
-            _match_table2(table, b, rep, hint, factors)
+            _match_table2(table, b, rep, factors)
         reports.append(rep)
     out = {
         "group": name or "custom",
@@ -151,24 +167,22 @@ def analyze_group(group, name: str | None = None, seed: int = 0,
 
 
 def _fs_report(table, block, rep: BlockReport):
-    d = block.defect
-    nuG = nu(table.group.order)
-    height0 = [i for i in block.rows if nu(table.degrees[i]) == nuG - d]
-    if len(height0) == 4:
-        eps = sorted((table.fs_indicator(i) for i in height0), reverse=True)
-        rep.fs_height0 = "".join("+" if e == 1 else ("0" if e == 0 else "-")
-                                 for e in eps)
-        height1 = [i for i in block.rows if i not in height0]
-        fams = sorted(table.two_conjugacy_families(height1), key=len)
-        vals = []
-        for f in fams:
-            fe = {table.fs_indicator(i) for i in f}
-            if len(fe) != 1:
-                rep.mismatches.append("FS not constant on a Galois family")
-                return
-            vals.append(fe.pop())
-        rep.fs_family = "".join("+" if e == 1 else ("0" if e == 0 else "-")
-                                for e in vals)
+    height0, fams = blocklib.height_split(table, block)
+    if fams is None:
+        return
+    rep.fs_height0 = _signs(sorted((table.fs_indicator(i) for i in height0), reverse=True))
+    vals = []
+    for f in fams:
+        fe = {table.fs_indicator(i) for i in f}
+        if len(fe) != 1:
+            rep.mismatches.append("FS not constant on a Galois family")
+            return
+        vals.append(fe.pop())
+    rep.fs_family = _signs(vals)
+
+
+def _signs(eps) -> str:
+    return "".join("+" if e == 1 else ("0" if e == 0 else "-") for e in eps)
 
 
 def _module_report(table, block, rep: BlockReport, omega, seed):
@@ -192,23 +206,17 @@ def _module_report(table, block, rep: BlockReport, omega, seed):
     return factors
 
 
-def _match_table2(table, block, rep: BlockReport, hint, factors):
+def _match_table2(table, block, rep: BlockReport, factors):
     """Fit the Morita shape and compare FS values and multiplicities with
     the solver's cell.  The MeatAxe factors are compared over the algebraic
     closure: a GF(2) factor S with End(S) = GF(2^e) is e Galois-conjugate
     absolutely irreducible modules of dim S / e, each with S's multiplicity."""
     d = block.defect
-    candidates = [hint] if hint else list(solver.MORITA_TYPES)
-    fitted = None
-    for ty in candidates:
-        fit = fit_morita_rows(table, block, ty)
-        if fit is not None:
-            fitted = (ty, fit)
-            break
-    if fitted is None:
+    fit = fit_morita_rows(table, block)
+    if fit is None:
         rep.mismatches.append("no Morita shape fits the degree profile")
         return
-    ty, (perm, dims, fams) = fitted
+    ty, perm, dims, fams = fit
     rep.morita = ty
     rep.simple_dims = list(dims)
     sols = solver.solve(ty, block.etype, d)

@@ -487,7 +487,7 @@ def idempotent_square_check(table, coeffs) -> bool:
             if prod:
                 for l in range(k):
                     if const[i][j][l] % 2:
-                        sq[l] = F.add(sq[l], prod)
+                        sq[l] ^= prod
     return sq == list(coeffs)
 
 
@@ -627,9 +627,20 @@ def chopped_corner_is_local(H, f: int, corner: Echelon, seed=0) -> bool:
     return S.dim == len(hom_space(S, S)) and all(T is S for T in others)
 
 
+def matrix_inverse(M: BitMatrix) -> BitMatrix:
+    """The inverse of a square GF(2) matrix: row j holds the coordinates of
+    e_j over M's rows."""
+    if M.nrows != M.ncols:
+        raise ValueError("not square")
+    ech = Echelon(M.rows, M.ncols)
+    if len(ech) < M.nrows:
+        raise ZeroDivisionError("matrix not invertible")
+    return BitMatrix([ech.solve(1 << j) for j in range(M.ncols)], M.nrows)
+
+
 def dual_module(module) -> GF2Module:
     """The contragredient module: g acts by rho(g^-1)^T."""
-    return GF2Module([m.inverse().transpose() for m in module.mats], module.dim)
+    return GF2Module([matrix_inverse(m).transpose() for m in module.mats], module.dim)
 
 
 def hom_space_endomorphisms(module) -> EndAlgebra:

@@ -126,7 +126,8 @@ def test_invmod_dump_is_pinned(capsys, tmp_path, group, block, digest):
 
 
 def test_invmod_dump_of_non_rational_cut(capsys, tmp_path):
-    # psl2_9 block 1 is cut over GF(2^4): no GF(2) action matrices to write
+    # psl2_9 block 1 is cut over GF(2^2), the field of its e_B (a Frobenius
+    # orbit of length 2): no GF(2) action matrices to write
     dump = tmp_path / "cut.txt"
     code = cli.main(["invmod", "--group", "psl2_9", "--block", "1",
                      "--dump-matrices", str(dump)])
@@ -135,6 +136,14 @@ def test_invmod_dump_of_non_rational_cut(capsys, tmp_path):
     assert captured.out == "" and not dump.exists()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("workbench: FieldTooSmall: ")
+
+
+def test_invmod_reports_the_field_of_a_non_rational_block(capsys):
+    # psl2_11 block 2: the classes need GF(2^20), but e_B has a Frobenius
+    # orbit of length 2, so the block is defined over GF(2^2)
+    code, out = run(capsys, ["invmod", "--group", "psl2_11", "--block", "2", "--json"])
+    assert code == 0
+    assert json.loads(out)["field"] == "GF(2^2)"
 
 
 def test_solve_command(capsys):

@@ -662,6 +662,21 @@ def test_s7_principal_corners_at_seed_24():
     assert sorted(s.dim for s in summands) == [1, 1, 1, 1, 14, 14, 70, 70]
 
 
+@pytest.mark.parametrize("seed", [5, 7])
+def test_large_corners_read_end_off_the_certificate(monkeypatch, seed):
+    # route guard: above CORNER_WALK_CAP a corner's simple S is checked by
+    # dim End(S) from its certificate, never by a generic hom_space solve
+    # (at these seeds S7's principal cut meets corners whose S has dim 2, 4)
+    def no_hom_space(*_args):
+        raise AssertionError("corner locality called hom_space")
+
+    T = table("S7.txt")
+    cut = modrep.block_cut(T, principal_block(T), modrep.involution_perm_module(T.group))
+    monkeypatch.setattr(modrep, "hom_space", no_hom_space)
+    summands = modrep.summand_split(cut, seed=seed)
+    assert sorted(s.dim for s in summands) == [1, 1, 1, 1, 14, 14, 70, 70]
+
+
 def test_meataxe_retry_exhaustion_is_typed(monkeypatch):
     T = table("psl27")
     cut = modrep.block_cut(T, principal_block(T), modrep.involution_perm_module(T.group))

@@ -1,15 +1,19 @@
 import hashlib
 import json
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
 
-from workbench.pipeline import analyze_group, fit_morita_rows, scan_groups
-from workbench import blocks, chartab, pipeline
+from workbench.pipeline import _shape_dims, analyze_group, fit_morita_rows, scan_groups
+from workbench import blocks, chartab, pipeline, solver
 from workbench.errors import FieldTooSmall, InvariantViolation
 from workbench.chartab import dixon_table
 from workbench.groups import builtin_group
 from workbench.perm import generate, read_generator_file
+from workbench.solver import MORITA_TYPES
+
+GROUP_FILES = Path(__file__).resolve().parents[1] / "perfbench" / "groups"
 
 EXPECT = {
     # group: (morita, etype, simple dims, meataxe [(dim, mult)])
@@ -46,13 +50,36 @@ def test_summand_shapes_type_a():
         assert principal["valuation_ok"], name
 
 
+def _fits(type_id, degrees, fam_degree) -> bool:
+    """Whether some order of the height-0 degrees fits the shape."""
+    return any(_shape_dims(type_id, [*degs, fam_degree]) is not None
+               for degs in permutations(degrees))
+
+
 def test_fit_rejects_wrong_shape():
     T = dixon_table(builtin_group("psl27"))
     principal = next(b for b in blocks.block_partition(T) if b.is_principal)
-    assert fit_morita_rows(T, principal, "vi") is not None
-    # PSL(2,7)'s degree profile fits no PGL-type shape
-    assert fit_morita_rows(T, principal, "ii") is None
-    assert fit_morita_rows(T, principal, "iii") is None
+    ty, perm, dims, fams = fit_morita_rows(T, principal)
+    assert ty == "vi" and dims == (1, 3, 3)
+    # PSL(2,7)'s degree profile fits no PGL-type shape, nor any other
+    degrees = [T.degrees[i] for i in perm]
+    [[fam_row]] = fams
+    assert not _fits("ii", degrees, T.degrees[fam_row])
+    assert not _fits("iii", degrees, T.degrees[fam_row])
+    assert [t for t in MORITA_TYPES if _fits(t, degrees, T.degrees[fam_row])] == ["vi"]
+
+
+@pytest.mark.parametrize("type_id", MORITA_TYPES)
+def test_shapes_share_no_degree_profile(type_id):
+    # every profile of the shape with simple dims in 1..8 (1,672 over the
+    # six shapes): dec * dims in any row order, and fam * dims, fits this
+    # shape with these dims and no other shape
+    sh = solver._SHAPES[type_id]
+    for dims in product(range(1, 9), repeat=len(sh["fam"])):
+        degrees = [sum(a * x for a, x in zip(row, dims)) for row in sh["dec"]]
+        fam_degree = sum(a * x for a, x in zip(sh["fam"], dims))
+        assert _shape_dims(type_id, [*degrees, fam_degree]) == dims
+        assert [t for t in MORITA_TYPES if _fits(t, degrees, fam_degree)] == [type_id]
 
 
 def test_hint_free_inference():
@@ -60,6 +87,27 @@ def test_hint_free_inference():
     principal = next(b for b in rep["blocks"] if b["is_principal"])
     assert principal["morita"] == "vi"
     assert rep["mismatches"] == []
+
+
+C3_PGL2_7 = ["(1 2 3 4 5 6 7)", "(1 8)(2 7)(3 4)(5 6)", "(2 4 3 7 5 6)(10 11)", "(9 10 11)"]
+
+
+@pytest.mark.parametrize("name", ["psl27", "s5", "a7", "pgl2_11", "pgl2_13", "M11", "S7",
+                                  "c3_pgl2_7"])
+def test_report_does_not_depend_on_the_name(name, tmp_path):
+    # a report reads the group, never the name it was given: only the
+    # "group" label differs
+    if name in ("pgl2_13", "M11", "S7"):
+        G = generate(read_generator_file(GROUP_FILES / f"{name}.txt"))
+    elif name == "c3_pgl2_7":
+        f = tmp_path / "c3_pgl2_7.txt"
+        f.write_text("\n".join(C3_PGL2_7) + "\n")
+        G = generate(read_generator_file(f))
+    else:
+        G = builtin_group(name)
+    named, unnamed = analyze_group(G, name=name), analyze_group(G, name=None)
+    assert named.pop("group") == name and unnamed.pop("group") == "custom"
+    assert named == unnamed
 
 
 # sha256 of the canonical JSON report (sorted keys, no spaces) at seed 0;
@@ -107,9 +155,6 @@ def test_refused_scan_files_keep_their_field_verdict():
         [f"FieldTooSmall: no primitive polynomial pinned for f={f}" for f in want.values()]
 
 
-GROUP_FILES = Path(__file__).resolve().parents[1] / "perfbench" / "groups"
-
-
 def test_refused_scan_files_build_no_table(monkeypatch):
     # route guard: F reads only the class orders, so a file is refused
     # right after its classes, before any character table is built
@@ -130,8 +175,7 @@ def test_class_cap_is_refused_before_the_field(monkeypatch):
 
 
 @pytest.mark.parametrize("gens,order,meataxe,predicted", [
-    (["(1 2 3 4 5 6 7)", "(1 8)(2 7)(3 4)(5 6)", "(2 4 3 7 5 6)(10 11)", "(9 10 11)"],
-     1008, [(2, 2), (12, 3)], [(2, 2), (6, 3), (6, 3)]),
+    (C3_PGL2_7, 1008, [(2, 2), (12, 3)], [(2, 2), (6, 3), (6, 3)]),
     (["(1 2 3)(4 5 6)(7 8 9)", "(1 10)(2 3)(5 8)(6 9)", "(2 5 7 8 3 9 4 6)(12 13)",
       "(11 12 13)"],
      2160, [(2, 4), (16, 2)], [(2, 4), (8, 2), (8, 2)]),
