@@ -175,11 +175,10 @@ def cmd_invmod(args) -> int:
     if cut.dim:
         factors, summands, grouped = modrep.decompose_cut(cut, seed=args.seed)
         payload["factors"] = [[dim, mult] for _c, dim, mult in factors]
-        if summands is not None:
-            payload["summands"] = [[s.dim, mult] for s, mult in grouped]
-            if block.is_real and block.couple is not None:
-                payload["checks"] = modrep.dimension_valuation_check(
-                    table, block, block.couple, summands)
+        payload["summands"] = [[s.dim, mult] for s, mult in grouped]
+        if block.is_real and block.couple is not None:
+            payload["checks"] = modrep.dimension_valuation_check(
+                table, block, block.couple, summands)
     if args.dump_matrices:
         with open(args.dump_matrices, "w") as fh:
             fh.write(cut.export_text())
@@ -304,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("solve", help="solve one symbolic cell")
     p.add_argument("--morita", required=True, choices=solver.MORITA_TYPES)
     p.add_argument("--etype", required=True,
-                   choices=solver.EXT_TYPES + ("principal",))
+                   choices=pgroup.EXT_TYPES + ("principal",))
     p.add_argument("--d", type=_solver_d, required=True)
     p.add_argument("--no-tiebreak", action="store_true")
     p.set_defaults(fn=cmd_solve)

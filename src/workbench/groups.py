@@ -120,7 +120,7 @@ def builtin_group(name: str, cap: int | None = None) -> PermGroup:
 
 
 def _builtin_gens(name: str, cap: int | None) -> list:
-    if "x" in name and name != "c2xs3" and not name.startswith("x"):
+    if "x" in name and not name.startswith("x"):
         parts = name.split("x")
         if all(parts):
             return _direct_product([_builtin_gens(p, cap) for p in parts])
@@ -142,9 +142,6 @@ def _builtin_gens(name: str, cap: int | None) -> list:
         return _pl2(7, False)
     if name == "pgl27":
         return _pl2(7, True)
-    if name == "c2xs3":
-        return [parse_cycles("(1 2)", degree=5),
-                parse_cycles("(3 4 5)"), parse_cycles("(3 4)", degree=5)]
     m = re.fullmatch(r"c(\d+)", name)
     if m:
         return _cyclic(int(m.group(1)), cap)

@@ -17,8 +17,8 @@ works from them:
   each orbital, and a central element acts as sum_O c_O A_O.  The
   coefficient c_O is the (i0, j0) entry for one representative pair of O:
   the weighted count of g with lab_i0^g = lab_j0, computed for one row i0
-  per G-orbit of points.  The projector is always the GF(2) matrix of the
-  Frobenius-orbit sum of e_B, which is e_B itself when e_B is rational; a
+  per G-orbit of points.  The projector is always the Frobenius-orbit sum
+  of e_B in these coordinates, which is e_B itself when e_B is rational; a
   non-rational e_B gives only the dimension of its cut (`GFModule`).
   `class_sum_matrix` stays as the independent oracle for the tests.
 * Block cuts are written in the projector rows that span them, each
@@ -43,9 +43,11 @@ works from them:
   and gM are isomorphic iff f lies in the span of fHg * gHf.  The
   certificate and that test build the multiplication matrix (`H.left`,
   `H.right`) of each basis element x once, and multiply by it.
-* Composition factors.  A cut is split first, and the MeatAxe chops one
-  summand per isomorphism class, each factor counted once per copy
-  (`decompose_cut`).
+* Composition factors.  Every cut the MeatAxe takes is split first, and
+  the MeatAxe chops one summand per isomorphism class, each factor counted
+  once per copy (`decompose_cut`).  The split's cost follows the number of
+  orbitals r, not dim M, so MEATAXE_DIM_CAP, checked before the split, is
+  the one cap on a cut.
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ from .perm import PermGroup, conj, identity, mul, nu
 
 OMEGA_CAP = 2048
 MEATAXE_DIM_CAP = 512
-SUMMAND_DIM_CAP = 256
 COMMUTANT_DIM_CAP = 48
 SPLIT_TRIES = 60  # corner draws per piece, the first before the locality certificate
 # Corner dims up to which locality is certified by the unit walk; above it
@@ -128,12 +129,10 @@ def _perm_matrix(images) -> BitMatrix:
 
 
 def _span_action(ech: Echelon, module: GF2Module, what: str) -> list:
-    """The generators' action on a stable span of `module`, written in its
-    basis (`restrict`).  On a permutation module a vector is moved as its
-    dim-digit binary string, where bit x is character dim-1-x: a generator
-    sends bit x to bit p[x], so the image is a gather of the string."""
-    if module.perms is None:
-        return [restrict(ech, map(m.mul_vec, ech.vectors), what) for m in module.mats]
+    """The generators' action on a stable span of a permutation module,
+    written in its basis (`restrict`).  A vector is moved as its dim-digit
+    binary string, where bit x is character dim-1-x: a generator sends bit
+    x to bit p[x], so the image is a gather of the string."""
     n = module.dim
     strings = [format(v, f"0{n}b") for v in ech.vectors]
     out = []
@@ -300,8 +299,9 @@ def _orbital_coefficients(table: CharacterTable, coeffs, module: GF2Module) -> i
 
 
 def block_projector(table: CharacterTable, block: BlockData, module: GF2Module):
-    """(P, length): the GF(2) matrix P of the Frobenius-orbit sum of e_B on a
-    permutation module, from its orbital coefficients, and the orbit length.
+    """(e, length): the orbital coordinates e of the Frobenius-orbit sum of
+    e_B on a permutation module, an idempotent of `endomorphism_basis`, and
+    the orbit length.
 
     Squaring the GF(2^F) coefficients of e_B permutes the blocks conjugate
     to B; the sum over that orbit is GF(2)-rational, and it is an idempotent
@@ -320,7 +320,7 @@ def block_projector(table: CharacterTable, block: BlockData, module: GF2Module):
     e = _orbital_coefficients(table, total, module)
     if H.mul(e, e) != e:
         raise NotIdempotent("block projector is not idempotent")
-    return H.matrix(e), length
+    return e, length
 
 
 def block_cut(table: CharacterTable, block: BlockData, module: GF2Module):
@@ -331,7 +331,9 @@ def block_cut(table: CharacterTable, block: BlockData, module: GF2Module):
     summands of equal dimension, so the result is a GFModule of dimension
     rank(orbit sum) / (orbit length), over GF(2^length): the coefficients
     of e_B are fixed by the length-th power of the Frobenius map."""
-    proj, length = block_projector(table, block, module)
+    e, length = block_projector(table, block, module)
+    H = endomorphism_basis(module)
+    proj = H.matrix(e)
     if length > 1:
         orbit_dim = proj.rank()
         if orbit_dim % length:
@@ -340,10 +342,8 @@ def block_cut(table: CharacterTable, block: BlockData, module: GF2Module):
         return GFModule(GF2Field(length), orbit_dim // length)
     ech = Echelon(proj.rows).reduced_basis(module.dim)
     # e is central in End(M), so End(eM) = e End(M): the orbital algebra
-    # with e, read off the projector at each orbital's first pair, as unit
-    unit = sum(proj.get(i0, j0) << a for a, (i0, j0, _O) in enumerate(_orbitals(module)))
-    return GF2Module(None, len(ech), endo=replace(endomorphism_basis(module), one=unit),
-                     span=(ech, module))
+    # with e as unit
+    return GF2Module(None, len(ech), endo=replace(H, one=e), span=(ech, module))
 
 
 class GFModule:
@@ -361,38 +361,35 @@ class GFModule:
 # composition factors and summands
 # ---------------------------------------------------------------------------
 
-def meataxe_factors(module, seed=0, summands=None):
+def meataxe_factors(module, summands, seed=0):
     """Iso-classes of composition factors: [(Constituent, dim, multiplicity)].
 
     `summands` is the module's split up to isomorphism, [(Summand,
     multiplicity)] from `group_summands`: one summand per class is chopped,
     on the row space of its idempotent, built when its turn comes and
-    dropped after its chop, and its factors count once per copy.  Without
-    it the module is chopped whole.  All pieces share the simples found so
-    far (`chop`'s `known`), so a factor is known by its class."""
-    if isinstance(module, GFModule):
-        raise FieldTooSmall("MeatAxe implemented over GF(2) modules only")
-    if module.dim > MEATAXE_DIM_CAP:
-        raise CapExceeded(f"dim {module.dim} exceeds {MEATAXE_DIM_CAP}")
+    dropped after its chop, and its factors count once per copy.  All
+    pieces share the simples found so far (`chop`'s `known`), so a factor
+    is known by its class."""
     known, factors = [], []
-    for s, mult in summands or [(None, 1)]:
-        mats, dim = (module.mats, module.dim) if s is None else (_summand_action(s), s.dim)
-        factors += chop(mats, dim, seed=seed, known=known) * mult
-        del mats
+    for s, mult in summands:
+        factors += chop(_summand_action(s), s.dim, seed=seed, known=known) * mult
     if sum(c.dim for c in factors) != module.dim:
         raise InvariantViolation("the summands' factors do not add up to the module")
     return [(c, c.dim, mult) for c, mult in group_constituents(factors)]
 
 
 def decompose_cut(cut: GF2Module, seed=0):
-    """(factors, summands, grouped) of a block cut: the summand split and
-    its grouping (None above SUMMAND_DIM_CAP) first, then the MeatAxe
-    factors chopped summand by summand (`meataxe_factors`)."""
-    summands = grouped = None
-    if cut.dim <= SUMMAND_DIM_CAP:
-        summands = summand_split(cut, seed=seed)
-        grouped = group_summands(summands)
-    return meataxe_factors(cut, seed=seed, summands=grouped), summands, grouped
+    """(factors, summands, grouped) of a block cut: the summand split, its
+    grouping, then the MeatAxe factors chopped one summand per class
+    (`meataxe_factors`).  A cut over GF(2^f) and a cut above
+    MEATAXE_DIM_CAP are refused before the split."""
+    if isinstance(cut, GFModule):
+        raise FieldTooSmall("MeatAxe implemented over GF(2) modules only")
+    if cut.dim > MEATAXE_DIM_CAP:
+        raise CapExceeded(f"dim {cut.dim} exceeds {MEATAXE_DIM_CAP}")
+    summands = summand_split(cut, seed=seed)
+    grouped = group_summands(summands)
+    return meataxe_factors(cut, grouped, seed=seed), summands, grouped
 
 
 def _select(items, mask: int):
@@ -504,8 +501,6 @@ def summand_split(module: GF2Module, seed=0) -> list:
     the first draw finds no split; a piece that is neither split in
     SPLIT_TRIES draws nor certified raises InvariantViolation.
     """
-    if module.dim > SUMMAND_DIM_CAP:
-        raise CapExceeded(f"dim {module.dim} exceeds {SUMMAND_DIM_CAP}")
     if module.dim == 0:
         return []
     rng = random.Random(seed)

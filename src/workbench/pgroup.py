@@ -112,7 +112,7 @@ class ExtensionFrame:
     below |D| are D.  Normal-form `mul` builds the right-regular permutations
     of s, t and e; their closure `E` holds every other one, and `rows[x]`
     is the one that sends the identity to x.  So g·h is the point
-    rows[h][g], and `perm(h)` is a lookup.
+    rows[h][g].
     """
 
     def __init__(self, frame: DihedralFrame, alpha: tuple, u: tuple, etype: str | None):
@@ -129,7 +129,7 @@ class ExtensionFrame:
                            cap=frame.group.cap)
         if self.E.order != len(self.points):
             raise InvariantViolation("the crossed product D<e> is not of order 2|D|")
-        self.rows = sorted(self.E.elements, key=lambda g: g[0])
+        self.rows = self.E.elements  # sorted, so by the image of the identity
         self._gens = [g[0] for g in (self.s, self.t, self.e)]  # the points s, t, e
 
     def mul(self, p: tuple, q: tuple) -> tuple:
@@ -140,10 +140,6 @@ class ExtensionFrame:
         if i and j:
             xy = self.frame.mul(xy, self.u)
         return xy + ((i + j) % 2,)
-
-    def perm(self, h: tuple) -> tuple:
-        """h's right-regular permutation of the points."""
-        return self.rows[self._index[h]]
 
     def fingerprint(self) -> tuple:
         """`regular_fingerprint` of E on its rows, with D the points below |D|."""

@@ -170,7 +170,7 @@ def _fs_report(table, block, rep: BlockReport):
     height0, fams = blocklib.height_split(table, block)
     if fams is None:
         return
-    rep.fs_height0 = _signs(sorted((table.fs_indicator(i) for i in height0), reverse=True))
+    rep.fs_height0 = solver.sign_string(sorted(map(table.fs_indicator, height0), reverse=True))
     vals = []
     for f in fams:
         fe = {table.fs_indicator(i) for i in f}
@@ -178,11 +178,7 @@ def _fs_report(table, block, rep: BlockReport):
             rep.mismatches.append("FS not constant on a Galois family")
             return
         vals.append(fe.pop())
-    rep.fs_family = _signs(vals)
-
-
-def _signs(eps) -> str:
-    return "".join("+" if e == 1 else ("0" if e == 0 else "-") for e in eps)
+    rep.fs_family = solver.sign_string(vals)
 
 
 def _module_report(table, block, rep: BlockReport, omega, seed):
@@ -194,15 +190,13 @@ def _module_report(table, block, rep: BlockReport, omega, seed):
         return None
     factors, summands, grouped = modrep.decompose_cut(cut, seed=seed)
     rep.meataxe = sorted((dim, mult) for _c, dim, mult in factors)
-    if summands is not None:
-        rep.summand_dims = sorted(s.dim for s in summands)
-        rep.summand_multiplicities = sorted(m for _s, m in grouped)
-        if block.is_real and block.couple is not None:
-            val = modrep.dimension_valuation_check(table, block, block.couple,
-                                                   summands)
-            rep.valuation_ok = val["ok"]
-            if not val["ok"]:
-                rep.mismatches.append("summand dimension valuation failed")
+    rep.summand_dims = sorted(s.dim for s in summands)
+    rep.summand_multiplicities = sorted(m for _s, m in grouped)
+    if block.is_real and block.couple is not None:
+        val = modrep.dimension_valuation_check(table, block, block.couple, summands)
+        rep.valuation_ok = val["ok"]
+        if not val["ok"]:
+            rep.mismatches.append("summand dimension valuation failed")
     return factors
 
 

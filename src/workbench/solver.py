@@ -25,9 +25,9 @@ from importlib import resources
 from itertools import permutations
 
 from .errors import InvariantViolation, NegativeMultiplicity, NoSolution
+from .pgroup import EXT_TYPES
 
 MORITA_TYPES = ("i", "ii", "iii", "iv", "v", "vi")
-EXT_TYPES = ("a", "b", "c", "d", "e")
 MAX_D = 64
 
 # the six possible generalized decomposition matrix shapes: ordinary rows for
@@ -191,6 +191,11 @@ def _moved(perm) -> int:
 # solving
 # ---------------------------------------------------------------------------
 
+def sign_string(eps) -> str:
+    """Indicators +1, 0, -1 written as "+", "0", "-"."""
+    return "".join("+" if e == 1 else ("0" if e == 0 else "-") for e in eps)
+
+
 @dataclass(frozen=True)
 class SignAssignment:
     eps_height0: tuple        # canonical, zeros last (e.g. (1, 1, 0, 0))
@@ -198,16 +203,9 @@ class SignAssignment:
     multiplicities: tuple     # predicted [k-Omega B : M_m]
     eps_rows: tuple           # row-aligned eps_1..eps_4 (for the matrices)
 
-    def pattern(self) -> str:
-        return "".join("+" if e == 1 else "0" for e in self.eps_height0)
-
-    def family_pattern(self) -> str:
-        return "".join("+" if e == 1 else ("-" if e == -1 else "0")
-                       for e in self.eps_family)
-
     def to_json(self):
-        return {"eps_height0": self.pattern(),
-                "eps_family": self.family_pattern(),
+        return {"eps_height0": sign_string(self.eps_height0),
+                "eps_family": sign_string(self.eps_family),
                 "multiplicities": list(self.multiplicities)}
 
 
@@ -434,7 +432,7 @@ def golden_table2() -> dict:
 
 
 def _matches_golden(sol: SignAssignment, row: dict, d: int) -> bool:
-    if sol.pattern() != row["eps_height0"]:
+    if sign_string(sol.eps_height0) != row["eps_height0"]:
         return False
     fam = sol.eps_family
     if any(fam[j] != row["eps_family_low"] for j in range(d - 3)):

@@ -107,6 +107,18 @@ def test_invmod_command(capsys, tmp_path):
     assert dump.exists() and dump.read_text().startswith("# module dim=14")
 
 
+def test_invmod_splits_a_cut_above_256_dimensions(capsys, tmp_path):
+    # S7 x C2: the 344-dimensional principal cut is split and checked
+    f = tmp_path / "s7xc2.txt"
+    f.write_text("(1 2 3 4 5 6 7)\n(1 2)\n(8 9)\n")
+    code, out = run(capsys, ["invmod", "--group", str(f), "--json"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["dim"] == 344
+    assert data["summands"] == [[1, 8], [14, 4], [70, 4]]
+    assert data["checks"]["ok"] is True
+
+
 @pytest.mark.parametrize("group,block,digest", [
     ("psl27", "principal", "5028cc8f221989e19565053859883381b8eb7c5fda2314f07b2febe0d26e2bfa"),
     # the Frobenius group 7:3: its block 3 is GF(2)-rational and cuts k-Omega to 0

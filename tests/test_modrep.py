@@ -15,7 +15,7 @@ from oracles import (bitwise_quotient, chopped_corner_is_local,
 from test_acceptance import BUILTINS
 from workbench import blocks, meataxe, modrep, pipeline
 from workbench.chartab import dixon_table
-from workbench.errors import FieldTooSmall, InvariantViolation, NotInO2
+from workbench.errors import CapExceeded, FieldTooSmall, InvariantViolation, NotInO2
 from workbench.gf2 import BitMatrix, Echelon, GF2Field, restrict
 from workbench.groups import builtin_group
 from workbench.perm import generate, read_generator_file
@@ -88,7 +88,7 @@ def test_orbit_route_odd_group():
     assert isinstance(cut, modrep.GFModule)
     assert cut.mats is None
     with pytest.raises(FieldTooSmall):
-        modrep.meataxe_factors(cut)
+        modrep.decompose_cut(cut)
 
 
 @pytest.mark.parametrize("name,dims", [("psl2_9", [8, 8]), ("psl2_11", [12, 12])],
@@ -105,10 +105,10 @@ def test_meataxe_psl27_principal_cut():
     T = table("psl27")
     m = modrep.involution_perm_module(T.group)
     cut = modrep.block_cut(T, principal_block(T), m)
-    factors = modrep.meataxe_factors(cut)
-    assert [(d, mult) for _c, d, mult in factors] == [(1, 2), (3, 2), (3, 2)]
+    factors = meataxe.group_constituents(meataxe.chop(cut.mats, cut.dim))
+    assert [(c.dim, mult) for c, mult in factors] == [(1, 2), (3, 2), (3, 2)]
     # the two 3-dimensional classes are genuinely non-isomorphic
-    threes = [c for c, d, _m in factors if d == 3]
+    threes = [c for c, _m in factors if c.dim == 3]
     assert not isomorphic_irreducibles(threes[0], threes[1])
 
 
@@ -117,8 +117,8 @@ def test_meataxe_c2_regular():
     # has no orbitals, so End = k[x]/(x^2) comes from the hom_space oracle,
     # and its corner is certified local with no split
     reg = modrep.GF2Module([BitMatrix.from_lists([[0, 1], [1, 0]])], 2)
-    factors = modrep.meataxe_factors(reg)
-    assert [(d, mult) for _c, d, mult in factors] == [(1, 2)]
+    factors = meataxe.group_constituents(meataxe.chop(reg.mats, reg.dim))
+    assert [(c.dim, mult) for c, mult in factors] == [(1, 2)]
     with pytest.raises(InvariantViolation):
         modrep.endomorphism_basis(reg)
     H = reg.endo = hom_space_endomorphisms(reg)
@@ -292,13 +292,14 @@ def _class_sum_projector(T, coeffs, m):
 def test_orbital_projector_matches_class_sums(name, non_rational):
     T = table(name)
     m = modrep.involution_perm_module(T.group)
+    H = modrep.endomorphism_basis(m)
     lengths = set()
     for b in blocks.block_partition(T):
         total, length = _frobenius_orbit_sum(T, b)
         assert all(c in (0, 1) for c in total), (name, b.rows)
         oracle = _class_sum_projector(T, total, m)
-        proj, got_length = modrep.block_projector(T, b, m)
-        assert (proj, got_length) == (oracle, length), (name, b.rows)
+        e, got_length = modrep.block_projector(T, b, m)
+        assert (H.matrix(e), got_length) == (oracle, length), (name, b.rows)
         assert modrep.block_cut(T, b, m).dim * length == oracle.rank(), (name, b.rows)
         lengths.add(length)
     assert (max(lengths) > 1) == non_rational
@@ -430,9 +431,9 @@ def test_singular_action_matrix_raises():
 def test_cut_matrices_are_built_and_checked_on_first_use():
     # a cut keeps its basis and parent; the action is restricted, and checked
     # for invertibility, only when `mats` is first read
-    singular = BitMatrix.from_lists([[1, 1], [1, 1]])
-    parent = modrep.GF2Module([BitMatrix.identity(2)], 2)
-    parent._mats = [singular]  # a parent that no constructor would accept
+    # a parent whose generator folds both points onto one, as no
+    # constructor would build it
+    parent = modrep.GF2Module([BitMatrix.identity(2)], 2, perms=[[0, 0]])
     cut = modrep.GF2Module(None, 2, span=(Echelon([1, 2], 2), parent))
     assert type(cut) is modrep.GF2Module and cut.dim == 2
     with pytest.raises(InvariantViolation):
@@ -609,6 +610,20 @@ def test_module_layer_is_seed_invariant(name):
         assert len(seen) == 1, (name, cut.dim, seen)
 
 
+def test_cut_above_the_meataxe_cap_is_refused_before_the_split(monkeypatch):
+    # the one cap on a cut is read at the head of decompose_cut: a cut above
+    # it never reaches the summand split
+    cut = next(c for c in _gf2_cuts("psl27") if c.dim == 14)
+
+    def no_split(*_args, **_kwargs):
+        raise AssertionError("summand_split ran on a cut above the cap")
+
+    monkeypatch.setattr(modrep, "MEATAXE_DIM_CAP", 13)
+    monkeypatch.setattr(modrep, "summand_split", no_split)
+    with pytest.raises(CapExceeded, match="^dim 14 exceeds 13$"):
+        modrep.decompose_cut(cut)
+
+
 @pytest.mark.parametrize("name", sorted(set(BUILTINS) | set(LADDER)))
 def test_meataxe_classes_match_oracle_whole_and_by_summand(name):
     # each rational cut at seeds 0-2, chopped whole and one summand per
@@ -617,7 +632,8 @@ def test_meataxe_classes_match_oracle_whole_and_by_summand(name):
     # with the same multiplicity (the standard-basis oracle)
     for cut in _gf2_cuts(name):
         for seed in range(3):
-            whole = modrep.meataxe_factors(cut, seed=seed)
+            whole = [(c, c.dim, k) for c, k in meataxe.group_constituents(
+                meataxe.chop(cut.mats, cut.dim, seed=seed))]
             pieces = modrep.decompose_cut(cut, seed=seed)[0]
             for route in (whole, pieces):
                 for n, (c1, d1, _k1) in enumerate(route):

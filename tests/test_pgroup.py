@@ -82,7 +82,7 @@ def test_normal_form_matches_engine():
     for d in (3, 4, 5):
         for ty in pgroup._available_types(d):
             e = ext(d, ty)
-            perms = {h: e.perm(h) for h in e.points}
+            perms = dict(zip(e.points, e.rows))
             assert all(e.points[g[0]] == h for h, g in perms.items())
             for p, gp in perms.items():
                 for q, gq in perms.items():
@@ -90,7 +90,7 @@ def test_normal_form_matches_engine():
             for name in e.named_subgroup_names():
                 gens = e.named_generators(name)
                 assert len(gens) <= 2
-                closure = e.E.subgroup([e.perm(y + (0,)) for y in gens])
+                closure = e.E.subgroup([e.rows[e._index[y + (0,)]] for y in gens])
                 assert {e.points[g[0]][:2] for g in closure.elements} == \
                     e.named_subgroup(name), (d, ty, name)
 
@@ -273,7 +273,7 @@ def test_eclass_classes_match_engine_classes():
             sizes = [size for _label, _inv, _cname, size in pgroup.eclass_table(e)]
             for (_label, (k, teps), _inv, _cname), size in zip(
                     pgroup.expected_table1_rows(d, ty), sizes):
-                g = e.perm((k, teps, 1))
+                g = e.rows[e._index[(k, teps, 1)]]
                 members = classes[e.E.class_of[e.E.idx(g)]].members
                 want = {e.E.elements[j][0] for j in members}
                 assert e.conjugacy_class(g[0]) == want, (d, ty, k, teps)

@@ -194,3 +194,22 @@ def test_meataxe_factors_are_compared_over_the_closure(tmp_path, gens, order, me
     [block] = [b for b in rep["blocks"] if b["etype"] == "c"]
     assert block["defect"] == 3
     assert block["meataxe"] == meataxe and block["predicted"] == predicted
+
+
+S7_X_C2 = ["(1 2 3 4 5 6 7)", "(1 2)", "(8 9)"]
+
+
+def test_s7xc2_splits_its_344_dimensional_cut(tmp_path):
+    # S7 x C2 has the default order cap, 10080, and 216 orbitals on its 464
+    # involutions.  Its principal cut, above 256 dimensions, is split like
+    # every other cut: summands of dims 1 (x8), 14 (x4) and 70 (x4), all
+    # within the valuation bounds
+    f = tmp_path / "s7xc2.txt"
+    f.write_text("\n".join(S7_X_C2) + "\n")
+    rep = analyze_group(generate(read_generator_file(f)), name="s7xc2")
+    assert rep["order"] == 10080 and rep["mismatches"] == []
+    [block] = [b for b in rep["blocks"] if b["is_principal"]]
+    assert block["komega_dim"] == 344
+    assert block["summand_multiplicities"] == [4, 4, 8]
+    assert block["valuation_ok"] is True
+    assert block["meataxe"] == [(1, 16), (14, 12), (20, 8)]

@@ -57,7 +57,7 @@ def test_solve_unique_cells():
         sols = solver.solve("i", "b", d)
         assert len(sols) == 1
         s = sols[0]
-        assert s.pattern() == "++++"
+        assert solver.sign_string(s.eps_height0) == "++++"
         assert all(e == 1 for e in s.eps_family[:-1])
         assert s.eps_family[-1] == -1
         assert s.multiplicities == (2,)
@@ -66,7 +66,7 @@ def test_solve_unique_cells():
 def test_solve_vi_a_3():
     sols = solver.solve("vi", "a", 3)
     assert len(sols) == 1
-    assert sols[0].pattern() == "++00"
+    assert solver.sign_string(sols[0].eps_height0) == "++00"
     assert sols[0].eps_family == (1,)
     assert sols[0].multiplicities == (2, 2, 2)
 
@@ -77,8 +77,8 @@ def test_solve_tiebreak_corner():
         without = solver.solve(ty, "a", 3, tiebreak=False)
         assert len(with_flag) == 1
         assert len(without) == 2
-        pats = {(s.pattern(), s.eps_family) for s in without}
-        assert (with_flag[0].pattern(), with_flag[0].eps_family) in pats
+        pats = {(solver.sign_string(s.eps_height0), s.eps_family) for s in without}
+        assert (solver.sign_string(with_flag[0].eps_height0), with_flag[0].eps_family) in pats
 
 
 def test_solve_infeasible_cells():
@@ -97,7 +97,7 @@ def test_type_e_cells():
         sols = solver.solve(ty, "e", 4)
         assert len(sols) == 1
         s = sols[0]
-        assert s.pattern() == "++++"
+        assert solver.sign_string(s.eps_height0) == "++++"
         assert s.eps_family == (1, 0)
         assert s.multiplicities == mults
 
