@@ -176,9 +176,8 @@ def cmd_invmod(args) -> int:
         factors, summands, grouped = modrep.decompose_cut(cut, seed=args.seed)
         payload["factors"] = [[dim, mult] for _c, dim, mult in factors]
         payload["summands"] = [[s.dim, mult] for s, mult in grouped]
-        if block.is_real and block.couple is not None:
-            payload["checks"] = modrep.dimension_valuation_check(
-                table, block, block.couple, summands)
+        if block.couple is not None:
+            payload["checks"] = modrep.dimension_valuation_check(table, block, summands)
     if args.dump_matrices:
         with open(args.dump_matrices, "w") as fh:
             fh.write(cut.export_text())

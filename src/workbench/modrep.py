@@ -21,16 +21,16 @@ works from them:
   of e_B in these coordinates, which is e_B itself when e_B is rational; a
   non-rational e_B gives only the dimension of its cut (`GFModule`).
   `class_sum_matrix` stays as the independent oracle for the tests.
-* Block cuts are written in the projector rows that span them, each
-  reduced against the rows before it (`Echelon.reduced_basis`).  A cut
-  keeps that basis and its permutation module, and `gf2.restrict` gives
-  its action matrices only when they are first read: the split and the
-  summands' factors never read them.  A generator moves a vector of the
-  permutation module as a gather of its binary string (`_span_action`).
 * The endomorphism algebra H = End(M) has the orbital matrices O_a as its
   basis, and its structure constants are the intersection numbers of the
   coherent configuration mod 2 (`_orbital_products`), computed once per
-  module.  e_B is central in H, so a block cut keeps H with e_B as unit.
+  module.
+* Block cuts and summands are one kind of module: fM for an idempotent f
+  of H, which keeps H with f as unit (fHf = End(fM)) and the reduced row
+  space of f on M (`_image`).  A block cut has f = e_B, central in H.
+  Its action matrices are built only when first read, and then checked: a
+  generator moves a vector of M as a gather of its binary string
+  (`_span_action`).  The split never reads a cut's matrices.
 * Summands.  The split and the grouping work in H on r-bit vectors, for r
   orbitals, and never on vectors of M (condensation).  A piece is an
   idempotent f of H; it is indecomposable when its corner fHf is local,
@@ -38,11 +38,10 @@ works from them:
   iff no unit lies in the span of its non-units (`_corner_is_local`).
   Above CORNER_WALK_CAP the chop of the regular module of fHf certifies it
   instead.  Otherwise random corner elements give idempotents of GF(2)[a]
-  that split it.  A final piece keeps the reduced row space of f on M:
-  its length is dim fM, and the summand's action is written in it.  fM
-  and gM are isomorphic iff f lies in the span of fHg * gHf.  The
-  certificate and that test build the multiplication matrix (`H.left`,
-  `H.right`) of each basis element x once, and multiply by it.
+  that split it.  A final piece f is the module fM, like a cut.  fM and
+  gM are isomorphic iff f lies in the span of fHg * gHf, for f and g from
+  one cut of M or two.  The certificate and that test build the
+  multiplication matrix (`H.left`, `H.right`) of each basis element once.
 * Composition factors.  Every cut the MeatAxe takes is split first, and
   the MeatAxe chops one summand per isomorphism class, each factor counted
   once per copy (`decompose_cut`).  The split's cost follows the number of
@@ -85,28 +84,39 @@ CORNER_WALK_CAP = 8
 
 
 class GF2Module:
-    """A GF(2)-module given by generator action matrices (row convention).
+    """A GF(2)-module in the row convention, one of two kinds:
 
-    Permutation modules keep the generators' actions on the points as
-    position lists (`perms`).  A block cut keeps the orbital algebra of its
-    permutation module as `endo`, and its basis and that module as `span`:
-    its matrices, and their check, wait for the first read of `mats`."""
+    * a permutation module M, given by the generators' actions on the
+      points as position lists (`perms`);
+    * the module fM cut out of M by an idempotent f of its orbital algebra
+      H: `endo` is H with f as unit, so that fHf = End(fM), and `basis` is
+      the reduced row space of f on M, which is `endo.module`.
 
-    def __init__(self, mats, dim, endo=None, perms=None, span=None):
+    The generators' action matrices are built on the first read of `mats`,
+    and checked there: permutation matrices for M, a gather of `basis` for
+    fM (`_span_action`)."""
+
+    def __init__(self, dim, perms=None, endo=None, basis=None):
         self.dim = dim
         self.perms = perms
         self.endo = endo
-        self.span = span  # (Echelon basis, parent module) of a cut, or None
-        self._mats = None if span else self._checked(mats or [BitMatrix.identity(dim)])
+        self.basis = basis
+        self._mats = None
         self._orbitals = None
         self._labels = None  # see _orbitals
         self._products = None  # see _orbital_products
         self._class_parities = None  # see _orbital_coefficients
 
     @property
+    def idempotent(self) -> int:
+        """f of the module fM: the unit of its algebra."""
+        return self.endo.one
+
+    @property
     def mats(self) -> list:
         if self._mats is None:
-            self._mats = self._checked(_span_action(*self.span, "cut"))
+            self._mats = self._checked(list(map(_perm_matrix, self.perms)) if self.basis is None
+                                       else _span_action(self.basis, self.endo.module))
         return self._mats
 
     def _checked(self, mats) -> list:
@@ -128,7 +138,7 @@ def _perm_matrix(images) -> BitMatrix:
     return BitMatrix([1 << t for t in images], len(images))
 
 
-def _span_action(ech: Echelon, module: GF2Module, what: str) -> list:
+def _span_action(ech: Echelon, module: GF2Module) -> list:
     """The generators' action on a stable span of a permutation module,
     written in its basis (`restrict`).  A vector is moved as its dim-digit
     binary string, where bit x is character dim-1-x: a generator sends bit
@@ -141,7 +151,7 @@ def _span_action(ech: Echelon, module: GF2Module, what: str) -> list:
         for x, y in enumerate(p):
             gather[n - 1 - y] = n - 1 - x
         moved = itemgetter(*gather)
-        out.append(restrict(ech, (int("".join(moved(s)), 2) for s in strings), what))
+        out.append(restrict(ech, (int("".join(moved(s)), 2) for s in strings)))
     return out
 
 
@@ -152,7 +162,7 @@ def conjugation_module(G: PermGroup, labels) -> GF2Module:
     pos = {lab: n for n, lab in enumerate(labels)}
     perms = [list(map(pos.__getitem__, map(row.__getitem__, labels)))
              for row in G.conjugation_rows()]
-    return GF2Module([_perm_matrix(p) for p in perms], len(labels), perms=perms)
+    return GF2Module(len(labels), perms=perms)
 
 
 def involution_perm_module(G: PermGroup) -> GF2Module:
@@ -270,11 +280,6 @@ def _stabilizer_orbits(i0, perms, inverses, labels, base) -> tuple:
     return first, orbit
 
 
-def _orbital_matrices(module: GF2Module) -> list:
-    """Adjacency matrices of the G-orbits on labels x labels."""
-    return [O for _i0, _j0, O in _orbitals(module)]
-
-
 def _orbital_coefficients(table: CharacterTable, coeffs, module: GF2Module) -> int:
     """The orbital coordinates of sum_j coeffs[j] C_j+ on the module: bit a
     is c_O for the a-th orbital O, with sum_O c_O A_O the class sum.
@@ -333,17 +338,20 @@ def block_cut(table: CharacterTable, block: BlockData, module: GF2Module):
     of e_B are fixed by the length-th power of the Frobenius map."""
     e, length = block_projector(table, block, module)
     H = endomorphism_basis(module)
-    proj = H.matrix(e)
     if length > 1:
-        orbit_dim = proj.rank()
+        orbit_dim = H.matrix(e).rank()
         if orbit_dim % length:
             raise InvariantViolation(
                 f"orbit cut dim {orbit_dim} not divisible by orbit length {length}")
         return GFModule(GF2Field(length), orbit_dim // length)
-    ech = Echelon(proj.rows).reduced_basis(module.dim)
-    # e is central in End(M), so End(eM) = e End(M): the orbital algebra
-    # with e as unit
-    return GF2Module(None, len(ech), endo=replace(H, one=e), span=(ech, module))
+    return _image(H, e)
+
+
+def _image(H, f: int) -> GF2Module:
+    """fM for an idempotent f of the algebra H of M, in the reduced row
+    space of f's matrix on M, with f as the unit of End(fM) = fHf."""
+    basis = Echelon(H.matrix(f).rows).reduced_basis(H.module.dim)
+    return GF2Module(len(basis), endo=replace(H, one=f), basis=basis)
 
 
 class GFModule:
@@ -364,15 +372,14 @@ class GFModule:
 def meataxe_factors(module, summands, seed=0):
     """Iso-classes of composition factors: [(Constituent, dim, multiplicity)].
 
-    `summands` is the module's split up to isomorphism, [(Summand,
+    `summands` is the module's split up to isomorphism, [(summand,
     multiplicity)] from `group_summands`: one summand per class is chopped,
-    on the row space of its idempotent, built when its turn comes and
-    dropped after its chop, and its factors count once per copy.  All
-    pieces share the simples found so far (`chop`'s `known`), so a factor
-    is known by its class."""
+    on its own action matrices, which stay cached on it, and its factors
+    count once per copy.  All pieces share the simples found so far
+    (`chop`'s `known`), so a factor is known by its class."""
     known, factors = [], []
     for s, mult in summands:
-        factors += chop(_summand_action(s), s.dim, seed=seed, known=known) * mult
+        factors += chop(s.mats, s.dim, seed=seed, known=known) * mult
     if sum(c.dim for c in factors) != module.dim:
         raise InvariantViolation("the summands' factors do not add up to the module")
     return [(c, c.dim, mult) for c, mult in group_constituents(factors)]
@@ -404,7 +411,7 @@ class EndAlgebra:
     `mats` is a basis B_0..B_{r-1} of matrices acting on `module` (the
     orbital matrices of a permutation module), row b of `products[a]` holds
     the coordinates of B_a*B_b, and `one` is the unit: the identity of
-    `module`, or e_B for a block cut of it."""
+    `module`, or f for the module f*`module` (a block cut or a summand)."""
     module: GF2Module
     mats: list
     products: list
@@ -458,8 +465,8 @@ def _orbital_products(module: GF2Module) -> list:
 def endomorphism_basis(module: GF2Module) -> EndAlgebra:
     """End_kG(M) with its structure constants.
 
-    A block cut carries the orbital algebra of its permutation module with
-    e_B as the unit; a permutation module has its orbital matrices.  Every
+    A module fM carries the orbital algebra of its permutation module with
+    f as the unit; a permutation module has its orbital matrices.  Every
     module the package builds is one of the two."""
     if module.endo is not None:
         return module.endo
@@ -467,30 +474,12 @@ def endomorphism_basis(module: GF2Module) -> EndAlgebra:
         raise InvariantViolation("a module with neither orbitals nor a cut algebra")
     orbitals = _orbitals(module)
     one = sum(1 << a for a, (i0, j0, _O) in enumerate(orbitals) if i0 == j0)
-    return EndAlgebra(module, _orbital_matrices(module), _orbital_products(module), one)
-
-
-@dataclass
-class Summand:
-    """The direct summand fM of the module that `summand_split` split: f is a
-    primitive idempotent of its `EndAlgebra`, and `basis` is the reduced row
-    space of f's matrix on the module the algebra acts on."""
-    algebra: EndAlgebra
-    idempotent: int
-    basis: Echelon
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
-def _summand_action(s: Summand) -> list:
-    """The generators' action on fM, written in the summand's basis."""
-    return _span_action(s.basis, s.algebra.module, "summand")
+    return EndAlgebra(module, [O for _i0, _j0, O in orbitals], _orbital_products(module), one)
 
 
 def summand_split(module: GF2Module, seed=0) -> list:
-    """Indecomposable direct summands, as primitive idempotents of End(M).
+    """Indecomposable direct summands fM, for primitive idempotents f of
+    End(M), sorted by dim (`_image`).
 
     All the work is on r-bit vectors of H = End(M) (`endomorphism_basis`).
     Uniform random elements a of a piece's corner fHf are split through the
@@ -524,8 +513,7 @@ def summand_split(module: GF2Module, seed=0) -> list:
                     f"a corner of dim {len(corner)} is not local, but "
                     f"{SPLIT_TRIES} draws found no idempotent")
         work += [k, f ^ k]
-    summands = sorted((Summand(H, f, Echelon(H.matrix(f).rows).reduced_basis(H.module.dim))
-                       for f in final), key=lambda s: s.dim)
+    summands = sorted((_image(H, f) for f in final), key=lambda s: s.dim)
     if sum(s.dim for s in summands) != module.dim:
         raise InvariantViolation("summands do not decompose the module")
     return summands
@@ -634,16 +622,17 @@ def hom_space(m1: GF2Module, m2: GF2Module):
     return out
 
 
-def _summands_isomorphic(s: Summand, t: Summand) -> bool:
-    """fM = gM iff f lies in the span of the products fHg * gHf.
+def _summands_isomorphic(s: GF2Module, t: GF2Module) -> bool:
+    """fM = gM iff f lies in the span of the products fHg * gHf, for
+    indecomposable fM and gM cut out of one module M.
 
     That span is an ideal of fHf, which is local, so it is either all of
     fHf or lies in its radical; f is in it exactly when some x*y with
     x in fHg, y in gHf is a unit of fHf, that is, when fM and gM are
     isomorphic."""
-    H, f, g = s.algebra, s.idempotent, t.idempotent
-    if t.algebra is not H:
-        raise InvariantViolation("summands of different splits")
+    H, f, g = s.endo, s.idempotent, t.idempotent
+    if t.endo.module is not H.module:
+        raise InvariantViolation("summands of different modules")
     back = H.sandwich(g, f).vectors
     ideal = Echelon(L.mul_vec(y) for L in map(H.left, H.sandwich(f, g).vectors) for y in back)
     return ideal.reduce(f) == 0
@@ -688,12 +677,12 @@ def o2_principal_check(table: CharacterTable, t_index: int) -> bool:
     return True
 
 
-def dimension_valuation_check(table: CharacterTable, block: BlockData,
-                              couple, summands) -> dict:
+def dimension_valuation_check(table: CharacterTable, block: BlockData, summands) -> dict:
     """Necessary vertex bounds: nu(dim M) >= nu[G:D] and
-    nu(dim M) >= nu|G| - max_t nu|C_D(t)| over involutions t with E = D<t>."""
+    nu(dim M) >= nu|G| - max_t nu|C_D(t)| over involutions t with E = D<t>,
+    for the defect couple (D, E) of the block."""
     G = table.group
-    D, E = couple.D, couple.E
+    D, E = block.couple.D, block.couple.E
     nuG = nu(G.order)
     bound1 = nuG - nu(D.order)
     ident = identity(G.degree)

@@ -192,8 +192,8 @@ def _module_report(table, block, rep: BlockReport, omega, seed):
     rep.meataxe = sorted((dim, mult) for _c, dim, mult in factors)
     rep.summand_dims = sorted(s.dim for s in summands)
     rep.summand_multiplicities = sorted(m for _s, m in grouped)
-    if block.is_real and block.couple is not None:
-        val = modrep.dimension_valuation_check(table, block, block.couple, summands)
+    if block.couple is not None:
+        val = modrep.dimension_valuation_check(table, block, summands)
         rep.valuation_ok = val["ok"]
         if not val["ok"]:
             rep.mismatches.append("summand dimension valuation failed")

@@ -14,8 +14,8 @@ from workbench.errors import CapExceeded, InvariantViolation, NotTwoIntegral
 from workbench.gf2 import (BitMatrix, Echelon, GF2Field, eval_poly, krylov_relation,
                            multiplicative_order_of_2, poly_lcm, poly_mulmod, restrict)
 from workbench.meataxe import chop, spin
-from workbench.modrep import (COMMUTANT_DIM_CAP, SPLIT_TRIES, EndAlgebra, GF2Module,
-                              endomorphism_basis, hom_space)
+from workbench.modrep import (COMMUTANT_DIM_CAP, SPLIT_TRIES, EndAlgebra, endomorphism_basis,
+                              hom_space)
 from workbench.perm import conj, identity, inverse, mul
 
 
@@ -638,9 +638,21 @@ def matrix_inverse(M: BitMatrix) -> BitMatrix:
     return BitMatrix([ech.solve(1 << j) for j in range(M.ncols)], M.nrows)
 
 
-def dual_module(module) -> GF2Module:
+class MatrixModule:
+    """A module given by its generators' action matrices alone.  It has no
+    orbitals, so `modrep.endomorphism_basis` reads its End only once one is
+    set as `endo` (`hom_space_endomorphisms`)."""
+    perms = None
+
+    def __init__(self, mats, dim):
+        self.mats = mats
+        self.dim = dim
+        self.endo = None
+
+
+def dual_module(module) -> MatrixModule:
     """The contragredient module: g acts by rho(g^-1)^T."""
-    return GF2Module([matrix_inverse(m).transpose() for m in module.mats], module.dim)
+    return MatrixModule([matrix_inverse(m).transpose() for m in module.mats], module.dim)
 
 
 def hom_space_endomorphisms(module) -> EndAlgebra:
@@ -658,15 +670,17 @@ def hom_space_endomorphisms(module) -> EndAlgebra:
 
 def _image(H, f) -> tuple:
     """(M*f as a module of its own, its basis) for an idempotent f of the
-    `EndAlgebra` H of M: the reduced row space of f's matrix, restricted."""
+    `EndAlgebra` H of M: the reduced row space of f's matrix, with M's
+    matrices restricted to it."""
     ech = Echelon(H.matrix(f).rows).reduced_basis(H.module.dim)
     mats = [restrict(ech, map(m.mul_vec, ech.vectors)) for m in H.module.mats]
-    return GF2Module(mats, len(ech)), ech
+    return MatrixModule(mats, len(ech)), ech
 
 
-def summand_module(summand) -> GF2Module:
-    """The summand fM of a `summand_split`, with its own action matrices."""
-    return _image(summand.algebra, summand.idempotent)[0]
+def summand_module(summand) -> MatrixModule:
+    """A module fM (a block cut or a summand) with action matrices
+    restricted from M's own."""
+    return _image(summand.endo, summand.idempotent)[0]
 
 
 def corner_action(H, f: int, x: int) -> BitMatrix:

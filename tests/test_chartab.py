@@ -11,7 +11,7 @@ from workbench import linalg
 from workbench.chartab import _class_matrix, _eigenspaces, dixon_table
 from workbench.errors import CapExceeded
 from workbench.groups import builtin_group
-from workbench.perm import generate, read_generator_file
+from workbench.perm import generate, parse_cycles, read_generator_file
 
 from oracles import (Cyclotomic, exact_chars, exact_conj_char, exact_fs_indicator,
                      exact_is_two_rational, exact_two_conjugacy_families, inner_product,
@@ -206,7 +206,16 @@ def test_class_matrices_match_brute_force(name):
             [[a % T.prime for a in row] for row in want[i]], (name, i)
 
 
+# groups with characters of FS indicator -1: 1-based generators, and the FS vector
+FS_MINUS_ONE = {
+    "q8": (("(1 2 3 4)(5 6 7 8)", "(1 5 3 7)(2 8 4 6)"), (1, 1, 1, 1, -1)),
+    "sl2_3": (("(3 4 5)(6 8 7)", "(1 4 7)(2 8 5)"), (0, 1, 0, 0, -1, 0, 1)),
+}
+
+
 def _exact_route_group(name):
+    if name in FS_MINUS_ONE:
+        return generate([parse_cycles(c) for c in FS_MINUS_ONE[name][0]])
     if name.endswith(".txt"):
         return generate(read_generator_file(GROUP_FILES / name))
     return builtin_group(name)
@@ -219,11 +228,13 @@ EXACT_ROUTE_FILES = ("M11.txt", "S6.txt", "S7.txt", "a7.txt", "pgl2_11.txt",
                      "psl2_19.txt", "psl2_5xpsl2_5.txt", "psl2_9.txt", "s5xs3.txt")
 
 
-@pytest.mark.parametrize("name", BUILTINS + ("pgl2_11",) + EXACT_ROUTE_FILES)
+@pytest.mark.parametrize("name", BUILTINS + ("pgl2_11",) + EXACT_ROUTE_FILES + tuple(FS_MINUS_ONE))
 def test_mod_p_invariants_match_exact_routes(name):
     T = dixon_table(_exact_route_group(name))
     rows = range(T.k)
     assert T.fs_vector() == tuple(exact_fs_indicator(T, i) for i in rows)
+    if name in FS_MINUS_ONE:
+        assert T.fs_vector() == FS_MINUS_ONE[name][1]
     assert [T.conj_char(i) for i in rows] == [exact_conj_char(T, i) for i in rows]
     assert [T.is_two_rational(i) for i in rows] == \
         [exact_is_two_rational(T, i) for i in rows]

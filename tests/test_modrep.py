@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (bitwise_quotient, chopped_corner_is_local,
+from oracles import (MatrixModule, bitwise_quotient, chopped_corner_is_local,
                      conjugation_action_is_homomorphism, corner_action, dual_module,
                      hom_space_endomorphisms, isomorphic_irreducibles, matrix_minpoly,
                      matrix_route_summands, matrix_span_action, modules_isomorphic,
@@ -116,7 +116,7 @@ def test_meataxe_c2_regular():
     # regular module of C2: one indecomposable with two trivial factors; it
     # has no orbitals, so End = k[x]/(x^2) comes from the hom_space oracle,
     # and its corner is certified local with no split
-    reg = modrep.GF2Module([BitMatrix.from_lists([[0, 1], [1, 0]])], 2)
+    reg = MatrixModule([BitMatrix.from_lists([[0, 1], [1, 0]])], 2)
     factors = meataxe.group_constituents(meataxe.chop(reg.mats, reg.dim))
     assert [(c.dim, mult) for c, mult in factors] == [(1, 2)]
     with pytest.raises(InvariantViolation):
@@ -175,7 +175,7 @@ def test_summand_split_synthetic_direct_sum(monkeypatch):
     walked = _walk_checked_against_chop(monkeypatch)
     T = table("s3")
     m = modrep.involution_perm_module(T.group)
-    big = modrep.GF2Module(
+    big = MatrixModule(
         [BitMatrix([a.rows[i] for i in range(m.dim)] +
                    [a.rows[i] << m.dim for i in range(m.dim)], 2 * m.dim)
          for a in m.mats], 2 * m.dim)
@@ -236,16 +236,16 @@ def test_dimension_valuation_check_psl27():
     m = modrep.involution_perm_module(T.group)
     cut = modrep.block_cut(T, b, m)
     summands = modrep.summand_split(cut)
-    cpl = blocks.defect_couple(T, b)
-    report = modrep.dimension_valuation_check(T, b, cpl, summands)
+    b.couple = blocks.defect_couple(T, b)
+    report = modrep.dimension_valuation_check(T, b, summands)
     assert report["ok"]
     assert report["bound_index"] == 0
 
     defect0 = next(bb for bb in blocks.block_partition(T) if len(bb.rows) == 1)
     cut0 = modrep.block_cut(T, defect0, m)
     s0 = modrep.summand_split(cut0)
-    cpl0 = blocks.defect_couple(T, defect0)
-    rep0 = modrep.dimension_valuation_check(T, defect0, cpl0, s0)
+    defect0.couple = blocks.defect_couple(T, defect0)
+    rep0 = modrep.dimension_valuation_check(T, defect0, s0)
     assert rep0["ok"]
     # projective irreducible summand: nu(dim) = nu|G|
     assert rep0["summands"] == [{"dim": 8, "nu": 3, "pass": True}]
@@ -423,42 +423,74 @@ def test_split_matches_matrix_route(name):
 
 
 def test_singular_action_matrix_raises():
-    singular = BitMatrix.from_lists([[1, 1], [1, 1]])
+    # a permutation module whose generator folds both points onto one, as
+    # no constructor would build it: its matrix is checked on first read
+    m = modrep.GF2Module(2, perms=[[0, 0]])
     with pytest.raises(InvariantViolation):
-        modrep.GF2Module([singular], 2)
+        m.mats
 
 
 def test_cut_matrices_are_built_and_checked_on_first_use():
-    # a cut keeps its basis and parent; the action is restricted, and checked
-    # for invertibility, only when `mats` is first read
-    # a parent whose generator folds both points onto one, as no
-    # constructor would build it
-    parent = modrep.GF2Module([BitMatrix.identity(2)], 2, perms=[[0, 0]])
-    cut = modrep.GF2Module(None, 2, span=(Echelon([1, 2], 2), parent))
+    # a cut keeps its basis and algebra, whose module is its parent; the
+    # action is restricted, and checked for invertibility, only when `mats`
+    # is first read.  The singular parent's own matrices are never read
+    parent = modrep.GF2Module(2, perms=[[0, 0]])
+    cut = modrep.GF2Module(2, endo=modrep.EndAlgebra(parent, [], [], 1),
+                           basis=Echelon([1, 2], 2))
     assert type(cut) is modrep.GF2Module and cut.dim == 2
     with pytest.raises(InvariantViolation):
         cut.mats
+    assert parent._mats is None
     T = table("psl27")
     m = modrep.involution_perm_module(T.group)
     cut = modrep.block_cut(T, principal_block(T), m)
-    assert cut._mats is None
-    ech, parent = cut.span
-    assert parent is m and len(ech) == cut.dim == 14
+    assert cut._mats is None and m._mats is None
+    ech = cut.basis
+    assert cut.endo.module is m and len(ech) == cut.dim == 14
     assert cut.mats == [restrict(ech, map(a.mul_vec, ech.vectors)) for a in m.mats]
     assert cut.mats is cut.mats
+
+
+@pytest.mark.parametrize("name", ["psl27", "a7"])
+def test_summand_is_a_module_of_its_own(name):
+    # a summand fM is a module like its cut: split again, it is one summand
+    # with the same idempotent, and its matrices, gathered off k-Omega's
+    # position lists, are those restricted from k-Omega's permutation matrices
+    checked = 0
+    for cut in _gf2_cuts(name):
+        for s in modrep.summand_split(cut):
+            again = modrep.summand_split(s)
+            assert [(t.dim, t.idempotent) for t in again] == [(s.dim, s.idempotent)], name
+            assert s.mats == summand_module(s).mats, (name, s.dim)
+            checked += 1
+    assert checked > 0
+
+
+def test_summands_of_different_cuts_are_compared():
+    # the summands of psl27's principal cut and its defect-0 cut live in one
+    # orbital algebra, so they can be compared; those of two k-Omega cannot
+    cuts = {c.dim: c for c in _gf2_cuts("psl27")}  # both cut from one k-Omega
+    principal, defect0 = cuts[14], cuts[8]
+    simple = modrep.summand_split(defect0)[0]
+    assert simple.dim == 8
+    for s in modrep.summand_split(principal):
+        assert not modrep._summands_isomorphic(s, simple)
+        assert not modrep._summands_isomorphic(simple, s)
+    assert modrep._summands_isomorphic(simple, simple)
+    s3, s4 = (modrep.summand_split(next(_gf2_cuts(name)))[0] for name in ("s3", "s4"))
+    with pytest.raises(InvariantViolation):
+        modrep._summands_isomorphic(s3, s4)
 
 
 @pytest.mark.parametrize("name", ["psl27", "a7", "M11.txt"])
 def test_module_route_builds_no_cut_matrices(name, monkeypatch):
     # analyze_group reads each summand's action off the basis its split kept:
-    # no cut restricts its parent's matrices, and each final summand's
-    # matrix H.matrix(f) is built (and eliminated) at most once
-    cut_restricts, matrices, runs = [], [], []
+    # no permutation matrix is built, no cut's matrices are read, and each
+    # final summand's matrix H.matrix(f) is built (and eliminated) at most once
+    matrices, runs = [], []
 
-    def counted_restrict(ech, images, what="subspace"):
-        if what == "cut":
-            cut_restricts.append(len(ech))
-        return restrict(ech, images, what)
+    def no_perm_matrix(*_args):
+        raise AssertionError("analyze_group built a permutation matrix")
 
     def counted_matrix(H, x):
         matrices.append(x)
@@ -467,19 +499,19 @@ def test_module_route_builds_no_cut_matrices(name, monkeypatch):
     def recorded_decompose(cut, seed=0):
         matrices.clear()
         out = decompose(cut, seed=seed)
-        runs.append((list(matrices), [s.idempotent for s in out[1]]))
+        runs.append((cut, list(matrices), [s.idempotent for s in out[1]]))
         return out
 
     matrix, decompose = modrep.EndAlgebra.matrix, modrep.decompose_cut
-    monkeypatch.setattr(modrep, "restrict", counted_restrict)
+    monkeypatch.setattr(modrep, "_perm_matrix", no_perm_matrix)
     monkeypatch.setattr(modrep.EndAlgebra, "matrix", counted_matrix)
     monkeypatch.setattr(modrep, "decompose_cut", recorded_decompose)
     G = table(name).group
     report = pipeline.analyze_group(G, name=name)
     assert report["cut_dims_sum_ok"] and report["mismatches"] == []
-    assert cut_restricts == []
     assert runs
-    for built, final in runs:
+    for cut, built, final in runs:
+        assert cut._mats is None, (name, cut.dim)
         assert sorted(built) == sorted(final), name
 
 
@@ -719,7 +751,7 @@ def _spin_cases():
     yield cut.mats, cut.dim
     big = next(c for c in _gf2_cuts("a7") if c.dim == 86)
     summand = next(s for s in modrep.summand_split(big) if s.dim == 70)
-    yield modrep._summand_action(summand), summand.dim
+    yield summand.mats, summand.dim
 
 
 def test_spin_stops_at_the_full_module(monkeypatch):
@@ -772,10 +804,10 @@ def test_permutation_gather_matches_permutation_matrices(name):
     # the action on each cut and summand of k-Omega, moved by bit gathers,
     # against the permutation matrices
     for cut in _gf2_cuts(name):
-        ech, omega = cut.span
-        assert modrep._span_action(ech, omega, "cut") == matrix_span_action(ech, omega)
-        for s in modrep.summand_split(cut):
-            assert modrep._summand_action(s) == matrix_span_action(s.basis, omega), name
+        omega = cut.endo.module
+        for s in [cut] + modrep.summand_split(cut):
+            assert s.endo.module is omega
+            assert modrep._span_action(s.basis, omega) == matrix_span_action(s.basis, omega), name
 
 
 @pytest.mark.parametrize("name", ["psl27", "s5", "a7", "pgl2_11"])

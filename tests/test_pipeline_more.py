@@ -2,6 +2,7 @@
 
 import pytest
 
+from test_chartab import FS_MINUS_ONE
 from workbench import perm
 from workbench.groups import builtin_group
 from workbench.pipeline import analyze_group
@@ -103,6 +104,9 @@ def test_product_groups():
 # the MeatAxe's random words of the one generator that splits
 MEATAXE_WITNESSES = [(["(1 2)(3 4)", "(1 6 2 7 3 8 4 5)"], 64, seed) for seed in (122, 191, 211, 357)]
 MEATAXE_WITNESSES.append((["(1 6 3 5 2 7 8)", "(1 8 2 5 6 7)(3 4)"], 1344, 195))  # AGL(3,2)
+# and Q8 and SL(2,3), whose characters of FS indicator -1 the involution
+# count identity weighs negatively
+MEATAXE_WITNESSES += [(list(FS_MINUS_ONE["q8"][0]), 8, 0), (list(FS_MINUS_ONE["sl2_3"][0]), 24, 0)]
 
 
 @pytest.mark.parametrize("cycles,order,seed", MEATAXE_WITNESSES)
@@ -110,7 +114,7 @@ def test_meataxe_witnesses_finish(cycles, order, seed):
     G = perm.generate([perm.parse_cycles(c, degree=8) for c in cycles])
     assert G.order == order
     rep = analyze_group(G, seed=seed)
-    assert rep["cut_dims_sum_ok"] and rep["mismatches"] == []
+    assert rep["cut_dims_sum_ok"] and rep["fs_count_identity_ok"] and rep["mismatches"] == []
     for b in rep["blocks"]:
         if b["meataxe"] is not None:
             assert sum(d * m for d, m in b["meataxe"]) == b["komega_dim"]
