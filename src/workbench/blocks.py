@@ -174,7 +174,7 @@ def _couple_from_element(G: PermGroup, c_idx: int) -> DefectCouple:
     D = cent.sylow2()
     E = ext.sylow2(D)
     # E n C(c) is a 2-subgroup of C(c) containing the Sylow D, so it is D
-    if any(x not in D.index and x in cent.index for x in E.elements):
+    if any(x not in D and x in cent for x in E.elements):
         raise InvariantViolation("E n C(c) is larger than D")
     etype = None
     if is_dihedral_2group(D):
@@ -192,13 +192,9 @@ def couple_conjugacy_check(table: CharacterTable, block: BlockData) -> bool:
     if len(couples) <= 1:
         return True
     base = couples[0]
-    base_D = base.D.element_set()
-    base_E = base.E.element_set()
     for other in couples[1:]:
-        oD = other.D.element_set()
-        oE = other.E.element_set()
-        if not any(all(conj(x, g) in base_D for x in oD) and
-                   all(conj(x, g) in base_E for x in oE) for g in G.elements):
+        if not any(all(conj(x, g) in base.D for x in other.D.elements) and
+                   all(conj(x, g) in base.E for x in other.E.elements) for g in G.elements):
             return False
     return True
 

@@ -227,8 +227,14 @@ def chop(mats, dim, seed=0, known=None) -> list:
 
 def _chop_rec(mats, dim, rng, known, out):
     mats, dim = _peel(mats, dim, known, out)
-    if dim == 0:
-        return
+    if dim:
+        _split_rec(mats, dim, rng, known, out)
+
+
+def _split_rec(mats, dim, rng, known, out):
+    """Chop a module in which no simple of `known` embeds.  A split adds
+    nothing to `known`, and Hom(S, W) lies in Hom(S, X) = 0 for a submodule
+    W of X, so W starts here, past the peel that could find nothing."""
     # theta, p(theta) and their kernels live in the search's frame, so they
     # are freed before the recursion
     found = _proper_submodule(mats, dim, rng) if dim > 1 else _scalar_constituent(mats)
@@ -239,7 +245,7 @@ def _chop_rec(mats, dim, rng, known, out):
     k = len(found)
     sub_mats, quot_mats = sub_quotient(mats, dim, found)
     del found, mats
-    _chop_rec(sub_mats, k, rng, known, out)
+    _split_rec(sub_mats, k, rng, known, out)
     del sub_mats
     _chop_rec(quot_mats, dim - k, rng, known, out)
 

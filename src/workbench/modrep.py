@@ -156,12 +156,12 @@ def _span_action(ech: Echelon, module: GF2Module) -> list:
 
 
 def conjugation_module(G: PermGroup, labels) -> GF2Module:
-    """Permutation module on a conjugation-stable set of element indices:
-    each generator's action on the points is read off its conjugation row."""
+    """Permutation module on a conjugation-stable set of element indices: each
+    generator's action is read off its conjugation row (no generator: 1 acts)."""
     labels = sorted(labels)
     pos = {lab: n for n, lab in enumerate(labels)}
     perms = [list(map(pos.__getitem__, map(row.__getitem__, labels)))
-             for row in G.conjugation_rows()]
+             for row in G.conjugation_rows()] or [list(range(len(labels)))]
     return GF2Module(len(labels), perms=perms)
 
 
@@ -664,7 +664,7 @@ def o2_principal_check(table: CharacterTable, t_index: int) -> bool:
     if mul(t, t) != identity(G.degree):
         raise NotInO2("element is not an involution")
     core = G.o2_core()
-    if t not in core.index:
+    if t not in core:
         raise NotInO2("element is not in O_2(G)")
     cls = G.conjugacy_classes()[G.class_of[t_index]]
     module = conjugation_module(G, cls.members)
@@ -689,9 +689,9 @@ def dimension_valuation_check(table: CharacterTable, block: BlockData, summands)
     if E.order == D.order:
         pool = [x for x in D.elements if mul(x, x) == ident]
     else:
-        pool = [x for x in E.elements if x not in D.index and mul(x, x) == ident]
+        pool = [x for x in E.elements if x not in D and mul(x, x) == ident]
     # |C_D(t)|: the part of C_E(t) that lies in D
-    cents = [sum(1 for g in E.centralizer(t).elements if g in D.index) for t in pool]
+    cents = [sum(1 for g in E.centralizer(t).elements if g in D) for t in pool]
     bound2 = nuG - nu(max(cents)) if cents else None
     rows = []
     ok = True

@@ -1,9 +1,11 @@
 """Finite-group engine over explicit permutation generators.
 
-Permutations are tuples of 0-based images acting on the right:
+Permutations are sequences of 0-based images acting on the right:
 (i)(pq) = ((i)p)q, i.e. mul(p, q)[i] = q[p[i]].  Groups materialize their
 full element list (sorted, so element indices are deterministic) and all
-later layers work with element indices.  Products of elements go through
+later layers work with element indices.  An element is the closure's own
+key, bytes up to degree 256 and a tuple above; `idx` and `in` take a
+tuple, list or bytes (`key`).  Products of elements go through
 integer index tables, not tuple products: the closure records the row
 x -> x·g of each generator g, and the rows x -> h·x (`left`) and x -> x^-1
 (`inv`) are walked down its BFS tree.  The class search builds the rows
@@ -13,7 +15,7 @@ does the conjugation module on a set of elements.  A subgroup cut out by
 index (a centralizer, C*(g), O_2) reads the rows of its root group.
 
 Both loops over the elements run at C speed.  Up to degree 256 the
-closure (and `powers`) keys each element by its bytes, so p·g is one
+closure (and `powers`) steps each element as its bytes, so p·g is one
 `bytes.translate`; a larger degree has no byte per point and keeps `mul`.
 The closure finds elements by depth and then by letter, so its BFS order
 is the walk's layout: one slice per run of BFS nodes with the same depth
@@ -225,7 +227,7 @@ class PermGroup:
         and keeps one product row per letter and the runs.  One letter moves
         distinct parents to distinct products, so a layer is stepped and
         looked up at C speed.  Up to degree 256 the keys are bytes and p·g is
-        p.translate(g padded to 256 bytes); bytes sort as the tuples do."""
+        p.translate(g padded to 256 bytes); bytes of one length sort as tuples do."""
         n = self.degree
         start, step, acts = _stepping(n, self.generators)
         pos, found = {start: 0}, [start]
@@ -246,15 +248,10 @@ class PermGroup:
             lo = hi
         elements = sorted(found)
         unrank = array("i", map(pos.__getitem__, elements))  # index -> slot
-        for i, p in enumerate(elements):
-            pos[p] = i
-        self._closure = (array("i", map(pos.__getitem__, found)), unrank, prods, runs)
-        if n <= 256:
-            del pos, found  # free the bytes-keyed dict, then turn bytes to tuples in place
-            for i, p in enumerate(elements):
-                elements[i] = tuple(p)
-            pos = {p: i for i, p in enumerate(elements)}
-        return elements, pos
+        del pos  # the index is built in element order, so its values come sorted
+        index = dict(zip(elements, count()))
+        self._closure = (array("i", map(index.__getitem__, found)), unrank, prods, runs)
+        return elements, index
 
     @cached_property
     def _tables(self) -> tuple:
@@ -272,21 +269,34 @@ class PermGroup:
 
     # -- element helpers ------------------------------------------------
 
-    def idx(self, p: Perm) -> int:
+    def key(self, p) -> bytes | Perm:
+        """p (a tuple, list or bytes) as an element key: bytes up to degree
+        256, else a tuple; NotMember if p has a point that no byte holds."""
+        if self.degree > 256:
+            return tuple(p)
         try:
-            return self.index[tuple(p)]
+            return bytes(p)
+        except ValueError:
+            raise NotMember(f"{p} not in group") from None
+
+    def idx(self, p) -> int:
+        try:
+            return self.index[self.key(p)]
         except KeyError:
             raise NotMember(f"{p} not in group") from None
 
     def __contains__(self, p) -> bool:
-        return tuple(p) in self.index
+        try:
+            return self.key(p) in self.index
+        except NotMember:
+            return False
 
     def identity_idx(self) -> int:
-        return self.index[identity(self.degree)]
+        return self.idx(identity(self.degree))
 
     def inverse_idx(self, x: int) -> int:
         """The index of element x's inverse."""
-        return self.index[inverse(self.elements[x])]
+        return self.idx(inverse(self.elements[x]))
 
     # -- index rows -------------------------------------------------------
 
@@ -322,14 +332,14 @@ class PermGroup:
     def powers(self, x: int, n: int) -> list:
         """Indices of x^0 .. x^(n-1), stepped as the closure steps p·g."""
         start, step, (g,) = _stepping(self.degree, [self.elements[x]])
-        return [self.index[tuple(q)] for q in accumulate(repeat(g, n - 1), step, initial=start)]
+        return list(map(self.index.__getitem__, accumulate(repeat(g, n - 1), step, initial=start)))
 
     @cached_property
     def inv(self) -> list:
         """The row x -> index(x^-1), walked as inv[p·g] = L_{g^-1}[inv[p]]."""
         if self._parent:
             return self._from_root(self._parent.inv)
-        return self.walk([self.left(self.index[inverse(g)]) for g in self.generators],
+        return self.walk([self.left(self.idx(inverse(g))) for g in self.generators],
                          self.identity_idx())
 
     def _from_root(self, row: list) -> list:
@@ -353,7 +363,7 @@ class PermGroup:
             return self._conjugations
         rows = []
         for k, g in enumerate(self.generators):
-            L = self.left(self.index[inverse(g)])  # L_{g^-1}
+            L = self.left(self.idx(inverse(g)))  # L_{g^-1}
             R = (map(self.inv.__getitem__, map(L.__getitem__, self.inv)) if self._parent
                  else self._tables[0][k])
             rows.append(array("i", map(L.__getitem__, R)))
@@ -458,11 +468,8 @@ class PermGroup:
         g._members = array("i", keep)
         return g
 
-    def element_set(self) -> frozenset:
-        return frozenset(self.elements)
-
     def is_subgroup_of(self, other: "PermGroup") -> bool:
-        return all(p in other.index for p in self.elements)
+        return all(p in other for p in self.elements)
 
     # -- 2-local structure -------------------------------------------------
 

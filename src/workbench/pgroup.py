@@ -80,7 +80,7 @@ def build_dihedral(d: int, cap: int | None = None) -> DihedralFrame:
     frame = DihedralFrame(d=d, group=PermGroup([s, t], cap=cap), s=s, t=t)
     # the normal forms are D's elements, and their product is D's product
     forms, perm = frame.forms, frame.perm
-    if (sorted(map(perm, forms)) != frame.group.elements
+    if (sorted(map(frame.group.key, map(perm, forms))) != frame.group.elements
             or any(perm(frame.mul(x, g)) != mul(perm(x), perm(g))
                    for x in forms for g in (_S, _T))):
         raise InvariantViolation(f"D_{2 * m} normal forms fail")

@@ -366,7 +366,7 @@ def abstract_fingerprint(G) -> tuple:
     """(|G|, #{g^2 = 1}, exponent, |Z|, |G'|) from the engine's classes, with
     G' the subgroup generated by the classes of the generators' commutators."""
     classes = G.conjugacy_classes()
-    comms = {G.class_of[G.index[mul(mul(inverse(g), inverse(h)), mul(g, h))]]
+    comms = {G.class_of[G.idx(mul(mul(inverse(g), inverse(h)), mul(g, h)))]
              for g in G.generators for h in G.generators}
     derived = G.subgroup([G.elements[m] for c in sorted(comms) for m in classes[c].members])
     return (G.order, len(G.involution_indices()), G.exponent(),
@@ -440,10 +440,11 @@ def normalizer_ascent_sylow2(G):
     target = 1 << nu(G.order)
     if target == 1:
         return G.subgroup([])
-    P = G.subgroup([next(p for p in G.elements if two_element(p))])
+    elements = list(map(tuple, G.elements))
+    P = G.subgroup([next(p for p in elements if two_element(p))])
     while P.order < target:
-        members = set(P.elements)
-        norm = [x for x in G.elements if all(conj(s, x) in members for s in members)]
+        members = set(map(tuple, P.elements))
+        norm = [x for x in elements if all(conj(s, x) in members for s in members)]
         P = G.subgroup(P.generators + [next(y for y in norm if y not in members
                                             and two_element(y))])
     return P
@@ -453,7 +454,7 @@ def conjugate_intersection_o2_core(G) -> frozenset:
     """O_2(G) as the intersection of all G-conjugates of a Sylow 2-subgroup."""
     from workbench.perm import conj
 
-    syl = normalizer_ascent_sylow2(G).elements
+    syl = list(map(tuple, normalizer_ascent_sylow2(G).elements))
     core = frozenset(syl)
     for g in G.elements:
         core &= frozenset(conj(s, g) for s in syl)

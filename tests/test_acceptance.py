@@ -184,7 +184,7 @@ def test_criterion_10_o2_principal():
         G = T.group
         core = G.o2_core()
         t = next(i for i in G.involution_indices()
-                 if i != G.identity_idx() and G.elements[i] in core.index)
+                 if i != G.identity_idx() and G.elements[i] in core)
         assert modrep.o2_principal_check(T, t), name
     report(10, "O_2 check: induced modules land in the principal block for D8, S4, C2xS3")
 

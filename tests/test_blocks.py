@@ -198,7 +198,7 @@ def test_couple_fingerprints_match_engine_oracle(name):
         D, E = b.couple.D, b.couple.E
         assert pgroup.group_fingerprint(D) == abstract_fingerprint(D)
         assert pgroup.group_fingerprint(E, D) == \
-            relative_fingerprint(E, D.element_set(), D.generators)
+            relative_fingerprint(E, frozenset(D.elements), D.generators)
 
 
 @pytest.mark.parametrize("name", ["psl27", "s5", "a7", "pgl2_11", "c3xs4"])
@@ -214,7 +214,7 @@ def test_couple_grown_on_generators(name):
         assert D.is_subgroup_of(E)
         assert E.order in (D.order, 2 * D.order)
         cent = G.centralizer(G.elements[b.couple.c_index])
-        assert {x for x in E.elements if x in cent.index} == set(D.elements)
+        assert {x for x in E.elements if x in cent} == set(D.elements)
         assert len(D.generators) <= nu(D.order)
 
 

@@ -107,6 +107,25 @@ def test_invmod_command(capsys, tmp_path):
     assert dump.exists() and dump.read_text().startswith("# module dim=14")
 
 
+def test_pipeline_and_invmod_on_the_trivial_group(capsys, tmp_path):
+    # a generator file of comments only is the trivial group: kOmega is one
+    # point, acted on by the identity, and both reports finish
+    f = tmp_path / "trivial.txt"
+    f.write_text("# no generators\n")
+    code, out = run(capsys, ["pipeline", "--group", str(f), "--json"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["order"] == 1 and data["komega_dim"] == 1 and data["mismatches"] == []
+    [block] = data["blocks"]
+    assert block["is_principal"] and block["komega_dim"] == 1
+    assert block["meataxe"] == [[1, 1]] and block["mismatches"] == []
+    code, out = run(capsys, ["invmod", "--group", str(f), "--json"])
+    assert code == 0
+    data = json.loads(out)
+    assert (data["omega_dim"], data["dim"], data["factors"]) == (1, 1, [[1, 1]])
+    assert data["checks"]["ok"] is True
+
+
 def test_invmod_splits_a_cut_above_256_dimensions(capsys, tmp_path):
     # S7 x C2: the 344-dimensional principal cut is split and checked
     f = tmp_path / "s7xc2.txt"

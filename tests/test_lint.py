@@ -10,7 +10,9 @@ uses, and an import inside a function: none of the package's imports breaks
 a cycle, so each belongs at the top of its module.  A function, class or
 method that nothing in the package refers to is there only for the tests,
 and fails the lint unless it is a traced boundary (`perfbench/spans.py`)
-or on the allowlist of public checks."""
+or on the allowlist of public checks.  Only `perm` reads a group's `index`
+dict, whose keys are the closure's own (bytes up to degree 256): every
+other module, and the oracles, go through `idx` and `in`."""
 
 import ast
 from pathlib import Path
@@ -22,6 +24,7 @@ import workbench
 PACKAGE = Path(workbench.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
@@ -156,3 +159,15 @@ def test_no_test_only_helpers():
                 unused.append(name)
     flagged = sorted(set(unused) - boundaries - PUBLIC_CHECKS)
     assert flagged == [], f"only tests call these package functions: {flagged}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "perm"] + [ORACLES],
+                         ids=[p.stem for p in MODULES if p.stem != "perm"] + ["oracles"])
+def test_only_perm_reads_group_index(path):
+    # `x.index(...)` is a list or bytes method and stays; any other read of
+    # an `index` attribute (a subscript, `in`, `.get`) is a group's dict
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "index" and id(node) not in calls]
+    assert lines == [], f"{path.name} reads a group's index at lines {lines}"

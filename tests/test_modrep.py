@@ -200,13 +200,13 @@ def test_o2_principal_check():
     T4 = table("s4")
     core = T4.group.o2_core()
     t = next(i for i in T4.group.involution_indices()
-             if i != T4.group.identity_idx() and T4.group.elements[i] in core.index)
+             if i != T4.group.identity_idx() and T4.group.elements[i] in core)
     assert modrep.o2_principal_check(T4, t)
 
     Tc = table("c2xs3")
     corec = Tc.group.o2_core()
     tc = next(i for i in Tc.group.involution_indices()
-              if i != Tc.group.identity_idx() and Tc.group.elements[i] in corec.index)
+              if i != Tc.group.identity_idx() and Tc.group.elements[i] in corec)
     assert modrep.o2_principal_check(Tc, tc)
 
 
@@ -214,7 +214,7 @@ def test_o2_rejects_outside_core():
     T = table("s4")
     G = T.group
     outside = next(i for i in G.involution_indices()
-                   if i != G.identity_idx() and G.elements[i] not in G.o2_core().index)
+                   if i != G.identity_idx() and G.elements[i] not in G.o2_core())
     with pytest.raises(NotInO2):
         modrep.o2_principal_check(T, outside)
 
@@ -780,6 +780,43 @@ def test_spin_stops_at_the_full_module(monkeypatch):
                 full += 1
                 assert "mul" in log and "mul" not in log[log.index(dim):], dim
         assert full, dim
+
+
+def test_submodule_skips_the_empty_peel(monkeypatch):
+    # after a peel no known simple embeds in X, and a split adds none, so
+    # Hom(S, W) = 0 on a submodule W: no _embedded_copies call is made on a
+    # submodule fresh from sub_quotient, and the factors (certificates
+    # included, since _peel draws no random number) are those of a chop that
+    # peels every submodule first, with fewer calls
+    mats, dim = list(_spin_cases())[1]
+    subs, calls = [], []
+    embedded, cut, split = meataxe._embedded_copies, meataxe.sub_quotient, meataxe._split_rec
+
+    def kept_cut(*args):
+        sub_mats, quot_mats = cut(*args)
+        subs.append(sub_mats)  # kept alive, so no id is reused
+        return sub_mats, quot_mats
+
+    def counted(S, m, d):
+        calls.append(any(m is sub for sub in subs))
+        return embedded(S, m, d)
+
+    def peel_first(m, d, rng, known, out):
+        m, d = meataxe._peel(m, d, known, out)
+        if d:
+            split(m, d, rng, known, out)
+
+    monkeypatch.setattr(meataxe, "sub_quotient", kept_cut)
+    monkeypatch.setattr(meataxe, "_embedded_copies", counted)
+    got = meataxe.chop(mats, dim, seed=0)
+    skipped = list(calls)
+    calls.clear()
+    monkeypatch.setattr(meataxe, "_split_rec", peel_first)
+    want = meataxe.chop(mats, dim, seed=0)
+    assert [(c.dim, c.word, c.poly) for c in got] == [(c.dim, c.word, c.poly) for c in want]
+    assert sum(c.dim for c in got) == dim == 70 and len(got) == 6
+    assert skipped and not any(skipped) and any(calls)
+    assert len(skipped) < len(calls)
 
 
 def test_quotient_runs_match_bitwise_projection():

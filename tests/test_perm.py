@@ -25,7 +25,7 @@ def _group(name):
 
 
 def _inv_idx(G, i):
-    return G.index[perm.inverse(G.elements[i])]
+    return G.idx(perm.inverse(G.elements[i]))
 
 
 def test_mul_convention():
@@ -129,14 +129,14 @@ def test_extended_centralizer_index():
         cs = G.extended_centralizer(g).order
         assert cs % cg == 0 and cs // cg in (1, 2)
         # index 2 iff g is real and g != g^-1
-        expect2 = c.is_real and perm.inverse(g) != g
+        expect2 = c.is_real and perm.inverse(g) != tuple(g)
         assert (cs // cg == 2) == expect2
 
 
 def test_extended_centralizer_central_element():
     G = builtin_group("d8")
     z = next(p for p in G.elements
-             if p != perm.identity(G.degree) and G.centralizer(p).order == G.order)
+             if tuple(p) != perm.identity(G.degree) and G.centralizer(p).order == G.order)
     assert G.extended_centralizer(z).order == G.order
 
 
@@ -144,6 +144,29 @@ def test_not_member():
     G = builtin_group("c3")
     with pytest.raises(NotMember):
         G.centralizer(perm.parse_cycles("(1 2)", degree=3))
+
+
+def test_elements_are_the_closure_keys():
+    # up to degree 256 an element is the bytes the closure stepped, and it is
+    # its own index key, listed in element order; above 256 it is a tuple.
+    # idx and `in` take a permutation as a tuple, a list or bytes
+    G = builtin_group("pgl2_11")
+    assert G.degree == 12 and all(type(p) is bytes for p in G.elements)
+    assert list(G.index) == G.elements and list(G.index.values()) == list(range(G.order))
+    assert all(G.elements[i] is p for p, i in G.index.items())
+    H = perm.generate([perm.parse_cycles("(1 257)(2 3)", degree=257)])
+    assert H.order == 2 and all(type(p) is tuple for p in H.elements)
+    for K, forms in ((G, (tuple, list, bytes)), (H, (tuple, list))):
+        for x, p in enumerate(K.elements):
+            for form in forms:
+                assert form(p) in K and K.idx(form(p)) == x
+    # a point that no byte holds: a non-member, not a ValueError
+    far = perm.parse_cycles("(1 257)", degree=257)
+    assert far not in G and list(far) not in G
+    with pytest.raises(NotMember):
+        G.idx(far)
+    with pytest.raises(NotMember):
+        G.centralizer(far)
 
 
 def test_sylow2_psl27_and_s5():
@@ -165,7 +188,7 @@ def test_sylow2_conjugacy_small():
     # conjugate subgroups must be conjugate in G (exhaustive search)
     G = builtin_group("s5")
     # transpositions: centralizer C2 x S3 of order 12, Sylow-2 Klein four
-    x = next(p for p in G.elements
+    x = next(tuple(p) for p in G.elements
              if perm.perm_order(p) == 2 and G.centralizer(p).order == 12)
     g = next(p for p in G.elements if perm.conj(x, p) != x)
     y = perm.conj(x, g)
@@ -173,7 +196,7 @@ def test_sylow2_conjugacy_small():
     P2 = G.centralizer(y).sylow2()
     assert P1.order == P2.order == 4
     conjugators = [h for h in G.elements
-                   if all(perm.conj(p, h) in P2.index for p in P1.elements)]
+                   if all(perm.conj(p, h) in P2 for p in P1.elements)]
     assert conjugators
 
 
@@ -183,7 +206,7 @@ def test_sylow2_translates_are_conjugate():
     for g in G.elements[:6]:
         Q = G._from_elements([perm.conj(p, g) for p in P.elements])
         found = any(
-            all(perm.conj(p, x) in Q.index for p in P.elements)
+            all(perm.conj(p, x) in Q for p in P.elements)
             for x in G.elements
         )
         assert found
@@ -202,7 +225,7 @@ def test_sylow_ascent_matches_oracle(name):
 @pytest.mark.parametrize("name", ["s4", "d8", "c2xs3", "c3xs4", "psl27"])
 def test_o2_core_matches_oracle(name):
     G = builtin_group(name)
-    assert G.o2_core().element_set() == conjugate_intersection_o2_core(G)
+    assert frozenset(map(tuple, G.o2_core().elements)) == conjugate_intersection_o2_core(G)
 
 
 @given(st.integers(1, 40).flatmap(lambda n: st.permutations(range(n))))
@@ -242,7 +265,8 @@ def test_engine_against_sympy(name):
         assert G.centralizer(G.elements[c.rep]).order == S.centralizer(rep).order()
     a, b = G.generators[0], G.elements[G.conjugacy_classes()[1].rep]
     pair = S.centralizer(PermutationGroup([Permutation(list(a)), Permutation(list(b))]))
-    assert set(G.centralizer(a, b).elements) == {tuple(p.array_form) for p in pair.elements}
+    assert set(map(tuple, G.centralizer(a, b).elements)) == {tuple(p.array_form)
+                                                            for p in pair.elements}
     assert G.sylow2().order == S.sylow_subgroup(2).order()
 
 
@@ -295,18 +319,18 @@ def _check_words_and_runs(G):
                                   "psl27 C*(c)"])
 def test_index_tables_match_tuple_products(name):
     G = _table_case(name)
-    els, index = G.elements, G.index
+    els, idx = G.elements, G.idx
     step = max(1, G.order // 12)
-    for h in sorted(set(range(0, G.order, step)) | {index[g] for g in G.generators[:3]}):
-        assert list(G.left(h)) == [index[perm.mul(els[h], x)] for x in els]
+    for h in sorted(set(range(0, G.order, step)) | {idx(g) for g in G.generators[:3]}):
+        assert list(G.left(h)) == [idx(perm.mul(els[h], x)) for x in els]
     for k, g in enumerate(G.generators):
-        R = [index[perm.mul(x, g)] for x in els]
-        L_inv = G.left(G.inv[index[g]])
+        R = [idx(perm.mul(x, g)) for x in els]
+        L_inv = G.left(G.inv[idx(g)])
         assert [G.inv[L_inv[G.inv[x]]] for x in range(G.order)] == R
         if G._parent is None:
             assert list(G._tables[0][k]) == R
         # the class search's rows x -> g^-1·x·g, kept on a root group only
-        assert list(G.conjugation_rows()[k]) == [index[perm.conj(x, g)] for x in els]
+        assert list(G.conjugation_rows()[k]) == [idx(perm.conj(x, g)) for x in els]
     assert (G._conjugations is G.conjugation_rows()) == (G._parent is None)
     _check_words_and_runs(G)
     assert list(G.inv) == [_inv_idx(G, x) for x in range(G.order)]
@@ -314,7 +338,7 @@ def test_index_tables_match_tuple_products(name):
     root = G._parent or G
     for c in sorted({0, G.order // 2, G.order - 1}):
         r = root.idx(els[c])
-        assert G._conjugates(r) == [root.index[perm.conj(els[c], x)] for x in root.elements]
+        assert G._conjugates(r) == [root.idx(perm.conj(els[c], x)) for x in root.elements]
 
 
 def test_table_route_makes_no_tuple_products(monkeypatch):
@@ -356,7 +380,7 @@ def test_classes_and_centralizers_against_sympy(gens):
         cent = S.centralizer(Permutation(list(rep))).order()
         assert c.size() * cent == S.order()
         assert G.centralizer(rep).order == cent
-        assert c.is_real == (perm.inverse(rep) in {G.elements[m] for m in c.members})
+        assert c.is_real == (perm.inverse(rep) in {tuple(G.elements[m]) for m in c.members})
     # classes of subgroups cut out by index, which have no closure rows: the
     # centralizer and C*(g) of an element g of the largest class
     g = G.elements[G.conjugacy_classes()[-1].rep]
@@ -365,18 +389,19 @@ def test_classes_and_centralizers_against_sympy(gens):
     C_star = C if flip is None else PermutationGroup(C.generators + [Permutation(list(flip))])
     for H, T in ((G.centralizer(g), C), (G.extended_centralizer(g), C_star)):
         assert H._parent is not None or H is G
-        got = {frozenset(H.elements[m] for m in c.members) for c in H.conjugacy_classes()}
+        got = {frozenset(tuple(H.elements[m]) for m in c.members) for c in H.conjugacy_classes()}
         assert got == {frozenset(tuple(x.array_form) for x in cls) for cls in T.conjugacy_classes()}
         for c in H.conjugacy_classes():
             assert c.is_real == (perm.inverse(H.elements[c.rep]) in
-                                 {H.elements[m] for m in c.members})
+                                 {tuple(H.elements[m]) for m in c.members})
 
 
 def _check_against_tuple_closure(G):
     # elements, index, the right rows, every left row and inv equal the
     # tuple-product closure's and its per-element walk down the BFS tree
     elements, index, rights, tree = tuple_closure(G.generators, G.degree)
-    assert G.elements == elements and G.index == index
+    assert list(map(tuple, G.elements)) == elements
+    assert {tuple(p): i for p, i in G.index.items()} == index
     if G._parent is None:
         assert [list(row) for row in G._tables[0]] == rights
     _check_words_and_runs(G)

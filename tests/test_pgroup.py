@@ -216,7 +216,7 @@ def test_named_subgroups_cover_all_subgroups_up_to_conjugacy():
         seen = set()
         for a in D.elements:
             for b in D.elements:
-                sub = D.subgroup([a, b]).element_set()
+                sub = frozenset(D.subgroup([a, b]).elements)
                 seen.add(sub)
         for sub in seen:
             conjugates = []
