@@ -13,13 +13,14 @@ Sylow in C*(c) above D.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import lcm
 
 from .chartab import CharacterTable
 from .cyclotomic import reduce_mod2
 from .errors import InvariantViolation, NotRealBlock
 from .gf2 import multiplicative_order_of_2
-from .perm import PermGroup, conj, nu
+from .perm import PermGroup, nu
 from .pgroup import classify_extension, is_dihedral_2group
 
 
@@ -183,7 +184,14 @@ def _couple_from_element(G: PermGroup, c_idx: int) -> DefectCouple:
 
 
 def couple_conjugacy_check(table: CharacterTable, block: BlockData) -> bool:
-    """Couples from every real defect class element are simultaneously conjugate."""
+    """Couples from every real defect class element are simultaneously conjugate.
+
+    Every couple (D', E') is compared with the first, (D, E): it is
+    conjugate to it when |E'| = |E| and some g conjugates each generator of
+    D into D' and of E into E' (|D'| = |D| is the block's defect).  The
+    conjugates x^g of a generator x under every g are one walk
+    (`PermGroup._conjugates`), taken once per block, and each generator
+    narrows the candidate g."""
     G = table.group
     couples = []
     for j in real_defect_classes(table, block):
@@ -192,9 +200,17 @@ def couple_conjugacy_check(table: CharacterTable, block: BlockData) -> bool:
     if len(couples) <= 1:
         return True
     base = couples[0]
+    rows = [[G._conjugates(x) for x in map(G.idx, H.generators)] for H in (base.D, base.E)]
     for other in couples[1:]:
-        if not any(all(conj(x, g) in base.D for x in other.D.elements) and
-                   all(conj(x, g) in base.E for x in other.E.elements) for g in G.elements):
+        if other.E.order != base.E.order:
+            return False
+        candidates = range(G.order)
+        for H, H_rows in zip((other.D, other.E), rows):
+            inside = set(map(G.idx, H.elements))
+            for row in H_rows:
+                candidates = list(compress(candidates,
+                                           map(inside.__contains__, map(row.__getitem__, candidates))))
+        if not candidates:
             return False
     return True
 

@@ -1,22 +1,27 @@
 """Exact ordinary character tables via Dixon's method.
 
 Class-algebra structure constants are diagonalized over GF(p) for a prime
-p = 1 mod exp(G) (least such prime above 4*sqrt|G|): eigenvalues are the
-roots of characteristic polynomials (Cantor–Zassenhaus), a simple root's
-line is read off one Krylov basis per space, and `linalg` does the rest.
-Orthogonality gives d^2 mod p for each degree d, and since
+p = 1 mod exp(G) (least such prime above 4*sqrt|G|), so every class matrix
+splits over GF(p): its eigenvalues are the roots of the squarefree part
+f / gcd(f, f') of its characteristic polynomial (Cantor–Zassenhaus), a
+simple root's line is read off one Krylov basis per space, and `linalg`
+does the rest.  Orthogonality gives d^2 mod p for each degree d, and since
 p > 4*sqrt|G| + 1 exactly one d <= sqrt|G| fits.
 Values are lifted exactly to Z[zeta_n] from eigenvalue multiplicities, as
-int power-basis tuples, for the report and the 2-modular reduction; the
-integer-valued invariants (FS indicators, complex conjugates,
-2-rationality) are decided from the rows chi mod p, which the table keeps
-beside the exact values.
+int power-basis tuples, for the report and the 2-modular reduction: one
+multiplicity per orbit of the s prime to n with g^s conjugate to g, which
+all share it.  The integer-valued invariants (FS indicators, complex
+conjugates, 2-rationality) are decided from the rows chi mod p, which the
+table keeps beside the exact values.
 
 A class matrix M_i (the structure constants a_ijl mod p) is built only when
 the eigenspace loop takes class i, from one left row y -> g_i·y of the
-group's index tables (Dixon–Schneider).  The loop takes high element orders
-first and stops once every eigenspace is a line, so most classes never
-build theirs.  The class of every power of every representative comes from
+group's index tables (Dixon–Schneider), left in the closure's slot order:
+the pairs (class of y, class of g_i·y) are counted at each class's member
+slots.  The loop takes high element orders first and stops once every
+eigenspace is a line, so most classes never build theirs; a space on which
+M_i acts as a scalar (checked exactly mod p) is kept with no eigenspace
+search.  The class of every power of every representative comes from
 `PermGroup.powers` (no tuple products up to degree 256) and is kept on the
 table for the power maps.
 """
@@ -26,7 +31,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property
 from math import gcd, isqrt
-from operator import add, mul
+from operator import mul
 
 from . import linalg
 from .cyclotomic import Cyclotomic, power_coords, prime_divisors
@@ -115,47 +120,34 @@ def _poly_powmod(base, e: int, m, p):
 
 
 def _roots_modp(f, p):
-    """All roots in GF(p) of f (multiplicities collapsed)."""
+    """The distinct roots in GF(p) of f, which splits over GF(p) into linear
+    factors: every class-matrix characteristic polynomial does, as p = 1 mod
+    exp(G).  Cantor–Zassenhaus runs on the squarefree part f / gcd(f, f'); a
+    factor that no shift c in GF(p) splits has a root outside GF(p) and
+    raises InvariantViolation."""
     f = _poly_trim(f[:])
     if f == [0]:
         raise InvariantViolation("root search on the zero polynomial")
-    roots = set()
-    while len(f) > 1 and f[0] == 0:
-        roots.add(0)
-        f = _poly_trim(f[1:])
-    if len(f) <= 1:
-        return sorted(roots)
-    xp = _poly_powmod([0, 1], p, f, p)    # x^p mod f
-    g = xp + [0] * max(0, 2 - len(xp))
-    g[1] = (g[1] - 1) % p                 # x^p - x mod f
-    g = _poly_trim(g)
-    if g == [0]:
-        inv = pow(f[-1], p - 2, p)
-        lin = [c * inv % p for c in f]    # f itself splits into linears
-    else:
-        lin = _poly_gcd_modp(g, f, p)
-
-    # split lin into its linear factors from a work list (a recursive
+    df = _poly_trim([i * a % p for i, a in enumerate(f)][1:] or [0])
+    roots, todo = [], [(_poly_divide_exact(f, _poly_gcd_modp(f, df, p), p), 0)]
+    # split it into its linear factors from a work list (a recursive
     # closure would leave a reference cycle behind on every call)
-    todo = [(lin, 0)]
     while todo:
         h, c = todo.pop()
-        h = _poly_trim(h[:])
         if len(h) == 2:
-            roots.add((-h[0] * pow(h[1], p - 2, p)) % p)
+            roots.append(-h[0] * pow(h[1], p - 2, p) % p)
         if len(h) <= 2:
             continue
-        while True:
+        for c in range(c, c + p):
             # gcd((x+c)^((p-1)/2) - 1, h) separates roots by quadratic character
             acc = _poly_powmod([c, 1], (p - 1) // 2, h, p)
             acc[0] = (acc[0] - 1) % p
-            acc = _poly_trim(acc)
-            if acc != [0]:
-                w = _poly_gcd_modp(acc, h, p)
-                if 0 < len(w) - 1 < len(h) - 1:
-                    todo += [(w, c + 1), (_poly_divide_exact(h, w, p), c + 1)]
-                    break
-            c += 1
+            w = _poly_gcd_modp(acc, h, p)
+            if 1 < len(w) < len(h):
+                todo += [(w, c + 1), (_poly_divide_exact(h, w, p), c + 1)]
+                break
+        else:
+            raise InvariantViolation(f"a factor of degree {len(h) - 1} does not split mod {p}")
     return sorted(roots)
 
 
@@ -374,20 +366,29 @@ def dixon_table(G: PermGroup) -> CharacterTable:
 
     # simultaneous eigenvectors of the class matrices (columns w with
     # M_i w = omega_i w), each M_i built only when the loop takes class i;
-    # high element orders first, as they split the space soonest
+    # high element orders first, as they split the space soonest.  A space
+    # on which M_i is a scalar is kept as it is: M_i cannot split it
+    member_slots = [G.slots(c.members) for c in classes]
     spaces = [unit := [[int(j == c) for c in range(k)] for j in range(k)]]
     for i in sorted(range(k), key=lambda i: -classes[i].order):
         if all(len(b) == 1 for b in spaces):
             break
         if i == id_class:
             continue  # M = I splits nothing
-        M = _class_matrix(G, classes[i], inv_sizes, p)
+        M = _class_matrix(G, classes[i], inv_sizes, p, member_slots)
         new_spaces = []
         for basis in spaces:
             if len(basis) == 1:
                 new_spaces.append(basis)
                 continue
-            A = M if basis is unit else _restrict(M, basis, p)  # M in unit coordinates is M
+            if basis is unit:
+                A = M  # in unit coordinates; no scalar, as M[id_class][i] = 1
+            else:
+                imgs = [[sum(map(mul, row, b)) % p for row in M] for b in basis]
+                if _is_scalar(imgs, basis, p):
+                    new_spaces.append(basis)
+                    continue
+                A = _restrict(imgs, basis, p)
             cols = list(zip(*basis))
             split = [[[sum(map(mul, coord, col)) % p for col in cols] for coord in coords]
                      for coords in _eigenspaces(A, p)]
@@ -417,39 +418,46 @@ def dixon_table(G: PermGroup) -> CharacterTable:
         raise InvariantViolation("squared degrees do not sum to |G|")
 
     # exact value lift per class from eigenvalue multiplicities: chi(g_j) has
-    # lambda^m with multiplicity sum_c chi(C_c) W_j[m][c], where W_j[m][c] is
-    # the sum of lambda^(-mr)/n over the r with g_j^r in C_c
+    # lambda^m with multiplicity c_m = sum_c chi(C_c) W_j[m][c], where W_j[m][c]
+    # is the sum of lambda^(-mr)/n over the r with g_j^r in C_c.  For s prime
+    # to n with g_j^s in C_j, r -> s^-1 r moves g_j^r within its class, so
+    # c_m = c_ms: one c_m per orbit of these s on Z/n
     z = _primitive_root(p)
-    weights = []
-    for c, pcs in zip(classes, power_classes):
+    chars_p = [tuple(d * w[j] % p * inv_sizes[j] % p for j in range(k))
+               for w, d in zip(omegas, degrees)]
+    columns = []
+    for j, (c, pcs) in enumerate(zip(classes, power_classes)):
         n = c.order
+        stab = [s for s, pc in enumerate(pcs) if pc == j and gcd(s, n) == 1]
+        orbit_of, reps = [None] * n, []
+        for m in range(n):
+            if orbit_of[m] is None:
+                for s in stab:
+                    orbit_of[m * s % n] = len(reps)
+                reps.append(m)
         lam_inv = pow(z, (p - 1) // n * (n - 1), p)
         inv_n = pow(n, -1, p)
         W = []
-        for m in range(n):
+        for m in reps:
             step, t, acc = pow(lam_inv, m, p), inv_n, {}
             for pc in pcs:
                 acc[pc] = (acc.get(pc, 0) + t) % p
                 t = t * step % p
             W.append((tuple(acc), tuple(acc.values())))
-        weights.append(W)
-    values, chars_p = [], []
-    for w, d in zip(omegas, degrees):
-        row = []
-        chi_p = tuple(d * w[j] % p * inv_sizes[j] % p for j in range(k))
-        chars_p.append(chi_p)
-        for c, W in zip(classes, weights):
-            counts = {}
-            for m, (cls, wts) in enumerate(W):
-                c_m = sum(map(mul, map(chi_p.__getitem__, cls), wts)) % p
-                if c_m > d:
-                    raise InvariantViolation("eigenvalue multiplicity out of range")
-                if c_m:
-                    counts[m] = c_m
-            if sum(counts.values()) != d:
+        coords, column = {}, []  # coords: power_coords per vector of orbit multiplicities
+        for chi_p, d in zip(chars_p, degrees):
+            per_orbit = tuple([sum(map(mul, map(chi_p.__getitem__, cls), wts)) % p
+                               for cls, wts in W])
+            if max(per_orbit) > d:
+                raise InvariantViolation("eigenvalue multiplicity out of range")
+            if sum(map(per_orbit.__getitem__, orbit_of)) != d:
                 raise InvariantViolation("eigenvalue multiplicities do not sum to the degree")
-            row.append(power_coords(c.order, counts))
-        values.append(tuple(row))
+            if per_orbit not in coords:
+                coords[per_orbit] = power_coords(n, dict(enumerate(
+                    map(per_orbit.__getitem__, orbit_of))))
+            column.append(coords[per_orbit])
+        columns.append(column)
+    values = list(zip(*columns))
 
     # deterministic row order: degree, then the mod-p value vector
     key = sorted(range(k), key=lambda i: (degrees[i],
@@ -464,19 +472,20 @@ def dixon_table(G: PermGroup) -> CharacterTable:
     return CharacterTable(G, classes, values, degrees, p, power_classes, chars_p)
 
 
-def _class_matrix(G: PermGroup, c, inv_sizes: list, p: int) -> list:
+def _class_matrix(G: PermGroup, c, inv_sizes: list, p: int, member_slots: list) -> list:
     """The class matrix M_i = (a_ijl mod p)_{j,l} of c = C_i, a_ijl = #{(x, y) in
     C_i x C_j : xy = g_l}, from the left row L: y -> g_i·y and 1/|C_l| = inv_sizes[l].
 
     Counting the triples xy = z in C_i x C_j x C_l from either end gives
-    |C_l| a_ijl = |C_i| #{y in C_j : g_i·y in C_l}, and p does not divide |C_l|."""
+    |C_l| a_ijl = |C_i| #{y in C_j : g_i·y in C_l}, and p does not divide |C_l|.
+    L stays in the closure's slot order, and member_slots[j] holds the
+    slots of C_j (`PermGroup.slots`)."""
     class_of, k, size = G.class_of, len(inv_sizes), c.size()
     M = [[0] * k for _ in range(k)]
-    L = G.left(c.rep)
-    pairs = Counter(map(add, map(k.__mul__, class_of), map(class_of.__getitem__, L)))
-    for jl, n in pairs.items():
-        j, l = divmod(jl, k)
-        M[j][l] = size * n * inv_sizes[l] % p
+    L = G.left(c.rep, in_slots=True)
+    for Mj, slots in zip(M, member_slots):
+        for l, n in Counter(map(class_of.__getitem__, map(L.__getitem__, slots))).items():
+            Mj[l] = size * n * inv_sizes[l] % p
     return M
 
 
@@ -503,9 +512,17 @@ def _eigenspaces(A, p) -> list:
     return out
 
 
-def _restrict(M, basis, p):
-    """Matrix of w -> M w on span(basis), in basis coordinates."""
-    imgs = [[sum(map(mul, row, b)) % p for row in M] for b in basis]
+def _is_scalar(imgs, basis, p) -> bool:
+    """Whether imgs[n] = lam·basis[n] for one lam and every n."""
+    b0 = basis[0]
+    c = next(c for c, x in enumerate(b0) if x)
+    lam = imgs[0][c] * pow(b0[c], p - 2, p) % p
+    return all(img == [lam * x % p for x in b] for img, b in zip(imgs, basis))
+
+
+def _restrict(imgs, basis, p):
+    """Matrix of w -> M w on span(basis), in basis coordinates, from the
+    images imgs[n] = M basis[n]."""
     sol = linalg.solve(basis, imgs, p)
     if sol is None:
         raise InvariantViolation("vector outside span")

@@ -300,17 +300,26 @@ class PermGroup:
 
     # -- index rows -------------------------------------------------------
 
-    def walk(self, actions, start: int) -> list:
+    def walk(self, actions, start: int, in_slots: bool = False) -> list:
         """row[x] = `start` moved by actions[k] for each letter k of x's BFS
         word: row[p·g_k] = actions[k][row[p]].  With the rows x -> x·g_k it is
         x -> start·x; with a point action, the point's image under each x.
         One slice per (depth, letter) run fills the slots at C speed; a last
-        map puts them in element order."""
+        map puts them in element order, unless `in_slots` keeps the row in
+        slot order, where x's entry is at `slots([x])[0]`."""
         _rights, runs, place = self._tables
         row = [start] * self.order
         for lo, hi, k, ups in runs:
             row[lo:hi] = map(actions[k].__getitem__, map(row.__getitem__, ups))
-        return list(map(row.__getitem__, place))
+        return row if in_slots else list(map(row.__getitem__, place))
+
+    def slots(self, xs) -> list:
+        """The slot of each element index in xs, where a row walked
+        `in_slots` holds that element's entry.  A subgroup cut out by index
+        has no closure, and its rows keep element order."""
+        if self._parent:
+            return list(xs)
+        return list(map(self._tables[2].__getitem__, xs))
 
     def _word(self, x: int) -> list:
         """The letters k1, k2, ... of x = g_k1·g_k2·..., x's word in the BFS
@@ -323,11 +332,11 @@ class PermGroup:
             slot = ups[slot - lo]
         return word[::-1]
 
-    def left(self, h: int) -> list:
-        """L_h, the row x -> index(h·x)."""
+    def left(self, h: int, in_slots: bool = False) -> list:
+        """L_h, the row x -> index(h·x); in slot order with `in_slots` (`walk`)."""
         if self._parent:
             return self._from_root(self._parent.left(self._members[h]))
-        return self.walk(self._tables[0], h)
+        return self.walk(self._tables[0], h, in_slots)
 
     def powers(self, x: int, n: int) -> list:
         """Indices of x^0 .. x^(n-1), stepped as the closure steps p·g."""
@@ -448,7 +457,7 @@ class PermGroup:
         p or p^-1, both read off one walk (`_conjugates`)."""
         root, r = self._parent or self, self._root_idx(p)
         row, pair, keep = self._conjugates(r), {r, root.inverse_idx(r)}, self._members
-        images = list(map(row.__getitem__, keep))
+        images = list(map(row.__getitem__, keep)) if self._parent else row
         return (root._sub(array("i", compress(keep, map(r.__eq__, images)))),
                 root._sub(array("i", compress(keep, map(pair.__contains__, images)))))
 

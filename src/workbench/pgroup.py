@@ -109,10 +109,11 @@ class ExtensionFrame:
     """E = D<e> as a regular permutation group on the normal forms.
 
     `points` lists the forms (k, eps, i), the identity first, so the points
-    below |D| are D.  Normal-form `mul` builds the right-regular permutations
-    of s, t and e; their closure `E` holds every other one, and `rows[x]`
-    is the one that sends the identity to x.  So g·h is the point
-    rows[h][g].
+    below |D| are D: (k, eps, i) is the point (2i + eps)·m + k, m = |D|/2.
+    The right-regular permutations of s, t and e are written down by index
+    arithmetic (`_generator_rows`, equal to right multiplication by `mul`);
+    their closure `E` holds every other one, and `rows[x]` is the one that
+    sends the identity to x.  So g·h is the point rows[h][g].
     """
 
     def __init__(self, frame: DihedralFrame, alpha: tuple, u: tuple, etype: str | None):
@@ -123,14 +124,30 @@ class ExtensionFrame:
         check_cap(2 * frame.order, frame.group.cap)
         self.points = [x + (i,) for i in (0, 1) for x in frame.forms]
         self._index = {p: n for n, p in enumerate(self.points)}
-        self.s, self.t, self.e = (tuple(self._index[self.mul(p, h)] for p in self.points)
-                                  for h in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        self.s, self.t, self.e = self._generator_rows()
         self.E = PermGroup([self.s, self.t, self.e], degree=len(self.points),
                            cap=frame.group.cap)
         if self.E.order != len(self.points):
             raise InvariantViolation("the crossed product D<e> is not of order 2|D|")
         self.rows = self.E.elements  # sorted, so by the image of the identity
         self._gens = [g[0] for g in (self.s, self.t, self.e)]  # the points s, t, e
+
+    def _generator_rows(self) -> tuple:
+        """The points p·s, p·t and p·e for every point p = (k, eps, i).  With
+        alpha = (a, b) and u = (u_k, u_eps): s adds (-1)^eps·(a if i else 1)
+        to k; t adds (-1)^eps·(-b if i else 0) and flips eps; e sends i = 0
+        to i = 1, and for i = 1 multiplies by u and sets i = 0."""
+        m = self.frame.order // 2
+        (a, b), (uk, ue) = self.alpha, self.u
+        s, t, e = [], [], []
+        for i, eps in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            sign, ks = (-1 if eps else 1), range(m)
+            ds, dt = sign * (a if i else 1), sign * (-b if i else 0)
+            s += [(2 * i + eps) * m + (k + ds) % m for k in ks]
+            t += [(2 * i + 1 - eps) * m + (k + dt) % m for k in ks]
+            e += ([(2 + eps) * m + k for k in ks] if i == 0
+                  else [(eps ^ ue) * m + (k + sign * uk) % m for k in ks])
+        return tuple(s), tuple(t), tuple(e)
 
     def mul(self, p: tuple, q: tuple) -> tuple:
         x, i, y, j = p[:2], p[2], q[:2], q[2]

@@ -476,6 +476,12 @@ def structure_constants(G, classes) -> list:
     return a
 
 
+def brute_force_roots(f, p: int) -> list:
+    """The x in GF(p) with f(x) = 0 (f's coefficients lowest first), by
+    evaluating f at every x."""
+    return [x for x in range(p) if reduce(lambda acc, c: (acc * x + c) % p, reversed(f), 0) == 0]
+
+
 def idempotent_square_check(table, coeffs) -> bool:
     """(sum a_C C+)^2 = sum a_C C+ in Z(kG), via structure constants mod 2."""
     k = table.k

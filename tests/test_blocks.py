@@ -231,7 +231,7 @@ def test_two_defect_notions_agree():
 
 
 def test_couple_conjugacy_psl27_and_s5():
-    for name in ("psl27", "s5"):
+    for name in ("psl27", "s5", "pgl2_11"):
         T = table(name)
         for b in blocks.block_partition(T):
             if b.is_real:

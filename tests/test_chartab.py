@@ -1,5 +1,7 @@
 import hashlib
 import json
+import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,13 +9,14 @@ import pytest
 from sympy import Matrix
 from sympy.combinatorics import Permutation
 
-from workbench import linalg
-from workbench.chartab import _class_matrix, _eigenspaces, dixon_table
-from workbench.errors import CapExceeded
+from workbench import chartab, linalg
+from workbench.chartab import (_class_matrix, _eigenspaces, _poly_mul_modp, _roots_modp,
+                               dixon_table)
+from workbench.errors import CapExceeded, InvariantViolation
 from workbench.groups import builtin_group
 from workbench.perm import generate, parse_cycles, read_generator_file
 
-from oracles import (Cyclotomic, exact_chars, exact_conj_char, exact_fs_indicator,
+from oracles import (Cyclotomic, brute_force_roots, exact_chars, exact_conj_char, exact_fs_indicator,
                      exact_is_two_rational, exact_two_conjugacy_families, inner_product,
                      minimized, psl2_degree_multiset, structure_constants)
 from test_acceptance import BUILTINS
@@ -194,6 +197,53 @@ def test_krylov_lines_fall_back_to_nullspace(monkeypatch, eigenvalues):
     assert [len(vecs) for vecs in got] == [eigenvalues.count(lam) for lam in roots]
 
 
+def _poly_from_roots(roots, lead, p):
+    """lead * prod (x - r) mod p, coefficients lowest first."""
+    f = [lead % p]
+    for r in roots:
+        f = [(a - r * b) % p for a, b in zip([0] + f, f + [0])]
+    return f
+
+
+# the Dixon primes of the perfbench/groups files that `scan` answers (the four
+# it refuses for their field degree never build a table)
+@pytest.mark.parametrize("p", [181, 271, 331, 421, 547, 661, 1093, 1321])
+def test_roots_match_brute_force(p):
+    # split polynomials of degrees 1-25 with repeated roots (drawn from a
+    # pool of about half the degree, 0 among the candidates)
+    rng = random.Random(p)
+    for deg in range(1, 26):
+        pool = [0] + rng.sample(range(1, p), max(1, deg // 2))
+        roots = [rng.choice(pool) for _ in range(deg)]
+        f = _poly_from_roots(roots, rng.randrange(1, p), p)
+        assert _roots_modp(f, p) == brute_force_roots(f, p) == sorted(set(roots)), (p, deg)
+
+
+def test_roots_refuse_a_factor_that_does_not_split():
+    # x^2 - 2 is irreducible mod 181 (2 is a non-residue there); the shift
+    # loop is bounded by p, so the search raises instead of looping
+    p = 181
+    assert pow(2, (p - 1) // 2, p) == p - 1
+    f = _poly_mul_modp([-2 % p, 0, 1], _poly_from_roots([1, 1, 5], 3, p), p)
+    with pytest.raises(InvariantViolation, match="does not split"):
+        _roots_modp(f, p)
+
+
+def test_scalar_spaces_skip_the_eigenspace_search(monkeypatch):
+    # route guard: on PGL(2,13) three of the five class matrices the loop
+    # builds act as a scalar on every space left to split, so only two
+    # eigenspace searches run (five did before the scalar check)
+    calls = Counter()
+    for name in ("_eigenspaces", "_class_matrix"):
+        def counted(*args, _f=getattr(chartab, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(chartab, name, counted)
+    T = dixon_table(generate(read_generator_file(GROUP_FILES / "pgl2_13.txt")))
+    assert calls == {"_eigenspaces": 2, "_class_matrix": 5}
+    assert T.k == 15
+
+
 @pytest.mark.parametrize("name", ["s4", "c2xs3", "psl27"])
 def test_class_matrices_match_brute_force(name):
     # each class matrix, built from one left row, is the brute-force
@@ -201,8 +251,9 @@ def test_class_matrices_match_brute_force(name):
     T = table(name)
     want = structure_constants(T.group, T.classes)
     inv_sizes = [pow(c.size(), -1, T.prime) for c in T.classes]
+    member_slots = [T.group.slots(c.members) for c in T.classes]
     for i, c in enumerate(T.classes):
-        assert _class_matrix(T.group, c, inv_sizes, T.prime) == \
+        assert _class_matrix(T.group, c, inv_sizes, T.prime, member_slots) == \
             [[a % T.prime for a in row] for row in want[i]], (name, i)
 
 

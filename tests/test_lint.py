@@ -12,7 +12,9 @@ method that nothing in the package refers to is there only for the tests,
 and fails the lint unless it is a traced boundary (`perfbench/spans.py`)
 or on the allowlist of public checks.  Only `perm` reads a group's `index`
 dict, whose keys are the closure's own (bytes up to degree 256): every
-other module, and the oracles, go through `idx` and `in`."""
+other module, and the oracles, go through `idx` and `in`.  Only `perm`
+reads a group's private tables (its closure, BFS slots, root, conjugation
+rows and classes): other modules reach them through `perm` methods."""
 
 import ast
 from pathlib import Path
@@ -171,3 +173,15 @@ def test_only_perm_reads_group_index(path):
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "index" and id(node) not in calls]
     assert lines == [], f"{path.name} reads a group's index at lines {lines}"
+
+
+GROUP_TABLES = {"_tables", "_closure", "_members", "_parent", "_conjugations", "_classes"}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "perm"],
+                         ids=[p.stem for p in MODULES if p.stem != "perm"])
+def test_only_perm_reads_group_tables(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in GROUP_TABLES]
+    assert lines == [], f"{path.name} reads a group's private tables at lines {lines}"

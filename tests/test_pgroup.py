@@ -263,6 +263,30 @@ def test_regular_fingerprint_matches_engine_oracle(monkeypatch):
         assert pgroup.group_fingerprint(e.E) == abstract_fingerprint(e.E)
 
 
+def test_generator_rows_match_normal_form_products(monkeypatch):
+    # the rows of s, t and e written by index arithmetic are right
+    # multiplication by `mul` on the normal forms, for every census
+    # candidate and every type build_extension makes, d = 3..6
+    built = []
+    init = pgroup.ExtensionFrame.__init__
+
+    def kept_init(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(pgroup.ExtensionFrame, "__init__", kept_init)
+    for d in (3, 4, 5, 6):
+        pgroup.census_degree2_extensions(frame(d))
+        for ty in pgroup._available_types(d):
+            pgroup.build_extension(frame(d), ty)
+    assert len([e for e in built if e.etype is None]) == 26
+    assert sorted({e.etype for e in built} - {None}) == list(pgroup.EXT_TYPES)
+    for e in built:
+        want = tuple(tuple(e._index[e.mul(p, h)] for p in e.points)
+                     for h in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        assert (e.s, e.t, e.e) == want, (e.frame.d, e.alpha, e.u)
+
+
 def test_eclass_classes_match_engine_classes():
     # each row's class, the orbit of its point under conjugation by s, t
     # and e, is the engine's class of its permutation
@@ -282,9 +306,9 @@ def test_eclass_classes_match_engine_classes():
 
 def test_table2_route_reads_products_off_rows(monkeypatch):
     # the census, build_extension, eclass_table and reality_pattern read
-    # every product off E's rows: normal-form products only build the three
-    # generator rows (2|D| products each) and check the type relations (at
-    # most 6 products), and no group's conjugacy classes are built
+    # every product off E's rows: the three generator rows are written by
+    # index arithmetic, normal-form products only check the type relations
+    # (at most 6 products), and no group's conjugacy classes are built
     frames, products, classes = [], [], []
     init, nf_mul = pgroup.ExtensionFrame.__init__, pgroup.ExtensionFrame.mul
     engine_classes = PermGroup.conjugacy_classes
@@ -314,5 +338,5 @@ def test_table2_route_reads_products_off_rows(monkeypatch):
             pgroup.eclass_table(e)
             pgroup.reality_pattern(e)
     assert frames
-    assert len(products) <= sum(3 * len(e.points) + 6 for e in frames)
+    assert len(products) <= 6 * len(frames)
     assert classes == []
