@@ -16,9 +16,9 @@ from workbench.errors import CapExceeded, InvariantViolation
 from workbench.groups import builtin_group
 from workbench.perm import generate, parse_cycles, read_generator_file
 
-from oracles import (Cyclotomic, brute_force_roots, exact_chars, exact_conj_char, exact_fs_indicator,
-                     exact_is_two_rational, exact_two_conjugacy_families, inner_product,
-                     minimized, psl2_degree_multiset, structure_constants)
+from oracles import (Cyclotomic, brute_force_roots, exact_chars, exact_conj_char,
+                     exact_fs_indicator, exact_is_two_rational, exact_two_conjugacy_families,
+                     inner_product, minimized, psl2_degree_multiset, structure_constants)
 from test_acceptance import BUILTINS
 
 GROUP_FILES = Path(__file__).resolve().parents[1] / "perfbench" / "groups"
@@ -242,6 +242,17 @@ def test_scalar_spaces_skip_the_eigenspace_search(monkeypatch):
     T = dixon_table(generate(read_generator_file(GROUP_FILES / "pgl2_13.txt")))
     assert calls == {"_eigenspaces": 2, "_class_matrix": 5}
     assert T.k == 15
+
+
+def test_subgroup_cut_out_by_index_gets_the_same_table():
+    # such a subgroup has no closure slots (`PermGroup.slots` gives element
+    # order), and its table equals that of the same group closed afresh
+    G = builtin_group("pgl27")
+    for c in G.conjugacy_classes()[1:4]:
+        H = G.centralizers(G.elements[c.rep])[1]
+        assert H is not G
+        fresh = generate([tuple(p) for p in H.elements])
+        assert dixon_table(H).to_json() == dixon_table(fresh).to_json()
 
 
 @pytest.mark.parametrize("name", ["s4", "c2xs3", "psl27"])
