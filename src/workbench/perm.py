@@ -10,13 +10,14 @@ integer index tables, not tuple products: the closure records the row
 x -> x·g of each generator g, and the rows x -> h·x (`left`) and x -> x^-1
 (`inv`) are walked down its BFS tree.  The class search builds the rows
 x -> g^-1·x·g, and a root group keeps them: a walk of them from c gives
-c^x for every x, so a centralizer, C*(c) and a Sylow ascent read them, as
-does the conjugation module on a set of elements.  A subgroup cut out by
+c^x for every x, so a centralizer and C*(c) read them, as does the
+conjugation module on a set of elements.  A subgroup cut out by
 index (a centralizer, C*(g), O_2) reads the rows of its root group.
 
 Both loops over the elements run at C speed.  Up to degree 256 the
-closure (and `powers`) steps each element as its bytes, so p·g is one
-`bytes.translate`; a larger degree has no byte per point and keeps `mul`.
+closure (and `powers`, and the Sylow ascent's conjugates) steps each
+element as its bytes, so p·g is one `bytes.translate`; a larger degree
+has no byte per point and keeps `mul`.
 The closure finds elements by depth and then by letter, so its BFS order
 is the walk's layout: one slice per run of BFS nodes with the same depth
 and generator letter, filled from their parents one layer up.
@@ -27,12 +28,11 @@ from __future__ import annotations
 import os
 import re
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate, compress, count, repeat
 from math import lcm
-from operator import is_, itemgetter
+from operator import is_
 
 from .errors import CapExceeded, InvariantViolation, NotMember
 
@@ -321,17 +321,6 @@ class PermGroup:
             return list(xs)
         return list(map(self._tables[2].__getitem__, xs))
 
-    def _word(self, x: int) -> list:
-        """The letters k1, k2, ... of x = g_k1·g_k2·..., x's word in the BFS
-        tree: its slot climbs run by run to the identity's (`_tables`)."""
-        _rights, runs, place = self._tables
-        slot, word = place[x], []
-        while slot:
-            lo, _hi, k, ups = runs[bisect_right(runs, slot, key=itemgetter(0)) - 1]
-            word.append(k)
-            slot = ups[slot - lo]
-        return word[::-1]
-
     def left(self, h: int, in_slots: bool = False) -> list:
         """L_h, the row x -> index(h·x); in slot order with `in_slots` (`walk`)."""
         if self._parent:
@@ -454,8 +443,11 @@ class PermGroup:
 
     def centralizers(self, p: Perm) -> tuple:
         """(C(g), C*(g)): the elements x with p^x = p, and those with p^x =
-        p or p^-1, both read off one walk (`_conjugates`)."""
+        p or p^-1, both read off one walk (`_conjugates`); (G, G) with no
+        walk when p's class in the root group is {p}."""
         root, r = self._parent or self, self._root_idx(p)
+        if root.conjugacy_classes()[root.class_of[r]].size() == 1:
+            return self, self
         row, pair, keep = self._conjugates(r), {r, root.inverse_idx(r)}, self._members
         images = list(map(row.__getitem__, keep)) if self._parent else row
         return (root._sub(array("i", compress(keep, map(r.__eq__, images)))),
@@ -483,42 +475,48 @@ class PermGroup:
     # -- 2-local structure -------------------------------------------------
 
     def sylow2(self, start: "PermGroup | None" = None) -> "PermGroup":
-        """A Sylow 2-subgroup containing the 2-subgroup `start` (default 1).
+        """A Sylow 2-subgroup containing the 2-subgroup `start` (default 1);
+        `start` itself when its order is already the 2-part of |G|.
 
         Grows P one generator at a time: each step adjoins the first
         2-element y outside P, in element order, with g^y in P for every
         generator g of P.  Such a y normalizes P, so P<y> is a 2-group; and
         a y exists while P is not Sylow, since P is then proper in N_S(P)
-        for a Sylow S containing P.  There is no canonical choice.  g^y is
-        g moved by the root's conjugation row of each letter of y's word
-        (`_word`), in root indices.
+        for a Sylow S containing P.  There is no canonical choice.  Each
+        step scans the elements from the first, telling a 2-element by its
+        root class, so it reads no orders past the y it adjoins.  g^y =
+        y^-1·g·y is stepped as the closure steps p·g and looked up in P's
+        index; y^-1 = y^(o-1) for y of order o.
         """
-        root = self._parent or self
         target = 1 << nu(self.order)
         current = start if start is not None else self.subgroup([])
-        orders = self._orders()
-        two_powers = {o for o in set(orders) if o & (o - 1) == 0}
-        twos = list(compress(self._members, map(two_powers.__contains__, orders)))
-        moves, words = root.conjugation_rows(), {}  # words: y -> the rows of its letters
+        if current.order == target:
+            return current
+        root, n = self._parent or self, self.degree
+        els, class_of = root.elements, root.class_of
+        orders = [c.order for c in root.conjugacy_classes()]
+        two = [o & (o - 1) == 0 for o in orders]  # per root class
+        _start, step, _acts = _stepping(n, [])
+        conjugators = {}  # y -> (the act of y, y^-1)
 
-        def normalizes(y, gens, inside) -> bool:
-            if y not in words:
-                words[y] = list(map(moves.__getitem__, root._word(y)))
-            for g in gens:
-                for move in words[y]:
-                    g = move[g]
-                if g not in inside:
+        def normalizes(y, acts, inside) -> bool:
+            if y not in conjugators:
+                (act,) = _stepping(n, [els[y]])[2]
+                o = orders[class_of[y]]
+                conjugators[y] = act, reduce(step, repeat(act, o - 2), els[y])  # y^(o-1)
+            act, y_inv = conjugators[y]
+            for g in acts:
+                if step(step(y_inv, g), act) not in inside:
                     return False
             return True
 
         while current.order < target:
-            inside = set(map(root.idx, current.elements))
-            gens = list(map(root.idx, current.generators))
-            grown = next((y for y in twos if y not in inside and normalizes(y, gens, inside)),
-                         None)
+            inside, acts = current.index, _stepping(n, current.generators)[2]
+            grown = next((y for y in self._members if two[class_of[y]]
+                          and els[y] not in inside and normalizes(y, acts, inside)), None)
             if grown is None:  # unreachable for finite groups
                 raise InvariantViolation("normalizer ascent stalled")
-            current = self.subgroup(current.generators + [root.elements[grown]])
+            current = self.subgroup(current.generators + [els[grown]])
         if current.order != target:
             raise InvariantViolation("Sylow 2-subgroup search ended below the 2-part of |G|")
         return current

@@ -6,7 +6,7 @@ from workbench import blocks, pgroup
 from workbench.chartab import dixon_table
 from workbench.errors import NotRealBlock
 from workbench.groups import builtin_group
-from workbench.perm import generate, nu, read_generator_file
+from workbench.perm import PermGroup, generate, nu, read_generator_file
 
 from oracles import (abstract_fingerprint, brute_force_block_partition, exact_block_idempotent,
                      exact_central_characters, idempotent_square_check, relative_fingerprint)
@@ -276,3 +276,16 @@ def test_couples_match_the_two_walk_route(name):
         assert b.couple.E.elements == ext.sylow2(D).elements
         couples += 1
     assert couples, name
+
+
+@pytest.mark.parametrize("name", ["psl27", "s5", "a7", "pgl2_11"])
+def test_central_couple_takes_no_walk(name, monkeypatch):
+    # C(1) = C*(1) = G, so the principal block's couple (c = 1) walks no
+    # conjugation rows
+    T = table(name)
+    G, walks, conjugates = T.group, [], PermGroup._conjugates
+    monkeypatch.setattr(PermGroup, "_conjugates",
+                        lambda self, r: walks.append(r) or conjugates(self, r))
+    principal = blocks.analyze_blocks(T)[0]
+    assert principal.is_principal and principal.couple.c_index == G.identity_idx()
+    assert G.identity_idx() not in walks

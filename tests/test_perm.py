@@ -212,14 +212,35 @@ def test_sylow2_translates_are_conjugate():
         assert found
 
 
-@pytest.mark.parametrize("name", ["s4", "c2xs3", "psl27", "a7", "pgl2_11", "M11"])
+@pytest.mark.parametrize("name", ["s4", "c2xs3", "psl27", "a7", "pgl2_11", "M11",
+                                  "s4 on 257 points", "sd16 on 257 points"])
 def test_sylow_ascent_matches_oracle(name):
     # growing P on its generators picks the same y at every step as
-    # adjoining the first 2-element of the whole normalizer N_G(P)
-    G = _group(name)
+    # adjoining the first 2-element of the whole normalizer N_G(P); above
+    # degree 256 the ascent steps tuples by `mul`, and sd16's elements of
+    # order 8 need y^-1 != y
+    if name.endswith(" on 257 points"):
+        G = perm.generate(builtin_group(name.split()[0]).generators, degree=257)
+        assert isinstance(G.elements[0], tuple)
+    else:
+        G = _group(name)
     P, Q = G.sylow2(), normalizer_ascent_sylow2(G)
     assert P.elements == Q.elements
     assert P.generators == Q.generators
+
+
+@pytest.mark.parametrize("name", ["psl27", "s5", "a7", "pgl2_11"])
+def test_sylow_start_reads_no_orders(name, monkeypatch):
+    # a start that is already Sylow is the answer: no element orders are
+    # read, neither per element nor off the classes, as an ascent reads them
+    G, reads = builtin_group(name), []
+    P = G.sylow2()
+    for attr in ("_orders", "conjugacy_classes"):
+        def counted(self, fn=getattr(perm.PermGroup, attr)):
+            reads.append(fn.__name__)
+            return fn(self)
+        monkeypatch.setattr(perm.PermGroup, attr, counted)
+    assert G.sylow2(P) is P and reads == []
 
 
 @pytest.mark.parametrize("name", ["s4", "d8", "c2xs3", "c3xs4", "psl27"])
@@ -279,10 +300,10 @@ def _table_case(name):
     return _group(name)
 
 
-def _check_words_and_runs(G):
+def _check_runs_and_depths(G):
     # the runs tile slots 1..n-1 in (depth, letter) order, each node one
     # step from its parent along the rows x -> x·g_k, and depth the BFS
-    # distance from 1; each element's word, read along the rows, spells it
+    # distance from 1
     G = G._parent or G
     rights, runs, place = G._tables
     unplace = sorted(range(G.order), key=place.__getitem__)
@@ -308,11 +329,7 @@ def _check_words_and_runs(G):
         assert len({depth[s] for s in range(lo, hi)}) == 1
         keys.append((depth[lo], k))
     assert keys == sorted(set(keys))
-    for x in range(G.order):
-        word, y = G._word(x), one
-        for k in word:
-            y = rights[k][y]
-        assert y == x and len(word) == depth[place[x]] == distance[x]
+    assert [depth[place[x]] for x in range(G.order)] == [distance[x] for x in range(G.order)]
 
 
 @pytest.mark.parametrize("name", ["s4", "c2xs3", "psl27", "a7", "pgl2_11", "M11",
@@ -332,7 +349,7 @@ def test_index_tables_match_tuple_products(name):
         # the class search's rows x -> g^-1·x·g, kept on a root group only
         assert list(G.conjugation_rows()[k]) == [idx(perm.conj(x, g)) for x in els]
     assert (G._conjugations is G.conjugation_rows()) == (G._parent is None)
-    _check_words_and_runs(G)
+    _check_runs_and_depths(G)
     assert list(G.inv) == [_inv_idx(G, x) for x in range(G.order)]
     # a walk of the root's rows from c gives c^x for every element x of the root
     root = G._parent or G
@@ -404,7 +421,7 @@ def _check_against_tuple_closure(G):
     assert {tuple(p): i for p, i in G.index.items()} == index
     if G._parent is None:
         assert [list(row) for row in G._tables[0]] == rights
-    _check_words_and_runs(G)
+    _check_runs_and_depths(G)
     lefts = [tree_walk(tree, rights, h, G.order) for h in range(G.order)]
     assert [list(G.left(h)) for h in range(G.order)] == lefts
     one = index[perm.identity(G.degree)]
